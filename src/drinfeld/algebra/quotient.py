@@ -265,7 +265,6 @@ def _reduce_ext(ring, ext):
         if not c:
             continue
         idx = 0
-        k = key
         for i in range(r):
             e_i = (key // est[i]) % edims[i]
             idx += e_i * st[i]

@@ -138,6 +138,13 @@ class TorsionContext:
         """A big-field constant as a scalar ring element."""
         return self.ring.from_const(code)
 
+    def char_value(self, chi, a):
+        """chi(a) as a code in the context's big field."""
+        v = chi.eval(a)
+        if chi.big is self.big:
+            return v
+        return self.big.embedding(chi.big)[v]
+
     def exp_value(self, beta):
         """The torsion value standing for exp_C(pi*beta/n): C_beta(lambda_n).
 

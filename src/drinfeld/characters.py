@@ -150,14 +150,6 @@ class DirichletCharacter:
                                      for p, r, e in self.factors)
 
 
-def char_eval(chi, a):
-    return chi.eval(a)
-
-
-def char_sign(chi):
-    return chi.sign
-
-
 def convolve(chi1, chi2, delta):
     """(chi1 * chi2)(delta) = sum over residues a of chi1(a)chi2(delta-a)."""
     _require_pair(chi1, chi2)
@@ -256,16 +248,11 @@ def char_sum_s(chi, k, ctx):
     if n.gcd(ctx.modulus) != n:
         raise ConductorMismatch("conductor must divide the context modulus")
     inv = chi.inverse()
-    big = ctx.big
-    conv = None
-    if big is not chi.big:
-        conv = big.embedding(chi.big)
     out = ctx.ring.zero
     for beta in ctx.residues(n):
-        v = inv.eval(beta)
-        if not v:
+        code = ctx.char_value(inv, beta)
+        if not code:
             continue
-        code = conv[v] if conv else v
         if k == 0:
             out = out + ctx.ring.one.scale_const(code)
         else:

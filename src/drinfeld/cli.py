@@ -200,10 +200,7 @@ def suite_twist_commute(args):
     f = forms.petrov_fs(ctx, 1, bound).render(Nin)
     lhs = hecke_u(twist_raw(f, chi, ctx), th, ctx)
     rhs = twist_raw(hecke_u(f, th, ctx), chi, ctx)
-    code = chi.eval(th)
-    if ctx.big is not chi.big:
-        code = ctx.big.embedding(chi.big)[code]
-    rhs = rhs.scale_const(code)
+    rhs = rhs.scale_const(ctx.char_value(chi, th))
     m = min(lhs.prec, rhs.prec)
     d = lhs.truncate(m).first_difference(rhs.truncate(m))
     return [_report("twist-commute",
@@ -390,13 +387,10 @@ def build_parser():
     v.add_argument("--suite", action="append",
                    help="suite name (repeatable); default: all")
     v.add_argument("--q", type=int, default=3)
-    v.add_argument("--var", default="t")
     v.add_argument("--precision", type=int, default=30)
     v.add_argument("--modulus", default=None)
     v.add_argument("--char", default=None,
                    help="character literal chi{p=...; zeta=auto; e=...}")
-    v.add_argument("--weight", type=int, default=None)
-    v.add_argument("--type", dest="type_", type=int, default=None)
     v.add_argument("--s", type=int, default=1)
     v.add_argument("--hecke-degree-bound", dest="hecke_degree_bound",
                    type=int, default=2)

@@ -14,9 +14,12 @@ from .algebra import Pol, monics_up_to_degree
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter, gauss_thakur
 from .errors import SignMismatch
+# moebius_of_series is not called here; it stays bound because
+# bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
-                     goss_coeffs_in, moebius_of_series, poly_eval_scalar,
-                     poly_eval_series, rescale_arg, u_of_az)
+                     eisenstein_components, goss_coeffs_in,
+                     moebius_of_series, poly_eval_series, rescale_arg,
+                     u_of_az)
 from .operators import hecke_a, hecke_twisted, hecke_u, twist_normalized
 
 
@@ -83,15 +86,14 @@ def fricke_eis(ctx, chi, k, bound):
     ppol = chi.conductor
     one = Pol.one(ctx.field)
     inv = chi.inverse()
-    emb = None if ctx.big is chi.big else ctx.big.embedding(chi.big)
 
     def rule(c):
         if c.gcd(ppol) != one:
             return ctx.ring.zero
-        v = inv.eval(c)
+        v = ctx.char_value(inv, c)
         if not v:
             return ctx.ring.zero
-        return ctx.big_const(emb[v] if emb else v)
+        return ctx.big_const(v)
     return AExpansion.from_rule(ctx, "goss", k, k, k, rule, bound,
                                 neben=chi.inverse())
 
@@ -99,17 +101,6 @@ def fricke_eis(ctx, chi, k, bound):
 def twisted_eis(ctx, chi, k):
     """ETilde: the component object sum_a chi^{-1}(a) E_(0,a) of weight k."""
     return TwistedEisenstein.build(ctx, k, chi)
-
-
-def raw_twist(F, chi, ctx, N):
-    """Render a catalog form and apply the raw character projection."""
-    from .operators import twist_raw
-    return twist_raw(F.render(N), chi, ctx)
-
-
-def normalized_twist(F, chi, ctx, N):
-    """Render a catalog form and apply the normalized projection."""
-    return twist_normalized(F.render(N), chi, ctx)
 
 
 # -- reports ---------------------------------------------------------------
@@ -153,11 +144,8 @@ def eis_constant_term(chi, k, ctx):
     val = T.constant_term()
     if not val:
         raise RuntimeError("constant term vanished for %r, k=%d" % (chi, k))
-    emb = None if ctx.big is chi.big else ctx.big.embedding(chi.big)
     for b in ctx.units(chi.conductor):
-        v = chi.eval(b)
-        code = emb[v] if emb else v
-        if ctx.galois(b)(val) != val.scale_const(code):
+        if ctx.galois(b)(val) != val.scale_const(ctx.char_value(chi, b)):
             raise RuntimeError("constant term is not a chi-eigenvector "
                                "at b = %s" % b.format())
     return val
@@ -324,9 +312,9 @@ def eisenstein_rank(ppol, k, N):
     the matching sign, from truncated u-expansions; expected value
     2(|p|-1)/(q-1).
 
-    The per-(monic, unit) Goss-polynomial series are character-independent,
-    so they are computed once and each character contributes two cheap
-    linear combinations.
+    The per-unit series E_a are character-independent, so they are
+    computed once and each character contributes two cheap linear
+    combinations.
     """
     field = ppol.field
     q = field.order
@@ -334,21 +322,10 @@ def eisenstein_rank(ppol, k, N):
     ctx = TorsionContext(ppol, ext_degree=ppol.degree)
     chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
             for e in range(size - 1) if (e + k) % (q - 1) == 0]
-    gk = goss_coeffs_in(ctx, k)
-    units = ctx.units()
     bound = bound_for_precision(field, N)
+    buckets = eisenstein_components(ctx, k, ppol, N, bound)
+    gk = goss_coeffs_in(ctx, k)
     one = Pol.one(field)
-    buckets = {}
-    for a in units:
-        lam = ctx.exp_value(a)
-        ser = UExpansion.const(
-            ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
-        for c0 in monics_up_to_degree(field, bound):
-            if q ** c0.degree >= N:
-                continue
-            U = u_of_az(ctx, c0, N)
-            ser = ser - poly_eval_series(gk, moebius_of_series(U, lam))
-        buckets[a.c] = ser
     goss_series = {}
     for c in monics_up_to_degree(field, bound):
         if c.gcd(ppol) != one or q ** c.degree >= N:
@@ -357,8 +334,8 @@ def eisenstein_rank(ppol, k, N):
     rows = []
     for chi in chis:
         tilde = UExpansion.zero(ctx, N)
-        for a in units:
-            tilde = tilde + buckets[a.c].scale_const(chi.eval_inv(a))
+        for akey, E in buckets.items():
+            tilde = tilde + E.scale_const(chi.eval_inv(Pol(field, akey)))
         hat = UExpansion.zero(ctx, N)
         for ckey, ser in goss_series.items():
             v = chi.eval_inv(Pol(field, ckey))

@@ -30,10 +30,7 @@ def neben_eval(neben, a, ctx):
         for part in neben:
             out = ctx.big.mul(out, neben_eval(part, a, ctx))
         return out
-    v = neben.eval(a)
-    if ctx.big is neben.big:
-        return v
-    return ctx.big.embedding(neben.big)[v]
+    return ctx.char_value(neben, a)
 
 
 def _pol_lcm(a, b):
@@ -53,13 +50,11 @@ def twist_raw(f, chi, ctx):
         raise ValueError("conductor must divide the context modulus")
     k, m = f.meta.weight, f.meta.type_
     inv = chi.inverse()
-    emb = None if ctx.big is chi.big else ctx.big.embedding(chi.big)
     out = UExpansion.zero(ctx, f.prec)
     for beta in ctx.residues(n):
-        v = inv.eval(beta)
-        if not v:
+        code = ctx.char_value(inv, beta)
+        if not code:
             continue
-        code = emb[v] if emb else v
         out = out + shift_by_value(f, ctx.exp_at(beta, n)).scale_const(code)
     out = out.scale(_modulus_power(ctx, n, 2 * m - k))
     neben = f.meta.neben

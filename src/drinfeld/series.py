@@ -436,6 +436,44 @@ class AExpansion:
         return out.with_meta(self.meta())
 
 
+def eisenstein_components(ctx, k, level, N, bound):
+    """The series E_a = sum_{c in A} G_k(u(cz + a/level)) to precision N,
+    as {a.c: E_a} over the units a mod level; the c = 0 term is the
+    constant G_k(1/lambda_a) and the other c have deg c <= bound.
+
+    Writing c = xi*c' with c' monic and xi in F_q^*, u(cz) = u(c'z)/xi,
+    and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
+    -1 when (q-1) | n and 0 otherwise.  So with the power sums
+    P_m = sum_{c' monic} u(c'z)^(m(q-1)) and s = G_k(u/(lambda_a u + 1)),
+    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m.
+    """
+    q = ctx.field.order
+    step = q - 1
+    P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
+    for c in monics_up_to_degree(ctx.field, bound):
+        count = (N - 1) // (step * q ** c.degree)  # powers of order < N
+        if not count:
+            continue
+        V = W = u_of_az(ctx, c, N) ** step
+        for m in range(count):
+            if m:
+                W = W * V
+            P[m] = P[m] + W
+    gk = goss_coeffs_in(ctx, k)
+    G = UExpansion(ctx, gk, N)
+    out = {}
+    for a in ctx.units(level):
+        lam = ctx.exp_at(a, level)
+        s = shift_by_value(G, lam).coeffs
+        E = UExpansion.const(
+            ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+        for m, Pm in enumerate(P, 1):
+            if s[m * step]:
+                E = E - Pm.scale(s[m * step])
+        out[a.c] = E
+    return out
+
+
 class TwistedEisenstein:
     """The weight-k Eisenstein object sum_a comp(a) * E~_{(0,a)} where
     E~_{(0,a)} := (p^k / pi^k) E_{(0,a)} = sum_{c in A} G_k(u(cz + a/p)).
@@ -466,14 +504,9 @@ class TwistedEisenstein:
                                % (chi.sign, k))
         if chi.conductor.gcd(ctx.modulus) != chi.conductor:
             raise ValueError("conductor must divide the context modulus")
-        emb = None
-        if ctx.big is not chi.big:
-            emb = ctx.big.embedding(chi.big)
-        comp = {}
-        for a in ctx.units(chi.conductor):
-            v = chi.inverse().eval(a)
-            code = emb[v] if emb else v
-            comp[a.c] = ctx.ring.one.scale_const(code)
+        inv = chi.inverse()
+        comp = {a.c: ctx.ring.one.scale_const(ctx.char_value(inv, a))
+                for a in ctx.units(chi.conductor)}
         return cls(ctx, k, chi, comp)
 
     def meta(self):
@@ -487,43 +520,12 @@ class TwistedEisenstein:
         return TwistedEisenstein(self.ctx, self.k, self.chi,
                                  {a: c * value for a, c in self.components.items()})
 
-    def _chi_multiple(self):
-        """If components = alpha * chi^{-1}(a) for a single alpha, return
-        alpha; else None."""
-        ctx = self.ctx
-        emb = None
-        if ctx.big is not self.chi.big:
-            emb = ctx.big.embedding(self.chi.big)
-        chi = self.chi
-        alpha = None
-        for a in ctx.units(self.level):
-            v = chi.eval(a)
-            code = emb[v] if emb else v
-            # alpha = comp(a) * chi(a)
-            cand = self.components[a.c].scale_const(code)
-            if alpha is None:
-                alpha = cand
-            elif alpha != cand:
-                return None
-        return alpha
-
     def constant_term(self):
-        ctx = self.ctx
-        gk = goss_coeffs_in(ctx, self.k)
-        out = ctx.ring.zero
-        for a in ctx.units(self.level):
-            x = ctx.exp_at(a, self.level).invert()
-            out = out + poly_eval_scalar(gk, x, ctx.ring) * self.components[a.c]
-        return out
+        """sum_a comp(a) * G_k(1/lambda_a), the u^0 coefficient."""
+        return self.render(1).coeff(0)
 
     def render(self, N, bound=None):
-        """Truncated u-expansion.
-
-        When the component weights are a single multiple of chi^{-1}, the
-        xi-sum over F_q^* collapses (s_chi = -k mod q-1) to
-        alpha*(const - sum_{c monic} sum_a chi^{-1}(a) G_k(shift)); in
-        general each of the q-1 leading-coefficient classes is summed.
-        """
+        """Truncated u-expansion sum_a comp(a) * E_a."""
         ctx = self.ctx
         q = ctx.field.order
         if bound is None:
@@ -533,35 +535,8 @@ class TwistedEisenstein:
         if q ** (bound + 1) < N:
             raise InsufficientDegreeBound(
                 "degree bound %d cannot reach precision %d" % (bound, N))
-        gk = goss_coeffs_in(ctx, self.k)
-        out = UExpansion.const(ctx, self.constant_term(), N)
-        alpha = self._chi_multiple()
-        units = ctx.units(self.level)
-        lam = {a.c: ctx.exp_at(a, self.level) for a in units}
-        emb = None
-        if ctx.big is not self.chi.big:
-            emb = ctx.big.embedding(self.chi.big)
-        for c0 in monics_up_to_degree(ctx.field, bound):
-            if q ** c0.degree >= N:
-                continue
-            U = u_of_az(ctx, c0, N)
-            if alpha is not None:
-                acc = UExpansion.zero(ctx, N)
-                for a in units:
-                    v = self.chi.eval_inv(a)
-                    code = emb[v] if emb else v
-                    shifted = moebius_of_series(U, lam[a.c])
-                    acc = acc + poly_eval_series(gk, shifted).scale_const(code)
-                out = out - acc.scale(alpha)
-            else:
-                for xi in ctx.field.units():
-                    Uxi = U.scale_const(ctx.field.inv(xi))
-                    for a in units:
-                        shifted = moebius_of_series(Uxi, lam[a.c])
-                        term = poly_eval_series(gk, shifted)
-                        out = out + term.scale(self.components[a.c])
+        out = UExpansion.zero(ctx, N)
+        comps = eisenstein_components(ctx, self.k, self.level, N, bound)
+        for key, E in comps.items():
+            out = out + E.scale(self.components[key])
         return out.with_meta(self.meta())
-
-
-def render_twisted_eisenstein(T, N, bound=None):
-    return T.render(N, bound)

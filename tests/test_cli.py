@@ -106,6 +106,14 @@ class TestVerify:
             r = json.loads(ln)
             assert r["pass"] and r["identity"]
 
+    def test_unread_flags_are_rejected(self, capsys):
+        for flag, value in (("--weight", "2"), ("--type", "1"),
+                            ("--var", "x")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run(capsys, [])
         assert code == 2 and "usage" in out.lower()

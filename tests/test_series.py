@@ -11,13 +11,16 @@ from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
                              SignMismatch)
 from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
-                             UExpansion, descend, evaluate_at_shift,
-                             goss_coeffs_in, moebius_of_series,
+                             UExpansion, descend, eisenstein_components,
+                             evaluate_at_shift, goss_coeffs_in,
+                             moebius_of_series, poly_eval_scalar,
                              poly_eval_series, rescale_arg, shift_by_torsion,
                              shift_by_value, to_subparameter, u_of_az)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
+F4 = finite_field(2, 2)
+P4 = Pol(F4, (2, 1, 1))  # t^2 + t + w, w the element of F_4 with code 2
 
 
 def pol3(text):
@@ -219,23 +222,51 @@ class TestTwistedEisenstein:
         with pytest.raises(SignMismatch):
             TwistedEisenstein.build(ctx, 1, DirichletCharacter.trivial(TH))
 
-    def test_collapsed_and_general_render_paths_agree(self):
-        ctx = TorsionContext(TH)
-        chi = DirichletCharacter.from_conductor(TH, 1)
-        T = TwistedEisenstein.build(ctx, 1, chi)
-        collapsed = T.render(12)
+    @pytest.mark.parametrize("modulus, ext, e, k, N", [
+        (TH, 1, 1, 1, 12),
+        # non-prime q with a constant-field extension, where base-field
+        # and extension-field codes differ
+        (P4, 2, 2, 1, 6),
+    ], ids=["q3-t", "q4-t^2+t+w"])
+    def test_render_is_linear_in_components(self, modulus, ext, e, k, N):
+        ctx = TorsionContext(modulus, ext_degree=ext)
+        chi = DirichletCharacter.from_conductor(modulus, e, big=ctx.big)
+        T = TwistedEisenstein.build(ctx, k, chi)
         # perturb the components so they are no longer one multiple of
         # chi^{-1}, then combine two objects that sum back to T
         lam = ctx.gens[0]
-        a1, a2 = ctx.units()
+        a1 = ctx.units(modulus)[0]
         c1 = dict(T.components)
         c1[a1.c] = c1[a1.c] + lam
-        c2 = {a1.c: -lam, a2.c: ctx.ring.zero}
-        T1 = TwistedEisenstein(ctx, 1, chi, c1)
-        T2 = TwistedEisenstein(ctx, 1, chi, c2)
-        assert T1._chi_multiple() is None
-        general = T1.render(12) + T2.render(12)
-        assert general.agrees_with(collapsed)
+        c2 = {key: ctx.ring.zero for key in T.components}
+        c2[a1.c] = -lam
+        T1 = TwistedEisenstein(ctx, k, chi, c1)
+        T2 = TwistedEisenstein(ctx, k, chi, c2)
+        assert (T1.render(N) + T2.render(N)).agrees_with(T.render(N))
+
+    @pytest.mark.parametrize("modulus, k, N, bound", [
+        (pol3("t^2+1"), 4, 12, 2),
+        (P4, 5, 6, 1),
+    ], ids=["q3-t^2+1", "q4-t^2+t+w"])
+    def test_components_equal_direct_moebius_sum(self, modulus, k, N, bound):
+        # E_a = G_k(1/lambda_a) + sum over monic c and xi in F_q^* of
+        # G_k(u(xi c z + a/p)), with u(xi c z) = u(cz)/xi
+        ctx = TorsionContext(modulus, ext_degree=2)
+        field = ctx.field
+        comps = eisenstein_components(ctx, k, modulus, N, bound)
+        gk = goss_coeffs_in(ctx, k)
+        assert len(comps) == len(ctx.units())
+        for a in ctx.units():
+            lam = ctx.exp_value(a)
+            want = UExpansion.const(
+                ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+            for c in monics_up_to_degree(field, bound):
+                U = u_of_az(ctx, c, N)
+                for xi in field.units():
+                    Uxi = U.scale_const(ctx.emb[field.inv(xi)])
+                    want = want + poly_eval_series(
+                        gk, moebius_of_series(Uxi, lam))
+            assert comps[a.c] == want, "a = %s" % a.format()
 
     def test_render_precision_honesty(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
