@@ -1,23 +1,66 @@
 """Quotient rings F_{q^D}(theta)[x_1,..,x_r] / (Phi_1(x_1),..,Phi_r(x_r)).
 
-Each relation is univariate in its own generator, so reduction is
-canonical: every element has a unique dense coordinate vector indexed by
-multidegrees below (deg Phi_1, ..., deg Phi_r).  With r >= 2 the ring
-may have zero divisors; inversion detects them and raises NotInvertible.
+Each relation is monic in its own generator with coefficients in
+F_{q^D}[theta], so reduction is canonical: every element has a unique
+coordinate vector indexed by multidegrees below (deg Phi_1, ..., deg Phi_r).
+With r >= 2 the ring may have zero divisors; inversion detects them and
+raises NotInvertible.
+
+Packed layout.  An element is num/den: den is a monic polynomial in theta
+and num is one integer holding every coordinate.  Byte slot
+
+    (k * total + idx) * n + j
+
+of num holds digit j (over F_p, in the power basis of field.py) of the
+theta^k coefficient of coordinate idx, where n is the degree of the field
+over F_p.  theta is the slowest index, so the layout does not depend on any
+degree bound.
+
+Canonical form.  Every slot is < p, gcd(content(num), den) = 1 where the
+content is the gcd of the coordinates, and den is monic; zero has den = 1.
+So == and hash compare (num, den) directly.  The denominator is 1 except on
+the paths through invert() and lifted rational constants.
+
+Arithmetic.  Sums, negation and prime-field scaling act slot by slot: an
+integer operation, then one bytes.translate pass mod p.  A product
+sum_i a_i*b_i (QuotientRing.dot) splits each numerator into columns, one
+packed theta-polynomial per (coordinate, digit) with slots of w bytes.  It
+multiplies column pairs as integers (Kronecker substitution in theta) and
+folds exponents >= deg Phi_i back with the relation coefficients, which
+enter as nonnegative integer multipliers (-c mod p).  It folds field digits
+>= n with the field modulus in the same way and reduces mod p once.
+
+Slot-width bound.  Nothing is reduced mod p before the end, so a slot of a
+column stays below
+
+    (sum over the pairs of min(rows_a, rows_b)) * total * n * (p-1)^2 * gain
+
+where rows counts theta-degrees and gain is the worst-case growth of the
+folding, computed once per ring.  The width w is the least number of bytes
+that holds this bound; a bound wider than MAX_SLOT_BYTES raises Unsupported
+instead of wrapping.
 """
 
-from ..errors import NotInvertible
+from ..errors import NotInvertible, Unsupported
+from .poly import Pol
 from .ratfunc import RF
+
+MAX_SLOT_BYTES = 8
 
 
 class QuotientRing:
     __slots__ = ("field", "gen_names", "relations", "dims", "total",
-                 "_strides", "_ext_dims", "_ext_strides", "_red",
-                 "_zero_rf", "_one_rf", "zero", "one", "_exps")
+                 "_strides", "_exps", "_tn", "_col_key", "_col_exps",
+                 "_final", "_folds", "_plans", "_pair_gain", "_w", "_times",
+                 "_unit", "zero", "one")
 
     def __init__(self, field, generators=()):
         """generators: sequence of (name, relation) with relation a list of
-        RF coefficients of a monic polynomial (low degree first)."""
+        RF coefficients of a monic polynomial (low degree first), each a
+        polynomial in theta."""
+        p, n = field.p, field.n
+        if p >= 128:
+            raise Unsupported("packed quotient rings need p < 128, not %d" % p)
         self.field = field
         self.gen_names = tuple(name for name, _ in generators)
         self.relations = tuple(tuple(rel) for _, rel in generators)
@@ -25,6 +68,8 @@ class QuotientRing:
         for rel, d in zip(self.relations, self.dims):
             if d < 1 or rel[-1] != RF.one(field):
                 raise ValueError("relations must be monic of positive degree")
+            if not all(c.is_pol() for c in rel):
+                raise ValueError("relation coefficients must be polynomials")
         total = 1
         strides = []
         for d in self.dims:
@@ -32,68 +77,90 @@ class QuotientRing:
             total *= d
         self.total = total
         self._strides = tuple(strides)
-        ext_dims = tuple(2 * d - 1 for d in self.dims)
-        t = 1
-        ext_strides = []
-        for d in ext_dims:
-            ext_strides.append(t)
-            t *= d
-        self._ext_dims = ext_dims
-        self._ext_strides = tuple(ext_strides)
-        self._zero_rf = RF.zero(field)
-        self._one_rf = RF.one(field)
-
-        # reduction vectors: x_i^m for dims[i] <= m <= 2*dims[i]-2
-        red = []
-        for i, rel in enumerate(self.relations):
-            d = self.dims[i]
-            table = {}
-            cur = [-rel[j] for j in range(d)]  # x^d
-            for m in range(d, 2 * d - 1):
-                table[m] = tuple(cur)
-                nxt = [self._zero_rf] * d
-                for j in range(d - 1):
-                    nxt[j + 1] = nxt[j + 1] + cur[j]
-                top = cur[d - 1]
-                if top:
-                    for j in range(d):
-                        nxt[j] = nxt[j] + top * table[d][j]
-                cur = nxt
-            red.append(table)
-        self._red = red
-
-        exps = []
+        self._exps = []
         for idx in range(total):
             e = []
             k = idx
             for d in self.dims:
                 e.append(k % d)
                 k //= d
-            exps.append(tuple(e))
-        self._exps = exps
+            self._exps.append(tuple(e))
 
-        self.zero = REl(self, (self._zero_rf,) * total)
-        self.one = REl(self, (self._one_rf,) + (self._zero_rf,) * (total - 1))
+        # Column keys: the exponent of x_i has room 2*d_i - 1 (products of
+        # reduced monomials), the field digit is the slowest part.
+        ext_strides = []
+        ext = 1
+        for d in self.dims:
+            ext_strides.append(ext)
+            ext *= 2 * d - 1
+        self._tn = total * n
+        self._col_key = [
+            sum(e * s for e, s in zip(self._exps[idx], ext_strides)) + ext * j
+            for idx in range(total) for j in range(n)]
+        self._col_exps = {key: self._exps[c // n]
+                          for c, key in enumerate(self._col_key)}
+        self._final = {key: c for c, key in enumerate(self._col_key)}
+
+        # Folds: (stride, room, degree, [(key delta, theta-digits, exponent
+        # shift, digit shift)]) for each generator, then the field digits.
+        folds = []
+        for rel, d, s in zip(self.relations, self.dims, ext_strides):
+            terms = []
+            for t in range(d):
+                coeff = -rel[t].num
+                for b in range(n):
+                    digs = [field.digits[c][b] for c in coeff.c]
+                    if any(digs):
+                        terms.append(((d - t) * s - b * ext, digs, t - d, b))
+            folds.append((s, 2 * d - 1, d, terms))
+        room_y = 2 * n - 1
+        gain = 1
+        for s, room, d, terms in folds:
+            g, extra = _fold_growth(room, d, terms, room_y - 1)
+            gain *= g
+            room_y = extra + 1
+        if n > 1:
+            terms = [((n - t) * ext, [(-c) % p], t - n, 0)
+                     for t, c in enumerate(field.modulus) if c % p]
+            folds.append((ext, 1 << 62, n, terms))
+            gain *= _fold_growth(room_y, n, terms, 0)[0]
+        self._folds = folds
+        self._plans = {}
+        self._pair_gain = total * n * (p - 1) ** 2 * gain
+        self._w = 1
+
+        # _times[c] maps a byte v to c*v mod p: [1] reduces, [p-1] negates
+        self._times = [bytes(c * v % p for v in range(256)) for c in range(p)]
+        self._unit = Pol.one(field)
+        self.zero = REl(self, 0, self._unit)
+        self.one = REl(self, 1, self._unit)
 
     # -- constructors for elements --
 
     def from_rf(self, rf):
-        return REl(self, (rf,) + (self._zero_rf,) * (self.total - 1))
+        return REl(self, self._pack([rf.num]),
+                   self._unit if rf.den.is_one() else rf.den)
+
+    def from_rf_coords(self, coords):
+        """The element with the given RF coordinates."""
+        lcm = self._unit
+        for c in coords:
+            lcm = lcm * c.den // lcm.gcd(c.den)
+        num = self._pack([c.num * (lcm // c.den) for c in coords])
+        return REl(self, num, self._unit if lcm.is_one() else lcm)
 
     def from_pol(self, p):
-        return self.from_rf(RF.from_pol(p))
+        return REl(self, self._pack([p]), self._unit)
 
     def from_const(self, code):
-        from .poly import Pol
         return self.from_pol(Pol.const(self.field, code))
 
     def from_int(self, k):
         return self.from_const(self.field.scalar(k))
 
     def gen(self, i):
-        coords = [self._zero_rf] * self.total
-        coords[self._strides[i]] = self._one_rf
-        return REl(self, tuple(coords))
+        return REl(self, 1 << (8 * self._strides[i] * self.field.n),
+                   self._unit)
 
     def gen_index(self, name):
         return self.gen_names.index(name)
@@ -111,73 +178,290 @@ class QuotientRing:
             return "FracField(%r[t])" % self.field
         return "QuotientRing(%r[t]; %s)" % (self.field, ", ".join(self.gen_names))
 
+    # -- the product --
+
+    def dot(self, pairs):
+        """sum of a*b over a sequence of (a, b) pairs, reduced once."""
+        unit = self._unit
+        rowbits = 8 * self._tn
+        rows = 0
+        for a, b in pairs:
+            if a.den is not unit or b.den is not unit:
+                return self._dot_fractions(pairs)
+            rows += min(a.num.bit_length(), b.num.bit_length()) // rowbits + 1
+        w = self.slot_width(rows * self._pair_gain)
+        acc = {}
+        get = acc.get
+        for a, b in pairs:
+            cb = b._columns(w)
+            for ka, va in a._columns(w):
+                for kb, vb in cb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + va * vb
+        return REl(self, self._reduce(acc, w), unit)
+
+    def slot_width(self, bound):
+        """Bytes per column slot for values up to bound; never shrinks."""
+        w = self._w
+        if bound >> (8 * w):
+            w = (bound.bit_length() + 7) // 8
+            if w > MAX_SLOT_BYTES:
+                raise Unsupported("slot bound %d needs %d bytes, more than %d"
+                                  % (bound, w, MAX_SLOT_BYTES))
+            self._w = w
+        return w
+
+    def _plan(self, w):
+        """The folds with their theta-digits packed at slot width w."""
+        plan = self._plans.get(w)
+        if plan is None:
+            plan = [(s, room, d,
+                     [(delta, sum(c << (8 * w * k)
+                                  for k, c in enumerate(digs)), dt)
+                      for delta, digs, dt, _ in terms])
+                    for s, room, d, terms in self._folds]
+            self._plans[w] = plan
+        return plan
+
+    def _reduce(self, acc, w):
+        """Fold a {column key: packed column} product into a numerator."""
+        for s, room, d, terms in self._plan(w):
+            buckets = {}
+            for k in acc:
+                e = k // s % room
+                if e >= d:
+                    buckets.setdefault(e, []).append(k)
+            while buckets:
+                m = max(buckets)
+                for k in buckets.pop(m):
+                    v = acc.pop(k)
+                    for delta, mult, dt in terms:
+                        tk = k - delta
+                        if tk in acc:
+                            acc[tk] += v * mult
+                        else:
+                            acc[tk] = v * mult
+                            if m + dt >= d:
+                                buckets.setdefault(m + dt, []).append(tk)
+        if not acc:
+            return 0
+        final = self._final
+        tn = self._tn
+        rows = max(v.bit_length() for v in acc.values()) // (8 * w) + 1
+        step = 8 * w * rows
+        big = 0
+        for k, v in acc.items():
+            big |= v << (final[k] * step)
+        flat = self._mod_slots(big.to_bytes(tn * rows * w, "little"), w)
+        out = bytearray(rows * tn)
+        for k in acc:
+            c = final[k]
+            out[c::tn] = flat[c * rows:(c + 1) * rows]
+        return int.from_bytes(out, "little")
+
+    def _mod_slots(self, raw, w):
+        """w-byte little-endian slots reduced mod p, one byte each: byte b
+        of a slot counts 256^b mod p times, and partial sums stay < 256."""
+        p = self.field.p
+        times = self._times
+        acc = count = 0
+        for b in range(w):
+            if count == 255 // (p - 1):
+                acc = self._translate(acc, times[1])
+                count = 1
+            acc += int.from_bytes(raw[b::w].translate(times[pow(256, b, p)]),
+                                  "little")
+            count += 1
+        return acc.to_bytes(len(raw) // w, "little").translate(times[1])
+
+    def _dot_fractions(self, pairs):
+        """dot over a common denominator: the lcm of the pair denominators."""
+        unit = self._unit
+        dens = [a.den * b.den for a, b in pairs]
+        lcm = unit
+        for d in dens:
+            lcm = lcm * d // lcm.gcd(d)
+        integral = []
+        for (a, b), d in zip(pairs, dens):
+            a = REl(self, a.num, unit)
+            f = lcm // d
+            if not f.is_one():
+                a = a * self.from_pol(f)
+            integral.append((a, REl(self, b.num, unit)))
+        return self._normalized(self.dot(integral).num, lcm)
+
+    # -- slot-wise helpers --
+
+    def _translate(self, x, table):
+        """x with every byte slot mapped through table."""
+        return int.from_bytes(
+            x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table),
+            "little")
+
+    def _scaled(self, x, code):
+        """x times the field element code.  Digit j of a coefficient becomes
+        sum_i m[j][i] * digit i, where column i of m is code * y^i; for a
+        prime-field code m is diagonal and one table does it."""
+        field, times = self.field, self._times
+        n, p = field.n, field.p
+        if code < p:
+            return self._translate(x, times[code])
+        size = ((x.bit_length() + 7) >> 3) + n - 1
+        raw = x.to_bytes(size - size % n, "little")
+        cols = [field.digits[field.mul(code, p ** i)] for i in range(n)]
+        out = bytearray(len(raw))
+        for j in range(n):
+            acc = sum(int.from_bytes(raw[i::n].translate(times[col[j]]),
+                                     "little") for i, col in enumerate(cols))
+            out[j::n] = self._translate(acc, times[1]).to_bytes(len(raw) // n,
+                                                                "little")
+        return int.from_bytes(out, "little")
+
+    # -- coordinates as polynomials (the paths with denominators) --
+
+    def _pack(self, pols):
+        """Numerator with coordinate idx equal to pols[idx] (missing = 0)."""
+        n, tn = self.field.n, self._tn
+        digits = self.field.digits
+        rows = max((len(c.c) for c in pols), default=0)
+        out = bytearray(rows * tn)
+        for idx, c in enumerate(pols):
+            for j in range(n):
+                col = bytes(digits[x][j] for x in c.c)
+                start = idx * n + j
+                out[start:start + len(col) * tn:tn] = col
+        return int.from_bytes(out, "little")
+
+    def _unpack(self, num):
+        """The coordinates of a numerator as polynomials in theta."""
+        field = self.field
+        n, tn, p = field.n, self._tn, field.p
+        size = (num.bit_length() + 7) >> 3
+        raw = num.to_bytes(size + (-size) % tn, "little")
+        out = []
+        for idx in range(self.total):
+            codes = list(raw[idx * n + n - 1::tn])
+            for j in range(n - 2, -1, -1):
+                digit = raw[idx * n + j::tn]
+                codes = [c * p + d for c, d in zip(codes, digit)]
+            out.append(Pol(field, codes))
+        return out
+
+    def _normalized(self, num, den):
+        """num/den in canonical form (den monic)."""
+        if not num or den.is_one():
+            return REl(self, num, self._unit)
+        coords = self._unpack(num)
+        g = den
+        for c in coords:
+            if c:
+                g = g.gcd(c)
+                if g.degree == 0:
+                    return REl(self, num, den)
+        den = den // g
+        num = self._pack([c // g for c in coords])
+        return REl(self, num, self._unit if den.is_one() else den)
+
+
+def _fold_growth(room, d, terms, top_digit):
+    """(gain, top digit) of folding exponents room-1..d of one variable:
+    the worst factor by which a slot can grow, and the highest field digit
+    a slot can reach when it starts at most at top_digit."""
+    bound = [1] * room
+    digit = [top_digit] * room
+    for m in range(room - 1, d - 1, -1):
+        for _, digs, dt, shift in terms:
+            bound[m + dt] += bound[m] * sum(digs)
+            digit[m + dt] = max(digit[m + dt], digit[m] + shift)
+    return max(bound[:d]), max(digit[:d])
+
 
 class REl:
-    """Element of a QuotientRing: dense RF coordinate vector."""
+    """Element of a QuotientRing: packed numerator over a monic denominator
+    (see the module docstring for the layout and the canonical form)."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "num", "den", "_cols")
 
-    def __init__(self, ring, coords):
+    def __init__(self, ring, num, den):
         self.ring = ring
-        self.coords = coords
+        self.num = num
+        self.den = den
+        self._cols = None
+
+    @property
+    def coords(self):
+        """The canonical value (numerator, denominator coefficients):
+        hashable, and equal exactly when the elements are equal."""
+        return (self.num, self.den.c)
 
     def __bool__(self):
-        return any(self.coords)
+        return self.num != 0
 
     def __eq__(self, other):
         return (isinstance(other, REl) and self.ring is other.ring
-                and self.coords == other.coords)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((id(self.ring), self.coords))
+        return hash((id(self.ring), self.num, self.den.c))
 
     def __add__(self, other):
-        return REl(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        ring = self.ring
+        if self.den is other.den is ring._unit:
+            return REl(ring, ring._translate(self.num + other.num,
+                                             ring._times[1]), self.den)
+        return ring.dot(((self, ring.one), (other, ring.one)))
 
     def __neg__(self):
-        return REl(self.ring, tuple(-a for a in self.coords))
+        ring = self.ring
+        return REl(ring, ring._translate(self.num, ring._times[-1]), self.den)
 
     def __sub__(self, other):
-        return REl(self.ring, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        ring = self.ring
+        if self.den is other.den is ring._unit:
+            neg = ring._translate(other.num, ring._times[-1])
+            return REl(ring, ring._translate(self.num + neg, ring._times[1]),
+                       self.den)
+        return self + (-other)
 
     def scale_rf(self, rf):
-        if not rf:
-            return self.ring.zero
-        return REl(self.ring, tuple(c * rf if c else c for c in self.coords))
+        return self * self.ring.from_rf(rf)
 
     def scale_const(self, code):
+        ring = self.ring
         if code == 1:
             return self
         if code == 0:
-            return self.ring.zero
-        return REl(self.ring, tuple(c.scale(code) if c else c for c in self.coords))
+            return ring.zero
+        return REl(ring, ring._scaled(self.num, code), self.den)
 
     def __mul__(self, other):
+        return self.ring.dot(((self, other),))
+
+    def _columns(self, w):
+        """[(column key, packed theta-polynomial with w-byte slots)] for
+        every nonzero (coordinate, digit) column; cached."""
+        cached = self._cols
+        if cached is not None and cached[0] == w:
+            return cached[1]
         ring = self.ring
-        if ring.total == 1:
-            return REl(ring, (self.coords[0] * other.coords[0],))
-        # scalar fast paths
-        if self.is_scalar():
-            return other.scale_rf(self.coords[0])
-        if other.is_scalar():
-            return self.scale_rf(other.coords[0])
-        exps = ring._exps
-        est = ring._ext_strides
-        ext = {}
-        nz1 = [(exps[i], c) for i, c in enumerate(self.coords) if c]
-        nz2 = [(exps[i], c) for i, c in enumerate(other.coords) if c]
-        for e1, c1 in nz1:
-            for e2, c2 in nz2:
-                key = sum((a + b) * s for a, b, s in zip(e1, e2, est))
-                prod = c1 * c2
-                if key in ext:
-                    ext[key] = ext[key] + prod
-                else:
-                    ext[key] = prod
-        return ring._reduce_ext(ext)
+        tn = ring._tn
+        keys = ring._col_key
+        raw = self.num.to_bytes((self.num.bit_length() + 7) >> 3, "little")
+        cols = []
+        for c in range(min(tn, len(raw))):
+            col = raw[c::tn].rstrip(b"\0")
+            if col:
+                if w > 1:
+                    wide = bytearray(len(col) * w)
+                    wide[::w] = col
+                    col = wide
+                cols.append((keys[c], int.from_bytes(col, "little")))
+        self._cols = (w, cols)
+        return cols
 
     def is_scalar(self):
-        return not any(self.coords[1:])
+        exps = self.ring._col_exps
+        return not any(any(exps[k]) for k, _ in self._columns(self.ring._w))
 
     def __pow__(self, e):
         ring = self.ring
@@ -197,24 +481,33 @@ class REl:
         if not self:
             raise NotInvertible("zero element")
         if self.is_scalar():
-            return ring.from_rf(self.coords[0].inverse())
-        if len(ring.dims) == 1:
-            return _invert_single(self)
-        return _invert_linalg(self)
+            return ring.from_rf(self.scalar_part().inverse())
+        return _invert(self)
 
     def exponent_free(self, i):
         """True if no monomial involves generator i."""
-        exps = self.ring._exps
-        return all(not c or exps[j][i] == 0 for j, c in enumerate(self.coords))
+        exps = self.ring._col_exps
+        return all(exps[k][i] == 0 for k, _ in self._columns(self.ring._w))
+
+    def rf_coords(self):
+        """The coordinates as reduced RFs."""
+        return [RF(c, self.den) for c in self.ring._unpack(self.num)]
 
     def scalar_part(self):
         """The exponent-zero coordinate (an RF)."""
-        return self.coords[0]
+        return RF(self.ring._unpack(self.num)[0], self.den)
+
+    def terms(self):
+        """(exponents, coefficient as a scalar element) for every nonzero
+        coordinate."""
+        ring = self.ring
+        return [(ring._exps[idx], ring._normalized(ring._pack([c]), self.den))
+                for idx, c in enumerate(ring._unpack(self.num)) if c]
 
     def format(self, symbol="t"):
         ring = self.ring
         parts = []
-        for idx, c in enumerate(self.coords):
+        for idx, c in enumerate(self.rf_coords()):
             if not c:
                 continue
             mono = "*".join(
@@ -228,142 +521,18 @@ class REl:
         return self.format()
 
 
-def _reduce_ext(ring, ext):
-    """Reduce an extended exponent dict back to canonical coordinates."""
-    dims = ring.dims
-    est = ring._ext_strides
-    edims = ring._ext_dims
-    r = len(dims)
-    for i in range(r):
-        d = dims[i]
-        if edims[i] <= d:
-            continue
-        red = ring._red[i]
-        # walk overflowed exponents from high to low
-        changed = True
-        while changed:
-            changed = False
-            for key in list(ext.keys()):
-                e_i = (key // est[i]) % edims[i]
-                if e_i >= d:
-                    c = ext.pop(key)
-                    if not c:
-                        continue
-                    base = key - e_i * est[i]
-                    for j, rc in enumerate(red[e_i]):
-                        if rc:
-                            k2 = base + j * est[i]
-                            prod = c * rc
-                            if k2 in ext:
-                                ext[k2] = ext[k2] + prod
-                            else:
-                                ext[k2] = prod
-                    changed = True
-    coords = [ring._zero_rf] * ring.total
-    st = ring._strides
-    for key, c in ext.items():
-        if not c:
-            continue
-        idx = 0
-        for i in range(r):
-            e_i = (key // est[i]) % edims[i]
-            idx += e_i * st[i]
-        coords[idx] = coords[idx] + c
-    return REl(ring, tuple(coords))
-
-
-QuotientRing._reduce_ext = _reduce_ext
-
-
-def _invert_single(x):
-    """Extended Euclid in RF[lambda] modulo the (irreducible) relation."""
-    ring = x.ring
-    rel = list(ring.relations[0])
-    a = list(x.coords)
-    while a and not a[-1]:
-        a.pop()
-    g, s = _xgcd_rf(rel, a, ring.field)
-    if len(g) != 1:
-        raise NotInvertible("element shares a factor with the relation")
-    ginv = g[0].inverse()
-    coords = [ring._zero_rf] * ring.total
-    for i, c in enumerate(s):
-        coords[i] = c * ginv
-    return REl(ring, tuple(coords))
-
-
-def _rf_poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _rf_poly_divmod(a, b, field):
-    a = list(a)
-    db = len(b) - 1
-    lcinv = b[-1].inverse()
-    while len(a) - 1 >= db and a:
-        c = a[-1]
-        if c:
-            qc = c * lcinv
-            off = len(a) - 1 - db
-            for j in range(db):
-                a[off + j] = a[off + j] - qc * b[j]
-        a.pop()
-        _rf_poly_trim(a)
-    return a
-
-
-def _xgcd_rf(m, a, field):
-    """Return (g, s) with s*a = g (mod m), as RF coefficient lists."""
-    zero, one = RF.zero(field), RF.one(field)
-    r0, r1 = list(m), list(a)
-    s0, s1 = [zero], [one]
-    while r1:
-        # divmod r0 by r1 tracking the quotient
-        q = []
-        rem = list(r0)
-        db = len(r1) - 1
-        lcinv = r1[-1].inverse()
-        qlen = max(0, len(rem) - db)
-        q = [zero] * qlen
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                qc = c * lcinv
-                q[i - db] = qc
-                for j in range(db + 1):
-                    rem[i - db + j] = rem[i - db + j] - qc * r1[j]
-        rem = _rf_poly_trim(rem[:db] if db else [])
-        # s0 - q*s1
-        prod = [zero] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        prod[i + j] = prod[i + j] + qc * sc
-        news = list(s0) + [zero] * max(0, len(prod) - len(s0))
-        for i, pc in enumerate(prod):
-            news[i] = news[i] - pc
-        _rf_poly_trim(news)
-        r0, r1 = r1, rem
-        s0, s1 = s1, news
-    return r0, s0
-
-
-def _invert_linalg(x):
-    """Inversion in a multi-generator ring via a linear solve over RF."""
+def _invert(x):
+    """Inversion by a linear solve over RF: x * v = 1 for the coordinate
+    vector v."""
     ring = x.ring
     n = ring.total
+    fn = ring.field.n
     # columns: x * basis_j
-    cols = []
-    for j in range(n):
-        coords = [ring._zero_rf] * n
-        coords[j] = ring._one_rf
-        cols.append((x * REl(ring, tuple(coords))).coords)
+    cols = [(x * REl(ring, 1 << (8 * fn * j), ring._unit)).rf_coords()
+            for j in range(n)]
     # solve M v = e0 with M[i][j] = cols[j][i]
     M = [[cols[j][i] for j in range(n)] for i in range(n)]
-    rhs = [ring._one_rf] + [ring._zero_rf] * (n - 1)
+    rhs = [RF.one(ring.field)] + [RF.zero(ring.field)] * (n - 1)
     for col in range(n):
         piv = None
         for row in range(col, n):
@@ -382,4 +551,4 @@ def _invert_linalg(x):
                 f = M[row][col]
                 M[row] = [a - f * b for a, b in zip(M[row], M[col])]
                 rhs[row] = rhs[row] - f * rhs[col]
-    return REl(ring, tuple(rhs))
+    return ring.from_rf_coords(rhs)

@@ -42,7 +42,7 @@ def carlitz_action(a, x):
     if not isinstance(x, Pol):
         ring = x.ring
         emb = ring.field.embedding(a.field)
-        lift = lambda c: ring.from_rf(RF.from_pol(c.map_to(ring.field, emb)))
+        lift = lambda c: ring.from_pol(c.map_to(ring.field, emb))
     result = None
     for i, c in enumerate(carlitz_coeffs(a)):
         if not c:
@@ -119,16 +119,12 @@ class TorsionContext:
         out = self.ring.zero
         for j, c in enumerate(carlitz_coeffs(a)):
             if c:
-                out = out + self._gen_qpow(i, j).scale_rf(self.lift_rf(c))
+                out = out + self._gen_qpow(i, j) * self.lift_poly(c)
         return out
-
-    def lift_rf(self, p):
-        """A polynomial over the base field as an RF over the big field."""
-        return RF.from_pol(p.map_to(self.big, self.emb))
 
     def lift_poly(self, p):
         """A polynomial in theta as a scalar ring element."""
-        return self.ring.from_rf(self.lift_rf(p))
+        return self.ring.from_pol(p.map_to(self.big, self.emb))
 
     def lift_const(self, code):
         """A base-field constant as a scalar ring element."""
@@ -216,18 +212,16 @@ class _GaloisMap:
             cache[e] = self._impow(i, e - 1) * self.images[i]
         return cache[e]
 
-    def __call__(self, x):
-        ring = self.ctx.ring
-        out = ring.zero
-        for idx, c in enumerate(x.coords):
-            if not c:
-                continue
-            term = ring.from_rf(c)
-            for i, e in enumerate(ring._exps[idx]):
-                if e:
-                    term = term * self._impow(i, e)
-            out = out + term
+    def _monomial(self, exps):
+        out = self.ctx.ring.one
+        for i, e in enumerate(exps):
+            if e:
+                out = out * self._impow(i, e)
         return out
+
+    def __call__(self, x):
+        return self.ctx.ring.dot([(c, self._monomial(exps))
+                                  for exps, c in x.terms()])
 
 
 def carlitz_factorials(field, count):

@@ -202,10 +202,10 @@ def suite_twist_commute(args):
     rhs = twist_raw(hecke_u(f, th, ctx), chi, ctx)
     rhs = rhs.scale_const(ctx.char_value(chi, th))
     m = min(lhs.prec, rhs.prec)
-    d = lhs.truncate(m).first_difference(rhs.truncate(m))
+    d = lhs.truncate(m).difference(rhs.truncate(m))
     return [_report("twist-commute",
                     {"q": 3, "chi": repr(chi), "hecke": th.format()},
-                    m, d is None, None if d is None else "u^%d" % d)]
+                    m, d is None, d)]
 
 
 def suite_convolution(args):
@@ -258,9 +258,9 @@ def suite_normproj(args):
             ui = UExpansion.monomial(ctx, i, N).with_meta(ModularMeta(0, 0))
             a = twist_normalized(ui, chi, ctx)
             b = twist_monomial_closed(i, chi, ctx, N)
-            d = a.first_difference(b)
+            d = a.difference(b)
             if d is not None:
-                witness = "i=%d at u^%d" % (i, d)
+                witness = "i=%d at %s" % (i, d)
                 break
         reports.append(_report("normproj-closed-form",
                                {"q": q, "n": ntext}, N,
@@ -367,6 +367,17 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="drinfeld",
@@ -378,7 +389,7 @@ def build_parser():
     t.add_argument("--q", type=int, default=5)
     t.add_argument("--var", default="t")
     t.add_argument("--modulus", default="t^2+2")
-    t.add_argument("--range", type=int, default=23)
+    t.add_argument("--range", type=_at_least(0), default=23)
     t.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     t.set_defaults(func=cmd_table)
@@ -386,14 +397,10 @@ def build_parser():
     v = sub.add_parser("verify", help="run exact verification suites")
     v.add_argument("--suite", action="append",
                    help="suite name (repeatable); default: all")
-    v.add_argument("--q", type=int, default=3)
-    v.add_argument("--precision", type=int, default=30)
-    v.add_argument("--modulus", default=None)
-    v.add_argument("--char", default=None,
-                   help="character literal chi{p=...; zeta=auto; e=...}")
+    v.add_argument("--precision", type=_at_least(1), default=30)
     v.add_argument("--s", type=int, default=1)
     v.add_argument("--hecke-degree-bound", dest="hecke_degree_bound",
-                   type=int, default=2)
+                   type=_at_least(1), default=2)
     v.set_defaults(func=cmd_verify)
     return parser
 

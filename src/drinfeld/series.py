@@ -12,6 +12,15 @@ from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, NotDescendable, SignMismatch
 
 
+WITNESS_WIDTH = 60
+
+
+def _cut(text):
+    if len(text) <= WITNESS_WIDTH:
+        return text
+    return text[:WITNESS_WIDTH - 3] + "..."
+
+
 class ModularMeta:
     """Weight, type, level, and nebentypus bookkeeping for a form."""
 
@@ -106,14 +115,11 @@ class UExpansion:
 
     def __mul__(self, other):
         N = self._align(other)
-        zero = self.ctx.ring.zero
-        out = [zero] * N
-        for i, a in enumerate(self.coeffs[:N]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[:N - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        dot = self.ctx.ring.dot
+        left = [(i, a) for i, a in enumerate(self.coeffs[:N]) if a]
+        right = other.coeffs
+        out = [dot([(a, right[n - i]) for i, a in left
+                    if i <= n and right[n - i]]) for n in range(N)]
         return UExpansion(self.ctx, out, N, None, self.var)
 
     def scale(self, value):
@@ -141,15 +147,14 @@ class UExpansion:
         """Series inverse; the constant term must be a unit."""
         c0inv = self.coeffs[0].invert()
         N = self.prec
-        zero = self.ctx.ring.zero
-        out = [zero] * N
-        out[0] = c0inv
+        dot = self.ctx.ring.dot
+        # out[n] = sum_{i >= 1} (-c0inv * coeffs[i]) * out[n - i]
+        steps = [(i, -(c0inv * c))
+                 for i, c in enumerate(self.coeffs[:N]) if i and c]
+        out = [c0inv]
         for n in range(1, N):
-            acc = zero
-            for i in range(1, n + 1):
-                if self.coeffs[i] and out[n - i]:
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out[n] = -(c0inv * acc)
+            out.append(dot([(c, out[n - i]) for i, c in steps
+                            if i <= n and out[n - i]]))
         return UExpansion(self.ctx, out, N, None, self.var)
 
     def __eq__(self, other):
@@ -169,6 +174,16 @@ class UExpansion:
             if self.coeffs[n] != other.coeffs[n]:
                 return n
         return None
+
+    def difference(self, other):
+        """None if the coefficients agree up to the shared precision, else a
+        witness 'u^n: a != b' with both coefficients formatted and each cut
+        to WITNESS_WIDTH characters."""
+        n = self.first_difference(other)
+        if n is None:
+            return None
+        return "%s^%d: %s != %s" % (self.var, n, _cut(self.coeffs[n].format()),
+                                    _cut(other.coeffs[n].format()))
 
     def format(self, symbol="t"):
         parts = []

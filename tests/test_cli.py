@@ -108,11 +108,26 @@ class TestVerify:
 
     def test_unread_flags_are_rejected(self, capsys):
         for flag, value in (("--weight", "2"), ("--type", "1"),
-                            ("--var", "x")):
+                            ("--var", "x"), ("--q", "7"),
+                            ("--modulus", "t^3"),
+                            ("--char", "chi{p=t; e=1}")):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["verify", flag, value])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "normproj", "--precision", "-3"],
+        ["verify", "--suite", "eigen", "--precision", "0"],
+        ["verify", "--suite", "eigen", "--hecke-degree-bound", "0"],
+        ["table", "--q", "3", "--modulus", "t", "--range", "-1"],
+    ], ids=["precision-negative", "precision-zero", "hecke-bound-zero",
+            "table-range-negative"])
+    def test_vacuous_parameters_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run(capsys, [])

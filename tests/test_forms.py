@@ -9,6 +9,7 @@ from drinfeld.algebra import Pol, finite_field, monics_up_to_degree, parse_pol
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import SignMismatch
+from drinfeld.operators import hecke_u
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -105,6 +106,19 @@ class TestEigensystemReports:
         rep = forms.verify_eigensystem(
             f, [TH], lambda p: ctx.lift_poly(p), 27)
         assert rep.passed
+
+    def test_failure_witness_shows_both_coefficients(self):
+        ctx = TorsionContext(TH)
+        f = forms.petrov_fs(ctx, 1, 3).render(27)
+        wrong = pol3("t+1")
+        rep = forms.verify_eigensystem(
+            f, [TH], lambda p: ctx.lift_poly(wrong), 27)
+        got = hecke_u(f, TH, ctx)
+        want = f.scale(ctx.lift_poly(wrong)).truncate(got.prec)
+        n = got.first_difference(want)
+        assert not rep.passed
+        assert rep.witness == "q=t at u^%d: %s != %s" % (
+            n, got.coeff(n).format(), want.coeff(n).format())
 
     def test_twisted_dispatch(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)

@@ -10,9 +10,10 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
                              SignMismatch)
-from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
-                             UExpansion, descend, eisenstein_components,
-                             evaluate_at_shift, goss_coeffs_in,
+from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
+                             TwistedEisenstein, UExpansion, descend,
+                             eisenstein_components, evaluate_at_shift,
+                             goss_coeffs_in,
                              moebius_of_series, poly_eval_scalar,
                              poly_eval_series, rescale_arg, shift_by_torsion,
                              shift_by_value, to_subparameter, u_of_az)
@@ -33,6 +34,27 @@ def small_series(ctx, N=8):
         coeffs += [ctx.ring.zero] * (N - len(coeffs))
         return UExpansion(ctx, coeffs[:N], N)
     return st.lists(st.integers(0, 2), min_size=1, max_size=N).map(build)
+
+
+class TestDifference:
+    def test_witness_holds_both_coefficients(self):
+        ctx = TorsionContext(TH)
+        f = u_of_az(ctx, pol3("t+1"), 9)
+        coeffs = list(f.coeffs)
+        coeffs[4] = coeffs[4] + ctx.lift_poly(TH)
+        g = UExpansion(ctx, coeffs, 9)
+        assert f.difference(f) is None
+        assert f.difference(g) == "u^4: %s != %s" % (
+            f.coeff(4).format(), g.coeff(4).format())
+
+    def test_long_coefficients_are_cut(self):
+        ctx = TorsionContext(TH)
+        long = UExpansion.const(ctx, ctx.lift_poly(Pol(F3, (1,) * 40)), 1)
+        witness = long.difference(UExpansion.zero(ctx, 1))
+        head, _, rest = witness.partition(": ")
+        a, _, b = rest.partition(" != ")
+        assert head == "u^0" and b == "0"
+        assert len(a) == WITNESS_WIDTH and a.endswith("...")
 
 
 class TestUOfAz:
