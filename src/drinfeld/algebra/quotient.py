@@ -28,12 +28,18 @@ packed theta-polynomial per (coordinate, digit) with slots of w bytes.  It
 multiplies column pairs as integers (Kronecker substitution in theta) and
 folds exponents >= deg Phi_i back with the relation coefficients, which
 enter as nonnegative integer multipliers (-c mod p).  It folds field digits
->= n with the field modulus in the same way and reduces mod p once.
+>= n with the field modulus in the same way and reduces mod p once.  A pair
+with a prime-field constant operand c (den 1, num < p) is no product: it
+adds the other operand translated slot-wise by v -> c*v mod p, and the sum
+of these translates is added to the folded product, at most 255 // (p-1)
+numerators with slots < p at a time.  Zero operands are dropped, so a dot
+made only of such pairs splits no columns and folds nothing.
 
 Slot-width bound.  Nothing is reduced mod p before the end, so a slot of a
 column stays below
 
-    (sum over the pairs of min(rows_a, rows_b)) * total * n * (p-1)^2 * gain
+    (sum over the product pairs of min(rows_a, rows_b)) * total * n
+        * (p-1)^2 * gain
 
 where rows counts theta-degrees and gain is the worst-case growth of the
 folding, computed once per ring.  The width w is the least number of bytes
@@ -181,24 +187,52 @@ class QuotientRing:
     # -- the product --
 
     def dot(self, pairs):
-        """sum of a*b over a sequence of (a, b) pairs, reduced once."""
+        """sum of a*b over a sequence of (a, b) pairs, reduced once.  A pair
+        with a prime-field constant operand adds a slot-wise translate of
+        the other operand instead of a product."""
         unit = self._unit
+        p = self.field.p
+        times = self._times
         rowbits = 8 * self._tn
         rows = 0
+        general = []
+        terms = []
         for a, b in pairs:
             if a.den is not unit or b.den is not unit:
                 return self._dot_fractions(pairs)
-            rows += min(a.num.bit_length(), b.num.bit_length()) // rowbits + 1
-        w = self.slot_width(rows * self._pair_gain)
-        acc = {}
-        get = acc.get
-        for a, b in pairs:
-            cb = b._columns(w)
-            for ka, va in a._columns(w):
-                for kb, vb in cb:
-                    k = ka + kb
-                    acc[k] = get(k, 0) + va * vb
-        return REl(self, self._reduce(acc, w), unit)
+            if b.num < p:
+                a, b = b, a
+            if a.num >= p:
+                general.append((a, b))
+                rows += (min(a.num.bit_length(), b.num.bit_length())
+                         // rowbits + 1)
+            elif a.num and b.num:
+                terms.append(b.num if a.num == 1
+                             else self._translate(b.num, times[a.num]))
+        if general:
+            w = self.slot_width(rows * self._pair_gain)
+            acc = {}
+            get = acc.get
+            for a, b in general:
+                cb = b._columns(w)
+                for ka, va in a._columns(w):
+                    for kb, vb in cb:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + va * vb
+            terms.append(self._reduce(acc, w))
+        return REl(self, self._slot_sum(terms), unit)
+
+    def _slot_sum(self, terms):
+        """The slot-wise sum mod p of numerators with slots < p: up to
+        255 // (p-1) of them are added before one pass mod p."""
+        if len(terms) == 1:
+            return terms[0]
+        step = 255 // (self.field.p - 1) - 1
+        reduce = self._times[1]
+        acc = 0
+        for i in range(0, len(terms), step):
+            acc = self._translate(acc + sum(terms[i:i + step]), reduce)
+        return acc
 
     def slot_width(self, bound):
         """Bytes per column slot for values up to bound; never shrinks."""

@@ -359,6 +359,17 @@ def cmd_verify(args):
             print("unknown suite %r; choose from %s"
                   % (name, ", ".join(sorted(SUITES))), file=sys.stderr)
             return 2
+    if args.profile is None:
+        return _run_suites(names, args)
+    import cProfile
+    profile = cProfile.Profile()
+    try:
+        return profile.runcall(_run_suites, names, args)
+    finally:
+        profile.dump_stats(args.profile)
+
+
+def _run_suites(names, args):
     ok = True
     for name in names:
         for report in SUITES[name](args):
@@ -401,6 +412,8 @@ def build_parser():
     v.add_argument("--s", type=int, default=1)
     v.add_argument("--hecke-degree-bound", dest="hecke_degree_bound",
                    type=_at_least(1), default=2)
+    v.add_argument("--profile", metavar="PATH",
+                   help="write cProfile data of the suites to PATH")
     v.set_defaults(func=cmd_verify)
     return parser
 

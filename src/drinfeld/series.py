@@ -117,9 +117,33 @@ class UExpansion:
         N = self._align(other)
         dot = self.ctx.ring.dot
         left = [(i, a) for i, a in enumerate(self.coeffs[:N]) if a]
-        right = other.coeffs
-        out = [dot([(a, right[n - i]) for i, a in left
-                    if i <= n and right[n - i]]) for n in range(N)]
+        if other is self:
+            # a square: each cross pair i < n-i once, against the doubled
+            # coefficient, plus the middle square (at p = 2 no cross term)
+            two = 2 % self.ctx.field.p
+            right = [c.scale_const(two) for c in self.coeffs[:N]]
+            out = [dot([(a, right[n - i]) for i, a in left
+                        if 2 * i < n and right[n - i]]
+                       + [(a, a) for i, a in left if 2 * i == n])
+                   for n in range(N)]
+        else:
+            right = other.coeffs
+            out = [dot([(a, right[n - i]) for i, a in left
+                        if i <= n and right[n - i]]) for n in range(N)]
+        return UExpansion(self.ctx, out, N, None, self.var)
+
+    def __truediv__(self, other):
+        """Series quotient; the constant term of other must be a unit.
+        out[n] = d0^-1 * x[n] + sum_{i >= 1} (-d0^-1 * d_i) * out[n - i]."""
+        N = self._align(other)
+        dot = self.ctx.ring.dot
+        d0inv = other.coeffs[0].invert()
+        steps = [(i, -(d0inv * d))
+                 for i, d in enumerate(other.coeffs[:N]) if i and d]
+        out = []
+        for n, x in enumerate(self.coeffs[:N]):
+            out.append(dot([(d0inv, x)] + [(s, out[n - i]) for i, s in steps
+                                           if i <= n and out[n - i]]))
         return UExpansion(self.ctx, out, N, None, self.var)
 
     def scale(self, value):
@@ -145,17 +169,8 @@ class UExpansion:
 
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
-        c0inv = self.coeffs[0].invert()
-        N = self.prec
-        dot = self.ctx.ring.dot
-        # out[n] = sum_{i >= 1} (-c0inv * coeffs[i]) * out[n - i]
-        steps = [(i, -(c0inv * c))
-                 for i, c in enumerate(self.coeffs[:N]) if i and c]
-        out = [c0inv]
-        for n in range(1, N):
-            out.append(dot([(c, out[n - i]) for i, c in steps
-                            if i <= n and out[n - i]]))
-        return UExpansion(self.ctx, out, N, None, self.var)
+        return UExpansion.const(self.ctx, self.ctx.ring.one, self.prec,
+                                var=self.var) / self
 
     def __eq__(self, other):
         if not isinstance(other, UExpansion) or self.ctx is not other.ctx:
@@ -275,7 +290,6 @@ def shift_by_value(f, lam, var=None):
     for _ in range(1, N):
         pows.append(pows[-1] * lam)
     out = [zero] * N
-    scalars = ctx.field  # prime subfield codes coincide with integers mod p
     for i, c in enumerate(f.coeffs):
         if not c:
             continue
@@ -294,8 +308,8 @@ def moebius_of_series(X, lam):
     """The fractional-linear value X/(lam*X + 1) for a series X of
     positive order — this is u(w + beta/n) when X is the series of u(w)."""
     ctx = X.ctx
-    den = X.scale(lam) + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var)
-    return X * den.inverse()
+    return X / (X.scale(lam)
+                + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var))
 
 
 def shift_by_torsion(f, beta, ctx):

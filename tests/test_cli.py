@@ -2,6 +2,11 @@
 environment validation."""
 
 import json
+import os
+import pstats
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +141,32 @@ class TestVerify:
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, ["table", "--q", "6"])
         assert code == 2 and "error:" in err
+
+    def test_profile_writes_stats_and_keeps_stdout(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "convolution"]
+        plain = run(capsys, argv)
+        path = tmp_path / "verify.prof"
+        profiled = run(capsys, argv + ["--profile", str(path)])
+        assert profiled == plain and plain[0] == 0
+        stats = pstats.Stats(str(path)).stats
+        assert any(name == "suite_convolution" and file.endswith("cli.py")
+                   for file, _, name in stats)
+
+
+class TestModuleEntry:
+    def test_python_m_matches_main(self, capsys):
+        argv = ["table", "--q", "3", "--modulus", "t", "--range", "6",
+                "--format", "json"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-m", "drinfeld"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        code, out, _ = run(capsys, argv)
+        assert done.returncode == code == 0
+        assert done.stdout == out
 
 
 class TestThreadsEnv:

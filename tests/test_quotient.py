@@ -4,7 +4,8 @@ The reference keeps one RF per coordinate, multiplies by schoolbook over
 exponent vectors and folds exponents >= deg Phi_i with the relations; it
 exists only here, to check the packed arithmetic of QuotientRing/REl
 exactly, for q = 3, 4, 5, 9, one and two generators, with and without
-denominators.
+denominators.  The fast paths of the series layer over these rings
+(division, squares) are checked against the operations they replace.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from drinfeld.algebra import Pol, RF, finite_field, parse_pol, quotient
 from drinfeld.carlitz import TorsionContext
 from drinfeld.errors import Unsupported
+from drinfeld.series import UExpansion
 
 F3, F4, F5, F9 = (finite_field(3), finite_field(2, 2), finite_field(5),
                   finite_field(3, 2))
@@ -38,9 +40,14 @@ CONTEXTS = [
 
 
 @pytest.fixture(params=CONTEXTS, ids=[c[0] for c in CONTEXTS])
-def ring(request):
+def ctx(request):
     _, modulus, ext = request.param
-    return TorsionContext(modulus, ext_degree=ext).ring
+    return TorsionContext(modulus, ext_degree=ext)
+
+
+@pytest.fixture
+def ring(ctx):
+    return ctx.ring
 
 
 def exps_of(ring):
@@ -202,6 +209,116 @@ def test_scalar_part_and_terms(ring):
                 mono = mono * ring.gen(i) ** k
             rebuilt = rebuilt + c * mono
         assert rebuilt == x
+
+
+# -- prime-field constants in dot ---------------------------------------------
+
+def constants(ring):
+    """(element, RF) for the prime-field constants 0, 1 and p-1."""
+    big = ring.field
+    return [(ring.from_const(c), RF.from_pol(Pol.const(big, c)))
+            for c in sorted({0, 1, big.p - 1})]
+
+
+def test_dot_with_constant_operands(ring):
+    # a, b integral; c with a denominator
+    (a, ca), (b, cb), (c, cc) = elements(ring, 11)
+    zero = [RF.zero(ring.field)] * ring.total
+    for k, ck in constants(ring):
+        for x, cx in ((a, ca), (c, cc)):
+            scaled = [s * ck for s in cx]
+            assert ring.dot([(k, x)]).rf_coords() == scaled
+            assert ring.dot([(x, k)]).rf_coords() == scaled
+            assert ring.dot([(k, x), (k, x)]).rf_coords() == ref_add(
+                scaled, scaled)
+            mixed = ring.dot([(k, x), (a, b), (b, k), (k, k)])
+            want = ref_add(ref_add(scaled, ref_mul(ring, ca, cb)),
+                           [s * ck for s in cb])
+            want[0] = want[0] + ck * ck
+            assert mixed.rf_coords() == want
+            assert mixed == ring.from_rf_coords(want)
+        assert ring.dot([(k, k)]).rf_coords() == [ck * ck] + zero[1:]
+
+
+def test_many_constant_operands_stay_reduced(ring):
+    # every slot of x is p-1, and so is every slot of x*theta above the
+    # lowest row: pass the number of slot sums a byte holds, with and
+    # without a general pair after the constant ones
+    big = ring.field
+    cx = worst_case(ring, 3)
+    x = ring.from_rf_coords(cx)
+    theta = RF.from_pol(Pol.x(big))
+    shifted = [s * theta for s in cx]
+    cap = 255 // (big.p - 1)
+    for k, ck in constants(ring)[1:]:
+        for m in (cap - 1, cap, cap + 1, 2 * cap + 1):
+            times_m = ck * RF.from_pol(Pol.const(big, big.scalar(m)))
+            linear = [s * times_m for s in cx]
+            assert ring.dot([(k, x)] * m).rf_coords() == linear
+            got = ring.dot([(k, x)] * m + [(x, ring.from_rf(theta))])
+            assert got.rf_coords() == ref_add(linear, shifted)
+
+
+# -- series division and squares over these rings ------------------------------
+
+def old_inverse(D):
+    """The series inverse by its own recurrence, as UExpansion.inverse
+    computed it before it became one / D."""
+    c0inv = D.coeffs[0].invert()
+    N = D.prec
+    dot = D.ctx.ring.dot
+    steps = [(i, -(c0inv * c)) for i, c in enumerate(D.coeffs[:N]) if i and c]
+    out = [c0inv]
+    for n in range(1, N):
+        out.append(dot([(c, out[n - i]) for i, c in steps
+                        if i <= n and out[n - i]]))
+    return UExpansion(D.ctx, out, N)
+
+
+def series_of(ctx, seed, head):
+    """A series with constant term head, then a mix of general elements
+    (integral and with denominators), zeros and the constants 1 and p-1."""
+    ring = ctx.ring
+    (a, _), (b, _), (c, _) = elements(ring, seed)
+    minus_one = ring.from_const(ring.field.p - 1)
+    return UExpansion(ctx, [head, a, ring.zero, ring.one, b, minus_one, c, a])
+
+
+def unit_heads(ring):
+    """Units: one, a scalar with a denominator, and a non-scalar element
+    (seed 9 gives units in every context, as in test_invert)."""
+    big = ring.field
+    scalar = ring.from_rf(RF(Pol(big, (2 % big.p, 1)), Pol(big, (1, 1))))
+    (unit, _), _, _ = elements(ring, 9, nonzero=2, length=2)
+    return [ring.one, scalar, unit]
+
+
+def test_division_matches_inverse_product(ctx):
+    X = series_of(ctx, 13, ctx.ring.zero)
+    for head in unit_heads(ctx.ring):
+        D = series_of(ctx, 14, head)
+        inv = old_inverse(D)
+        assert D.inverse() == inv
+        quotient = X / D
+        assert quotient == X * inv
+        assert quotient * D == X
+
+
+def test_square_matches_product_with_a_copy(ctx):
+    ring = ctx.ring
+    for seed, head in ((15, ring.zero), (16, ring.one),
+                       (17, elements(ring, 18)[2][0])):
+        S = series_of(ctx, seed, head)
+        copy = UExpansion(ctx, list(S.coeffs))
+        want = []
+        for n in range(S.prec):
+            total = ring.zero
+            for i in range(n + 1):
+                total = total + S.coeffs[i] * copy.coeffs[n - i]
+            want.append(total)
+        assert list((S * S).coeffs) == want
+        assert S * S == S * copy
+        assert S ** 3 == S * copy * copy
 
 
 # -- the slot-width bound -----------------------------------------------------
