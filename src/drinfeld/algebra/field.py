@@ -13,6 +13,8 @@ embedding and every root choice reproducible across runs.
 
 import functools
 
+from .poly import is_irreducible, monics_of_degree
+
 
 def _poly_mul_mod_p(a, b, p):
     if not a or not b:
@@ -43,37 +45,14 @@ def _poly_mod(a, m, p):
     return a
 
 
-def _is_irreducible(f, p):
-    """Trial division by all monic polynomials of degree <= deg(f)//2."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    for d in range(1, n // 2 + 1):
-        for idx in range(p ** d):
-            g = []
-            k = idx
-            for _ in range(d):
-                g.append(k % p)
-                k //= p
-            g.append(1)  # monic of degree d
-            if not _poly_mod(f, g, p):
-                return False
-    return True
-
-
 def _min_irreducible(p, n):
-    """Monic irreducible of degree n with smallest coefficient code."""
+    """Monic irreducible of degree n with smallest coefficient code, as a
+    coefficient list c_0..c_n."""
     if n == 1:
         return [0, 1]
-    for idx in range(p ** n):
-        c = []
-        k = idx
-        for _ in range(n):
-            c.append(k % p)
-            k //= p
-        f = c + [1]
-        if _is_irreducible(f, p):
-            return f
+    for f in monics_of_degree(finite_field(p), n):
+        if is_irreducible(f):
+            return list(f.c)
     raise AssertionError("no irreducible found")  # pragma: no cover
 
 
@@ -86,7 +65,7 @@ class FiniteField:
 
     __slots__ = (
         "p", "n", "order", "modulus", "digits", "add_table", "mul_table",
-        "neg_table", "inv_table", "ypow_red", "_emb_cache",
+        "neg_table", "inv_table", "_emb_cache",
     )
 
     def __init__(self, p, n):
@@ -112,22 +91,6 @@ class FiniteField:
             digits.append(tuple(d))
         self.digits = digits
 
-        # reduction vectors for y^m, n <= m <= 2n-2
-        red = {}
-        cur = [(-c) % p for c in self.modulus]  # y^n
-        for m in range(n, 2 * n - 1):
-            red[m] = tuple(cur)
-            nxt = [0] * n
-            for i, c in enumerate(cur):
-                if c:
-                    if i + 1 < n:
-                        nxt[i + 1] = (nxt[i + 1] + c) % p
-                    else:
-                        for j, r in enumerate(red[n]):
-                            nxt[j] = (nxt[j] + c * r) % p
-            cur = nxt
-        self.ypow_red = red
-
         self.add_table = [
             [self._from_digits([(x + y) % p for x, y in zip(digits[a], digits[b])])
              for b in range(order)]
@@ -152,25 +115,13 @@ class FiniteField:
 
     def _mul_raw(self, a, b):
         da, db = self.digits[a], self.digits[b]
-        prod = _poly_mul_mod_p(list(da), list(db), self.p)
-        out = list(prod[: self.n]) + [0] * max(0, self.n - len(prod))
-        for m in range(self.n, len(prod)):
-            c = prod[m]
-            if c:
-                for j, r in enumerate(self.ypow_red[m]):
-                    out[j] = (out[j] + c * r) % self.p
-        return self._from_digits(out)
+        prod = _poly_mul_mod_p(da, db, self.p)
+        return self._from_digits(_poly_mod(prod, self.modulus + (1,), self.p))
 
     # -- element operations (elements are ints) --
 
     def add(self, a, b):
         return self.add_table[a][b]
-
-    def sub(self, a, b):
-        return self.add_table[a][self.neg_table[b]]
-
-    def neg(self, a):
-        return self.neg_table[a]
 
     def mul(self, a, b):
         return self.mul_table[a][b]
@@ -191,16 +142,9 @@ class FiniteField:
             e >>= 1
         return r
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def scalar(self, k):
         """Image of the integer k under Z -> F_p -> F_{p^n}."""
         return k % self.p
-
-    def gen(self):
-        """The class of y (for n == 1 this is just 1)."""
-        return self.p % self.order if self.n > 1 else 1
 
     def elements(self):
         return range(self.order)

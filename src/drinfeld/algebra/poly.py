@@ -1,63 +1,11 @@
 """Dense univariate polynomials over a tabulated finite field.
 
 Coefficients are stored low-degree first as a tuple of field element
-codes (see field.py); the zero polynomial has an empty tuple.  The
-multiplication of anything beyond tiny operands goes through Kronecker
-substitution: the whole polynomial (including the extension-field
-coordinates of each coefficient) is packed into one big integer, CPython
-multiplies, and the digit slots are reduced back into the field.
+codes (see field.py); the zero polynomial has an empty tuple.  Products
+are schoolbook over the field's tables: the polynomials this library
+multiplies have a few dozen coefficients at most, a size at which packing
+them into big integers costs more than it saves.
 """
-
-from array import array
-
-from .field import FiniteField
-
-
-def _pack(coeffs, field, W, nb):
-    buf = bytearray(len(coeffs) * W * nb)
-    digs = field.digits
-    for t, c in enumerate(coeffs):
-        if c:
-            base = t * W * nb
-            for j, d in enumerate(digs[c]):
-                if d:
-                    buf[base + j * nb] = d
-    return int.from_bytes(bytes(buf), "little")
-
-
-_TYPECODE = {2: "H", 4: "I", 8: "Q"}
-
-
-def _kron_mul(a, b, field):
-    n = field.n
-    W = 2 * n - 1
-    la, lb = len(a), len(b)
-    maxslot = min(la, lb) * n * (field.p - 1) ** 2
-    nb = 2
-    while (1 << (8 * nb)) <= maxslot:
-        nb *= 2
-    A = _pack(a, field, W, nb)
-    B = _pack(b, field, W, nb)
-    prod = A * B
-    lp = la + lb - 1
-    nbytes = lp * W * nb
-    raw = prod.to_bytes(nbytes + nb, "little")  # slack for top slot
-    slots = array(_TYPECODE[nb], raw[: nbytes + (nb - (nbytes % nb)) % nb])
-    p = field.p
-    red = field.ypow_red
-    out = []
-    for t in range(lp):
-        base = t * W
-        d = [slots[base + j] % p for j in range(min(n, W))]
-        for m in range(n, W):
-            v = slots[base + m] % p
-            if v:
-                rv = red[m]
-                for j in range(n):
-                    if rv[j]:
-                        d[j] = (d[j] + v * rv[j]) % p
-        out.append(field._from_digits(d))
-    return out
 
 
 class Pol:
@@ -112,9 +60,6 @@ class Pol:
     def leading(self):
         return self.c[-1] if self.c else 0
 
-    def constant(self):
-        return self.c[0] if self.c else 0
-
     def __eq__(self, other):
         return isinstance(other, Pol) and self.field is other.field and self.c == other.c
 
@@ -147,17 +92,15 @@ class Pol:
         a, b = self.c, other.c
         if not a or not b:
             return Pol(f, ())
-        if len(a) * len(b) <= 16:
-            mul, add = f.mul_table, f.add_table
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    row = mul[x]
-                    for j, y in enumerate(b):
-                        if y:
-                            out[i + j] = add[out[i + j]][row[y]]
-            return Pol(f, out)
-        return Pol(f, _kron_mul(a, b, f))
+        mul, add = f.mul_table, f.add_table
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add[out[i + j]][row[y]]
+        return Pol(f, out)
 
     def scale(self, code):
         """Multiply by a field element."""
@@ -167,12 +110,6 @@ class Pol:
             return self
         row = self.field.mul_table[code]
         return Pol(self.field, tuple(row[x] for x in self.c))
-
-    def shift(self, k):
-        """Multiply by theta^k."""
-        if not self.c:
-            return self
-        return Pol(self.field, (0,) * k + self.c)
 
     def __pow__(self, e):
         r = Pol.one(self.field)
@@ -295,10 +232,6 @@ class Pol:
 
     def __repr__(self):
         return self.format()
-
-    def coeff_ints(self):
-        """Little-endian coefficient codes (External Interfaces form)."""
-        return list(self.c)
 
 
 def parse_pol(field, text, symbol="t"):

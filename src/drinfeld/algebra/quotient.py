@@ -161,23 +161,9 @@ class QuotientRing:
     def from_const(self, code):
         return self.from_pol(Pol.const(self.field, code))
 
-    def from_int(self, k):
-        return self.from_const(self.field.scalar(k))
-
     def gen(self, i):
         return REl(self, 1 << (8 * self._strides[i] * self.field.n),
                    self._unit)
-
-    def gen_index(self, name):
-        return self.gen_names.index(name)
-
-    def describe(self, symbol="t"):
-        rels = []
-        for name, rel in zip(self.gen_names, self.relations):
-            terms = ["(%s)*%s^%d" % (c.format(symbol), name, j)
-                     for j, c in enumerate(rel) if c]
-            rels.append("%s: %s = 0" % (name, " + ".join(terms) or "0"))
-        return rels
 
     def __repr__(self):
         if not self.gen_names:
@@ -514,6 +500,8 @@ class REl:
         ring = self.ring
         if not self:
             raise NotInvertible("zero element")
+        if self.den is ring._unit and self.num < ring.field.p:
+            return REl(ring, ring.field.inv(self.num), ring._unit)
         if self.is_scalar():
             return ring.from_rf(self.scalar_part().inverse())
         return _invert(self)

@@ -106,25 +106,6 @@ class RF:
             num, den = num.scale(lcinv), den.scale(lcinv)
         return RF(num, den, reduce=False)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def scale(self, code):
-        return RF(self.num.scale(code), self.den, reduce=False)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return RF(self.num ** e, self.den ** e, reduce=False)
-
-    def eval(self, x):
-        """Evaluate at a field element x; raises on a pole."""
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        f = self.field
-        return f.mul(self.num.eval(x), f.inv(d))
-
     def format(self, symbol="t"):
         if self.den.is_one():
             return self.num.format(symbol)

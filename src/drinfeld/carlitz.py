@@ -62,7 +62,7 @@ class TorsionContext:
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "lam", "_exp_cache", "_qpow_cache", "qexp")
+                 "gens", "lam", "_cofs", "_exp_cache", "_qpow_cache", "qexp")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -90,20 +90,11 @@ class TorsionContext:
         self._qpow_cache = [
             {0: g} for g in self.gens
         ]
-        # partial fractions: sum c_i * (n/p_i) = 1 in A
-        if len(self.primes) == 1:
-            cofs = [Pol.one(field)]
-        else:
-            cofs = []
-            for prime in self.primes:
-                other = modulus // prime
-                g, s, t = other.xgcd(prime)
-                # s*other + t*prime = 1, so c_i = s mod prime
-                cofs.append(s % prime)
-        lam = self.ring.zero
-        for i, c in enumerate(cofs):
-            lam = lam + self._carlitz_at_gen(c, i)
-        self.lam = lam
+        # partial fractions: sum c_i * (n/p_i) = 1 in A, where
+        # s*(n/p_i) + t*p_i = 1 gives c_i = s mod p_i (c_1 = 1 for one prime)
+        self._cofs = [(modulus // prime).xgcd(prime)[1] % prime
+                      for prime in self.primes]
+        self.lam = self.exp_value(Pol.one(field))
 
     def _gen_qpow(self, i, j):
         """lambda_i ** (q ** j), cached."""
@@ -152,14 +143,9 @@ class TorsionContext:
         cached = self._exp_cache.get(key)
         if cached is not None:
             return cached
-        if len(self.primes) == 1:
-            out = self._carlitz_at_gen(beta, 0)
-        else:
-            out = self.ring.zero
-            for i, prime in enumerate(self.primes):
-                other = self.modulus // prime
-                g, s, t = other.xgcd(prime)
-                out = out + self._carlitz_at_gen(beta * s, i)
+        out = self.ring.zero
+        for i, c in enumerate(self._cofs):
+            out = out + self._carlitz_at_gen(beta * c, i)
         self._exp_cache[key] = out
         return out
 
@@ -193,9 +179,6 @@ class TorsionContext:
         m = modulus if modulus is not None else self.modulus
         one = Pol.one(self.field)
         return [b for b in self.residues(m) if b and b.gcd(m) == one]
-
-    def describe(self):
-        return self.ring.describe()
 
 
 class _GaloisMap:

@@ -16,12 +16,12 @@ import os
 import re
 import sys
 
-from .algebra import (Pol, finite_field, irreducible_monics,
-                      monics_up_to_degree, parse_pol, polys_below_degree)
+from .algebra import (Pol, finite_field, irreducible_monics, parse_pol,
+                      polys_below_degree)
 from .carlitz import TorsionContext
 from .characters import (DirichletCharacter, convolve, jacobi_factor)
 from .errors import DrinfeldError
-from .series import TwistedEisenstein, UExpansion, ModularMeta
+from .series import UExpansion, ModularMeta
 from .operators import (hecke_u, twist_monomial_closed, twist_normalized,
                         twist_raw)
 from . import forms
@@ -31,7 +31,6 @@ from .forms import VerificationReport
 def field_of_order(q):
     """The finite field with q = p^n elements."""
     p = 2
-    from math import isqrt
     n0 = q
     while p * p <= n0:
         if n0 % p == 0:

@@ -2,6 +2,11 @@
 quotient rings, and characteristic-p binomials."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +16,37 @@ from drinfeld.algebra import (Pol, QuotientRing, RF, factor_squarefree_monic,
                               is_irreducible, lucas_binomial,
                               monics_of_degree, monics_up_to_degree,
                               parse_pol, polys_below_degree)
+from drinfeld.algebra.field import _min_irreducible
 
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 F5 = finite_field(5)
 F9 = finite_field(3, 2)
+
+# The defining polynomial (c_0, ..., c_n) of F_{p^n} for every n >= 2 with
+# p^n <= 4096.  Every field code, embedding and golden output depends on
+# these, so a change to the search must leave them as they are.
+DEFINING_POLYNOMIALS = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1), (19, 2): (1, 0, 1), (23, 2): (1, 0, 1),
+    (29, 2): (2, 0, 1), (31, 2): (1, 0, 1), (37, 2): (2, 0, 1),
+    (41, 2): (3, 0, 1), (43, 2): (1, 0, 1), (47, 2): (1, 0, 1),
+    (53, 2): (2, 0, 1), (59, 2): (1, 0, 1), (61, 2): (2, 0, 1),
+}
 
 
 def pol3(text):
@@ -48,6 +80,27 @@ class TestFiniteField:
         assert len(units) == 8
         for x in units:
             assert F9.pow(x, 8) == 1
+
+    def test_defining_polynomials_are_pinned(self):
+        assert len(DEFINING_POLYNOMIALS) == 40
+        for (p, n), want in DEFINING_POLYNOMIALS.items():
+            assert tuple(_min_irreducible(p, n)) == want, (p, n)
+        assert finite_field(3, 2).modulus == DEFINING_POLYNOMIALS[3, 2][:-1]
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (2, 4), (3, 2),
+                                      (3, 3), (5, 2), (7, 2)])
+    def test_mul_table_matches_pol_arithmetic(self, p, n):
+        # the product of codes a, b is a*b mod the defining polynomial,
+        # computed here over F_p[y] with Pol
+        field = finite_field(p, n)
+        prime = finite_field(p)
+        modulus = Pol(prime, field.modulus + (1,))
+        as_pol = [Pol(prime, field.digits[a]) for a in field.elements()]
+        code = {f.c: a for a, f in enumerate(as_pol)}
+        for a in field.elements():
+            for b in field.elements():
+                prod = (as_pol[a] * as_pol[b]) % modulus
+                assert field.mul(a, b) == code[prod.c]
 
 
 class TestPol:
@@ -106,6 +159,48 @@ class TestPol:
         n = pol3("t") * pol3("t+1")
         fac = factor_squarefree_monic(n)
         assert sorted(p.format() for p in fac) == ["t", "t+1"]
+
+    @pytest.mark.parametrize("field", [F3, F4, F9], ids=["q3", "q4", "q9"])
+    def test_product_properties_up_to_200_coefficients(self, field):
+        rng = random.Random(field.order)
+
+        def rand_pol(length):
+            coeffs = [rng.randrange(field.order) for _ in range(length - 1)]
+            return Pol(field, coeffs + [rng.randrange(1, field.order)])
+
+        for la, lb in [(1, 1), (1, 200), (4, 5), (17, 16), (24, 23),
+                       (64, 64), (128, 128), (200, 137), (200, 200)]:
+            a, b, c = rand_pol(la), rand_pol(lb), rand_pol(lb)
+            ab = a * b
+            assert ab.degree == a.degree + b.degree
+            assert ab // b == a
+            assert not ab % b
+            assert ab == b * a
+            assert a * (b + c) == ab + a * c
+
+
+def _fresh_interpreter(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+class TestImportOrder:
+    # field.py builds its defining polynomials with poly.py, so poly.py
+    # must not import field.py back; each module has to load on its own
+    def test_poly_alone(self):
+        done = _fresh_interpreter("import drinfeld.algebra.poly")
+        assert done.returncode == 0, done.stderr
+
+    def test_field_alone(self):
+        done = _fresh_interpreter(
+            "from drinfeld.algebra.field import finite_field\n"
+            "print(finite_field(3, 2).modulus)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "(1, 0)"
 
 
 class TestRF:

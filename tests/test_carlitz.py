@@ -94,6 +94,23 @@ class TestTorsionContext:
             # C_beta(lambda): compare through the Carlitz coefficients
             assert v.format() == w.format()
 
+    @pytest.mark.parametrize("field, coeffs", [
+        (F3, (0, 1)), (F3, (1, 0, 1)), (F3, (0, 1, 1)), (F3, (0, 2, 0, 1)),
+        (F5, (2, 0, 1)), (finite_field(2, 2), (0, 1, 1))],
+        ids=["q3-t", "q3-t2+1", "q3-t2+t", "q3-t3+2t", "q5-t2+2", "q4-t2+t"])
+    def test_exp_value_matches_partial_fractions(self, field, coeffs):
+        # C_beta(lambda_n) = sum_i C_{beta*s_i}(lambda_i) with
+        # s_i*(n/p_i) + t_i*p_i = 1, the cofactors recomputed here
+        modulus = Pol(field, coeffs)
+        ctx = TorsionContext(modulus)
+        assert ctx.lam == ctx.exp_value(Pol.one(field))
+        cofs = [(modulus // prime).xgcd(prime)[1] for prime in ctx.primes]
+        for beta in ctx.residues():
+            want = ctx.ring.zero
+            for i, s in enumerate(cofs):
+                want = want + ctx._carlitz_at_gen(beta * s, i)
+            assert ctx.exp_value(beta) == want
+
     def test_exp_at_requires_divisor(self):
         ctx = TorsionContext(TH)
         with pytest.raises(ValueError):

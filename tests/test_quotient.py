@@ -192,6 +192,17 @@ def test_invert_matches_reference(ring):
         assert x * inv == ring.one
 
 
+def test_invert_prime_field_constants(ring):
+    # answered from the field table, against the RF path it bypasses
+    big = ring.field
+    for c in range(1, big.p):
+        x = ring.from_const(c)
+        inv = x.invert()
+        assert inv == ring.from_rf(x.scalar_part().inverse())
+        assert inv.den is ring._unit
+        assert x * inv == ring.one
+
+
 def test_format_matches_reference(ring):
     for x, cx in elements(ring, 9):
         assert x.format() == ref_format(ring, cx)
