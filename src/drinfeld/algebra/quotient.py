@@ -22,7 +22,8 @@ So == and hash compare (num, den) directly.  The denominator is 1 except on
 the paths through invert() and lifted rational constants.
 
 Arithmetic.  Sums, negation and prime-field scaling act slot by slot: an
-integer operation, then one bytes.translate pass mod p.  A product
+integer operation, then one bytes.translate pass mod p; a sum or difference
+with a zero operand is the other operand (negated for 0 - x).  A product
 sum_i a_i*b_i (QuotientRing.dot) splits each numerator into columns, one
 packed theta-polynomial per (coordinate, digit) with slots of w bytes.  It
 multiplies column pairs as integers (Kronecker substitution in theta) and
@@ -426,6 +427,8 @@ class REl:
 
     def __add__(self, other):
         ring = self.ring
+        if not (self.num and other.num):
+            return self if self.num else other
         if self.den is other.den is ring._unit:
             return REl(ring, ring._translate(self.num + other.num,
                                              ring._times[1]), self.den)
@@ -437,6 +440,8 @@ class REl:
 
     def __sub__(self, other):
         ring = self.ring
+        if not (self.num and other.num):
+            return self if self.num else -other
         if self.den is other.den is ring._unit:
             neg = ring._translate(other.num, ring._times[-1])
             return REl(ring, ring._translate(self.num + neg, ring._times[1]),

@@ -13,11 +13,11 @@ import json
 from .algebra import Pol, monics_up_to_degree
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter, gauss_thakur
-from .errors import SignMismatch
+from .errors import SignMismatch, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
-                     eisenstein_components, goss_coeffs_in,
+                     eisenstein_components, fold_units, goss_coeffs_in,
                      moebius_of_series, poly_eval_series, rescale_arg,
                      u_of_az)
 from .operators import hecke_a, hecke_twisted, hecke_u, twist_normalized
@@ -308,37 +308,43 @@ def matrix_rank(rows):
 def eisenstein_rank(ppol, k, N):
     """Rank of the span of {ETilde_chi^(k), EHat_chi^(k)} over all chi with
     the matching sign, from truncated u-expansions; expected value
-    2(|p|-1)/(q-1).
+    2(|p|-1)/(q-1).  The level p must be irreducible.
 
-    The per-unit series E_a are character-independent, so they are
-    computed once and each character contributes two cheap linear
-    combinations.
+    Both rows are character-independent series computed once and combined
+    per character with |units| scalings: the ETilde row from the E_a at
+    monic units a, with chi^{-1} folded onto them by fold_units, and the
+    EHat row as sum_r chi^{-1}(r) B_r over the units r mod p, with
+    B_r = sum_{c monic, c = r mod p} G_k(u(cz)).
     """
     field = ppol.field
     q = field.order
     size = q ** ppol.degree
     ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+    if len(ctx.primes) > 1:
+        raise Unsupported("the Eisenstein count needs an irreducible level, "
+                          "not %s" % "".join("(%s)" % f.format()
+                                             for f in ctx.primes))
     chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
             for e in range(size - 1) if (e + k) % (q - 1) == 0]
     bound = bound_for_precision(field, N)
-    buckets = eisenstein_components(ctx, k, ppol, N, bound)
+    units = ctx.units(ppol)
+    comps = eisenstein_components(ctx, k, ppol, N, bound)
     gk = goss_coeffs_in(ctx, k)
-    one = Pol.one(field)
-    goss_series = {}
+    buckets = {r.c: UExpansion.zero(ctx, N) for r in units}
     for c in monics_up_to_degree(field, bound):
-        if c.gcd(ppol) != one or q ** c.degree >= N:
-            continue
-        goss_series[c.c] = poly_eval_series(gk, u_of_az(ctx, c, N))
+        r = (c % ppol).c
+        if r in buckets and q ** c.degree < N:
+            buckets[r] += poly_eval_series(gk, u_of_az(ctx, c, N))
     rows = []
     for chi in chis:
-        tilde = UExpansion.zero(ctx, N)
-        for akey, E in buckets.items():
-            tilde = tilde + E.scale_const(chi.eval_inv(Pol(field, akey)))
-        hat = UExpansion.zero(ctx, N)
-        for ckey, ser in goss_series.items():
-            v = chi.eval_inv(Pol(field, ckey))
-            if v:
-                hat = hat + ser.scale_const(v)
+        inv = {r.c: chi.eval_inv(r) for r in units}
+        w = fold_units(ctx, k, ppol,
+                       {r: ctx.big_const(v) for r, v in inv.items()})
+        tilde = hat = UExpansion.zero(ctx, N)
+        for akey, E in comps.items():
+            tilde = tilde + E.scale(w[akey])
+        for r, B in buckets.items():
+            hat = hat + B.scale_const(inv[r])
         rows.append(tilde.coeffs)
         rows.append(hat.coeffs)
     return matrix_rank(rows)

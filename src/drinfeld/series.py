@@ -467,8 +467,9 @@ class AExpansion:
 
 def eisenstein_components(ctx, k, level, N, bound):
     """The series E_a = sum_{c in A} G_k(u(cz + a/level)) to precision N,
-    as {a.c: E_a} over the units a mod level; the c = 0 term is the
-    constant G_k(1/lambda_a) and the other c have deg c <= bound.
+    as {a.c: E_a} over the monic units a mod level; the c = 0 term is the
+    constant G_k(1/lambda_a) and the other c have deg c <= bound.  The
+    other units follow from E_{xi a} = xi^(-k) E_a (see fold_units).
 
     Writing c = xi*c' with c' monic and xi in F_q^*, u(cz) = u(c'z)/xi,
     and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
@@ -492,6 +493,8 @@ def eisenstein_components(ctx, k, level, N, bound):
     G = UExpansion(ctx, gk, N)
     out = {}
     for a in ctx.units(level):
+        if not a.is_monic():
+            continue
         lam = ctx.exp_at(a, level)
         s = shift_by_value(G, lam).coeffs
         E = UExpansion.const(
@@ -501,6 +504,18 @@ def eisenstein_components(ctx, k, level, N, bound):
                 E = E - Pm.scale(s[m * step])
         out[a.c] = E
     return out
+
+
+def fold_units(ctx, k, level, comp):
+    """Fold a map {b.c: ring element} over the units b mod level onto the
+    monic units: {a.c: w(a)} with w(a) = sum_xi xi^(-k) * comp(xi a) over
+    xi in F_q^*.  Since u(xi w) = u(w)/xi and G_k(xi X) = xi^k G_k(X),
+    E_{xi a} = xi^(-k) E_a, so sum_b comp(b) E_b = sum_a w(a) E_a."""
+    field = ctx.field
+    twists = [(xi, ctx.emb[field.pow(xi, -k)]) for xi in field.units()]
+    return {a.c: sum((comp[a.scale(xi).c].scale_const(x) for xi, x in twists),
+                     ctx.ring.zero)
+            for a in ctx.units(level) if a.is_monic()}
 
 
 class TwistedEisenstein:
@@ -554,7 +569,9 @@ class TwistedEisenstein:
         return self.render(1).coeff(0)
 
     def render(self, N, bound=None):
-        """Truncated u-expansion sum_a comp(a) * E_a."""
+        """Truncated u-expansion sum_a comp(a) * E_a over the units a,
+        computed as sum_{a monic} w(a) * E_a with the components folded
+        onto the monic units by fold_units."""
         ctx = self.ctx
         q = ctx.field.order
         if bound is None:
@@ -566,6 +583,7 @@ class TwistedEisenstein:
                 "degree bound %d cannot reach precision %d" % (bound, N))
         out = UExpansion.zero(ctx, N)
         comps = eisenstein_components(ctx, self.k, self.level, N, bound)
+        w = fold_units(ctx, self.k, self.level, self.components)
         for key, E in comps.items():
-            out = out + E.scale(self.components[key])
+            out = out + E.scale(w[key])
         return out.with_meta(self.meta())

@@ -1,6 +1,7 @@
 """Form catalog, verification reports, congruence checks, and rank counts."""
 
 import json
+import re
 
 import pytest
 
@@ -8,11 +9,15 @@ from drinfeld import forms
 from drinfeld.algebra import Pol, finite_field, monics_up_to_degree, parse_pol
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
-from drinfeld.errors import SignMismatch
+from drinfeld.errors import NotSquareFree, SignMismatch, Unsupported
 from drinfeld.operators import hecke_u
+from drinfeld.series import (UExpansion, goss_coeffs_in, poly_eval_scalar,
+                             poly_eval_series, shift_by_value, u_of_az)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
+F4 = finite_field(2, 2)
+P4 = Pol(F4, (2, 1, 1))  # t^2 + t + w, w the element of F_4 with code 2
 
 
 def pol3(text):
@@ -202,6 +207,97 @@ class TestRank:
         # 2(|p|-1)/(q-1) = 2 for p = theta
         for k in (1, 2, 3):
             assert forms.eisenstein_rank(TH, k, 12) == 2
+
+    @pytest.mark.parametrize("ppol, N, want", [
+        (P4, 40, 10),  # 2(16-1)/3
+        (parse_pol(finite_field(5), "t^2+2"), 60, 12),  # 2(25-1)/4
+    ], ids=["q4-t^2+t+w", "q5-t^2+2"])
+    def test_rank_beyond_q3(self, ppol, N, want):
+        assert forms.eisenstein_rank(ppol, 1, N) == want
+
+    def test_reducible_level(self):
+        # the count is only defined for a prime level; the witness is the
+        # factorisation
+        for text, factors in (("t^2+t", "(t)(t+1)"),
+                              ("t^2+2", "(t+1)(t+2)")):
+            with pytest.raises(Unsupported,
+                               match="not %s$" % re.escape(factors)):
+                forms.eisenstein_rank(pol3(text), 1, 12)
+        with pytest.raises(NotSquareFree):
+            forms.eisenstein_rank(pol3("t^2"), 1, 12)
+
+    @pytest.mark.parametrize("ppol, ks, N", [
+        (pol3("t^2+1"), (1, 2, 3), 28),
+        (P4, (1, 2), 20),
+    ], ids=["q3-t^2+1", "q4-t^2+t+w"])
+    def test_rows_match_all_unit_builder(self, monkeypatch, ppol, ks, N):
+        # the rows from monic components and residue buckets equal, entry
+        # for entry, the rows built from one E_a per unit and one
+        # G_k(u(cz)) per monic c
+        seen = []
+        monkeypatch.setattr(forms, "matrix_rank",
+                            lambda rows: seen.append(rows) or 0)
+        for k in ks:
+            forms.eisenstein_rank(ppol, k, N)
+            got = [[x.coords for x in row] for row in seen.pop()]
+            want = [[x.coords for x in row]
+                    for row in _all_unit_rows(ppol, k, N)]
+            assert got == want, "k = %d" % k
+
+
+def _all_unit_rows(ppol, k, N):
+    """The rank rows built with one component E_a per unit a and one
+    G_k(u(cz)) per monic c prime to the level, each scaled by its own
+    chi^{-1} value: the construction the orbit and bucket sums replace."""
+    field = ppol.field
+    q = field.order
+    size = q ** ppol.degree
+    ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+    chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
+            for e in range(size - 1) if (e + k) % (q - 1) == 0]
+    bound = forms.bound_for_precision(field, N)
+    step = q - 1
+    P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
+    for c in monics_up_to_degree(field, bound):
+        count = (N - 1) // (step * q ** c.degree)
+        if not count:
+            continue
+        V = W = u_of_az(ctx, c, N) ** step
+        for m in range(count):
+            if m:
+                W = W * V
+            P[m] = P[m] + W
+    gk = goss_coeffs_in(ctx, k)
+    G = UExpansion(ctx, gk, N)
+    comps = {}
+    for a in ctx.units(ppol):
+        lam = ctx.exp_at(a, ppol)
+        s = shift_by_value(G, lam).coeffs
+        E = UExpansion.const(
+            ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+        for m, Pm in enumerate(P, 1):
+            if s[m * step]:
+                E = E - Pm.scale(s[m * step])
+        comps[a.c] = E
+    one = Pol.one(field)
+    goss_series = {}
+    for c in monics_up_to_degree(field, bound):
+        if c.gcd(ppol) != one or q ** c.degree >= N:
+            continue
+        goss_series[c.c] = poly_eval_series(gk, u_of_az(ctx, c, N))
+    rows = []
+    for chi in chis:
+        tilde = UExpansion.zero(ctx, N)
+        for akey, E in comps.items():
+            tilde = tilde + E.scale_const(chi.eval_inv(Pol(field, akey)))
+        hat = UExpansion.zero(ctx, N)
+        for ckey, ser in goss_series.items():
+            v = chi.eval_inv(Pol(field, ckey))
+            if v:
+                hat = hat + ser.scale_const(v)
+        rows.append(tilde.coeffs)
+        rows.append(hat.coeffs)
+    return rows
 
 
 class TestLocalL:

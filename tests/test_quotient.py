@@ -164,6 +164,22 @@ def test_sums_match_reference(ring):
         assert ((x + b) - b) == x
 
 
+def test_zero_operand_sums_match_dot(ring):
+    # x + 0, 0 + x, x - 0 and 0 - x skip the arithmetic; each must equal
+    # the dot it replaces and the reference, with and without denominators
+    zero, one = ring.zero, ring.one
+    for x, cx in elements(ring, 6):
+        plus = ring.dot([(x, one), (zero, one)])
+        minus = ring.dot([(zero, one), (x, -one)])
+        assert plus.rf_coords() == cx
+        assert minus.rf_coords() == [-s for s in cx]
+        for got, want in ((x + zero, plus), (zero + x, plus),
+                          (x - zero, plus), (zero - x, minus)):
+            assert got == want and got.coords == want.coords
+            assert hash(got) == hash(want)
+    assert zero + zero == zero - zero == zero
+
+
 def test_scale_const_matches_reference(ring):
     big = ring.field
     codes = [0, 1, big.p - 1, big.order - 1]

@@ -272,12 +272,15 @@ class TestTwistedEisenstein:
     ], ids=["q3-t^2+1", "q4-t^2+t+w"])
     def test_components_equal_direct_moebius_sum(self, modulus, k, N, bound):
         # E_a = G_k(1/lambda_a) + sum over monic c and xi in F_q^* of
-        # G_k(u(xi c z + a/p)), with u(xi c z) = u(cz)/xi
+        # G_k(u(xi c z + a/p)), with u(xi c z) = u(cz)/xi; only monic a are
+        # computed, and every unit a must match xi^(-k) E_{a/xi}, xi = lc(a)
         ctx = TorsionContext(modulus, ext_degree=2)
         field = ctx.field
         comps = eisenstein_components(ctx, k, modulus, N, bound)
         gk = goss_coeffs_in(ctx, k)
-        assert len(comps) == len(ctx.units())
+        assert len(comps) == len(ctx.units()) // (field.order - 1)
+        assert all(Pol(field, key).is_monic() for key in comps)
+        total = UExpansion.zero(ctx, N)
         for a in ctx.units():
             lam = ctx.exp_value(a)
             want = UExpansion.const(
@@ -288,7 +291,16 @@ class TestTwistedEisenstein:
                     Uxi = U.scale_const(ctx.emb[field.inv(xi)])
                     want = want + poly_eval_series(
                         gk, moebius_of_series(Uxi, lam))
-            assert comps[a.c] == want, "a = %s" % a.format()
+            xi = a.leading()
+            got = comps[a.monic().c].scale_const(ctx.emb[field.pow(xi, -k)])
+            assert got == want, "a = %s" % a.format()
+            total = total + want.scale(ctx.lift_poly(a))
+        # render folds components given at every unit onto the monic E_a;
+        # with the non-character components comp(a) = a it must give
+        # sum_a a * E_a
+        T = TwistedEisenstein(ctx, k, DirichletCharacter.trivial(
+            modulus, big=ctx.big), {a.c: ctx.lift_poly(a) for a in ctx.units()})
+        assert T.render(N, bound).agrees_with(total)
 
     def test_render_precision_honesty(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
