@@ -3,12 +3,12 @@ from .poly import (Pol, parse_pol, monics_of_degree, polys_below_degree,
                    monics_up_to_degree, factor_squarefree_monic,
                    is_irreducible, irreducible_monics)
 from .ratfunc import RF
-from .quotient import QuotientRing, REl
+from .quotient import QuotientRing, REl, row_echelon
 from .binom import lucas_binomial
 
 __all__ = [
     "FiniteField", "finite_field", "Pol", "parse_pol", "monics_of_degree",
     "polys_below_degree", "monics_up_to_degree", "factor_squarefree_monic",
     "is_irreducible", "irreducible_monics",
-    "RF", "QuotientRing", "REl", "lucas_binomial",
+    "RF", "QuotientRing", "REl", "row_echelon", "lucas_binomial",
 ]

@@ -548,34 +548,54 @@ class REl:
         return self.format()
 
 
+def row_echelon(rows, invert):
+    """Forward Gaussian elimination of a list of row lists, in place.
+
+    Column by column, the first remaining row with a nonzero entry is
+    swapped up and scaled by invert(pivot), and only the rows below it are
+    cleared; entries left of the pivot are zero and stay untouched.  Stops
+    once every row has a pivot.  Returns the pivot columns, as many as the
+    rank.
+    """
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        piv = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = invert(rows[top][col])
+        tail = [x * inv for x in rows[top][col:]]
+        rows[top][col:] = tail
+        for row in rows[top + 1:]:
+            f = row[col]
+            if f:
+                row[col:] = [a - f * b if b else a
+                             for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots
+
+
 def _invert(x):
     """Inversion by a linear solve over RF: x * v = 1 for the coordinate
-    vector v."""
+    vector v, by row_echelon on (M | e0) and back substitution."""
     ring = x.ring
     n = ring.total
     fn = ring.field.n
     # columns: x * basis_j
     cols = [(x * REl(ring, 1 << (8 * fn * j), ring._unit)).rf_coords()
             for j in range(n)]
-    # solve M v = e0 with M[i][j] = cols[j][i]
-    M = [[cols[j][i] for j in range(n)] for i in range(n)]
-    rhs = [RF.one(ring.field)] + [RF.zero(ring.field)] * (n - 1)
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if M[row][col]:
-                piv = row
-                break
-        if piv is None:
-            raise NotInvertible("zero divisor")
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pinv = M[col][col].inverse()
-        M[col] = [c * pinv for c in M[col]]
-        rhs[col] = rhs[col] * pinv
-        for row in range(n):
-            if row != col and M[row][col]:
-                f = M[row][col]
-                M[row] = [a - f * b for a, b in zip(M[row], M[col])]
-                rhs[row] = rhs[row] - f * rhs[col]
-    return ring.from_rf_coords(rhs)
+    e0 = [RF.one(ring.field)] + [RF.zero(ring.field)] * (n - 1)
+    M = [[c[i] for c in cols] + [e0[i]] for i in range(n)]
+    if row_echelon(M, RF.inverse) != list(range(n)):
+        raise NotInvertible("zero divisor")
+    v = [None] * n
+    for i in reversed(range(n)):
+        acc = M[i][n]
+        for a, b in zip(M[i][i + 1:n], v[i + 1:]):
+            if a:
+                acc = acc - a * b
+        v[i] = acc
+    return ring.from_rf_coords(v)

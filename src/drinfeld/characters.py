@@ -99,10 +99,6 @@ class DirichletCharacter:
                for (p, r, e1), (_, _, e2) in zip(self.factors, other.factors)]
         return DirichletCharacter(self.field, fac, big=self.big)
 
-    def power(self, k):
-        fac = [(p, r, e * k) for p, r, e in self.factors]
-        return DirichletCharacter(self.field, fac, big=self.big)
-
     def same_roots(self, other):
         return (self.big is other.big
                 and len(self.factors) == len(other.factors)
@@ -137,13 +133,6 @@ class DirichletCharacter:
     def eval_inv(self, a):
         v = self.eval(a)
         return self.big.inv(v) if v else 0
-
-    def describe(self, symbol="t"):
-        parts = []
-        for p, r, e in self.factors:
-            parts.append({"prime": p.format(symbol), "zeta": r, "e": e})
-        return {"conductor": self.conductor.format(symbol),
-                "factors": parts, "sign": self.sign}
 
     def __repr__(self):
         return "chi{%s}" % "; ".join("%s^%d@%d" % (p.format(), e, r)
@@ -198,15 +187,13 @@ def _residues(chi):
 
 def _basic_gauss_sum(ctx, prime_index, root):
     """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)."""
-    field = ctx.field
     big = ctx.big
-    emb = big.embedding(field)
     prime = ctx.primes[prime_index]
     out = ctx.ring.zero
     for delta in ctx.residues(prime):
         if not delta:
             continue
-        v = delta.eval_in(big, root, emb)
+        v = delta.eval_in(big, root, ctx.emb)
         term = ctx._carlitz_at_gen(delta, prime_index)
         out = out + term.scale_const(big.inv(v))
     return out

@@ -94,10 +94,9 @@ def table_pairs(q, npol, rng):
     size = q ** npol.degree
     first = ctx.primes[0]
     zeta = min(first.roots_in(ctx.big))
-    emb = ctx.big.embedding(field)
     pairs = []
     betas = [b for b in polys_below_degree(field, npol.degree) if b]
-    vals = {b.c: b.eval_in(ctx.big, zeta, emb) for b in betas}
+    vals = {b.c: b.eval_in(ctx.big, zeta, ctx.emb) for b in betas}
     powers = {b.c: ctx.exp_value(b) for b in betas}
     for j in range(1, rng + 1):
         for i in range(1, rng + 1):

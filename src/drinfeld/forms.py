@@ -10,27 +10,17 @@ g(chi^{-1})/p at the coefficient level.
 
 import json
 
-from .algebra import Pol, monics_up_to_degree
+from .algebra import Pol, REl, monics_up_to_degree, row_echelon
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter, gauss_thakur
 from .errors import SignMismatch, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
-                     eisenstein_components, fold_units, goss_coeffs_in,
-                     moebius_of_series, poly_eval_series, rescale_arg,
-                     u_of_az)
+                     bound_for_precision, eisenstein_components, fold_units,
+                     goss_coeffs_in, moebius_of_series, poly_eval_series,
+                     rescale_arg, u_of_az)
 from .operators import hecke_a, hecke_twisted, hecke_u, twist_normalized
-
-
-def bound_for_precision(field, N, min_exp=1):
-    """Smallest degree bound b with min_exp * q^(b+1) >= N, so that terms
-    at monics of degree > b cannot touch coefficients below N."""
-    q = field.order
-    b = 0
-    while min_exp * q ** (b + 1) < N:
-        b += 1
-    return b
 
 
 # -- catalog builders ------------------------------------------------------
@@ -277,32 +267,8 @@ def ehat_twist_identity(chi, k, ppol, N):
 
 def matrix_rank(rows):
     """Rank of a matrix of torsion-ring elements (the ring must be a field)
-    by exact Gaussian elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].invert()
-        pivot_row = [x * inv for x in rows[rank]]
-        rows[rank] = pivot_row
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    by forward elimination."""
+    return len(row_echelon([list(r) for r in rows if any(r)], REl.invert))
 
 
 def eisenstein_rank(ppol, k, N):

@@ -215,12 +215,20 @@ class UExpansion:
         return self.format()
 
 
+def bound_for_precision(field, N, min_exp=1):
+    """Smallest degree bound b with min_exp * q^(b+1) >= N, so that terms
+    at monics of degree > b cannot touch coefficients below N."""
+    q = field.order
+    b = 0
+    while min_exp * q ** (b + 1) < N:
+        b += 1
+    return b
+
+
 def lift_rf_to(ctx, rf):
     """An RF over the base field as an RF over the context's big field."""
-    emb = ctx.big.embedding(rf.num.field)
-    num = rf.num.map_to(ctx.big, emb)
-    den = rf.den.map_to(ctx.big, emb)
-    return RF(num, den)
+    return RF(rf.num.map_to(ctx.big, ctx.emb),
+              rf.den.map_to(ctx.big, ctx.emb))
 
 
 def poly_eval_series(coeffs, S):
@@ -357,7 +365,7 @@ def evaluate_at_shift(f, beta, qpol, ctx):
 def descend(g, qpol, meta=None):
     """Invert to_subparameter: solve sum_i c_i * U(v)^i = g for the c_i.
 
-    U = u_of_az(q) has order |q| and unit leading coefficient (q monic),
+    U = u_of_az(q) has order |q| and leading coefficient 1/lc(q), a unit,
     so the system is triangular.  A nonzero residual means g is not an
     A-periodic u-series and raises NotDescendable.
     """
@@ -370,11 +378,11 @@ def descend(g, qpol, meta=None):
     residual = list(g.coeffs)
     out = []
     power = UExpansion.const(ctx, ctx.ring.one, g.prec, var=g.var)
-    lead = ctx.lift_const(qpol.leading()).invert()
+    lead = ctx.lift_const(qpol.leading())
     for i in range(Nu):
         ci = residual[i * size]
         if i:
-            # divide by the leading coefficient of U^i
+            # divide by the leading coefficient lc(q)^(-i) of U^i
             ci = ci * (lead ** i)
         out.append(ci)
         if ci:
@@ -401,6 +409,8 @@ class AExpansion:
                  neben=None):
         if kind not in ("power", "goss"):
             raise ValueError("kind must be 'power' or 'goss'")
+        if index < 1:
+            raise ValueError("index must be >= 1")
         self.ctx = ctx
         self.kind = kind
         self.index = index
@@ -442,7 +452,7 @@ class AExpansion:
         """Truncated u-expansion; the omitted degrees must start beyond N."""
         q = self.ctx.field.order
         min_exp = self.index if self.kind == "power" else 1
-        if min_exp * q ** (self.bound + 1) < N:
+        if self.bound < bound_for_precision(self.ctx.field, N, min_exp):
             raise InsufficientDegreeBound(
                 "degree bound %d cannot reach precision %d" % (self.bound, N))
         ctx = self.ctx
@@ -573,12 +583,10 @@ class TwistedEisenstein:
         computed as sum_{a monic} w(a) * E_a with the components folded
         onto the monic units by fold_units."""
         ctx = self.ctx
-        q = ctx.field.order
+        least = bound_for_precision(ctx.field, N)
         if bound is None:
-            bound = 0
-            while q ** (bound + 1) < N:
-                bound += 1
-        if q ** (bound + 1) < N:
+            bound = least
+        if bound < least:
             raise InsufficientDegreeBound(
                 "degree bound %d cannot reach precision %d" % (bound, N))
         out = UExpansion.zero(ctx, N)

@@ -93,6 +93,13 @@ class TestTable:
 
 
 class TestVerify:
+    def test_all_suites_match_golden(self, capsys):
+        # every suite at the default flags, byte for byte
+        golden = Path(__file__).with_name("golden_verify.txt").read_text()
+        code, out, _ = run(capsys, ["verify"])
+        assert code == 0
+        assert out == golden
+
     def test_unknown_suite_exit_2(self, capsys):
         code, out, err = run(capsys, ["verify", "--suite", "bogus"])
         assert code == 2 and "unknown suite" in err

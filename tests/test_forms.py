@@ -226,6 +226,38 @@ class TestRank:
         with pytest.raises(NotSquareFree):
             forms.eisenstein_rank(pol3("t^2"), 1, 12)
 
+    def test_matrix_rank_matches_gauss_jordan_on_rank_rows(self,
+                                                           monkeypatch):
+        # the Eisenstein rows of the rank suite, full rank 8 each
+        seen = []
+        monkeypatch.setattr(forms, "matrix_rank",
+                            lambda rows: seen.append(rows) or 0)
+        for k in (1, 2, 3):
+            forms.eisenstein_rank(pol3("t^2+1"), k, 36)
+        monkeypatch.undo()
+        for rows in seen:
+            assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == 8
+
+    def test_matrix_rank_matches_gauss_jordan_when_deficient(self):
+        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        ring = ctx.ring
+        zero = ring.zero
+        lam = ctx.exp_value(Pol.one(F3))
+        th = ctx.lift_poly(TH)
+        a = [lam, th, lam * th + ring.one, zero, lam ** 3]
+        b = [th * th, zero, lam, ring.one, th + lam]
+        c = [zero, lam ** 5, th, lam + ring.one, ring.one]
+        combo = [x * th + y * lam for x, y in zip(a, c)]
+        cases = [
+            ([a, b, a, c, b], 3),  # repeated rows
+            ([a, b, c, combo], 3),  # a combination of other rows
+            ([[zero] + r[1:] for r in (a, b, c)], 3),  # zero first column
+            ([[zero] + r[1:] for r in (a, c, combo)], 2),
+            ([[zero] * 5, a, [x * th for x in a]], 1),
+        ]
+        for rows, want in cases:
+            assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == want
+
     @pytest.mark.parametrize("ppol, ks, N", [
         (pol3("t^2+1"), (1, 2, 3), 28),
         (P4, (1, 2), 20),
@@ -243,6 +275,30 @@ class TestRank:
             want = [[x.coords for x in row]
                     for row in _all_unit_rows(ppol, k, N)]
             assert got == want, "k = %d" % k
+
+
+def _old_matrix_rank(rows):
+    """The Gauss-Jordan loop matrix_rank ran before it used row_echelon."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    if not rows:
+        return 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].invert()
+        pivot_row = [x * inv for x in rows[rank]]
+        rows[rank] = pivot_row
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _all_unit_rows(ppol, k, N):

@@ -9,12 +9,14 @@ denominators.  The fast paths of the series layer over these rings
 """
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 
-from drinfeld.algebra import Pol, RF, finite_field, parse_pol, quotient
+from drinfeld.algebra import (Pol, QuotientRing, RF, finite_field, parse_pol,
+                              quotient, row_echelon)
 from drinfeld.carlitz import TorsionContext
-from drinfeld.errors import Unsupported
+from drinfeld.errors import NotInvertible, Unsupported
 from drinfeld.series import UExpansion
 
 F3, F4, F5, F9 = (finite_field(3), finite_field(2, 2), finite_field(5),
@@ -217,6 +219,89 @@ def test_invert_prime_field_constants(ring):
         assert inv == ring.from_rf(x.scalar_part().inverse())
         assert inv.den is ring._unit
         assert x * inv == ring.one
+
+
+def basis_element(ring, j):
+    return ring.from_rf_coords([RF.one(ring.field) if i == j
+                                else RF.zero(ring.field)
+                                for i in range(ring.total)])
+
+
+def old_rf_invert(x):
+    """The Gauss-Jordan solve over RF that _invert ran before it shared
+    row_echelon: reduced form, then the right-hand side is the inverse."""
+    ring = x.ring
+    n = ring.total
+    cols = [(x * basis_element(ring, j)).rf_coords() for j in range(n)]
+    M = [[cols[j][i] for j in range(n)] for i in range(n)]
+    rhs = [RF.one(ring.field)] + [RF.zero(ring.field)] * (n - 1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            raise NotInvertible("zero divisor")
+        M[col], M[piv] = M[piv], M[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        pinv = M[col][col].inverse()
+        M[col] = [c * pinv for c in M[col]]
+        rhs[col] = rhs[col] * pinv
+        for row in range(n):
+            if row != col and M[row][col]:
+                f = M[row][col]
+                M[row] = [a - f * b for a, b in zip(M[row], M[col])]
+                rhs[row] = rhs[row] - f * rhs[col]
+    return ring.from_rf_coords(rhs)
+
+
+@pytest.mark.parametrize("seed", [9, 21, 33])
+def test_invert_matches_gauss_jordan(ring, seed):
+    # non-scalar elements, integral and with denominators; a zero divisor
+    # must raise in both versions
+    checked = 0
+    for x, _ in elements(ring, seed, nonzero=2, length=2):
+        if x.is_scalar():
+            continue
+        try:
+            want = old_rf_invert(x)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                x.invert()
+            continue
+        assert x.invert() == want
+        checked += 1
+    assert checked
+
+
+def test_invert_zero_divisor_matches_gauss_jordan():
+    # F_3(theta)[x] / (x^2 - 1): x + 1 is a zero divisor, x is its own
+    # inverse
+    F = finite_field(3)
+    ring = QuotientRing(F, [("x", [RF.from_pol(Pol.const(F, 2)), RF.zero(F),
+                                   RF.one(F)])])
+    x = ring.gen(0)
+    for bad in (x + ring.one, x - ring.one):
+        with pytest.raises(NotInvertible):
+            old_rf_invert(bad)
+        with pytest.raises(NotInvertible):
+            bad.invert()
+    theta = ring.from_rf(RF.from_pol(Pol.x(F)))
+    for unit in (x, x + theta):
+        assert unit.invert() == old_rf_invert(unit)
+    assert x.invert() == x
+
+
+def test_row_echelon_pivots_and_form():
+    # over Q: pivots are the first nonzero column of each remaining row,
+    # pivot entries become 1 and everything below a pivot is cleared
+    rows = [[Q(0), Q(2), Q(4), Q(1)],
+            [Q(0), Q(1), Q(2), Q(3)],
+            [Q(0), Q(3), Q(6), Q(4)],
+            [Q(0), Q(0), Q(0), Q(0)]]
+    assert row_echelon(rows, lambda a: 1 / a) == [1, 3]
+    assert rows[0] == [0, 1, 2, Q(1, 2)] and rows[1] == [0, 0, 0, 1]
+    assert rows[2] == rows[3] == [0, 0, 0, 0]
+    assert row_echelon([], lambda a: 1 / a) == []
+    square = [[Q(2), Q(1)], [Q(1), Q(1)]]
+    assert row_echelon(square, lambda a: 1 / a) == [0, 1]
 
 
 def test_format_matches_reference(ring):

@@ -157,6 +157,20 @@ class TestSubParameter:
         g = to_subparameter(f, TH, 27)
         assert descend(g, TH).agrees_with(f.truncate(9))
 
+    @pytest.mark.parametrize("p, qtext", [
+        (5, "2*t"), (5, "3*t+1"), (7, "3*t+2"), (3, "2*t"), (5, "t+1")])
+    def test_roundtrip_non_monic(self, p, qtext):
+        # U = u(qz) leads with 1/lc(q), so c_i is scaled by lc(q)^i
+        field = finite_field(p)
+        t = Pol.x(field)
+        ctx = TorsionContext(t)
+        th = ctx.lift_poly(t)
+        one = ctx.ring.one
+        f = UExpansion(ctx, [ctx.ring.zero, th, one, th + one], 4)
+        qpol = parse_pol(field, qtext)
+        g = to_subparameter(f, qpol, 4 * p)
+        assert descend(g, qpol).agrees_with(f)
+
     def test_v_not_descendable(self):
         ctx = TorsionContext(TH)
         g = UExpansion.u(ctx, 9, var="v")
@@ -220,6 +234,9 @@ class TestAExpansionRender:
         F = AExpansion(ctx, "power", 1, 2, 1, coeffs, 1)
         with pytest.raises(InsufficientDegreeBound):
             F.render(10)
+        # index 0 would make every u(az)^0 = 1 and no bound reach N
+        with pytest.raises(ValueError, match="index"):
+            AExpansion(ctx, "power", 0, 2, 1, coeffs, 1)
 
     def test_precision_honesty(self):
         ctx = TorsionContext(TH)
