@@ -59,10 +59,12 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
+    Its memos, ``powers`` and ``gauss`` (g(chi) per character), die with it.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "lam", "_cofs", "_exp_cache", "_qpow_cache", "qexp")
+                 "gens", "lam", "_cofs", "_exp_cache", "_qpow_cache", "qexp",
+                 "_powers", "gauss")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -87,6 +89,8 @@ class TorsionContext:
         self.ring = QuotientRing(big, gens)
         self.gens = tuple(self.ring.gen(i) for i in range(len(self.primes)))
         self._exp_cache = {}
+        self._powers = {}
+        self.gauss = {}
         self._qpow_cache = [
             {0: g} for g in self.gens
         ]
@@ -148,6 +152,15 @@ class TorsionContext:
             out = out + self._carlitz_at_gen(beta * c, i)
         self._exp_cache[key] = out
         return out
+
+    def powers(self, x, count):
+        """[1, x, ..., x^(count-1)] for a ring element x, or a longer list
+        of the same powers.  Kept per value of x and grown by one product
+        per new power; callers must not mutate the list."""
+        pows = self._powers.setdefault(x.coords, [self.ring.one])
+        while len(pows) < count:
+            pows.append(pows[-1] * x)
+        return pows
 
     def exp_at(self, beta, divisor):
         """Torsion value for a divisor modulus: exp_C(pi*beta/divisor)."""

@@ -203,7 +203,8 @@ def gauss_thakur(chi, ctx):
     """Gauss-Thakur sum g(chi) in the torsion ring of the conductor.
 
     Each exponent e_i is expanded in base q; g(chi) is the product over
-    all digits of the basic sums g(chi_{zeta_i^{q^j}})^{e_ij}.
+    all digits of the basic sums g(chi_{zeta_i^{q^j}})^{e_ij}.  Kept in
+    ctx.gauss, so each context computes it once per character.
     """
     if not chi.is_primitive():
         if chi.is_trivial():
@@ -211,6 +212,9 @@ def gauss_thakur(chi, ctx):
         raise NotPrimitive("Gauss-Thakur sums need a primitive character")
     if chi.conductor.gcd(ctx.modulus) != chi.conductor:
         raise ConductorMismatch("conductor must divide the context modulus")
+    cached = ctx.gauss.get(chi)
+    if cached is not None:
+        return cached
     big = ctx.big
     conv = None if big is chi.big else big.embedding(chi.big)
     q = chi.field.order
@@ -225,6 +229,7 @@ def gauss_thakur(chi, ctx):
                 out = out * basic ** digit
             e //= q
             r = big.pow(r, q)
+    ctx.gauss[chi] = out
     return out
 
 
@@ -238,10 +243,7 @@ def char_sum_s(chi, k, ctx):
     out = ctx.ring.zero
     for beta in ctx.residues(n):
         code = ctx.char_value(inv, beta)
-        if not code:
-            continue
-        if k == 0:
-            out = out + ctx.ring.one.scale_const(code)
-        else:
-            out = out + (ctx.exp_at(beta, n) ** k).scale_const(code)
+        if code:
+            lam_k = ctx.powers(ctx.exp_at(beta, n), k + 1)[k]
+            out = out + lam_k.scale_const(code)
     return out

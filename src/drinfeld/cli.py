@@ -11,13 +11,14 @@ the DRINFELD_THREADS environment variable.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
 
-from .algebra import (Pol, finite_field, irreducible_monics, parse_pol,
-                      polys_below_degree)
+from .algebra import (Pol, factor_squarefree_monic, finite_field,
+                      irreducible_monics, parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
 from .characters import (DirichletCharacter, convolve, jacobi_factor)
 from .errors import DrinfeldError
@@ -212,10 +213,8 @@ def suite_convolution(args):
     moduli = [th, parse_pol(field, "t^2+1"), th * (th + Pol.one(field))]
     reports = []
     for npol in moduli:
-        from .algebra import factor_squarefree_monic
         primes = factor_squarefree_monic(npol)
         ranges = [range(1, 3 ** p.degree - 1) for p in primes]
-        import itertools
         chis = [DirichletCharacter(field, [(p, None, e)
                                            for p, e in zip(primes, exps)])
                 for exps in itertools.product(*ranges)]

@@ -12,7 +12,7 @@ import json
 
 from .algebra import Pol, REl, monics_up_to_degree, row_echelon
 from .carlitz import TorsionContext
-from .characters import DirichletCharacter, gauss_thakur
+from .characters import DirichletCharacter
 from .errors import SignMismatch, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
@@ -20,7 +20,8 @@ from .series import (AExpansion, TwistedEisenstein, UExpansion,
                      bound_for_precision, eisenstein_components, fold_units,
                      goss_coeffs_in, moebius_of_series, poly_eval_series,
                      rescale_arg, u_of_az)
-from .operators import hecke_a, hecke_twisted, hecke_u, twist_normalized
+from .operators import (gauss_over_conductor, hecke_a, hecke_twisted, hecke_u,
+                        twist_normalized)
 
 
 # -- catalog builders ------------------------------------------------------
@@ -228,8 +229,7 @@ def congruence_check(kind, ppol, s, N):
         diff = fricke_eis(ctx, chi, 1, bound).render(N) - fs.render(N)
     elif kind == "TwistedSF":
         R = twisted_eis(ctx, chi, 1).render(N)
-        scalar = (gauss_thakur(chi.inverse(), ctx)
-                  * ctx.lift_poly(ppol).invert())
+        scalar = gauss_over_conductor(chi, ctx)
         diff = ((rescale_arg(R, ppol) - R).scale(scalar)
                 - twist_normalized(fs.render(N), chi, ctx))
     else:
@@ -255,8 +255,7 @@ def ehat_twist_identity(chi, k, ppol, N):
     bound = bound_for_precision(ppol.field, N)
     lhs = twist_normalized(fricke_eis(ctx, chi, k, bound).render(N), chi, ctx)
     R = twisted_eis(ctx, chi, k).render(N)
-    scalar = gauss_thakur(chi.inverse(), ctx) * ctx.lift_poly(ppol).invert()
-    rhs = (rescale_arg(R, ppol) - R).scale(scalar)
+    rhs = (rescale_arg(R, ppol) - R).scale(gauss_over_conductor(chi, ctx))
     m = min(lhs.prec, rhs.prec)
     d = lhs.truncate(m).difference(rhs.truncate(m))
     params = {"p": ppol.format(), "k": k, "chi": repr(chi), "N": N}

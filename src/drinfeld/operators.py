@@ -6,7 +6,7 @@ collapsed into the two hard-coded formulas
     twist_raw(f) = n^(2m-k) sum_beta chi^{-1}(beta) f(z + beta/n).
 """
 
-from .algebra import Pol, lucas_binomial
+from .algebra import Pol, lucas_binomial, monics_up_to_degree
 from .characters import char_sum_s, gauss_thakur
 from .errors import LevelPrime, NotPrimitive, Unsupported
 from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
@@ -41,8 +41,8 @@ def _pol_lcm(a, b):
     return (a * b) // a.gcd(b)
 
 
-def twist_raw(f, chi, ctx):
-    """The projection pi-hat_chi: n^(2m-k) * sum_beta chi^{-1}(beta) f(z + beta/n)."""
+def _character_shift_sum(f, chi, ctx):
+    """sum_beta chi^{-1}(beta) f(z + beta/n), carrying the twisted metadata."""
     if f.meta is None:
         raise ValueError("twisting needs weight/type metadata")
     n = chi.conductor
@@ -53,27 +53,35 @@ def twist_raw(f, chi, ctx):
     out = UExpansion.zero(ctx, f.prec)
     for beta in ctx.residues(n):
         code = ctx.char_value(inv, beta)
-        if not code:
-            continue
-        out = out + shift_by_value(f, ctx.exp_at(beta, n)).scale_const(code)
-    out = out.scale(_modulus_power(ctx, n, 2 * m - k))
+        if code:
+            lam = ctx.exp_at(beta, n)
+            out = out + shift_by_value(f, lam).scale_const(code)
     neben = f.meta.neben
     newneben = (neben, chi, chi) if neben is not None else (chi, chi)
     meta = ModularMeta(k, m + chi.sign, _pol_lcm(f.meta.level, n * n), newneben)
     return out.with_meta(meta)
 
 
+def twist_raw(f, chi, ctx):
+    """The projection pi-hat_chi: n^(2m-k) * sum_beta chi^{-1}(beta) f(z + beta/n)."""
+    out = _character_shift_sum(f, chi, ctx)
+    k, m = f.meta.weight, f.meta.type_
+    return out.scale(_modulus_power(ctx, chi.conductor, 2 * m - k))
+
+
+def gauss_over_conductor(chi, ctx):
+    """g(chi^{-1})/n for n the conductor of chi, as a ring element."""
+    return (gauss_thakur(chi.inverse(), ctx)
+            * ctx.lift_poly(chi.conductor).invert())
+
+
 def twist_normalized(f, chi, ctx):
-    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi; integral output."""
+    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi; integral output.  The
+    conductor powers cancel, so the beta-sum is scaled by g(chi^{-1})/n."""
     if not chi.is_primitive():
         raise NotPrimitive("normalized twists need a primitive character")
-    if f.meta is None:
-        raise ValueError("twisting needs weight/type metadata")
-    k, m = f.meta.weight, f.meta.type_
-    raw = twist_raw(f, chi, ctx)
-    g = gauss_thakur(chi.inverse(), ctx)
-    scalar = _modulus_power(ctx, chi.conductor, k - 2 * m - 1) * g
-    return raw.scale(scalar).with_meta(raw.meta)
+    out = _character_shift_sum(f, chi, ctx)
+    return out.scale(gauss_over_conductor(chi, ctx))
 
 
 def twist_monomial_closed(i, chi, ctx, N):
@@ -87,8 +95,7 @@ def twist_monomial_closed(i, chi, ctx, N):
     q = ctx.field.order
     p = ctx.field.p
     s = chi.sign
-    g_over_n = (gauss_thakur(chi.inverse(), ctx)
-                * ctx.lift_poly(chi.conductor).invert())
+    g_over_n = gauss_over_conductor(chi, ctx)
     zero = ctx.ring.zero
     out = [zero] * N
     l = s if s else q - 1
@@ -149,7 +156,6 @@ def hecke_a(F, qpol):
         raise ValueError("degree bound too small for this Hecke prime")
     one = Pol.one(ctx.field)
     coeffs = {}
-    from .algebra import monics_up_to_degree
     for a in monics_up_to_degree(ctx.field, newbound):
         acc = ctx.ring.zero
         if a.gcd(qpol) == one:
@@ -191,7 +197,6 @@ def delta_sum(F, npol, ctx):
     one = Pol.one(ctx.field)
     ni = ctx.lift_poly(npol ** F.index)
     coeffs = {}
-    from .algebra import monics_up_to_degree
     for a in monics_up_to_degree(ctx.field, F.bound):
         c = F.coeffs.get(a.c)
         target = a * npol

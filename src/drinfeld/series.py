@@ -292,11 +292,8 @@ def shift_by_value(f, lam, var=None):
     ctx = f.ctx
     N = f.prec
     p = ctx.field.p
-    ring = ctx.ring
-    zero = ring.zero
-    pows = [ring.one]
-    for _ in range(1, N):
-        pows.append(pows[-1] * lam)
+    zero = ctx.ring.zero
+    pows = ctx.powers(lam, N)
     out = [zero] * N
     for i, c in enumerate(f.coeffs):
         if not c:

@@ -3,14 +3,24 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.algebra import Pol, finite_field, parse_pol, polys_below_degree
+from drinfeld.algebra import (Pol, finite_field, lucas_binomial, parse_pol,
+                              polys_below_degree)
 from drinfeld.carlitz import (TorsionContext, carlitz_action, carlitz_coeffs,
                               carlitz_factorials, goss_poly, goss_polys)
 from drinfeld.errors import Unsupported
+from drinfeld.series import UExpansion, shift_by_value
 
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 F5 = finite_field(5)
+F9 = finite_field(3, 2)
 TH = Pol.x(F3)
+
+# (field, modulus coefficients): one prime level for each q in 3, 4, 5, 9;
+# the F_4 code 2 is a root omega of x^2 + x + 1
+MEMO_LEVELS = [(F3, (1, 0, 1)), (F4, (2, 1, 1)), (F5, (2, 0, 1)),
+               (F9, (0, 1))]
+MEMO_IDS = ["q3-t2+1", "q4-t2+t+w", "q5-t2+2", "q9-t"]
 
 
 def pol3(text):
@@ -121,6 +131,102 @@ class TestTorsionContext:
         assert len(ctx.units()) == 4
         assert len(ctx.units(TH)) == 2
         assert len(ctx.residues(TH)) == 3
+
+
+def _shift_uncached(f, lam):
+    """shift_by_value with its own running product for the powers of lam."""
+    ctx = f.ctx
+    N = f.prec
+    p = ctx.field.p
+    ring = ctx.ring
+    pows = [ring.one]
+    for _ in range(1, N):
+        pows.append(pows[-1] * lam)
+    out = [ring.zero] * N
+    for i, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        if i == 0:
+            out[0] = out[0] + c
+            continue
+        for n in range(i, N):
+            b = lucas_binomial(-i, n - i, p)
+            if b:
+                term = c * pows[n - i] if n != i else c
+                out[n] = out[n] + term.scale_const(b % p)
+    return UExpansion(ctx, out, N, None, f.var)
+
+
+def _memo_elements(ctx):
+    """A torsion value and a generic element with a denominator."""
+    field = ctx.field
+    theta = Pol.x(field)
+    torsion = ctx.exp_value(theta + Pol.one(field))
+    generic = (ctx.lam * ctx.lift_poly(theta)
+               + ctx.lift_poly(theta + Pol.one(field)).invert())
+    return torsion, generic
+
+
+class TestTorsionMemos:
+    @pytest.mark.parametrize("field, coeffs", MEMO_LEVELS, ids=MEMO_IDS)
+    def test_powers_long_then_short(self, field, coeffs):
+        ctx = TorsionContext(Pol(field, coeffs))
+        for x in _memo_elements(ctx):
+            long = ctx.powers(x, 7)
+            short = ctx.powers(x, 3)
+            for m, pows in ((7, long), (3, short)):
+                assert len(pows) >= m
+                for j in range(m):
+                    assert pows[j] == x ** j
+
+    @pytest.mark.parametrize("field, coeffs", MEMO_LEVELS, ids=MEMO_IDS)
+    def test_powers_short_then_long(self, field, coeffs):
+        ctx = TorsionContext(Pol(field, coeffs))
+        for x in _memo_elements(ctx):
+            short = list(ctx.powers(x, 3))
+            long = ctx.powers(x, 7)
+            assert long[:3] == short[:3]
+            for j in range(7):
+                assert long[j] == x ** j
+
+    def test_powers_zero_and_one(self):
+        ctx = TorsionContext(TH)
+        assert ctx.powers(ctx.ring.zero, 3)[:3] == [ctx.ring.one,
+                                                    ctx.ring.zero,
+                                                    ctx.ring.zero]
+        assert ctx.powers(ctx.ring.one, 1)[0] == ctx.ring.one
+
+    def test_powers_keyed_by_value(self):
+        ctx = TorsionContext(pol3("t^2+1"))
+        a = ctx.exp_value(pol3("t+1"))
+        b = ctx.exp_value(TH) + ctx.exp_value(Pol.one(F3))
+        assert a == b and a is not b
+        assert ctx.powers(a, 4) is ctx.powers(b, 4)
+        assert ctx.powers(a, 4) is not ctx.powers(a + a, 4)
+
+    def test_powers_per_context(self):
+        one, two = TorsionContext(TH), TorsionContext(TH)
+        p1 = one.powers(one.lam, 4)
+        p2 = two.powers(two.lam, 4)
+        assert p1 is not p2
+        assert [x.coords for x in p1[:4]] == [x.coords for x in p2[:4]]
+        assert all(x.ring is one.ring for x in p1)
+        assert all(x.ring is two.ring for x in p2)
+
+    @pytest.mark.parametrize("field, coeffs", MEMO_LEVELS, ids=MEMO_IDS)
+    def test_shift_by_value_matches_uncached(self, field, coeffs):
+        ctx = TorsionContext(Pol(field, coeffs))
+        theta = ctx.lift_poly(Pol.x(field))
+        f = UExpansion(ctx, [theta, ctx.ring.one, ctx.ring.zero, ctx.lam,
+                             theta * ctx.lam, ctx.ring.one], 6)
+        g = UExpansion(ctx, list(f.coeffs) + [theta, ctx.lam], 9)
+        for lam in _memo_elements(ctx):
+            # precision 6, again 6 from the memo, then 9 past it
+            for h in (f, f, g):
+                want = _shift_uncached(h, lam)
+                got = shift_by_value(h, lam)
+                assert got.prec == want.prec
+                assert got.coeffs == want.coeffs
 
 
 class TestGossPolynomials:

@@ -13,6 +13,7 @@ from drinfeld.characters import (DirichletCharacter, char_sum_s, convolve,
 from drinfeld.errors import ConductorMismatch, NotPrimitive
 
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 TH = Pol.x(F3)
 
 
@@ -127,6 +128,27 @@ class TestGaussThakur:
         with pytest.raises(ConductorMismatch):
             gauss_thakur(chi, ctx)
 
+    @pytest.mark.parametrize("npol, e", [
+        (TH, 1), (pol3("t^2+1"), 3), (TH * pol3("t+1"), 1),
+        (Pol(F4, (2, 1, 1)), 5)], ids=["q3-t", "q3-t2+1", "q3-t2+t", "q4"])
+    def test_memo_per_context(self, npol, e):
+        # the second call returns the stored sum; a fresh context
+        # recomputes the same value
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(npol, e, big=ctx.big)
+        g = gauss_thakur(chi, ctx)
+        assert gauss_thakur(DirichletCharacter.from_conductor(
+            npol, e, big=ctx.big), ctx) is g
+        fresh = TorsionContext(npol, ext_degree=npol.degree)
+        assert gauss_thakur(chi, fresh).coords == g.coords
+        assert gauss_thakur(chi, fresh) is not g
+        # further characters in the same context get entries of their own
+        for other in (chi * chi, chi.inverse()):
+            if other.is_primitive():
+                alone = TorsionContext(npol, ext_degree=npol.degree)
+                assert (gauss_thakur(other, ctx).coords
+                        == gauss_thakur(other, alone).coords)
+
 
 class TestCharSums:
     def test_golden_values(self):
@@ -154,3 +176,31 @@ class TestCharSums:
         small = char_sum_s(chi, 1, TorsionContext(TH))
         joint = char_sum_s(chi, 1, TorsionContext(TH * pol3("t+1")))
         assert small.format() == joint.format()
+
+    @pytest.mark.parametrize("npol, conductor, e", [
+        (pol3("t^2+1"), pol3("t^2+1"), 1), (pol3("t^2+1"), pol3("t^2+1"), 6),
+        (TH * pol3("t+1"), TH, 1), (TH * pol3("t+1"), TH * pol3("t+1"), 1),
+        (Pol(F4, (2, 1, 1)), Pol(F4, (2, 1, 1)), 5)],
+        ids=["q3-t2+1-e1", "q3-t2+1-e6", "q3-divisor", "q3-t2+t", "q4"])
+    def test_matches_uncached_powers(self, npol, conductor, e):
+        # s(chi, k) from ctx.powers equals the sum over exp_at(beta, n)**k,
+        # with k rising in one context and falling in another
+        N = 8
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(conductor, e, big=ctx.big)
+        inv = chi.inverse()
+        want = []
+        for k in range(N + 1):
+            out = ctx.ring.zero
+            for beta in ctx.residues(conductor):
+                code = ctx.char_value(inv, beta)
+                if code:
+                    lam = ctx.exp_at(beta, conductor)
+                    out = out + (lam ** k).scale_const(code)
+            want.append(out)
+        assert [char_sum_s(chi, k, ctx) for k in range(N + 1)] == want
+        assert any(want)
+        down = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(conductor, e, big=down.big)
+        got = [char_sum_s(chi, k, down) for k in range(N, -1, -1)]
+        assert [x.coords for x in got[::-1]] == [x.coords for x in want]

@@ -15,6 +15,8 @@ from drinfeld.operators import (delta_sum, hecke_a, hecke_twisted, hecke_u,
                                 twist_raw, _modulus_power)
 
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
+F9 = finite_field(3, 2)
 TH = Pol.x(F3)
 
 
@@ -102,6 +104,23 @@ class TestTwistNormalized:
             ui = UExpansion.monomial(ctx, i, 20).with_meta(ModularMeta(0, 0))
             assert twist_normalized(ui, chi, ctx).agrees_with(
                 twist_monomial_closed(i, chi, ctx, 20))
+
+    @pytest.mark.parametrize("npol, N", [(Pol(F4, (2, 1, 1)), 12),
+                                         (Pol.x(F9), 20)],
+                             ids=["q4-t2+t+w", "q9-t"])
+    @pytest.mark.parametrize("e", [1, 2, 5])
+    def test_closed_form_matches_twist_path_nonprime_q(self, npol, N, e):
+        # q = 4 and q = 9: field codes of the base field and of its
+        # extension must not be mixed up in the sums s(chi, l) and g
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(npol, e, big=ctx.big)
+        nonzero = 0
+        for i in range(1, 4):
+            ui = UExpansion.monomial(ctx, i, N).with_meta(ModularMeta(0, 0))
+            closed = twist_monomial_closed(i, chi, ctx, N)
+            nonzero += closed.order() < N
+            assert twist_normalized(ui, chi, ctx).agrees_with(closed)
+        assert nonzero
 
     def test_independent_of_weight_metadata(self):
         # the conductor powers cancel, leaving n^(-1) regardless of (k, m)
