@@ -194,6 +194,31 @@ class FiniteField:
         return "GF(%d^%d)" % (self.p, self.n) if self.n > 1 else "GF(%d)" % self.p
 
 
+class FieldElement:
+    """A code of a tabulated field with the operators that generic code
+    such as quotient.row_echelon uses: *, -, truth value and invert()."""
+
+    __slots__ = ("field", "code")
+
+    def __init__(self, field, code):
+        self.field = field
+        self.code = code
+
+    def __bool__(self):
+        return self.code != 0
+
+    def __mul__(self, other):
+        f = self.field
+        return FieldElement(f, f.mul_table[self.code][other.code])
+
+    def __sub__(self, other):
+        f = self.field
+        return FieldElement(f, f.add_table[self.code][f.neg_table[other.code]])
+
+    def invert(self):
+        return FieldElement(self.field, self.field.inv(self.code))
+
+
 @functools.lru_cache(maxsize=None)
 def _finite_field(p, n):
     return FiniteField(p, n)

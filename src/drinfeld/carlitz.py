@@ -9,8 +9,13 @@ C_beta(lambda_n).
 """
 
 from .algebra import (RF, Pol, QuotientRing, factor_squarefree_monic,
-                      finite_field, polys_below_degree)
+                      finite_field, is_irreducible, monics_of_degree,
+                      polys_below_degree)
 from .errors import Unsupported
+
+# Largest residue field residue_point builds: the tables of F_256 take
+# about 1 s, those of F_625 about 4 s, more than the exact rank they spare.
+RESIDUE_ORDER_MAX = 256
 
 
 def carlitz_coeffs(a):
@@ -162,6 +167,22 @@ class TorsionContext:
             pows.append(pows[-1] * x)
         return pows
 
+    def torsion_inverse(self, level):
+        """The function lam -> 1/lam on primitive level-torsion values
+        (C_level(lam) = 0, lam a unit), with no linear solve: C_level(lam)/lam
+        = 0 gives 1/lam = -sum_{j>=1} ([level]_j/level) lam^(q^j-2), and the
+        powers come from self.powers.  level is one scalar inversion."""
+        q = self.field.order
+        inv_level = self.lift_poly(level).invert()
+        rel = [(q ** j - 2, -self.lift_poly(c) * inv_level)
+               for j, c in enumerate(carlitz_coeffs(level)) if j and c]
+        count = q ** level.degree - 1
+
+        def inverse(lam):
+            pows = self.powers(lam, count)
+            return self.ring.dot([(c, pows[e]) for e, c in rel])
+        return inverse
+
     def exp_at(self, beta, divisor):
         """Torsion value for a divisor modulus: exp_C(pi*beta/divisor)."""
         cof, rem = divmod(self.modulus, divisor)
@@ -177,6 +198,39 @@ class TorsionContext:
         """
         images = [self._carlitz_at_gen(b, i) for i in range(len(self.gens))]
         return _GaloisMap(self, images)
+
+    def residue_point(self):
+        """(T, emb, alpha, roots): a point of the ring over a finite field.
+
+        T = A/Q for the first monic irreducible Q = modulus*m + 1 (m monic,
+        in the order of monics_of_degree) of the least degree that the
+        extension degree divides, so T contains the big field; emb is
+        T.embedding(big), alpha a root of Q and roots[i] the least root of
+        relation i at theta = alpha.  Such a Q splits completely in the
+        torsion field (Hayes, Trans. AMS 189, 1974), so these roots exist
+        and theta -> alpha, lambda_i -> roots[i], c -> emb[c] is a ring
+        homomorphism on the elements whose denominator is nonzero at
+        alpha.  Base-field constants go through self.emb first, so one
+        embedding serves everything.  None when T would have more than
+        RESIDUE_ORDER_MAX elements.
+        """
+        field, big, mod = self.field, self.big, self.modulus
+        ext = big.n // field.n
+        deg = ext * -(-mod.degree // ext)
+        one = Pol.one(field)
+        while field.order ** deg <= RESIDUE_ORDER_MAX:
+            for m in monics_of_degree(field, deg - mod.degree):
+                Q = mod * m + one
+                if is_irreducible(Q):
+                    T = finite_field(field.p, field.n * deg)
+                    emb = T.embedding(big)
+                    alpha = Q.roots_in(T, [emb[c] for c in self.emb])[0]
+                    roots = [Pol(T, [c.num.eval_in(T, alpha, emb)
+                                     for c in rel]).roots_in(T)[0]
+                             for rel in self.ring.relations]
+                    return T, emb, alpha, roots
+            deg += ext
+        return None
 
     def free_of(self, i, x):
         """True when x involves no positive power of generator i."""

@@ -10,7 +10,8 @@ g(chi^{-1})/p at the coefficient level.
 
 import json
 
-from .algebra import Pol, REl, monics_up_to_degree, row_echelon
+from .algebra import (FieldElement, Pol, REl, monics_up_to_degree,
+                      row_echelon)
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter
 from .errors import SignMismatch, Unsupported
@@ -270,10 +271,34 @@ def matrix_rank(rows):
     return len(row_echelon([list(r) for r in rows if any(r)], REl.invert))
 
 
-def eisenstein_rank(ppol, k, N):
-    """Rank of the span of {ETilde_chi^(k), EHat_chi^(k)} over all chi with
-    the matching sign, from truncated u-expansions; expected value
-    2(|p|-1)/(q-1).  The level p must be irreducible.
+def certified_rank(ctx, rows):
+    """Rank of a matrix of elements of ctx's ring (a field), certified
+    in a residue field where it can be.
+
+    The rows are mapped to T = A/Q at ctx.residue_point().  The map is a
+    ring homomorphism on elements whose denominators are nonzero at the
+    point, so a nonzero maximal minor over T is the image of a nonzero
+    minor over the field: full rank over T proves full rank.  A shortfall
+    over T proves nothing (Q may divide every maximal minor), so then, and
+    when a denominator vanishes at the point, the answer is the exact
+    matrix_rank.
+    """
+    point = ctx.residue_point()
+    if point is not None:
+        T = point[0]
+        image = ctx.ring.evaluator(*point)
+        codes = [[image(x) for x in row] for row in rows]
+        if all(c is not None for row in codes for c in row):
+            mat = [[FieldElement(T, c) for c in row] for row in codes]
+            if len(row_echelon(mat, FieldElement.invert)) == len(rows):
+                return len(rows)
+    return matrix_rank(rows)
+
+
+def eisenstein_rows(ppol, k, N):
+    """(ctx, rows): the ETilde and EHat rows of eisenstein_rank, the
+    u-expansion coefficients u^0..u^(N-1) of both series for each
+    character chi with the matching sign, in the torsion ring of ctx.
 
     Both rows are character-independent series computed once and combined
     per character with |units| scalings: the ETilde row from the E_a at
@@ -312,7 +337,22 @@ def eisenstein_rank(ppol, k, N):
             hat = hat + B.scale_const(inv[r])
         rows.append(tilde.coeffs)
         rows.append(hat.coeffs)
-    return matrix_rank(rows)
+    return ctx, rows
+
+
+def eisenstein_rank(ppol, k, N):
+    """Rank of the span of {ETilde_chi^(k), EHat_chi^(k)} over all chi with
+    the matching sign, from truncated u-expansions; expected value
+    2(|p|-1)/(q-1), which is also the number of rows.  The level p must be
+    irreducible.
+
+    The rank is certified_rank of eisenstein_rows: full rank over the
+    residue field T = A/Q proves full rank over the torsion field, and a
+    shortfall over T proves nothing, so it falls back to the exact
+    matrix_rank.  A rank below the row count may only mean that the
+    precision N is too low.
+    """
+    return certified_rank(*eisenstein_rows(ppol, k, N))
 
 
 # -- naive local L-factors --------------------------------------------------

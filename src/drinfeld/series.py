@@ -482,7 +482,8 @@ def eisenstein_components(ctx, k, level, N, bound):
     and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
     -1 when (q-1) | n and 0 otherwise.  So with the power sums
     P_m = sum_{c' monic} u(c'z)^(m(q-1)) and s = G_k(u/(lambda_a u + 1)),
-    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m.
+    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m, with 1/lambda_a
+    from the Carlitz relation (TorsionContext.torsion_inverse).
     """
     q = ctx.field.order
     step = q - 1
@@ -498,6 +499,7 @@ def eisenstein_components(ctx, k, level, N, bound):
             P[m] = P[m] + W
     gk = goss_coeffs_in(ctx, k)
     G = UExpansion(ctx, gk, N)
+    inverse = ctx.torsion_inverse(level)
     out = {}
     for a in ctx.units(level):
         if not a.is_monic():
@@ -505,7 +507,7 @@ def eisenstein_components(ctx, k, level, N, bound):
         lam = ctx.exp_at(a, level)
         s = shift_by_value(G, lam).coeffs
         E = UExpansion.const(
-            ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+            ctx, poly_eval_scalar(gk, inverse(lam), ctx.ring), N)
         for m, Pm in enumerate(P, 1):
             if s[m * step]:
                 E = E - Pm.scale(s[m * step])

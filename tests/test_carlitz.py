@@ -3,9 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.algebra import (Pol, finite_field, lucas_binomial, parse_pol,
+import random
+
+from drinfeld.algebra import (Pol, finite_field, is_irreducible,
+                              lucas_binomial, monics_of_degree, parse_pol,
                               polys_below_degree)
-from drinfeld.carlitz import (TorsionContext, carlitz_action, carlitz_coeffs,
+from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
+                              carlitz_action, carlitz_coeffs,
                               carlitz_factorials, goss_poly, goss_polys)
 from drinfeld.errors import Unsupported
 from drinfeld.series import UExpansion, shift_by_value
@@ -21,6 +25,13 @@ TH = Pol.x(F3)
 MEMO_LEVELS = [(F3, (1, 0, 1)), (F4, (2, 1, 1)), (F5, (2, 0, 1)),
                (F9, (0, 1))]
 MEMO_IDS = ["q3-t2+1", "q4-t2+t+w", "q5-t2+2", "q9-t"]
+
+# (field, modulus coefficients, extension degree): prime levels of degree
+# 2 and 3, q = 4 and 5, and a composite level
+TORSION_LEVELS = [(F3, (1, 0, 1), 2), (F3, (1, 2, 0, 1), 3),
+                  (F4, (2, 1, 1), 2), (F5, (2, 0, 1), 2), (F3, (0, 1, 1), 1)]
+TORSION_IDS = ["q3-t2+1-d2", "q3-t3+2t+1-d3", "q4-t2+t+w-d2", "q5-t2+2-d2",
+               "q3-t2+t-d1"]
 
 
 def pol3(text):
@@ -227,6 +238,106 @@ class TestTorsionMemos:
                 got = shift_by_value(h, lam)
                 assert got.prec == want.prec
                 assert got.coeffs == want.coeffs
+
+
+class TestTorsionInverse:
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
+                             ids=TORSION_IDS)
+    def test_matches_linear_solve(self, field, coeffs, ext):
+        # 1/lam from C_level(lam) = 0 against REl.invert, for every unit of
+        # the modulus and of each prime factor
+        modulus = Pol(field, coeffs)
+        ctx = TorsionContext(modulus, ext_degree=ext)
+        levels = [modulus] + (ctx.primes if len(ctx.primes) > 1 else [])
+        for level in levels:
+            inverse = ctx.torsion_inverse(level)
+            for a in ctx.units(level):
+                lam = ctx.exp_at(a, level)
+                assert inverse(lam) == lam.invert()
+                assert inverse(lam) * lam == ctx.ring.one
+
+
+def _residue_modulus(ctx):
+    """Q of residue_point by its definition: the first monic irreducible
+    modulus*m + 1, m monic, of a degree that the extension degree divides."""
+    field, modulus = ctx.field, ctx.modulus
+    ext = ctx.big.n // field.n
+    for deg in range(modulus.degree, 4 * modulus.degree + 4):
+        if deg % ext == 0:
+            for m in monics_of_degree(field, deg - modulus.degree):
+                Q = modulus * m + Pol.one(field)
+                if is_irreducible(Q):
+                    return Q
+    raise AssertionError("no Q found")
+
+
+def _random_element(ctx, rng):
+    """An integral element with random theta-polynomials of degree < 4 on
+    random monomials."""
+    field = ctx.field
+    ring = ctx.ring
+    x = ring.zero
+    mono = ring.one
+    for _ in range(ring.total):
+        c = Pol(field, [rng.randrange(field.order) for _ in range(4)])
+        x = x + ctx.lift_poly(c) * mono
+        mono = mono * ctx.gens[rng.randrange(len(ctx.gens))]
+    return x
+
+
+class TestResiduePoint:
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
+                             ids=TORSION_IDS)
+    def test_point(self, field, coeffs, ext):
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        T, emb, alpha, roots = ctx.residue_point()
+        Q = _residue_modulus(ctx)
+        assert Q % ctx.modulus == Pol.one(field)
+        assert T is finite_field(field.p, field.n * Q.degree)
+        assert emb == T.embedding(ctx.big)
+        base = [emb[c] for c in ctx.emb]
+        assert Q.eval_in(T, alpha, base) == 0
+        for rel, r in zip(ctx.ring.relations, roots):
+            phi = Pol(T, [c.num.eval_in(T, alpha, emb) for c in rel])
+            # the relation splits into distinct linear factors over T
+            found = phi.roots_in(T, T.embedding(T))
+            assert r == found[0] and len(found) == phi.degree
+
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
+                             ids=TORSION_IDS)
+    def test_evaluator_is_a_homomorphism(self, field, coeffs, ext):
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        T, emb, alpha, roots = point = ctx.residue_point()
+        image = ctx.ring.evaluator(*point)
+        Q = _residue_modulus(ctx)
+        assert image(ctx.lift_poly(Pol.x(field))) == alpha
+        assert image(ctx.lift_poly(Q)) == 0
+        for g, r in zip(ctx.gens, roots):
+            assert image(g) == r
+        for c in range(ctx.big.order):
+            assert image(ctx.big_const(c)) == emb[c]
+        rng = random.Random(5)
+        xs = [_random_element(ctx, rng) for _ in range(4)]
+        # denominators theta + 1 and the modulus, both prime to Q, and the
+        # inverse of a torsion value
+        for x, d in ((xs[0], ctx.lift_poly(Pol.x(field) + Pol.one(field))),
+                     (xs[1], ctx.lift_poly(ctx.modulus)), (xs[2], ctx.lam)):
+            xs.append(x * d.invert())
+        assert not (xs[-3].den.is_one() or xs[-2].den.is_one())
+        for x in xs:
+            for y in xs:
+                assert image(x * y) == T.mul(image(x), image(y))
+                assert image(x + y) == T.add(image(x), image(y))
+        # a denominator vanishing at alpha has no image
+        assert image(ctx.lift_poly(Q).invert()) is None
+        assert image(xs[1] * ctx.lift_poly(Q * Pol.x(field)).invert()) is None
+
+    def test_none_past_order_limit(self):
+        # over F_5, t^2+3 + 1 = (t+1)(t+4), so Q has degree 4 and F_625
+        # would be the residue field
+        ctx = TorsionContext(parse_pol(F5, "t^2+3"), ext_degree=2)
+        assert F5.order ** _residue_modulus(ctx).degree > RESIDUE_ORDER_MAX
+        assert ctx.residue_point() is None
 
 
 class TestGossPolynomials:

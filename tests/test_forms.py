@@ -226,15 +226,11 @@ class TestRank:
         with pytest.raises(NotSquareFree):
             forms.eisenstein_rank(pol3("t^2"), 1, 12)
 
-    def test_matrix_rank_matches_gauss_jordan_on_rank_rows(self,
-                                                           monkeypatch):
+    def test_matrix_rank_matches_gauss_jordan_on_rank_rows(self):
         # the Eisenstein rows of the rank suite, full rank 8 each
-        seen = []
-        monkeypatch.setattr(forms, "matrix_rank",
-                            lambda rows: seen.append(rows) or 0)
-        for k in (1, 2, 3):
-            forms.eisenstein_rank(pol3("t^2+1"), k, 36)
-        monkeypatch.undo()
+        seen = [forms.eisenstein_rows(pol3("t^2+1"), k, 36)[1]
+                for k in (1, 2, 3)]
+        assert len(seen) == 3
         for rows in seen:
             assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == 8
 
@@ -258,23 +254,74 @@ class TestRank:
         for rows, want in cases:
             assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == want
 
+    @pytest.mark.parametrize("ppol, k, N, want", [
+        (pol3(p), k, 36, 8) for p in ("t^2+1", "t^2+t+2", "t^2+2t+2")
+        for k in (1, 2, 3)] + [
+        (P4, 1, 40, 10), (P4, 2, 40, 10),
+        (P4, 3, 40, 8),  # short of 10 at this precision: the exact fallback
+        (parse_pol(finite_field(5), "t^2+2"), 1, 60, 12),
+    ], ids=["q3-%s-k%d" % (p, k) for p in ("t^2+1", "t^2+t+2", "t^2+2t+2")
+            for k in (1, 2, 3)] + ["q4-k1", "q4-k2", "q4-k3", "q5-k1"])
+    def test_certified_rank_matches_exact(self, monkeypatch, ppol, k, N,
+                                          want):
+        ctx, rows = forms.eisenstein_rows(ppol, k, N)
+        exact = forms.matrix_rank(rows)
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        assert forms.certified_rank(ctx, rows) == exact == want
+        assert fallbacks == ([want] if want < len(rows) else [])
+
+    def test_certified_rank_fallback_triggers(self, monkeypatch):
+        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        one, lam = ctx.ring.one, ctx.lam
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        # full rank over T: no fallback
+        assert forms.certified_rank(ctx, [[one, lam], [lam, one]]) == 2
+        assert fallbacks == []
+        # full rank, but the 2x2 minor is Q, so the image in T has rank 1
+        Q = ctx.lift_poly(pol3("t^4+2t^2+2"))  # (t^2+1)(t^2+1) + 1
+        assert ctx.ring.evaluator(*ctx.residue_point())(Q) == 0
+        rows = [[one, lam], [lam, lam * lam + Q]]
+        assert forms.certified_rank(ctx, rows) == 2
+        assert fallbacks == [2]
+        # an entry whose denominator vanishes at alpha
+        rows = [[Q.invert(), one], [one, lam]]
+        assert forms.certified_rank(ctx, rows) == 2
+        assert fallbacks == [2, 2]
+        # no residue field small enough: F_5, t^2+3 needs F_625
+        ctx5 = TorsionContext(parse_pol(finite_field(5), "t^2+3"),
+                              ext_degree=2)
+        assert ctx5.residue_point() is None
+        rows = [[ctx5.ring.one, ctx5.lam], [ctx5.lam, ctx5.ring.one]]
+        assert forms.certified_rank(ctx5, rows) == 2
+        assert fallbacks == [2, 2, 2]
+
+    def test_cubic_count(self):
+        # 2(27-1)/2 = 26 at the cubic level, certified over F_27
+        assert forms.eisenstein_rank(pol3("t^3+2t+1"), 1, 90) == 26
+
     @pytest.mark.parametrize("ppol, ks, N", [
         (pol3("t^2+1"), (1, 2, 3), 28),
         (P4, (1, 2), 20),
     ], ids=["q3-t^2+1", "q4-t^2+t+w"])
-    def test_rows_match_all_unit_builder(self, monkeypatch, ppol, ks, N):
+    def test_rows_match_all_unit_builder(self, ppol, ks, N):
         # the rows from monic components and residue buckets equal, entry
         # for entry, the rows built from one E_a per unit and one
         # G_k(u(cz)) per monic c
-        seen = []
-        monkeypatch.setattr(forms, "matrix_rank",
-                            lambda rows: seen.append(rows) or 0)
         for k in ks:
-            forms.eisenstein_rank(ppol, k, N)
-            got = [[x.coords for x in row] for row in seen.pop()]
+            rows = forms.eisenstein_rows(ppol, k, N)[1]
+            got = [[x.coords for x in row] for row in rows]
             want = [[x.coords for x in row]
                     for row in _all_unit_rows(ppol, k, N)]
             assert got == want, "k = %d" % k
+
+
+def _spy_matrix_rank(monkeypatch):
+    """The ranks forms.matrix_rank returns from now on, as a list."""
+    seen = []
+    exact = forms.matrix_rank
+    monkeypatch.setattr(forms, "matrix_rank",
+                        lambda rows: seen.append(exact(rows)) or seen[-1])
+    return seen
 
 
 def _old_matrix_rank(rows):
