@@ -13,9 +13,14 @@ from .algebra import (RF, Pol, QuotientRing, factor_squarefree_monic,
                       polys_below_degree)
 from .errors import Unsupported
 
-# Largest residue field residue_point builds: the tables of F_256 take
-# about 1 s, those of F_625 about 4 s, more than the exact rank they spare.
-RESIDUE_ORDER_MAX = 256
+# Largest residue field residue_point builds.  Its tables are built once
+# per process, the exact rank they spare is paid per call.  Timed in fresh
+# interpreters on a 2-vCPU VM: the tables of F_81 take 0.045 s, against an
+# exact rank of 0.02-0.06 s (0.002 s over T) at the F_3 quadratics, k = 1..3,
+# N = 36; those of F_256 take 1.0 s, against 0.07-0.15 s (0.006 s over T)
+# at F_4, t^2+wt+1, k = 1, 2, N = 40, where one certified rank took
+# 1.0-1.2 s in all and the exact one 0.19-0.30 s.
+RESIDUE_ORDER_MAX = 81
 
 
 def carlitz_coeffs(a):

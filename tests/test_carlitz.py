@@ -338,6 +338,12 @@ class TestResiduePoint:
         ctx = TorsionContext(parse_pol(F5, "t^2+3"), ext_degree=2)
         assert F5.order ** _residue_modulus(ctx).degree > RESIDUE_ORDER_MAX
         assert ctx.residue_point() is None
+        # over F_4, t^2+wt+1 + 1 = t(t+w): F_256, whose tables cost more
+        # than the exact rank at this level
+        ctx = TorsionContext(Pol(F4, (1, 2, 1)), ext_degree=2)
+        assert _residue_modulus(ctx).degree == 4
+        assert F4.order ** 4 > RESIDUE_ORDER_MAX
+        assert ctx.residue_point() is None
 
 
 class TestGossPolynomials:

@@ -230,7 +230,7 @@ class TestRank:
         # the Eisenstein rows of the rank suite, full rank 8 each
         seen = [forms.eisenstein_rows(pol3("t^2+1"), k, 36)[1]
                 for k in (1, 2, 3)]
-        assert len(seen) == 3
+        assert [len(rows) for rows in seen] == [8, 8, 8]
         for rows in seen:
             assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == 8
 
@@ -312,6 +312,10 @@ class TestRank:
             got = [[x.coords for x in row] for row in rows]
             want = [[x.coords for x in row]
                     for row in _all_unit_rows(ppol, k, N)]
+            # 2(|p|-1)/(q-1) rows of N entries each
+            size = ppol.field.order ** ppol.degree - 1
+            assert len(got) == 2 * size // (ppol.field.order - 1)
+            assert all(len(row) == N for row in got)
             assert got == want, "k = %d" % k
 
 
