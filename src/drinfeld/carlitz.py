@@ -73,15 +73,13 @@ class TorsionContext:
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "lam", "_cofs", "_exp_cache", "_qpow_cache", "qexp",
-                 "_powers", "gauss")
+                 "gens", "lam", "_cofs", "_exp_cache", "_powers", "gauss")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
         if not modulus.is_monic() or modulus.degree < 1:
             raise ValueError("modulus must be monic and nonconstant")
         self.field = field
-        self.qexp = field.n
         big = finite_field(field.p, field.n * ext_degree)
         self.big = big
         self.emb = big.embedding(field)
@@ -101,31 +99,11 @@ class TorsionContext:
         self._exp_cache = {}
         self._powers = {}
         self.gauss = {}
-        self._qpow_cache = [
-            {0: g} for g in self.gens
-        ]
         # partial fractions: sum c_i * (n/p_i) = 1 in A, where
         # s*(n/p_i) + t*p_i = 1 gives c_i = s mod p_i (c_1 = 1 for one prime)
         self._cofs = [(modulus // prime).xgcd(prime)[1] % prime
                       for prime in self.primes]
         self.lam = self.exp_value(Pol.one(field))
-
-    def _gen_qpow(self, i, j):
-        """lambda_i ** (q ** j), cached."""
-        cache = self._qpow_cache[i]
-        if j not in cache:
-            prev = self._gen_qpow(i, j - 1)
-            cache[j] = prev ** self.field.order
-        return cache[j]
-
-    def _carlitz_at_gen(self, a, i):
-        """C_a(lambda_i), with a reduced modulo p_i first."""
-        a = a % self.primes[i]
-        out = self.ring.zero
-        for j, c in enumerate(carlitz_coeffs(a)):
-            if c:
-                out = out + self._gen_qpow(i, j) * self.lift_poly(c)
-        return out
 
     def lift_poly(self, p):
         """A polynomial in theta as a scalar ring element."""
@@ -150,16 +128,22 @@ class TorsionContext:
         """The torsion value standing for exp_C(pi*beta/n): C_beta(lambda_n).
 
         Computed componentwise through the partial fractions, so each term
-        only involves its own generator.
+        only involves its own generator: one dot over the pairs
+        ([beta*c_i mod p_i]_j, lambda_i^(q^j)), the powers from self.powers.
         """
         beta = beta % self.modulus
         key = beta.c
         cached = self._exp_cache.get(key)
         if cached is not None:
             return cached
-        out = self.ring.zero
-        for i, c in enumerate(self._cofs):
-            out = out + self._carlitz_at_gen(beta * c, i)
+        q = self.field.order
+        pairs = []
+        for gen, c, prime in zip(self.gens, self._cofs, self.primes):
+            coeffs = carlitz_coeffs(beta * c % prime)
+            pows = self.powers(gen, q ** (len(coeffs) - 1) + 1)
+            pairs += [(self.lift_poly(a), pows[q ** j])
+                      for j, a in enumerate(coeffs) if a]
+        out = self.ring.dot(pairs)
         self._exp_cache[key] = out
         return out
 
@@ -196,13 +180,24 @@ class TorsionContext:
         return self.exp_value(beta * cof)
 
     def galois(self, b):
-        """The ring endomorphism lambda_i -> C_b(lambda_i) applied pointwise.
+        """The ring endomorphism lambda_i -> C_b(lambda_i) = exp_at(b, p_i),
+        as a function applied monomial by monomial.
 
         For b prime to the modulus this is the Galois action sending
         exp_value(beta) to exp_value(b*beta).
         """
-        images = [self._carlitz_at_gen(b, i) for i in range(len(self.gens))]
-        return _GaloisMap(self, images)
+        images = [self.exp_at(b, prime) for prime in self.primes]
+
+        def apply(x):
+            pairs = []
+            for exps, c in x.terms():
+                mono = self.ring.one
+                for image, e in zip(images, exps):
+                    if e:
+                        mono = mono * self.powers(image, e + 1)[e]
+                pairs.append((c, mono))
+            return self.ring.dot(pairs)
+        return apply
 
     def residue_point(self):
         """(T, emb, alpha, roots): a point of the ring over a finite field.
@@ -237,10 +232,6 @@ class TorsionContext:
             deg += ext
         return None
 
-    def free_of(self, i, x):
-        """True when x involves no positive power of generator i."""
-        return x.exponent_free(i)
-
     def residues(self, modulus=None):
         """All beta in A with deg beta < deg modulus, in canonical order."""
         m = modulus if modulus is not None else self.modulus
@@ -251,32 +242,6 @@ class TorsionContext:
         m = modulus if modulus is not None else self.modulus
         one = Pol.one(self.field)
         return [b for b in self.residues(m) if b and b.gcd(m) == one]
-
-
-class _GaloisMap:
-    __slots__ = ("ctx", "images", "_powcache")
-
-    def __init__(self, ctx, images):
-        self.ctx = ctx
-        self.images = images
-        self._powcache = [{1: im} for im in images]
-
-    def _impow(self, i, e):
-        cache = self._powcache[i]
-        if e not in cache:
-            cache[e] = self._impow(i, e - 1) * self.images[i]
-        return cache[e]
-
-    def _monomial(self, exps):
-        out = self.ctx.ring.one
-        for i, e in enumerate(exps):
-            if e:
-                out = out * self._impow(i, e)
-        return out
-
-    def __call__(self, x):
-        return self.ctx.ring.dot([(c, self._monomial(exps))
-                                  for exps, c in x.terms()])
 
 
 def carlitz_factorials(field, count):

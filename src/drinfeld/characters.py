@@ -185,16 +185,15 @@ def _residues(chi):
     return polys_below_degree(chi.field, chi.conductor.degree)
 
 
-def _basic_gauss_sum(ctx, prime_index, root):
+def _basic_gauss_sum(ctx, prime, root):
     """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)."""
     big = ctx.big
-    prime = ctx.primes[prime_index]
     out = ctx.ring.zero
     for delta in ctx.residues(prime):
         if not delta:
             continue
         v = delta.eval_in(big, root, ctx.emb)
-        term = ctx._carlitz_at_gen(delta, prime_index)
+        term = ctx.exp_at(delta, prime)
         out = out + term.scale_const(big.inv(v))
     return out
 
@@ -220,12 +219,11 @@ def gauss_thakur(chi, ctx):
     q = chi.field.order
     out = ctx.ring.one
     for prime, root, e in chi.factors:
-        idx = ctx.primes.index(prime)
         r = conv[root] if conv else root
         while e:
             digit = e % q
             if digit:
-                basic = _basic_gauss_sum(ctx, idx, r)
+                basic = _basic_gauss_sum(ctx, prime, r)
                 out = out * basic ** digit
             e //= q
             r = big.pow(r, q)

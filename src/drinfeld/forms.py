@@ -192,7 +192,7 @@ def _first_coeff_mismatch(ctx, F, G):
 def _scalar_divisible(ctx, x, zeta):
     """x must involve no torsion generator and be a polynomial in theta
     vanishing at theta = zeta."""
-    if any(not ctx.free_of(i, x) for i in range(len(ctx.gens))):
+    if any(not x.exponent_free(i) for i in range(len(ctx.gens))):
         return "not free of the torsion generators"
     rf = x.scalar_part()
     if not rf:

@@ -133,7 +133,7 @@ def hecke_u(f, qpol, ctx):
         term1 = term1.scale_const(psi_q)
     out = (term1 + term2).with_meta(f.meta)
     for n, c in enumerate(out.coeffs):
-        if not ctx.free_of(qidx, c):
+        if not c.exponent_free(qidx):
             raise RuntimeError("Hecke output not free of the q-torsion "
                                "generator at u^%d" % n)
     return out

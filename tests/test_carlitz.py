@@ -115,21 +115,24 @@ class TestTorsionContext:
             # C_beta(lambda): compare through the Carlitz coefficients
             assert v.format() == w.format()
 
-    @pytest.mark.parametrize("field, coeffs", [
-        (F3, (0, 1)), (F3, (1, 0, 1)), (F3, (0, 1, 1)), (F3, (0, 2, 0, 1)),
-        (F5, (2, 0, 1)), (finite_field(2, 2), (0, 1, 1))],
-        ids=["q3-t", "q3-t2+1", "q3-t2+t", "q3-t3+2t", "q5-t2+2", "q4-t2+t"])
-    def test_exp_value_matches_partial_fractions(self, field, coeffs):
+    @pytest.mark.parametrize("field, coeffs, ext", [
+        (F3, (0, 1), 1), (F3, (1, 0, 1), 1), (F3, (0, 1, 1), 1),
+        (F3, (0, 2, 0, 1), 1), (F5, (2, 0, 1), 1), (F4, (0, 1, 1), 1),
+        (F9, (0, 1), 1), (F9, (1, 0, 1), 1), (F3, (1, 2, 0, 1), 3)],
+        ids=["q3-t", "q3-t2+1", "q3-t2+t", "q3-t3+2t", "q5-t2+2", "q4-t2+t",
+             "q9-t", "q9-t2+1", "q3-t3+2t+1-d3"])
+    def test_exp_value_matches_partial_fractions(self, field, coeffs, ext):
         # C_beta(lambda_n) = sum_i C_{beta*s_i}(lambda_i) with
-        # s_i*(n/p_i) + t_i*p_i = 1, the cofactors recomputed here
+        # s_i*(n/p_i) + t_i*p_i = 1, the cofactors recomputed here and each
+        # term evaluated by carlitz_action
         modulus = Pol(field, coeffs)
-        ctx = TorsionContext(modulus)
+        ctx = TorsionContext(modulus, ext_degree=ext)
         assert ctx.lam == ctx.exp_value(Pol.one(field))
         cofs = [(modulus // prime).xgcd(prime)[1] for prime in ctx.primes]
         for beta in ctx.residues():
             want = ctx.ring.zero
             for i, s in enumerate(cofs):
-                want = want + ctx._carlitz_at_gen(beta * s, i)
+                want = want + carlitz_action(beta * s, ctx.gens[i])
             assert ctx.exp_value(beta) == want
 
     def test_exp_at_requires_divisor(self):
@@ -283,6 +286,65 @@ def _random_element(ctx, rng):
         x = x + ctx.lift_poly(c) * mono
         mono = mono * ctx.gens[rng.randrange(len(ctx.gens))]
     return x
+
+
+class _PowerCacheGaloisMap:
+    """The Galois map as it was before it read its powers from
+    TorsionContext.powers: a power cache of its own per image."""
+
+    def __init__(self, ctx, images):
+        self.ctx = ctx
+        self.images = images
+        self._powcache = [{1: im} for im in images]
+
+    def _impow(self, i, e):
+        cache = self._powcache[i]
+        if e not in cache:
+            cache[e] = self._impow(i, e - 1) * self.images[i]
+        return cache[e]
+
+    def _monomial(self, exps):
+        out = self.ctx.ring.one
+        for i, e in enumerate(exps):
+            if e:
+                out = out * self._impow(i, e)
+        return out
+
+    def __call__(self, x):
+        return self.ctx.ring.dot([(c, self._monomial(exps))
+                                  for exps, c in x.terms()])
+
+
+# (field, modulus coefficients, extension degree): a composite level, a
+# quadratic prime with d = 2, a split level over F_4 and a prime over F_5
+GALOIS_LEVELS = [(F3, (0, 1, 1), 1), (F3, (1, 0, 1), 2), (F4, (1, 1, 1), 1),
+                 (F5, (2, 0, 1), 1)]
+GALOIS_IDS = ["q3-t2+t", "q3-t2+1-d2", "q4-t2+t+1", "q5-t2+2"]
+
+
+class TestGaloisAction:
+    @pytest.mark.parametrize("field, coeffs, ext", GALOIS_LEVELS,
+                             ids=GALOIS_IDS)
+    def test_matches_power_cache_map(self, field, coeffs, ext):
+        # galois(b) against the old map with images C_b(lambda_i) from
+        # carlitz_action, on elements with denominators; and
+        # sigma_b(x*y) = sigma_b(x)*sigma_b(y)
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        rng = random.Random(5)
+        theta = Pol.x(field)
+        dens = [ctx.lift_poly(theta + Pol.one(field)).invert(),
+                ctx.lift_poly(theta * theta + Pol.const(field, 2)).invert()]
+        elements = [_random_element(ctx, rng) * den for den in dens]
+        elements.append(elements[0] + _random_element(ctx, rng))
+        for b in ctx.units():
+            sigma = ctx.galois(b)
+            old = _PowerCacheGaloisMap(
+                ctx, [carlitz_action(b, g) for g in ctx.gens])
+            for x in elements:
+                assert not x.den.is_one()
+                assert sigma(x) == old(x)
+            x, y = elements[:2]
+            assert sigma(x * y) == sigma(x) * sigma(y)
 
 
 class TestResiduePoint:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from drinfeld import cli
-from drinfeld.algebra import Pol, finite_field, parse_pol
+from drinfeld.algebra import Pol, finite_field, parse_pol, polys_below_degree
+from drinfeld.carlitz import TorsionContext
 
 F3 = finite_field(3)
 
@@ -90,6 +91,43 @@ class TestTable:
         npol = parse_pol(cli.field_of_order(5), "t^2+2")
         assert set(cli.table_pairs(5, npol, 23)) == set(
             cli.golden_table_pairs())
+
+
+def _running_product_table_pairs(q, npol, rng):
+    """table_pairs as it was with a running product of the torsion values
+    and the code beta(zeta)^(|n|-1-i) recomputed for every (j, i, beta)."""
+    field = npol.field
+    ctx = TorsionContext(npol, ext_degree=npol.degree)
+    size = q ** npol.degree
+    zeta = min(ctx.primes[0].roots_in(ctx.big))
+    pairs = []
+    betas = [b for b in polys_below_degree(field, npol.degree) if b]
+    vals = {b.c: b.eval_in(ctx.big, zeta, ctx.emb) for b in betas}
+    powers = {b.c: ctx.exp_value(b) for b in betas}
+    for j in range(1, rng + 1):
+        for i in range(1, rng + 1):
+            acc = ctx.ring.zero
+            for b in betas:
+                v = vals[b.c]
+                if not v:
+                    continue
+                code = ctx.big.pow(v, (size - 1 - i) % (size - 1))
+                acc = acc + powers[b.c].scale_const(code)
+            if acc:
+                pairs.append((j, i))
+        powers = {key: powers[key] * ctx.exp_value(Pol(field, key))
+                  for key in powers}
+    return pairs
+
+
+class TestTablePairs:
+    @pytest.mark.parametrize("q, modulus, rng", [
+        (3, "t^2+t", 12), (3, "t^2+1", 12), (4, "t^2+t+1", 20)])
+    def test_matches_running_product(self, q, modulus, rng):
+        # at t^2+t the first prime is t, so beta(zeta) = 0 for beta = t
+        npol = parse_pol(cli.field_of_order(q), modulus)
+        assert cli.table_pairs(q, npol, rng) == _running_product_table_pairs(
+            q, npol, rng)
 
 
 class TestVerify:
