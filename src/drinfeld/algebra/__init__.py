@@ -1,4 +1,4 @@
-from .field import FieldElement, FiniteField, finite_field
+from .field import FiniteField, Residue, ResidueRing, finite_field
 from .poly import (Pol, parse_pol, monics_of_degree, polys_below_degree,
                    monics_up_to_degree, factor_squarefree_monic,
                    is_irreducible, irreducible_monics)
@@ -7,8 +7,9 @@ from .quotient import QuotientRing, REl, row_echelon
 from .binom import lucas_binomial
 
 __all__ = [
-    "FieldElement", "FiniteField", "finite_field", "Pol", "parse_pol",
-    "monics_of_degree", "polys_below_degree", "monics_up_to_degree",
-    "factor_squarefree_monic", "is_irreducible", "irreducible_monics",
-    "RF", "QuotientRing", "REl", "row_echelon", "lucas_binomial",
+    "FiniteField", "finite_field", "Residue", "ResidueRing", "Pol",
+    "parse_pol", "monics_of_degree", "polys_below_degree",
+    "monics_up_to_degree", "factor_squarefree_monic", "is_irreducible",
+    "irreducible_monics", "RF", "QuotientRing", "REl", "row_echelon",
+    "lucas_binomial",
 ]

@@ -13,6 +13,7 @@ embedding and every root choice reproducible across runs.
 
 import functools
 
+from ..errors import NotReducible
 from .poly import is_irreducible, monics_of_degree
 
 
@@ -194,29 +195,77 @@ class FiniteField:
         return "GF(%d^%d)" % (self.p, self.n) if self.n > 1 else "GF(%d)" % self.p
 
 
-class FieldElement:
-    """A code of a tabulated field with the operators that generic code
-    such as quotient.row_echelon uses: *, -, truth value and invert()."""
+class ResidueRing:
+    """The image of a torsion ring in a finite field T: theta -> alpha,
+    generator i -> roots[i], a big-field code c -> emb[c].  It has what
+    UExpansion and TorsionContext use of a QuotientRing, on Residue
+    elements; a value with no image in T raises NotReducible."""
 
-    __slots__ = ("field", "code")
+    __slots__ = ("field", "emb", "alpha", "roots", "zero", "one")
 
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
+    def __init__(self, field, emb, alpha, roots):
+        self.field, self.emb, self.alpha, self.roots = field, emb, alpha, roots
+        self.zero, self.one = Residue(self, 0), Residue(self, 1)
+
+    def dot(self, pairs):
+        add, mul = self.field.add_table, self.field.mul_table
+        acc = 0
+        for a, b in pairs:
+            acc = add[acc][mul[a.code][b.code]]
+        return Residue(self, acc)
+
+    def from_pol(self, p):
+        return Residue(self, p.eval_in(self.field, self.alpha, self.emb))
+
+    def from_rf(self, rf):
+        return self.from_pol(rf.num) * self.from_pol(rf.den).invert()
+
+    def from_const(self, code):
+        return Residue(self, self.emb[code])
+
+    def gen(self, i):
+        return Residue(self, self.roots[i])
+
+
+class Residue:
+    """An element of a ResidueRing: a code of its field T."""
+
+    __slots__ = ("ring", "code")
+
+    def __init__(self, ring, code):
+        self.ring, self.code = ring, code
+
+    coords = property(lambda self: self.code)
 
     def __bool__(self):
         return self.code != 0
 
-    def __mul__(self, other):
-        f = self.field
-        return FieldElement(f, f.mul_table[self.code][other.code])
+    def __add__(self, other):
+        ring = self.ring
+        return Residue(ring, ring.field.add_table[self.code][other.code])
+
+    def __neg__(self):
+        return Residue(self.ring, self.ring.field.neg_table[self.code])
 
     def __sub__(self, other):
-        f = self.field
-        return FieldElement(f, f.add_table[self.code][f.neg_table[other.code]])
+        return self + (-other)
+
+    def __mul__(self, other):
+        ring = self.ring
+        return Residue(ring, ring.field.mul_table[self.code][other.code])
+
+    def scale_const(self, code):
+        """Times the big-field constant code."""
+        ring = self.ring
+        return Residue(ring, ring.field.mul_table[self.code][ring.emb[code]])
 
     def invert(self):
-        return FieldElement(self.field, self.field.inv(self.code))
+        if not self.code:
+            raise NotReducible("a value to invert vanishes at alpha")
+        return Residue(self.ring, self.ring.field.inv_table[self.code])
+
+    def format(self, symbol="t"):
+        return str(self.code)
 
 
 @functools.lru_cache(maxsize=None)

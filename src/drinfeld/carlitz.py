@@ -8,18 +8,18 @@ torsion value playing the role of exp(pi*beta/n) is the algebraic element
 C_beta(lambda_n).
 """
 
-from .algebra import (RF, Pol, QuotientRing, factor_squarefree_monic,
-                      finite_field, is_irreducible, monics_of_degree,
-                      polys_below_degree)
+from .algebra import (RF, Pol, QuotientRing, ResidueRing,
+                      factor_squarefree_monic, finite_field, is_irreducible,
+                      monics_of_degree, polys_below_degree)
 from .errors import Unsupported
 
 # Largest residue field residue_point builds.  Its tables are built once
-# per process, the exact rank they spare is paid per call.  Timed in fresh
-# interpreters on a 2-vCPU VM: the tables of F_81 take 0.045 s, against an
-# exact rank of 0.02-0.06 s (0.002 s over T) at the F_3 quadratics, k = 1..3,
-# N = 36; those of F_256 take 1.0 s, against 0.07-0.15 s (0.006 s over T)
-# at F_4, t^2+wt+1, k = 1, 2, N = 40, where one certified rank took
-# 1.0-1.2 s in all and the exact one 0.19-0.30 s.
+# per process; the exact rows and rank they spare are paid per call.  Timed
+# in fresh interpreters on a 2-vCPU VM: F_81 and the point take 0.034 s,
+# against exact rows and rank of 0.05-0.09 s (rows over T 0.013-0.019 s) at
+# the F_3 quadratics, k = 1..3, N = 36; F_256 takes 0.87 s, against exact
+# rows and rank of 0.17-0.21 s (0.02 s over T) at F_4, t^2+wt+1, k = 1, 2,
+# N = 40, so one call there is faster exact.
 RESIDUE_ORDER_MAX = 81
 
 
@@ -69,7 +69,7 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
-    Its memos, ``powers`` and ``gauss`` (g(chi) per character), die with it.
+    Memos ``powers`` and ``gauss`` (g(chi), 1/n per conductor n) die with it.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
@@ -94,16 +94,32 @@ class TorsionContext:
             for j, c in enumerate(coeffs):
                 rel[q ** j - 1] = RF.from_pol(c.map_to(big, self.emb))
             gens.append(("l%d" % (i + 1), rel))
-        self.ring = QuotientRing(big, gens)
-        self.gens = tuple(self.ring.gen(i) for i in range(len(self.primes)))
-        self._exp_cache = {}
-        self._powers = {}
-        self.gauss = {}
         # partial fractions: sum c_i * (n/p_i) = 1 in A, where
         # s*(n/p_i) + t*p_i = 1 gives c_i = s mod p_i (c_1 = 1 for one prime)
         self._cofs = [(modulus // prime).xgcd(prime)[1] % prime
                       for prime in self.primes]
-        self.lam = self.exp_value(Pol.one(field))
+        self._attach(QuotientRing(big, gens))
+
+    def _attach(self, ring):
+        """Make ring the context's ring, with fresh generators and memos."""
+        self.ring = ring
+        self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
+        self._exp_cache, self._powers, self.gauss = {}, {}, {}
+        self.lam = self.exp_value(Pol.one(self.field))
+
+    def reduced(self):
+        """This context over T = A/Q: the same modulus and constants, with
+        the ResidueRing of residue_point() as its ring, so every method
+        returns the image in T of its exact value (or raises NotReducible
+        where that has no image).  None when residue_point() is None."""
+        point = self.residue_point()
+        if point is None:
+            return None
+        red = object.__new__(TorsionContext)
+        for name in ("field", "big", "emb", "modulus", "primes", "_cofs"):
+            setattr(red, name, getattr(self, name))
+        red._attach(ResidueRing(*point))
+        return red
 
     def lift_poly(self, p):
         """A polynomial in theta as a scalar ring element."""

@@ -9,6 +9,11 @@ class NotInvertible(DrinfeldError):
     """Raised when a ring element is zero or a zero divisor."""
 
 
+class NotReducible(DrinfeldError):
+    """Raised when a value has no image in a residue field: a denominator,
+    or an element being inverted, vanishes there."""
+
+
 class NotSquareFree(DrinfeldError):
     """Raised when a modulus has a repeated prime factor."""
 

@@ -10,11 +10,10 @@ g(chi^{-1})/p at the coefficient level.
 
 import json
 
-from .algebra import (FieldElement, Pol, REl, monics_up_to_degree,
-                      row_echelon)
+from .algebra import Pol, REl, Residue, monics_up_to_degree, row_echelon
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter
-from .errors import SignMismatch, Unsupported
+from .errors import NotReducible, SignMismatch, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
@@ -271,34 +270,32 @@ def matrix_rank(rows):
     return len(row_echelon([list(r) for r in rows if any(r)], REl.invert))
 
 
-def certified_rank(ctx, rows):
-    """Rank of a matrix of elements of ctx's ring (a field), certified
-    in a residue field where it can be.
+def certified_rank(ctx, build):
+    """Rank of the rows build(ctx) over ctx's ring (a field), certified in
+    a residue field where it can be.
 
-    The rows are mapped to T = A/Q at ctx.residue_point().  The map is a
-    ring homomorphism on elements whose denominators are nonzero at the
-    point, so a nonzero maximal minor over T is the image of a nonzero
-    minor over the field: full rank over T proves full rank.  A shortfall
-    over T proves nothing (Q may divide every maximal minor), so then, and
-    when a denominator vanishes at the point, the answer is the exact
-    matrix_rank.
+    build runs first on ctx.reduced(), over T = A/Q.  Reduction is a ring
+    homomorphism, so those rows are the images of the exact rows, and full
+    rank over T proves full rank.  A shortfall over T proves nothing (Q may
+    divide every maximal minor), so then, with no residue field, and when
+    a value has no image in T (NotReducible), the answer is the exact
+    matrix_rank(build(ctx)).
     """
-    point = ctx.residue_point()
-    if point is not None:
-        T = point[0]
-        image = ctx.ring.evaluator(*point)
-        codes = [[image(x) for x in row] for row in rows]
-        if all(c is not None for row in codes for c in row):
-            mat = [[FieldElement(T, c) for c in row] for row in codes]
-            if len(row_echelon(mat, FieldElement.invert)) == len(rows):
+    red = ctx.reduced()
+    if red is not None:
+        try:
+            rows = [list(row) for row in build(red)]
+            if len(row_echelon(rows, Residue.invert)) == len(rows):
                 return len(rows)
-    return matrix_rank(rows)
+        except NotReducible:
+            pass
+    return matrix_rank(build(ctx))
 
 
-def eisenstein_rows(ppol, k, N):
-    """(ctx, rows): the ETilde and EHat rows of eisenstein_rank, the
-    u-expansion coefficients u^0..u^(N-1) of both series for each
-    character chi with the matching sign, in the torsion ring of ctx.
+def eisenstein_rows(ctx, k, N):
+    """The ETilde and EHat rows of eisenstein_rank over ctx, exact or
+    reduced, for an irreducible level p: the coefficients u^0..u^(N-1) of
+    both series for each character chi with the matching sign.
 
     Both rows are character-independent series computed once and combined
     per character with |units| scalings: the ETilde row from the E_a at
@@ -306,14 +303,10 @@ def eisenstein_rows(ppol, k, N):
     EHat row as sum_r chi^{-1}(r) B_r over the units r mod p, with
     B_r = sum_{c monic, c = r mod p} G_k(u(cz)).
     """
+    ppol = ctx.modulus
     field = ppol.field
     q = field.order
     size = q ** ppol.degree
-    ctx = TorsionContext(ppol, ext_degree=ppol.degree)
-    if len(ctx.primes) > 1:
-        raise Unsupported("the Eisenstein count needs an irreducible level, "
-                          "not %s" % "".join("(%s)" % f.format()
-                                             for f in ctx.primes))
     chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
             for e in range(size - 1) if (e + k) % (q - 1) == 0]
     bound = bound_for_precision(field, N)
@@ -337,7 +330,7 @@ def eisenstein_rows(ppol, k, N):
             hat = hat + B.scale_const(inv[r])
         rows.append(tilde.coeffs)
         rows.append(hat.coeffs)
-    return ctx, rows
+    return rows
 
 
 def eisenstein_rank(ppol, k, N):
@@ -346,13 +339,18 @@ def eisenstein_rank(ppol, k, N):
     2(|p|-1)/(q-1), which is also the number of rows.  The level p must be
     irreducible.
 
-    The rank is certified_rank of eisenstein_rows: full rank over the
-    residue field T = A/Q proves full rank over the torsion field, and a
-    shortfall over T proves nothing, so it falls back to the exact
-    matrix_rank.  A rank below the row count may only mean that the
-    precision N is too low.
+    The rank is certified_rank of eisenstein_rows: the rows are built and
+    ranked over the residue field T = A/Q, where full rank proves full
+    rank over the torsion field, and only a shortfall over T, or a value
+    with no image there, builds the exact rows for matrix_rank.  A rank
+    below the row count may only mean that the precision N is too low.
     """
-    return certified_rank(*eisenstein_rows(ppol, k, N))
+    ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+    if len(ctx.primes) > 1:
+        raise Unsupported("the Eisenstein count needs an irreducible level, "
+                          "not %s" % "".join("(%s)" % f.format()
+                                             for f in ctx.primes))
+    return certified_rank(ctx, lambda c: eisenstein_rows(c, k, N))
 
 
 # -- naive local L-factors --------------------------------------------------

@@ -70,9 +70,12 @@ def twist_raw(f, chi, ctx):
 
 
 def gauss_over_conductor(chi, ctx):
-    """g(chi^{-1})/n for n the conductor of chi, as a ring element."""
-    return (gauss_thakur(chi.inverse(), ctx)
-            * ctx.lift_poly(chi.conductor).invert())
+    """g(chi^{-1})/n for n the conductor of chi, as a ring element; 1/n is
+    kept in ctx.gauss under the key n."""
+    n = chi.conductor
+    if n not in ctx.gauss:
+        ctx.gauss[n] = ctx.lift_poly(n).invert()
+    return gauss_thakur(chi.inverse(), ctx) * ctx.gauss[n]
 
 
 def twist_normalized(f, chi, ctx):

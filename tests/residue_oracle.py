@@ -1,0 +1,42 @@
+"""The image of an exact torsion-ring element in a residue field, read off
+its packed numerator slot by slot.  An oracle for the reduced contexts of
+TorsionContext.reduced(), which build the same values in the field."""
+
+
+def evaluator(ring, field, emb, alpha, roots):
+    """The map from a QuotientRing into a finite field sending theta to
+    alpha, generator i to roots[i] and a constant code c to emb[c], as a
+    function from an element to its image code, or None where the
+    denominator vanishes at alpha.  It is a ring homomorphism on the
+    elements it is defined on when each roots[i] is a root of relation i
+    at alpha."""
+    add, mul = field.add_table, field.mul_table
+    ybasis = [emb[ring.field.p ** j] for j in range(ring.field.n)]
+    # weights[slot]: the image of the slot's unit, digit by digit
+    weights = []
+    for exps in ring._exps:
+        m = 1
+        for r, e in zip(roots, exps):
+            m = mul[m][field.pow(r, e)]
+        weights.extend(mul[m][y] for y in ybasis)
+    tn = ring._tn
+    unit = ring._unit
+
+    def image(x):
+        raw = x.num.to_bytes((x.num.bit_length() + 7) >> 3, "little")
+        while len(weights) < len(raw):  # one more power of theta
+            weights.extend(mul[w][alpha] for w in weights[-tn:])
+        acc = 0
+        for d, w in zip(raw, weights):
+            if d:
+                acc = add[acc][mul[d][w]]
+        if x.den is unit:
+            return acc
+        v = x.den.eval_in(field, alpha, emb)
+        return mul[acc][field.inv(v)] if v else None
+    return image
+
+
+def point_image(ctx):
+    """evaluator at ctx.residue_point()."""
+    return evaluator(ctx.ring, *ctx.residue_point())

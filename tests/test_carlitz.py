@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from drinfeld.algebra import (Pol, finite_field, is_irreducible,
+from drinfeld.algebra import (RF, Pol, finite_field, is_irreducible,
                               lucas_binomial, monics_of_degree, parse_pol,
                               polys_below_degree)
 from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
                               carlitz_action, carlitz_coeffs,
                               carlitz_factorials, goss_poly, goss_polys)
-from drinfeld.errors import Unsupported
-from drinfeld.series import UExpansion, shift_by_value
+from drinfeld.errors import NotReducible, Unsupported
+from drinfeld.series import UExpansion, goss_coeffs_in, shift_by_value
+
+from residue_oracle import evaluator, point_image
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -370,7 +372,7 @@ class TestResiduePoint:
     def test_evaluator_is_a_homomorphism(self, field, coeffs, ext):
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
         T, emb, alpha, roots = point = ctx.residue_point()
-        image = ctx.ring.evaluator(*point)
+        image = evaluator(ctx.ring, *point)
         Q = _residue_modulus(ctx)
         assert image(ctx.lift_poly(Pol.x(field))) == alpha
         assert image(ctx.lift_poly(Q)) == 0
@@ -394,6 +396,40 @@ class TestResiduePoint:
         assert image(ctx.lift_poly(Q).invert()) is None
         assert image(xs[1] * ctx.lift_poly(Q * Pol.x(field)).invert()) is None
 
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
+                             ids=TORSION_IDS)
+    def test_reduced_context_computes_images(self, field, coeffs, ext):
+        # every value the reduced context computes is the image in T of
+        # the value the exact context computes
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        red = ctx.reduced()
+        T, emb, alpha, roots = ctx.residue_point()
+        image = point_image(ctx)
+        assert red.ring.field is T and red.modulus is ctx.modulus
+        assert [g.code for g in red.gens] == roots
+        assert red.lam.code == image(ctx.lam)
+        assert red.lift_poly(Pol.x(field)).code == alpha
+        for c in range(ctx.big.order):
+            assert red.big_const(c).code == emb[c]
+        for beta in ctx.residues():
+            assert red.exp_value(beta).code == image(ctx.exp_value(beta))
+        for level in ctx.primes:
+            inverse, red_inverse = (c.torsion_inverse(level)
+                                    for c in (ctx, red))
+            for a in ctx.units(level):
+                assert red_inverse(red.exp_at(a, level)).code == image(
+                    inverse(ctx.exp_at(a, level)))
+        for x, y in zip(goss_coeffs_in(ctx, 2 * field.order + 1),
+                        goss_coeffs_in(red, 2 * field.order + 1)):
+            assert y.code == image(x)
+        # an element with no image, and inverting one that vanishes in T
+        Q = _residue_modulus(ctx)
+        with pytest.raises(NotReducible):
+            red.ring.from_rf(RF(Pol.one(ctx.big),
+                                Q.map_to(ctx.big, ctx.emb)))
+        with pytest.raises(NotReducible):
+            red.lift_poly(Q).invert()
+
     def test_none_past_order_limit(self):
         # over F_5, t^2+3 + 1 = (t+1)(t+4), so Q has degree 4 and F_625
         # would be the residue field
@@ -405,7 +441,7 @@ class TestResiduePoint:
         ctx = TorsionContext(Pol(F4, (1, 2, 1)), ext_degree=2)
         assert _residue_modulus(ctx).degree == 4
         assert F4.order ** 4 > RESIDUE_ORDER_MAX
-        assert ctx.residue_point() is None
+        assert ctx.residue_point() is None and ctx.reduced() is None
 
 
 class TestGossPolynomials:

@@ -1,18 +1,24 @@
 """Form catalog, verification reports, congruence checks, and rank counts."""
 
+import functools
 import json
 import re
 
 import pytest
 
 from drinfeld import forms
-from drinfeld.algebra import Pol, finite_field, monics_up_to_degree, parse_pol
+from drinfeld.algebra import (Pol, QuotientRing, finite_field,
+                              irreducible_monics, monics_up_to_degree,
+                              parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
-from drinfeld.errors import NotSquareFree, SignMismatch, Unsupported
+from drinfeld.errors import (NotReducible, NotSquareFree, SignMismatch,
+                             Unsupported)
 from drinfeld.operators import hecke_u
 from drinfeld.series import (UExpansion, goss_coeffs_in, poly_eval_scalar,
                              poly_eval_series, shift_by_value, u_of_az)
+
+from residue_oracle import point_image
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -22,6 +28,21 @@ P4 = Pol(F4, (2, 1, 1))  # t^2 + t + w, w the element of F_4 with code 2
 
 def pol3(text):
     return parse_pol(F3, text)
+
+
+QUADRATICS = ("t^2+1", "t^2+t+2", "t^2+2t+2")
+F9_QUADRATIC = next(p for p in irreducible_monics(finite_field(3, 2), 2)
+                    if p.degree == 2)
+# (level, k, N) at which the rows over T are compared with the images of
+# the exact rows; q = 4, k = 3 is short of full rank over F_16
+REDUCED_CASES = ([(pol3(p), k, 36) for p in QUADRATICS for k in (1, 2, 3)]
+                 + [(pol3("t^3+2t+1"), 1, 90)]
+                 + [(P4, k, 40) for k in (1, 2, 3)]
+                 + [(parse_pol(finite_field(5), "t^2+2"), 1, 60),
+                    (F9_QUADRATIC, 1, 30)])
+REDUCED_IDS = (["q3-%s-k%d" % (p, k) for p in QUADRATICS for k in (1, 2, 3)]
+               + ["q3-t^3+2t+1-k1", "q4-k1", "q4-k2", "q4-k3", "q5-k1",
+                  "q9-k1"])
 
 
 class TestBoundForPrecision:
@@ -228,8 +249,8 @@ class TestRank:
 
     def test_matrix_rank_matches_gauss_jordan_on_rank_rows(self):
         # the Eisenstein rows of the rank suite, full rank 8 each
-        seen = [forms.eisenstein_rows(pol3("t^2+1"), k, 36)[1]
-                for k in (1, 2, 3)]
+        ctx = _rank_context(pol3("t^2+1"))
+        seen = [forms.eisenstein_rows(ctx, k, 36) for k in (1, 2, 3)]
         assert [len(rows) for rows in seen] == [8, 8, 8]
         for rows in seen:
             assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == 8
@@ -264,36 +285,82 @@ class TestRank:
             for k in (1, 2, 3)] + ["q4-k1", "q4-k2", "q4-k3", "q5-k1"])
     def test_certified_rank_matches_exact(self, monkeypatch, ppol, k, N,
                                           want):
-        ctx, rows = forms.eisenstein_rows(ppol, k, N)
+        ctx, rows = _exact_rows(ppol, k, N)
         exact = forms.matrix_rank(rows)
         fallbacks = _spy_matrix_rank(monkeypatch)
-        assert forms.certified_rank(ctx, rows) == exact == want
+        build = lambda c: forms.eisenstein_rows(c, k, N)
+        assert forms.certified_rank(ctx, build) == exact == want
         assert fallbacks == ([want] if want < len(rows) else [])
 
     def test_certified_rank_fallback_triggers(self, monkeypatch):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
-        one, lam = ctx.ring.one, ctx.lam
         fallbacks = _spy_matrix_rank(monkeypatch)
         # full rank over T: no fallback
-        assert forms.certified_rank(ctx, [[one, lam], [lam, one]]) == 2
+        square = lambda c: [[c.ring.one, c.lam], [c.lam, c.ring.one]]
+        assert forms.certified_rank(ctx, square) == 2
         assert fallbacks == []
         # full rank, but the 2x2 minor is Q, so the image in T has rank 1
-        Q = ctx.lift_poly(pol3("t^4+2t^2+2"))  # (t^2+1)(t^2+1) + 1
-        assert ctx.ring.evaluator(*ctx.residue_point())(Q) == 0
-        rows = [[one, lam], [lam, lam * lam + Q]]
-        assert forms.certified_rank(ctx, rows) == 2
+        Q = pol3("t^4+2t^2+2")  # (t^2+1)(t^2+1) + 1
+        assert point_image(ctx)(ctx.lift_poly(Q)) == 0
+        minor_q = lambda c: [[c.ring.one, c.lam],
+                             [c.lam, c.lam * c.lam + c.lift_poly(Q)]]
+        assert forms.certified_rank(ctx, minor_q) == 2
         assert fallbacks == [2]
-        # an entry whose denominator vanishes at alpha
-        rows = [[Q.invert(), one], [one, lam]]
-        assert forms.certified_rank(ctx, rows) == 2
+        # an entry whose denominator vanishes at alpha: 1/Q has no image
+        over_q = lambda c: [[c.lift_poly(Q).invert(), c.ring.one],
+                            [c.ring.one, c.lam]]
+        with pytest.raises(NotReducible):
+            over_q(ctx.reduced())
+        assert forms.certified_rank(ctx, over_q) == 2
         assert fallbacks == [2, 2]
         # no residue field small enough: F_5, t^2+3 needs F_625
         ctx5 = TorsionContext(parse_pol(finite_field(5), "t^2+3"),
                               ext_degree=2)
-        assert ctx5.residue_point() is None
-        rows = [[ctx5.ring.one, ctx5.lam], [ctx5.lam, ctx5.ring.one]]
-        assert forms.certified_rank(ctx5, rows) == 2
+        assert ctx5.residue_point() is None and ctx5.reduced() is None
+        assert forms.certified_rank(ctx5, square) == 2
         assert fallbacks == [2, 2, 2]
+
+    @pytest.mark.parametrize("ppol, k, N", REDUCED_CASES, ids=REDUCED_IDS)
+    def test_reduced_rows_equal_exact_images(self, ppol, k, N):
+        # the rows built over T equal, entry for entry, the images in T of
+        # the rows built in the torsion ring
+        ctx, exact = _exact_rows(ppol, k, N)
+        red = ctx.reduced()
+        assert not isinstance(red.ring, QuotientRing)
+        image = point_image(ctx)
+        got = [[x.code for x in row] for row in
+               forms.eisenstein_rows(red, k, N)]
+        want = [[image(x) for x in row] for row in exact]
+        assert len(got) == len(exact) and all(len(r) == N for r in got)
+        assert None not in (c for row in want for c in row)
+        assert got == want
+
+    @pytest.mark.parametrize("ptext", QUADRATICS)
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_fast_path_builds_no_exact_rows(self, monkeypatch, ptext, k):
+        # full rank over F_81: neither the exact Eisenstein components nor
+        # the exact rank run
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        rings = []
+        components = forms.eisenstein_components
+        monkeypatch.setattr(forms, "eisenstein_components",
+                            lambda ctx, *args: rings.append(ctx.ring)
+                            or components(ctx, *args))
+        assert forms.eisenstein_rank(pol3(ptext), k, 36) == 8
+        assert fallbacks == []
+        assert len(rings) == 1
+        assert not isinstance(rings[0], QuotientRing)
+
+    def test_reduction_failure_falls_back(self, monkeypatch):
+        # at theta over F_3, Q = t+1 and T = F_3; G_4 carries 1/(t^3+2t),
+        # which vanishes at every point of F_3
+        red = TorsionContext(TH).reduced()
+        assert red.ring.field is F3
+        with pytest.raises(NotReducible, match="vanishes at alpha"):
+            goss_coeffs_in(red, 4)
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        assert forms.eisenstein_rank(TH, 4, 12) == 2
+        assert fallbacks == [2]
 
     def test_cubic_count(self):
         # 2(27-1)/2 = 26 at the cubic level, certified over F_27
@@ -308,7 +375,7 @@ class TestRank:
         # for entry, the rows built from one E_a per unit and one
         # G_k(u(cz)) per monic c
         for k in ks:
-            rows = forms.eisenstein_rows(ppol, k, N)[1]
+            rows = forms.eisenstein_rows(_rank_context(ppol), k, N)
             got = [[x.coords for x in row] for row in rows]
             want = [[x.coords for x in row]
                     for row in _all_unit_rows(ppol, k, N)]
@@ -317,6 +384,19 @@ class TestRank:
             assert len(got) == 2 * size // (ppol.field.order - 1)
             assert all(len(row) == N for row in got)
             assert got == want, "k = %d" % k
+
+
+def _rank_context(ppol):
+    """The exact torsion context eisenstein_rank builds for the level."""
+    return TorsionContext(ppol, ext_degree=ppol.degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_rows(ppol, k, N):
+    """(ctx, rows): the exact context and its rank rows, built once and
+    shared by the tests that compare against them."""
+    ctx = _rank_context(ppol)
+    return ctx, forms.eisenstein_rows(ctx, k, N)
 
 
 def _spy_matrix_rank(monkeypatch):

@@ -3,16 +3,18 @@ delta-sum."""
 
 import pytest
 
-from drinfeld.algebra import (Pol, finite_field, lucas_binomial,
+from drinfeld.algebra import (Pol, REl, finite_field, lucas_binomial,
                               monics_up_to_degree, parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import LevelPrime, NotPrimitive, Unsupported
 from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
                              UExpansion)
-from drinfeld.operators import (delta_sum, hecke_a, hecke_twisted, hecke_u,
+from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
+                                hecke_twisted, hecke_u,
                                 twist_monomial_closed, twist_normalized,
                                 twist_raw, _modulus_power)
+from drinfeld.characters import gauss_thakur
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -121,6 +123,27 @@ class TestTwistNormalized:
             nonzero += closed.order() < N
             assert twist_normalized(ui, chi, ctx).agrees_with(closed)
         assert nonzero
+
+    def test_conductor_inverted_once_per_context(self, monkeypatch):
+        # 1/n is kept in ctx.gauss: every character of conductor n, on every
+        # call, reuses the one inversion; a new context inverts again
+        ppol = pol3("t^2+1")
+        ctx = TorsionContext(ppol, ext_degree=2)
+        chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
+                for e in (1, 2, 5)]
+        want = [gauss_thakur(chi.inverse(), ctx)
+                * ctx.lift_poly(ppol).invert() for chi in chis]
+        inverted = []
+        invert = REl.invert
+        monkeypatch.setattr(REl, "invert",
+                            lambda x: inverted.append(x) or invert(x))
+        for _ in range(3):
+            assert [gauss_over_conductor(chi, ctx) for chi in chis] == want
+        assert inverted == [ctx.lift_poly(ppol)]
+        other = TorsionContext(ppol, ext_degree=2)
+        gauss_over_conductor(chis[0], other)
+        gauss_over_conductor(chis[1], other)
+        assert len(inverted) == 2
 
     def test_independent_of_weight_metadata(self):
         # the conductor powers cancel, leaving n^(-1) regardless of (k, m)
