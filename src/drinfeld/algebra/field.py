@@ -14,36 +14,7 @@ embedding and every root choice reproducible across runs.
 import functools
 
 from ..errors import NotReducible
-from .poly import is_irreducible, monics_of_degree
-
-
-def _poly_mul_mod_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mod(a, m, p):
-    # a, m lists of ints mod p, m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1] % p
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm):
-                a[off + j] = (a[off + j] - c * m[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+from .poly import Pol, digit_tuples, is_irreducible, monics_of_degree
 
 
 def _min_irreducible(p, n):
@@ -81,43 +52,27 @@ class FiniteField:
         self.n = n
         self.order = order
         self.modulus = tuple(_min_irreducible(p, n)[:-1])  # c_0..c_{n-1}
-
-        digits = []
-        for k in range(order):
-            d = []
-            t = k
-            for _ in range(n):
-                d.append(t % p)
-                t //= p
-            digits.append(tuple(d))
-        self.digits = digits
-
-        self.add_table = [
-            [self._from_digits([(x + y) % p for x, y in zip(digits[a], digits[b])])
-             for b in range(order)]
-            for a in range(order)
-        ]
-        self.neg_table = [self._from_digits([(-x) % p for x in digits[a]])
-                          for a in range(order)]
-        self.mul_table = [[self._mul_raw(a, b) for b in range(order)]
-                          for a in range(order)]
-        inv = [0] * order
-        for a in range(1, order):
-            row = self.mul_table[a]
-            inv[a] = row.index(1)
-        self.inv_table = inv
+        self.digits = digit_tuples(p, n)
+        if n == 1:
+            # Pol over F_p runs on these tables, so they are plain ints
+            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.neg_table = [-a % p for a in range(p)]
+            self.mul_table = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            prime = finite_field(p)
+            pols = [Pol(prime, d) for d in self.digits]
+            code = {f.c: k for k, f in enumerate(pols)}
+            modulus = Pol(prime, self.modulus + (1,))
+            self.neg_table = [code[(-f).c] for f in pols]
+            add = self.add_table = [[0] * order for _ in range(order)]
+            mul = self.mul_table = [[0] * order for _ in range(order)]
+            for a, f in enumerate(pols):
+                for b in range(a, order):
+                    g = pols[b]
+                    add[a][b] = add[b][a] = code[(f + g).c]
+                    mul[a][b] = mul[b][a] = code[(f * g % modulus).c]
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
         self._emb_cache = {}
-
-    def _from_digits(self, d):
-        k = 0
-        for x in reversed(d):
-            k = k * self.p + (x % self.p)
-        return k
-
-    def _mul_raw(self, a, b):
-        da, db = self.digits[a], self.digits[b]
-        prod = _poly_mul_mod_p(da, db, self.p)
-        return self._from_digits(_poly_mod(prod, self.modulus + (1,), self.p))
 
     # -- element operations (elements are ints) --
 
@@ -158,38 +113,22 @@ class FiniteField:
 
         Returns a list t with t[a] the image of a; the image of the
         subfield generator is the root of the subfield's defining
-        polynomial with smallest code.
+        polynomial with smallest code.  Prime-field codes are the same in
+        every extension, so F_p embeds by identity.
         """
-        if sub.order == self.order:
-            return list(range(self.order))
         key = (sub.p, sub.n)
-        if key in self._emb_cache:
-            return self._emb_cache[key]
-        if sub.p != self.p or self.n % sub.n != 0:
-            raise ValueError("not a subfield")
-        # find smallest root z of sub's defining polynomial in self
-        modpoly = list(sub.modulus) + [1]
-        z = None
-        for cand in range(self.order):
-            acc = 0
-            for c in reversed(modpoly):
-                acc = self.add(self.mul(acc, cand), self.scalar(c))
-            if acc == 0:
-                z = cand
-                break
-        if z is None:
-            raise AssertionError("subfield root not found")  # pragma: no cover
-        zpow = [1]
-        for _ in range(sub.n - 1):
-            zpow.append(self.mul(zpow[-1], z))
-        table = []
-        for a in range(sub.order):
-            acc = 0
-            for d, zp in zip(sub.digits[a], zpow):
-                acc = self.add(acc, self.mul(self.scalar(d), zp))
-            table.append(acc)
-        self._emb_cache[key] = table
-        return table
+        if key not in self._emb_cache:
+            if sub.p != self.p or self.n % sub.n:
+                raise ValueError("not a subfield")
+            if sub.n == 1 or sub.n == self.n:
+                table = list(range(sub.order))
+            else:
+                prime, ident = finite_field(self.p), range(self.p)
+                z = Pol(prime, sub.modulus + (1,)).roots_in(self, ident)[0]
+                table = [Pol(prime, d).eval_in(self, z, ident)
+                         for d in sub.digits]
+            self._emb_cache[key] = table
+        return self._emb_cache[key]
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.n) if self.n > 1 else "GF(%d)" % self.p

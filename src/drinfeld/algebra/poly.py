@@ -7,6 +7,8 @@ multiplies have a few dozen coefficients at most, a size at which packing
 them into big integers costs more than it saves.
 """
 
+import itertools
+
 
 class Pol:
     """Immutable polynomial over a FiniteField."""
@@ -156,6 +158,9 @@ class Pol:
             a, b = b, a % b
         return a.monic()
 
+    def lcm(self, other):
+        return self * other // self.gcd(other)
+
     def xgcd(self, other):
         """Return (g, s, t) with s*self + t*other = g, g monic."""
         f = self.field
@@ -282,36 +287,24 @@ def parse_pol(field, text, symbol="t"):
     return Pol.from_int_coeffs(field, ints)
 
 
+def digit_tuples(q, d):
+    """All d-tuples over range(q), first entry fastest: tuple k holds the
+    base-q digits of k, least significant first."""
+    return [t[::-1] for t in itertools.product(range(q), repeat=d)]
+
+
 def monics_of_degree(field, d):
     """All monic polynomials of degree d, in a fixed deterministic order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = field.order
-    out = []
-    for idx in range(q ** d):
-        c = []
-        k = idx
-        for _ in range(d):
-            c.append(k % q)
-            k //= q
-        out.append(Pol(field, tuple(c) + (1,)))
-    return out
+    return [Pol(field, c + (1,)) for c in digit_tuples(field.order, d)]
 
 
 def polys_below_degree(field, d):
     """All q^d polynomials of degree < d (including 0), fixed order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = field.order
-    out = []
-    for idx in range(q ** d):
-        c = []
-        k = idx
-        for _ in range(d):
-            c.append(k % q)
-            k //= q
-        out.append(Pol(field, tuple(c)))
-    return out
+    return [Pol(field, c) for c in digit_tuples(field.order, d)]
 
 
 def monics_up_to_degree(field, d):

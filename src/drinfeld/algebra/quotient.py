@@ -48,6 +48,8 @@ that holds this bound; a bound wider than MAX_SLOT_BYTES raises Unsupported
 instead of wrapping.
 """
 
+from functools import reduce
+
 from ..errors import NotInvertible, Unsupported
 from .poly import Pol
 from .ratfunc import RF
@@ -150,9 +152,7 @@ class QuotientRing:
 
     def from_rf_coords(self, coords):
         """The element with the given RF coordinates."""
-        lcm = self._unit
-        for c in coords:
-            lcm = lcm * c.den // lcm.gcd(c.den)
+        lcm = reduce(Pol.lcm, (c.den for c in coords), self._unit)
         num = self._pack([c.num * (lcm // c.den) for c in coords])
         return REl(self, num, self._unit if lcm.is_one() else lcm)
 
@@ -299,9 +299,7 @@ class QuotientRing:
         """dot over a common denominator: the lcm of the pair denominators."""
         unit = self._unit
         dens = [a.den * b.den for a, b in pairs]
-        lcm = unit
-        for d in dens:
-            lcm = lcm * d // lcm.gcd(d)
+        lcm = reduce(Pol.lcm, dens, unit)
         integral = []
         for (a, b), d in zip(pairs, dens):
             a = REl(self, a.num, unit)

@@ -6,17 +6,10 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 0^0 = 1 so that exponent-zero factors never kill a value.
 """
 
-from math import gcd
+from math import lcm
 
 from .algebra import Pol, factor_squarefree_monic, finite_field, lucas_binomial
 from .errors import ConductorMismatch, NotPrimitive
-
-
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 class DirichletCharacter:
@@ -27,7 +20,7 @@ class DirichletCharacter:
     def __init__(self, field, factors, big=None):
         primes = [f[0] for f in factors]
         if big is None:
-            D = _lcm([p.degree for p in primes]) if primes else 1
+            D = lcm(*(p.degree for p in primes))
             big = finite_field(field.p, field.n * D)
         conductor = Pol.one(field)
         seen = set()

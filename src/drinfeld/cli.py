@@ -31,20 +31,12 @@ from .forms import VerificationReport
 
 def field_of_order(q):
     """The finite field with q = p^n elements."""
-    p = 2
-    n0 = q
-    while p * p <= n0:
-        if n0 % p == 0:
-            break
-        p += 1
-    if n0 % p:
-        p = n0
-    n = 0
-    m = q
-    while m % p == 0 and m > 1:
+    p = next((d for d in range(2, int(abs(q) ** 0.5) + 1) if q % d == 0), q)
+    n, m = 0, q
+    while m > 1 and m % p == 0:
         m //= p
         n += 1
-    if p ** n != q or n == 0:
+    if q < 2 or m != 1:
         raise ValueError("q = %d is not a prime power" % q)
     return finite_field(p, n)
 

@@ -33,14 +33,6 @@ def neben_eval(neben, a, ctx):
     return ctx.char_value(neben, a)
 
 
-def _pol_lcm(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (a * b) // a.gcd(b)
-
-
 def _character_shift_sum(f, chi, ctx):
     """sum_beta chi^{-1}(beta) f(z + beta/n), carrying the twisted metadata."""
     if f.meta is None:
@@ -58,7 +50,8 @@ def _character_shift_sum(f, chi, ctx):
             out = out + shift_by_value(f, lam).scale_const(code)
     neben = f.meta.neben
     newneben = (neben, chi, chi) if neben is not None else (chi, chi)
-    meta = ModularMeta(k, m + chi.sign, _pol_lcm(f.meta.level, n * n), newneben)
+    level = n * n if f.meta.level is None else f.meta.level.lcm(n * n)
+    meta = ModularMeta(k, m + chi.sign, level, newneben)
     return out.with_meta(meta)
 
 

@@ -48,6 +48,39 @@ DEFINING_POLYNOMIALS = {
     (53, 2): (2, 0, 1), (59, 2): (1, 0, 1), (61, 2): (2, 0, 1),
 }
 
+# (p, m, n): code of the image of the generator y of F_{p^m} in F_{p^n}
+EMBEDDING_GENERATORS = {
+    (2, 2, 4): 6, (2, 2, 6): 58, (2, 3, 6): 14, (3, 2, 4): 42,
+}
+
+
+def _poly_mul_mod_p(a, b, p):
+    """Schoolbook product of coefficient lists mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mod(a, m, p):
+    """Remainder of the coefficient list a by the monic list m, mod p."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        c = a[-1] % p
+        if c:
+            off = len(a) - 1 - dm
+            for j in range(dm):
+                a[off + j] = (a[off + j] - c * m[j]) % p
+        a.pop()
+    return a
+
 
 def pol3(text):
     return parse_pol(F3, text)
@@ -64,11 +97,18 @@ class TestFiniteField:
         assert F3.inv(2) == 2
 
     def test_extension_embedding(self):
-        emb = F9.embedding(F3)
-        for a in range(3):
-            for b in range(3):
-                assert emb[F3.add(a, b)] == F9.add(emb[a], emb[b])
-                assert emb[F3.mul(a, b)] == F9.mul(emb[a], emb[b])
+        # F_3 -> F_9 is the same for every root choice; the others pin the
+        # least root of the subfield's defining polynomial
+        for p, m, n in [(3, 1, 2)] + list(EMBEDDING_GENERATORS):
+            sub, big = finite_field(p, m), finite_field(p, n)
+            emb = big.embedding(sub)
+            assert emb[:p] == list(range(p))
+            if m > 1:
+                assert emb[p] == EMBEDDING_GENERATORS[p, m, n]
+            for a in sub.elements():
+                for b in sub.elements():
+                    assert emb[sub.add(a, b)] == big.add(emb[a], emb[b])
+                    assert emb[sub.mul(a, b)] == big.mul(emb[a], emb[b])
 
     @given(st.integers(0, 8), st.integers(0, 8))
     def test_f9_commutative(self, a, b):
@@ -91,16 +131,14 @@ class TestFiniteField:
                                       (3, 3), (5, 2), (7, 2)])
     def test_mul_table_matches_pol_arithmetic(self, p, n):
         # the product of codes a, b is a*b mod the defining polynomial,
-        # computed here over F_p[y] with Pol
+        # computed here over F_p[y] on integer lists, not with Pol (which
+        # builds the table)
         field = finite_field(p, n)
-        prime = finite_field(p)
-        modulus = Pol(prime, field.modulus + (1,))
-        as_pol = [Pol(prime, field.digits[a]) for a in field.elements()]
-        code = {f.c: a for a, f in enumerate(as_pol)}
         for a in field.elements():
             for b in field.elements():
-                prod = (as_pol[a] * as_pol[b]) % modulus
-                assert field.mul(a, b) == code[prod.c]
+                prod = _poly_mul_mod_p(field.digits[a], field.digits[b], p)
+                rem = _poly_mod(prod, field.modulus + (1,), p)
+                assert field.mul(a, b) == sum(d * p ** i for i, d in enumerate(rem))
 
 
 class TestPol:
@@ -154,6 +192,12 @@ class TestPol:
         assert len(list(monics_of_degree(F3, 2))) == 9
         assert len(list(monics_up_to_degree(F3, 2))) == 13  # incl. degree 0
         assert len(list(polys_below_degree(F3, 2))) == 9
+        # code order, first coefficient fastest: it decides the defining
+        # polynomials, residue_point's Q and the order of units
+        assert [f.c for f in monics_of_degree(F3, 2)][:6] == [
+            (0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1)]
+        assert [f.c for f in polys_below_degree(F4, 2)][:7] == [
+            (), (1,), (2,), (3,), (0, 1), (1, 1), (2, 1)]
 
     def test_factor_squarefree(self):
         n = pol3("t") * pol3("t+1")

@@ -40,7 +40,7 @@ class TestFieldOfOrder:
         assert cli.field_of_order(25).order == 25
 
     def test_rejects_non_prime_power(self):
-        for bad in (1, 6, 12):
+        for bad in (1, 6, 12, 0, -3):
             with pytest.raises(ValueError):
                 cli.field_of_order(bad)
 
