@@ -63,7 +63,7 @@ class QuotientRing:
                  "_final", "_folds", "_plans", "_pair_gain", "_w", "_times",
                  "_unit", "zero", "one")
 
-    def __init__(self, field, generators=()):
+    def __init__(self, field, generators):
         """generators: sequence of (name, relation) with relation a list of
         RF coefficients of a monic polynomial (low degree first), each a
         polynomial in theta."""
@@ -167,8 +167,6 @@ class QuotientRing:
                    self._unit)
 
     def __repr__(self):
-        if not self.gen_names:
-            return "FracField(%r[t])" % self.field
         return "QuotientRing(%r[t]; %s)" % (self.field, ", ".join(self.gen_names))
 
     # -- the product --
@@ -445,9 +443,6 @@ class REl:
             return REl(ring, ring._translate(self.num + neg, ring._times[1]),
                        self.den)
         return self + (-other)
-
-    def scale_rf(self, rf):
-        return self * self.ring.from_rf(rf)
 
     def scale_const(self, code):
         ring = self.ring

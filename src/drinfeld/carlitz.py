@@ -11,7 +11,7 @@ C_beta(lambda_n).
 from .algebra import (RF, Pol, QuotientRing, ResidueRing,
                       factor_squarefree_monic, finite_field, is_irreducible,
                       monics_of_degree, polys_below_degree)
-from .errors import Unsupported
+from .errors import ConductorMismatch, Unsupported
 
 # Largest residue field residue_point builds.  Its tables are built once
 # per process; the exact rows and rank they spare are paid per call.  Timed
@@ -73,7 +73,7 @@ class TorsionContext:
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "lam", "_cofs", "_exp_cache", "_powers", "gauss")
+                 "gens", "_cofs", "_exp_cache", "_powers", "gauss")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -105,7 +105,8 @@ class TorsionContext:
         self.ring = ring
         self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
         self._exp_cache, self._powers, self.gauss = {}, {}, {}
-        self.lam = self.exp_value(Pol.one(self.field))
+
+    lam = property(lambda self: self.exp_value(Pol.one(self.field)))
 
     def reduced(self):
         """This context over T = A/Q: the same modulus and constants, with
@@ -134,11 +135,12 @@ class TorsionContext:
         return self.ring.from_const(code)
 
     def char_value(self, chi, a):
-        """chi(a) as a code in the context's big field."""
-        v = chi.eval(a)
-        if chi.big is self.big:
-            return v
-        return self.big.embedding(chi.big)[v]
+        """chi(a) as a code of the context's big field, which must be the
+        character's own: no value passes from one field into another."""
+        if chi.big is not self.big:
+            raise ConductorMismatch("character values lie in %r, not in %r"
+                                    % (chi.big, self.big))
+        return chi.eval(a)
 
     def exp_value(self, beta):
         """The torsion value standing for exp_C(pi*beta/n): C_beta(lambda_n).

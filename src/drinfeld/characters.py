@@ -8,40 +8,46 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 
 from math import lcm
 
-from .algebra import Pol, factor_squarefree_monic, finite_field, lucas_binomial
+from .algebra import (Pol, factor_squarefree_monic, finite_field,
+                      is_irreducible, lucas_binomial)
 from .errors import ConductorMismatch, NotPrimitive
 
 
 class DirichletCharacter:
-    """factors: tuple of (prime, root code in the big field, exponent)."""
+    """factors: (prime, root code in big, exponent); emb maps field to big."""
 
-    __slots__ = ("field", "big", "factors", "conductor")
+    __slots__ = ("field", "big", "emb", "factors", "conductor")
 
     def __init__(self, field, factors, big=None):
-        primes = [f[0] for f in factors]
+        for prime, _, _ in factors:
+            if not (prime.is_monic() and is_irreducible(prime)):
+                raise ValueError("%s is not a monic prime" % prime.format())
         if big is None:
-            D = lcm(*(p.degree for p in primes))
+            D = lcm(*(prime.degree for prime, _, _ in factors))
             big = finite_field(field.p, field.n * D)
+        emb = big.embedding(field)
         conductor = Pol.one(field)
         seen = set()
         resolved = []
-        for item in factors:
-            prime, root, e = item
+        for prime, root, e in factors:
             if prime.c in seen:
                 raise ValueError("repeated prime factor")
             seen.add(prime.c)
-            size = field.order ** prime.degree
-            e = e % (size - 1)
             if root is None:
-                roots = prime.roots_in(big)
+                roots = prime.roots_in(big, emb)
                 if not roots:
                     raise ValueError("no root of %s in the chosen constant field"
                                      % prime.format())
                 root = min(roots)
-            resolved.append((prime, root, e))
+            elif root not in big.elements() or prime.eval_in(big, root, emb):
+                raise ValueError("%r is not a root of %s in %r"
+                                 % (root, prime.format(), big))
+            resolved.append((prime, root,
+                             e % (field.order ** prime.degree - 1)))
             conductor = conductor * prime
         self.field = field
         self.big = big
+        self.emb = emb
         self.factors = tuple(resolved)
         self.conductor = conductor
 
@@ -112,12 +118,11 @@ class DirichletCharacter:
         """chi(a) as a big-field code; 0 exactly when a shares a factor
         with the conductor at which the exponent is positive."""
         big = self.big
-        emb = big.embedding(self.field)
         out = 1
         for prime, root, e in self.factors:
             if e == 0:
                 continue
-            v = a.eval_in(big, root, emb)
+            v = a.eval_in(big, root, self.emb)
             if v == 0:
                 return 0
             out = big.mul(out, big.pow(v, e))
@@ -204,15 +209,16 @@ def gauss_thakur(chi, ctx):
         raise NotPrimitive("Gauss-Thakur sums need a primitive character")
     if chi.conductor.gcd(ctx.modulus) != chi.conductor:
         raise ConductorMismatch("conductor must divide the context modulus")
+    if chi.big is not ctx.big:
+        raise ConductorMismatch("character values lie in %r, not in %r"
+                                % (chi.big, ctx.big))
     cached = ctx.gauss.get(chi)
     if cached is not None:
         return cached
     big = ctx.big
-    conv = None if big is chi.big else big.embedding(chi.big)
     q = chi.field.order
     out = ctx.ring.one
-    for prime, root, e in chi.factors:
-        r = conv[root] if conv else root
+    for prime, r, e in chi.factors:
         while e:
             digit = e % q
             if digit:

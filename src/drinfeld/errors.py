@@ -23,7 +23,7 @@ class NotPrimitive(DrinfeldError):
 
 
 class ConductorMismatch(DrinfeldError):
-    """Raised when two characters do not share the required conductor."""
+    """Raised when a character's conductor data or constant field does not fit."""
 
 
 class NotDescendable(DrinfeldError):

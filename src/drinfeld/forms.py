@@ -311,7 +311,7 @@ def eisenstein_rows(ctx, k, N):
             for e in range(size - 1) if (e + k) % (q - 1) == 0]
     bound = bound_for_precision(field, N)
     units = ctx.units(ppol)
-    comps = eisenstein_components(ctx, k, ppol, N, bound)
+    comps = eisenstein_components(ctx, k, ppol, N)
     gk = goss_coeffs_in(ctx, k)
     buckets = {r.c: UExpansion.zero(ctx, N) for r in units}
     for c in monics_up_to_degree(field, bound):

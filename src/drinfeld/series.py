@@ -472,10 +472,10 @@ class AExpansion:
         return out.with_meta(self.meta())
 
 
-def eisenstein_components(ctx, k, level, N, bound):
+def eisenstein_components(ctx, k, level, N):
     """The series E_a = sum_{c in A} G_k(u(cz + a/level)) to precision N,
     as {a.c: E_a} over the monic units a mod level; the c = 0 term is the
-    constant G_k(1/lambda_a) and the other c have deg c <= bound.  The
+    constant G_k(1/lambda_a), and no c with q^deg c >= N reaches u^N.  The
     other units follow from E_{xi a} = xi^(-k) E_a (see fold_units).
 
     Writing c = xi*c' with c' monic and xi in F_q^*, u(cz) = u(c'z)/xi,
@@ -488,7 +488,7 @@ def eisenstein_components(ctx, k, level, N, bound):
     q = ctx.field.order
     step = q - 1
     P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
-    for c in monics_up_to_degree(ctx.field, bound):
+    for c in monics_up_to_degree(ctx.field, bound_for_precision(ctx.field, N)):
         count = (N - 1) // (step * q ** c.degree)  # powers of order < N
         if not count:
             continue
@@ -577,19 +577,13 @@ class TwistedEisenstein:
         """sum_a comp(a) * G_k(1/lambda_a), the u^0 coefficient."""
         return self.render(1).coeff(0)
 
-    def render(self, N, bound=None):
+    def render(self, N):
         """Truncated u-expansion sum_a comp(a) * E_a over the units a,
         computed as sum_{a monic} w(a) * E_a with the components folded
         onto the monic units by fold_units."""
         ctx = self.ctx
-        least = bound_for_precision(ctx.field, N)
-        if bound is None:
-            bound = least
-        if bound < least:
-            raise InsufficientDegreeBound(
-                "degree bound %d cannot reach precision %d" % (bound, N))
         out = UExpansion.zero(ctx, N)
-        comps = eisenstein_components(ctx, self.k, self.level, N, bound)
+        comps = eisenstein_components(ctx, self.k, self.level, N)
         w = fold_units(ctx, self.k, self.level, self.components)
         for key, E in comps.items():
             out = out + E.scale(w[key])

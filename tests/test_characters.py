@@ -5,12 +5,14 @@ import itertools
 
 import pytest
 
-from drinfeld.algebra import (Pol, factor_squarefree_monic, finite_field,
-                              parse_pol, polys_below_degree)
+from drinfeld.algebra import (FiniteField, Pol, factor_squarefree_monic,
+                              finite_field, parse_pol, polys_below_degree)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import (DirichletCharacter, char_sum_s, convolve,
                                  gauss_thakur, jacobi_factor)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
+from drinfeld.operators import twist_raw
+from drinfeld.series import ModularMeta, UExpansion
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -69,6 +71,57 @@ class TestCharacter:
         chi2 = DirichletCharacter.from_conductor(pol3("t+1"), 1)
         with pytest.raises(ConductorMismatch):
             chi1 * chi2
+
+
+class TestCharacterData:
+    @pytest.mark.parametrize("prime, root", [
+        (pol3("t^2+1"), 0),    # theta is a unit mod theta^2+1: chi(theta) = 0
+        (pol3("t^2+1"), 7),    # the roots in F_9 are 3 and 6
+        (pol3("t^2+1"), 100),  # not a code of F_9
+        (pol3("t^2"), None),   # not prime
+        (pol3("2t+1"), None),  # not monic
+    ], ids=["not-a-root", "other-code", "not-a-code", "square", "non-monic"])
+    def test_rejects_bad_data(self, prime, root):
+        with pytest.raises(ValueError):
+            DirichletCharacter(F3, [(prime, root, 1)])
+
+    def test_accepts_every_root(self):
+        p2 = pol3("t^2+1")
+        roots = [DirichletCharacter(F3, [(p2, r, 1)]).factors[0][1]
+                 for r in (None, 3, 6)]
+        assert roots == [3, 3, 6]
+
+    def test_eval_builds_no_embedding(self, monkeypatch):
+        # the map F_q -> big is taken once, at construction, and is the
+        # context's own when the big fields agree
+        ctx = TorsionContext(pol3("t^2+1") * TH, ext_degree=2)
+        chi = DirichletCharacter.from_conductor(pol3("t^2+1"), 3, big=ctx.big)
+        assert chi.emb is ctx.emb
+        calls = []
+        embedding = FiniteField.embedding
+        monkeypatch.setattr(FiniteField, "embedding",
+                            lambda big, sub: calls.append(sub)
+                            or embedding(big, sub))
+        values = [chi.eval(a) for a in polys_below_degree(F3, 2)]
+        values += [ctx.char_value(chi, a) for a in polys_below_degree(F3, 2)]
+        assert calls == [] and any(values)
+
+    def test_other_constant_field_rejected(self):
+        # chi mod theta takes its values in F_3, the context's constants
+        # are F_9: no value is carried from one field into the other
+        ctx = TorsionContext(TH * pol3("t^2+1"), ext_degree=2)
+        chi = DirichletCharacter.from_conductor(TH, 1)
+        assert chi.big is F3 and ctx.big is finite_field(3, 2)
+        with pytest.raises(ConductorMismatch, match=r"GF\(3\).*GF\(3\^2\)"):
+            ctx.char_value(chi, pol3("t+1"))
+        with pytest.raises(ConductorMismatch):
+            gauss_thakur(chi, ctx)
+        f = UExpansion.u(ctx, 9).with_meta(ModularMeta(0, 0))
+        with pytest.raises(ConductorMismatch):
+            twist_raw(f, chi, ctx)
+        same = DirichletCharacter.from_conductor(TH, 1, big=ctx.big)
+        assert ctx.char_value(same, pol3("t+1")) == 1
+        assert gauss_thakur(same, ctx)
 
 
 class TestConvolution:

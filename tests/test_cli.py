@@ -62,6 +62,15 @@ class TestParseChar:
             with pytest.raises(ValueError):
                 cli.parse_char(F3, bad)
 
+    @pytest.mark.parametrize("text", [
+        "chi{p=t^2+1; zeta=0; e=1}", "chi{p=t^2+1; zeta=7; e=1}",
+        "chi{p=t^2+1; zeta=100; e=1}", "chi{p=t^2; e=1}"],
+        ids=["not-a-root", "other-code", "not-a-code", "square"])
+    def test_bad_character_data(self, text):
+        # the roots of t^2+1 in F_9 are 3 and 6
+        with pytest.raises(ValueError):
+            cli.parse_char(F3, text)
+
 
 class TestTable:
     def test_text_golden(self, capsys):

@@ -3,13 +3,16 @@ delta-sum."""
 
 import pytest
 
-from drinfeld.algebra import (Pol, REl, finite_field, lucas_binomial,
-                              monics_up_to_degree, parse_pol)
+from drinfeld import forms
+from drinfeld.algebra import (Pol, REl, finite_field, irreducible_monics,
+                              lucas_binomial, monics_up_to_degree, parse_pol,
+                              polys_below_degree)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import LevelPrime, NotPrimitive, Unsupported
 from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
-                             UExpansion)
+                             UExpansion, goss_coeffs_in, moebius_of_series,
+                             poly_eval_series, u_of_az)
 from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
                                 hecke_twisted, hecke_u,
                                 twist_monomial_closed, twist_normalized,
@@ -331,3 +334,70 @@ class TestTwistHeckeCommutation:
         m = min(lhs.prec, rhs.prec)
         assert m >= 10
         assert lhs.truncate(m).agrees_with(rhs.truncate(m))
+
+
+# q -> (field, precision of the Hecke checks, precision of the twists):
+# T_theta keeps 1/q of the coefficients, Delta starts at u^(q-1), and the
+# twist by chi^e of f_1 is nonzero there for 1 <= e < N/q - 1
+MATRIX = {3: (F3, 27, 27), 4: (F4, 16, 16), 5: (finite_field(5), 25, 25),
+          9: (F9, 81, 45)}
+
+
+@pytest.mark.parametrize("q", sorted(MATRIX), ids=lambda q: "q%d" % q)
+def test_nonprime_q_matrix(q):
+    # base-field and extension codes differ once q is not prime, so every
+    # layer runs at q = 4 and 9 as at the prime q = 3 and 5
+    field, N, Ntw = MATRIX[q]
+    th = Pol.x(field)
+    th1 = th + Pol.one(field)
+    bound = forms.bound_for_precision(field, N)
+    pp = next(f for f in irreducible_monics(field, 2) if f.degree == 2)
+
+    # Hecke u-engine against the A-engine, in a ring with constants F_{q^2}
+    ctx = TorsionContext(th * th1, ext_degree=2)
+    for F in (forms.petrov_fs(ctx, 1, bound), forms.delta(ctx, bound),
+              forms.eisenstein_ep(ctx, pp, bound)):
+        f = F.render(N)
+        for qpol in (th, th1):
+            lhs = hecke_u(f, qpol, ctx)
+            assert lhs and lhs.agrees_with(hecke_a(F, qpol).render(lhs.prec))
+
+    # eigensystems of f_1 and f_2 at level theta
+    ctx = TorsionContext(th)
+    for s in (1, 2):
+        report = forms.verify_eigensystem(
+            forms.petrov_fs(ctx, s, 2), irreducible_monics(field, 1),
+            ctx.lift_poly, N)
+        assert report.passed, report.witness
+
+    # twist-Hecke commutation at theta, every character mod theta+1
+    ctx = TorsionContext(th * th1)
+    f = forms.petrov_fs(ctx, 1, bound).render(Ntw)
+    for e in range(q - 1):
+        chi = DirichletCharacter.from_conductor(th1, e, big=ctx.big)
+        lhs = hecke_u(twist_raw(f, chi, ctx), th, ctx)
+        rhs = twist_raw(hecke_u(f, th, ctx), chi, ctx)
+        rhs = rhs.scale_const(ctx.char_value(chi, th))
+        m = min(lhs.prec, rhs.prec)
+        assert m == Ntw // q
+        assert lhs.truncate(m).agrees_with(rhs.truncate(m)), "e = %d" % e
+
+    # distribution lemma, k = 1: the sum over beta mod theta of
+    # G_1(u(c(z+beta)/theta + a/p)) is theta G_1(u(cz + a theta/p)); both
+    # sides start at v^(q^2) for c = theta+1
+    ctx = TorsionContext(pp * th)
+    Nv = q * q + 1
+    gk = goss_coeffs_in(ctx, 1)
+    qk = ctx.lift_poly(th)
+    for c in (Pol.one(field), th1):
+        Uc, Ucq = u_of_az(ctx, c, Nv), u_of_az(ctx, c * th, Nv)
+        for a in ctx.units(pp)[:3]:
+            lhs = UExpansion.zero(ctx, Nv)
+            for beta in polys_below_degree(field, 1):
+                t = (c * beta * pp + a * th) % ctx.modulus
+                lhs = lhs + poly_eval_series(
+                    gk, moebius_of_series(Uc, ctx.exp_value(t)))
+            ert = ctx.exp_value(a * th * th % ctx.modulus)
+            rhs = poly_eval_series(gk, moebius_of_series(Ucq, ert)).scale(qk)
+            assert lhs and lhs.agrees_with(rhs), "c = %s, a = %s" % (
+                c.format(), a.format())

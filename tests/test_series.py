@@ -293,7 +293,7 @@ class TestTwistedEisenstein:
         # computed, and every unit a must match xi^(-k) E_{a/xi}, xi = lc(a)
         ctx = TorsionContext(modulus, ext_degree=2)
         field = ctx.field
-        comps = eisenstein_components(ctx, k, modulus, N, bound)
+        comps = eisenstein_components(ctx, k, modulus, N)
         gk = goss_coeffs_in(ctx, k)
         assert len(comps) == len(ctx.units()) // (field.order - 1)
         assert all(Pol(field, key).is_monic() for key in comps)
@@ -317,7 +317,7 @@ class TestTwistedEisenstein:
         # sum_a a * E_a
         T = TwistedEisenstein(ctx, k, DirichletCharacter.trivial(
             modulus, big=ctx.big), {a.c: ctx.lift_poly(a) for a in ctx.units()})
-        assert T.render(N, bound).agrees_with(total)
+        assert T.render(N).agrees_with(total)
 
     def test_render_precision_honesty(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
