@@ -1,7 +1,7 @@
 from .field import FiniteField, Residue, ResidueRing, finite_field
 from .poly import (Pol, parse_pol, monics_of_degree, polys_below_degree,
                    monics_up_to_degree, factor_squarefree_monic,
-                   is_irreducible, irreducible_monics)
+                   is_irreducible, irreducible_monics, power)
 from .ratfunc import RF
 from .quotient import QuotientRing, REl, row_echelon
 from .binom import lucas_binomial
@@ -11,5 +11,5 @@ __all__ = [
     "parse_pol", "monics_of_degree", "polys_below_degree",
     "monics_up_to_degree", "factor_squarefree_monic", "is_irreducible",
     "irreducible_monics", "RF", "QuotientRing", "REl", "row_echelon",
-    "lucas_binomial",
+    "lucas_binomial", "power",
 ]

@@ -1,8 +1,12 @@
 """Binomial coefficients modulo a prime, including negative upper index."""
 
+from math import comb
+
 
 def lucas_binomial(n, k, p):
-    """binom(n, k) mod p via Lucas' theorem.
+    """binom(n, k) mod p, as the exact integer binomial reduced mod p (by
+    Lucas' theorem, the product of the binomials of the base-p digits).
+    Every caller's upper index is small: below 2N or below |p|.
 
     Negative n is handled by the reflection
     binom(-n, k) = (-1)^k * binom(n + k - 1, k).
@@ -10,18 +14,5 @@ def lucas_binomial(n, k, p):
     if k < 0:
         return 0
     if n < 0:
-        val = lucas_binomial(-n + k - 1, k, p)
-        return val if k % 2 == 0 else (-val) % p
-    result = 1
-    while k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        num = den = 1
-        for i in range(ki):
-            num = num * (ni - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
-        n //= p
-        k //= p
-    return result
+        return (-1) ** k * comb(k - n - 1, k) % p
+    return comb(n, k) % p

@@ -114,14 +114,7 @@ class Pol:
         return Pol(self.field, tuple(row[x] for x in self.c))
 
     def __pow__(self, e):
-        r = Pol.one(self.field)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, Pol.one(self.field))
 
     def __divmod__(self, other):
         f = self.field
@@ -190,11 +183,7 @@ class Pol:
 
     def eval(self, x):
         """Evaluate at a field element (code) of the same field."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.c):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+        return self.eval_in(self.field, x, range(self.field.order))
 
     def eval_in(self, big, x, emb):
         """Evaluate at x in a larger field, mapping coefficients via emb."""
@@ -237,6 +226,19 @@ class Pol:
 
     def __repr__(self):
         return self.format()
+
+
+def power(x, e, one):
+    """x^e for e >= 0 by repeated squaring, starting from one; the last
+    squaring, which nothing would use, is skipped."""
+    r = one
+    while e:
+        if e & 1:
+            r = r * x
+        e >>= 1
+        if e:
+            x = x * x
+    return r
 
 
 def parse_pol(field, text, symbol="t"):
@@ -317,8 +319,9 @@ def monics_up_to_degree(field, d):
 def factor_squarefree_monic(f):
     """Monic irreducible factors of a square-free monic polynomial.
 
-    Trial division by monic irreducibles of increasing degree; adequate
-    for the small moduli this library works with.
+    Trial division by monics of increasing degree; adequate for the small
+    moduli this library works with.  Every factor of lower degree is
+    already divided out, so a divisor of the current degree is irreducible.
     """
     field = f.field
     rem = f
@@ -332,7 +335,7 @@ def factor_squarefree_monic(f):
             if rem.degree < d:
                 break
             q, r = divmod(rem, cand)
-            if not r and is_irreducible(cand):
+            if not r:
                 factors.append(cand)
                 rem = q
                 if not (rem % cand):

@@ -51,7 +51,7 @@ instead of wrapping.
 from functools import reduce
 
 from ..errors import NotInvertible, Unsupported
-from .poly import Pol
+from .poly import Pol, power
 from .ratfunc import RF
 
 MAX_SLOT_BYTES = 8
@@ -435,13 +435,6 @@ class REl:
         return REl(ring, ring._translate(self.num, ring._times[-1]), self.den)
 
     def __sub__(self, other):
-        ring = self.ring
-        if not (self.num and other.num):
-            return self if self.num else -other
-        if self.den is other.den is ring._unit:
-            neg = ring._translate(other.num, ring._times[-1])
-            return REl(ring, ring._translate(self.num + neg, ring._times[1]),
-                       self.den)
         return self + (-other)
 
     def scale_const(self, code):
@@ -482,17 +475,9 @@ class REl:
         return not any(any(exps[k]) for k, _ in self._columns(self.ring._w))
 
     def __pow__(self, e):
-        ring = self.ring
         if e < 0:
             return self.invert() ** (-e)
-        r = ring.one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return power(self, e, self.ring.one)
 
     def invert(self):
         ring = self.ring

@@ -142,6 +142,15 @@ class TorsionContext:
                                     % (chi.big, self.big))
         return chi.eval(a)
 
+    def conductor_of(self, chi):
+        """The conductor of chi, which must divide the context modulus."""
+        n = chi.conductor
+        if self.modulus % n:
+            raise ConductorMismatch("conductor %s does not divide the context"
+                                    " modulus %s" % (n.format(),
+                                                     self.modulus.format()))
+        return n
+
     def exp_value(self, beta):
         """The torsion value standing for exp_C(pi*beta/n): C_beta(lambda_n).
 

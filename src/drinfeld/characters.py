@@ -83,20 +83,25 @@ class DirichletCharacter:
         q = self.field.order
         return sum(e for _, _, e in self.factors) % (q - 1)
 
+    def _with_exponents(self, exponents):
+        """The character on this one's checked primes and roots with the
+        given exponents, one per factor; nothing is validated again."""
+        q = self.field.order
+        out = object.__new__(DirichletCharacter)
+        out.field, out.big, out.emb = self.field, self.big, self.emb
+        out.conductor = self.conductor
+        out.factors = tuple((p, r, e % (q ** p.degree - 1)) for (p, r, _), e
+                            in zip(self.factors, exponents))
+        return out
+
     def inverse(self):
-        field = self.field
-        q = field.order
-        fac = [(p, r, (q ** p.degree - 1 - e) % (q ** p.degree - 1))
-               for p, r, e in self.factors]
-        return DirichletCharacter(field, fac, big=self.big)
+        return self._with_exponents(-e for _, _, e in self.factors)
 
     def __mul__(self, other):
         if not self.same_roots(other):
             raise ConductorMismatch("characters live on different data")
-        q = self.field.order
-        fac = [(p, r, (e1 + e2) % (q ** p.degree - 1))
-               for (p, r, e1), (_, _, e2) in zip(self.factors, other.factors)]
-        return DirichletCharacter(self.field, fac, big=self.big)
+        return self._with_exponents(e1 + e2 for (_, _, e1), (_, _, e2)
+                                    in zip(self.factors, other.factors))
 
     def same_roots(self, other):
         return (self.big is other.big
@@ -207,8 +212,7 @@ def gauss_thakur(chi, ctx):
         if chi.is_trivial():
             return ctx.ring.one
         raise NotPrimitive("Gauss-Thakur sums need a primitive character")
-    if chi.conductor.gcd(ctx.modulus) != chi.conductor:
-        raise ConductorMismatch("conductor must divide the context modulus")
+    ctx.conductor_of(chi)
     if chi.big is not ctx.big:
         raise ConductorMismatch("character values lie in %r, not in %r"
                                 % (chi.big, ctx.big))
@@ -233,9 +237,7 @@ def gauss_thakur(chi, ctx):
 def char_sum_s(chi, k, ctx):
     """s(chi, k) = sum over residues beta of chi^{-1}(beta) exp(beta/n)^k,
     for n the conductor (a divisor of the context modulus)."""
-    n = chi.conductor
-    if n.gcd(ctx.modulus) != n:
-        raise ConductorMismatch("conductor must divide the context modulus")
+    n = ctx.conductor_of(chi)
     inv = chi.inverse()
     out = ctx.ring.zero
     for beta in ctx.residues(n):

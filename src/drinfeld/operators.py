@@ -37,9 +37,7 @@ def _character_shift_sum(f, chi, ctx):
     """sum_beta chi^{-1}(beta) f(z + beta/n), carrying the twisted metadata."""
     if f.meta is None:
         raise ValueError("twisting needs weight/type metadata")
-    n = chi.conductor
-    if n.gcd(ctx.modulus) != n:
-        raise ValueError("conductor must divide the context modulus")
+    n = ctx.conductor_of(chi)
     k, m = f.meta.weight, f.meta.type_
     inv = chi.inverse()
     out = UExpansion.zero(ctx, f.prec)

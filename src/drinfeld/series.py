@@ -7,7 +7,7 @@ u(z + beta/n) (fractional-linear shift by a torsion value), and the
 sub-parameter v = u(z/q) with its inverse (descend).
 """
 
-from .algebra import RF, Pol, lucas_binomial, monics_up_to_degree
+from .algebra import RF, Pol, lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, NotDescendable, SignMismatch
 
@@ -157,15 +157,8 @@ class UExpansion:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative series powers unsupported")
-        out = UExpansion.const(self.ctx, self.ctx.ring.one, self.prec,
-                               var=self.var)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, e, UExpansion.const(self.ctx, self.ctx.ring.one,
+                                               self.prec, var=self.var))
 
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
@@ -437,11 +430,6 @@ class AExpansion:
                                        for k, v in self.coeffs.items()},
                           self.bound, self.neben)
 
-    def __eq__(self, other):
-        return (isinstance(other, AExpansion) and self.ctx is other.ctx
-                and self.kind == other.kind and self.index == other.index
-                and self.bound == other.bound and self.coeffs == other.coeffs)
-
     def scaled_by(self, value):
         return self.map_coeffs(lambda a, c: c * value)
 
@@ -555,19 +543,13 @@ class TwistedEisenstein:
         if (chi.sign + k) % (q - 1) != 0:
             raise SignMismatch("need s_chi = -k mod q-1 (got s=%d, k=%d)"
                                % (chi.sign, k))
-        if chi.conductor.gcd(ctx.modulus) != chi.conductor:
-            raise ValueError("conductor must divide the context modulus")
         inv = chi.inverse()
         comp = {a.c: ctx.ring.one.scale_const(ctx.char_value(inv, a))
-                for a in ctx.units(chi.conductor)}
+                for a in ctx.units(ctx.conductor_of(chi))}
         return cls(ctx, k, chi, comp)
 
     def meta(self):
         return ModularMeta(self.k, 0, level=self.level, neben=self.chi)
-
-    def __eq__(self, other):
-        return (isinstance(other, TwistedEisenstein) and self.ctx is other.ctx
-                and self.k == other.k and self.components == other.components)
 
     def scaled_by(self, value):
         return TwistedEisenstein(self.ctx, self.k, self.chi,

@@ -17,6 +17,7 @@ from drinfeld.algebra import (Pol, QuotientRing, RF, factor_squarefree_monic,
                               monics_of_degree, monics_up_to_degree,
                               parse_pol, polys_below_degree)
 from drinfeld.algebra.field import _min_irreducible
+from drinfeld.errors import NotSquareFree
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -203,6 +204,27 @@ class TestPol:
         n = pol3("t") * pol3("t+1")
         fac = factor_squarefree_monic(n)
         assert sorted(p.format() for p in fac) == ["t", "t+1"]
+
+    @pytest.mark.parametrize("field, top", [(F3, 5), (F4, 4), (F5, 3),
+                                            (F9, 3)],
+                             ids=["q3", "q4", "q5", "q9"])
+    def test_factor_squarefree_every_monic(self, field, top):
+        # factors are found by trial division alone: they must still be
+        # distinct irreducibles multiplying back to f, and a square factor
+        # must raise
+        squares = [g * g for g in irreducible_monics(field, top // 2)]
+        for f in monics_up_to_degree(field, top):
+            if any(not f % s for s in squares):
+                with pytest.raises(NotSquareFree):
+                    factor_squarefree_monic(f)
+                continue
+            fac = factor_squarefree_monic(f)
+            assert all(is_irreducible(g) for g in fac)
+            assert len({g.c for g in fac}) == len(fac)
+            prod = Pol.one(field)
+            for g in fac:
+                prod = prod * g
+            assert prod == f
 
     @pytest.mark.parametrize("field", [F3, F4, F9], ids=["q3", "q4", "q9"])
     def test_product_properties_up_to_200_coefficients(self, field):

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from drinfeld import characters
 from drinfeld.algebra import (FiniteField, Pol, factor_squarefree_monic,
                               finite_field, parse_pol, polys_below_degree)
 from drinfeld.carlitz import TorsionContext
@@ -12,7 +13,7 @@ from drinfeld.characters import (DirichletCharacter, char_sum_s, convolve,
                                  gauss_thakur, jacobi_factor)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
 from drinfeld.operators import twist_raw
-from drinfeld.series import ModularMeta, UExpansion
+from drinfeld.series import ModularMeta, TwistedEisenstein, UExpansion
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -71,6 +72,39 @@ class TestCharacter:
         chi2 = DirichletCharacter.from_conductor(pol3("t+1"), 1)
         with pytest.raises(ConductorMismatch):
             chi1 * chi2
+
+
+class TestDerivedCharacters:
+    # chi mod theta*(theta^2+1) over F_9, exponents chosen per factor
+    MOD = TH * pol3("t^2+1")
+
+    def chars(self):
+        big = finite_field(3, 2)
+        return (DirichletCharacter.from_conductor(self.MOD, [1, 3], big=big),
+                DirichletCharacter.from_conductor(self.MOD, [1, 7], big=big))
+
+    def test_derived_characters_are_not_validated_again(self, monkeypatch):
+        chi, psi = self.chars()
+        calls = []
+        real = characters.is_irreducible
+        monkeypatch.setattr(characters, "is_irreducible",
+                            lambda f: calls.append(f) or real(f))
+        chi.inverse()
+        chi * psi
+        assert calls == []
+
+    def test_derived_characters_equal_constructed_ones(self):
+        chi, psi = self.chars()
+        for got, exps in ((chi.inverse(), [-e for _, _, e in chi.factors]),
+                          (chi * psi, [e1 + e2 for (_, _, e1), (_, _, e2)
+                                       in zip(chi.factors, psi.factors)])):
+            want = DirichletCharacter(
+                F3, [(p, r, e) for (p, r, _), e in zip(chi.factors, exps)],
+                big=chi.big)
+            assert got == want and got.factors == want.factors
+            assert got.conductor == want.conductor and got.emb is want.emb
+            for a in polys_below_degree(F3, 3):
+                assert got.eval(a) == want.eval(a)
 
 
 class TestCharacterData:
@@ -180,6 +214,21 @@ class TestGaussThakur:
         chi = DirichletCharacter.from_conductor(pol3("t+1"), 1)
         with pytest.raises(ConductorMismatch):
             gauss_thakur(chi, ctx)
+
+    @pytest.mark.parametrize("entry", [
+        lambda chi, ctx: twist_raw(
+            UExpansion.u(ctx, 9).with_meta(ModularMeta(0, 0)), chi, ctx),
+        lambda chi, ctx: TwistedEisenstein.build(ctx, 1, chi),
+        lambda chi, ctx: gauss_thakur(chi, ctx),
+        lambda chi, ctx: char_sum_s(chi, 1, ctx),
+    ], ids=["twist_raw", "eisenstein_build", "gauss_thakur", "char_sum_s"])
+    def test_conductor_mismatch_names_both_polynomials(self, entry):
+        # chi mod theta+1 read in the theta-torsion ring
+        ctx = TorsionContext(TH)
+        chi = DirichletCharacter.from_conductor(pol3("t+1"), 1)
+        with pytest.raises(ConductorMismatch,
+                           match=r"conductor t\+1 .* modulus t$"):
+            entry(chi, ctx)
 
     @pytest.mark.parametrize("npol, e", [
         (TH, 1), (pol3("t^2+1"), 3), (TH * pol3("t+1"), 1),

@@ -327,10 +327,7 @@ class TestTwistHeckeCommutation:
         f = petrov(ctx, 1, 3).render(30)
         lhs = hecke_u(twist_raw(f, chi, ctx), TH, ctx)
         rhs = twist_raw(hecke_u(f, TH, ctx), chi, ctx)
-        code = chi.eval(TH)
-        if ctx.big is not chi.big:
-            code = ctx.big.embedding(chi.big)[code]
-        rhs = rhs.scale_const(code)
+        rhs = rhs.scale_const(ctx.char_value(chi, TH))
         m = min(lhs.prec, rhs.prec)
         assert m >= 10
         assert lhs.truncate(m).agrees_with(rhs.truncate(m))

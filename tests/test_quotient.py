@@ -477,3 +477,30 @@ def test_large_characteristic_is_rejected():
     rel = [RF.from_pol(Pol.x(f)), RF.one(f)]
     with pytest.raises(Unsupported):
         quotient.QuotientRing(f, [("l", rel)])
+
+
+@pytest.mark.parametrize("p, d, width", [(113, 2, 4), (127, 2, 4),
+                                         (113, 3, 5)],
+                         ids=["p113-w4", "p127-w4", "p113-w5"])
+def test_large_characteristic_products_match_reference(p, d, width):
+    # 255 // (p-1) = 2 bytes of a w-byte slot fit before _mod_slots must
+    # reduce its partial sum, so every product here runs that branch
+    f = finite_field(p)
+    rng = random.Random(p * d)
+    rel = [RF.from_pol(Pol(f, [rng.randrange(p) for _ in range(3)]))
+           for _ in range(d)] + [RF.one(f)]
+    ring = quotient.QuotientRing(f, [("l", rel)])
+    xs = []
+    for rows in (2, 5, 9, 16):
+        c = [RF.from_pol(Pol(f, [rng.randrange(p) for _ in range(rows)]))
+             for _ in range(d)]
+        xs.append((ring.from_rf_coords(c), c))
+    got = ring.dot([(a, b) for (a, _), (b, _) in zip(xs, xs[1:])])
+    assert ring.slot_width(0) == width
+    want = [RF.zero(f)] * d
+    for (_, ca), (_, cb) in zip(xs, xs[1:]):
+        want = ref_add(want, ref_mul(ring, ca, cb))
+    assert got.rf_coords() == want
+    for a, ca in xs:
+        for b, cb in xs:
+            assert (a * b).rf_coords() == ref_mul(ring, ca, cb)
