@@ -1,4 +1,4 @@
-from .field import FiniteField, Residue, ResidueRing, finite_field
+from .field import FiniteField, Residue, finite_field, residue_ring
 from .poly import (Pol, parse_pol, monics_of_degree, polys_below_degree,
                    monics_up_to_degree, factor_squarefree_monic,
                    is_irreducible, irreducible_monics, power)
@@ -7,7 +7,7 @@ from .quotient import QuotientRing, REl, row_echelon
 from .binom import lucas_binomial
 
 __all__ = [
-    "FiniteField", "finite_field", "Residue", "ResidueRing", "Pol",
+    "FiniteField", "finite_field", "Residue", "residue_ring", "Pol",
     "parse_pol", "monics_of_degree", "polys_below_degree",
     "monics_up_to_degree", "factor_squarefree_monic", "is_irreducible",
     "irreducible_monics", "RF", "QuotientRing", "REl", "row_echelon",

@@ -137,37 +137,43 @@ class FiniteField:
 class ResidueRing:
     """The image of a torsion ring in a finite field T: theta -> alpha,
     generator i -> roots[i], a big-field code c -> emb[c].  It has what
-    UExpansion and TorsionContext use of a QuotientRing, on Residue
-    elements; a value with no image in T raises NotReducible."""
+    UExpansion and TorsionContext use of a QuotientRing, on its elements
+    elems[c], one per code c of T; no image in T raises NotReducible."""
 
-    __slots__ = ("field", "emb", "alpha", "roots", "zero", "one")
+    __slots__ = ("field", "emb", "alpha", "roots", "elems", "zero", "one")
 
     def __init__(self, field, emb, alpha, roots):
         self.field, self.emb, self.alpha, self.roots = field, emb, alpha, roots
-        self.zero, self.one = Residue(self, 0), Residue(self, 1)
+        self.elems = [Residue(self, c) for c in field.elements()]
+        self.zero, self.one = self.elems[0], self.elems[1]
 
     def dot(self, pairs):
         add, mul = self.field.add_table, self.field.mul_table
         acc = 0
         for a, b in pairs:
             acc = add[acc][mul[a.code][b.code]]
-        return Residue(self, acc)
+        return self.elems[acc]
+
+    def combine(self, elems, rows):
+        """[sum_k row[k] * elems[k] for row in rows], row[k] big codes."""
+        return [self.dot((e, self.from_const(c)) for e, c in zip(elems, row))
+                for row in rows]
 
     def from_pol(self, p):
-        return Residue(self, p.eval_in(self.field, self.alpha, self.emb))
+        return self.elems[p.eval_in(self.field, self.alpha, self.emb)]
 
     def from_rf(self, rf):
         return self.from_pol(rf.num) * self.from_pol(rf.den).invert()
 
     def from_const(self, code):
-        return Residue(self, self.emb[code])
+        return self.elems[self.emb[code]]
 
     def gen(self, i):
-        return Residue(self, self.roots[i])
+        return self.elems[self.roots[i]]
 
 
 class Residue:
-    """An element of a ResidueRing: a code of its field T."""
+    """An element of a ResidueRing: a code of its field T, held once."""
 
     __slots__ = ("ring", "code")
 
@@ -181,30 +187,34 @@ class Residue:
 
     def __add__(self, other):
         ring = self.ring
-        return Residue(ring, ring.field.add_table[self.code][other.code])
+        return ring.elems[ring.field.add_table[self.code][other.code]]
 
     def __neg__(self):
-        return Residue(self.ring, self.ring.field.neg_table[self.code])
+        return self.ring.elems[self.ring.field.neg_table[self.code]]
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         ring = self.ring
-        return Residue(ring, ring.field.mul_table[self.code][other.code])
+        return ring.elems[ring.field.mul_table[self.code][other.code]]
 
     def scale_const(self, code):
         """Times the big-field constant code."""
         ring = self.ring
-        return Residue(ring, ring.field.mul_table[self.code][ring.emb[code]])
+        return ring.elems[ring.field.mul_table[self.code][ring.emb[code]]]
 
     def invert(self):
         if not self.code:
             raise NotReducible("a value to invert vanishes at alpha")
-        return Residue(self.ring, self.ring.field.inv_table[self.code])
+        return self.ring.elems[self.ring.field.inv_table[self.code]]
 
     def format(self, symbol="t"):
         return str(self.code)
+
+
+# One ResidueRing per point: a ring and its interned elements form a cycle.
+residue_ring = functools.lru_cache(maxsize=None)(ResidueRing)
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,7 +34,11 @@ with a prime-field constant operand c (den 1, num < p) is no product: it
 adds the other operand translated slot-wise by v -> c*v mod p, and the sum
 of these translates is added to the folded product, at most 255 // (p-1)
 numerators with slots < p at a time.  Zero operands are dropped, so a dot
-made only of such pairs splits no columns and folds nothing.
+made only of such pairs splits no columns and folds nothing.  Nor is
+combine, sum_k c_k*x_k by big-field codes (and scale_const by c not in
+F_p): digit j of c*x is sum_i m*(digit i), m = digit j of c*y^i; a digit
+plane is translated once per m and call, shifted to digit j and summed as
+above, and the ring keeps the (i, m, j) of each code.
 
 Slot-width bound.  Nothing is reduced mod p before the end, so a slot of a
 column stays below
@@ -61,7 +65,10 @@ class QuotientRing:
     __slots__ = ("field", "gen_names", "relations", "dims", "total",
                  "_strides", "_exps", "_tn", "_col_key", "_col_exps",
                  "_final", "_folds", "_plans", "_pair_gain", "_w", "_times",
-                 "_unit", "zero", "one")
+                 "_codes", "_unit")
+    # new each time: a ring holding an element would be a reference cycle
+    zero = property(lambda self: REl(self, 0, self._unit))
+    one = property(lambda self: REl(self, 1, self._unit))
 
     def __init__(self, field, generators):
         """generators: sequence of (name, relation) with relation a list of
@@ -140,9 +147,8 @@ class QuotientRing:
 
         # _times[c] maps a byte v to c*v mod p: [1] reduces, [p-1] negates
         self._times = [bytes(c * v % p for v in range(256)) for c in range(p)]
+        self._codes = {}
         self._unit = Pol.one(field)
-        self.zero = REl(self, 0, self._unit)
-        self.one = REl(self, 1, self._unit)
 
     # -- constructors for elements --
 
@@ -315,24 +321,31 @@ class QuotientRing:
             x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table),
             "little")
 
-    def _scaled(self, x, code):
-        """x times the field element code.  Digit j of a coefficient becomes
-        sum_i m[j][i] * digit i, where column i of m is code * y^i; for a
-        prime-field code m is diagonal and one table does it."""
-        field, times = self.field, self._times
-        n, p = field.n, field.p
-        if code < p:
-            return self._translate(x, times[code])
-        size = ((x.bit_length() + 7) >> 3) + n - 1
-        raw = x.to_bytes(size - size % n, "little")
-        cols = [field.digits[field.mul(code, p ** i)] for i in range(n)]
-        out = bytearray(len(raw))
-        for j in range(n):
-            acc = sum(int.from_bytes(raw[i::n].translate(times[col[j]]),
-                                     "little") for i, col in enumerate(cols))
-            out[j::n] = self._translate(acc, times[1]).to_bytes(len(raw) // n,
-                                                                "little")
-        return int.from_bytes(out, "little")
+    def combine(self, elems, rows):
+        """[sum_k row[k] * elems[k] for row in rows], row[k] big codes."""
+        if any(e.den is not self._unit for e in elems):
+            return [self.dot([(e, self.from_const(c)) for e, c in
+                              zip(elems, row)]) for row in rows]
+        p, n, codes = self.field.p, self.field.n, self._codes
+        top = max((e.num for e in elems), default=0).bit_length() // (8 * n)
+        low = int.from_bytes((b"\xff" + bytes(n - 1)) * (top + 1), "little")
+        planes = [[e.num >> 8 * i & low for i in range(n)] for e in elems]
+        memo, out = [[None] * (n * p) for _ in elems], []
+        for row in rows:
+            terms = []
+            for k, code in enumerate(row):
+                if code not in codes:
+                    cols = [self.field.digits[self.field.mul(code, p ** i)]
+                            for i in range(n)]
+                    codes[code] = [(i * p + col[j], 8 * j) for j in range(n)
+                                   for i, col in enumerate(cols) if col[j]]
+                for key, shift in codes[code]:
+                    if memo[k][key] is None:
+                        memo[k][key] = self._translate(planes[k][key // p],
+                                                       self._times[key % p])
+                    terms.append(memo[k][key] << shift)
+            out.append(REl(self, self._slot_sum(terms), self._unit))
+        return out
 
     # -- coordinates as polynomials (the paths with denominators) --
 
@@ -439,11 +452,12 @@ class REl:
 
     def scale_const(self, code):
         ring = self.ring
-        if code == 1:
-            return self
-        if code == 0:
-            return ring.zero
-        return REl(ring, ring._scaled(self.num, code), self.den)
+        if code < 2:
+            return self if code else ring.zero
+        if code < ring.field.p:
+            return REl(ring, ring._translate(self.num, ring._times[code]),
+                       self.den)
+        return ring.combine((self,), ((code,),))[0]
 
     def __mul__(self, other):
         return self.ring.dot(((self, other),))

@@ -8,7 +8,7 @@ torsion value playing the role of exp(pi*beta/n) is the algebraic element
 C_beta(lambda_n).
 """
 
-from .algebra import (RF, Pol, QuotientRing, ResidueRing,
+from .algebra import (RF, Pol, QuotientRing, residue_ring,
                       factor_squarefree_monic, finite_field, is_irreducible,
                       monics_of_degree, polys_below_degree)
 from .errors import ConductorMismatch, Unsupported
@@ -119,7 +119,8 @@ class TorsionContext:
         red = object.__new__(TorsionContext)
         for name in ("field", "big", "emb", "modulus", "primes", "_cofs"):
             setattr(red, name, getattr(self, name))
-        red._attach(ResidueRing(*point))
+        T, emb, alpha, roots = point
+        red._attach(residue_ring(T, tuple(emb), alpha, tuple(roots)))
         return red
 
     def lift_poly(self, p):

@@ -191,14 +191,10 @@ def _residues(chi):
 def _basic_gauss_sum(ctx, prime, root):
     """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)."""
     big = ctx.big
-    out = ctx.ring.zero
-    for delta in ctx.residues(prime):
-        if not delta:
-            continue
-        v = delta.eval_in(big, root, ctx.emb)
-        term = ctx.exp_at(delta, prime)
-        out = out + term.scale_const(big.inv(v))
-    return out
+    deltas = [delta for delta in ctx.residues(prime) if delta]
+    row = [big.inv(delta.eval_in(big, root, ctx.emb)) for delta in deltas]
+    return ctx.ring.combine([ctx.exp_at(delta, prime) for delta in deltas],
+                            [row])[0]
 
 
 def gauss_thakur(chi, ctx):
@@ -239,10 +235,10 @@ def char_sum_s(chi, k, ctx):
     for n the conductor (a divisor of the context modulus)."""
     n = ctx.conductor_of(chi)
     inv = chi.inverse()
-    out = ctx.ring.zero
+    codes, lams = [], []
     for beta in ctx.residues(n):
         code = ctx.char_value(inv, beta)
         if code:
-            lam_k = ctx.powers(ctx.exp_at(beta, n), k + 1)[k]
-            out = out + lam_k.scale_const(code)
-    return out
+            codes.append(code)
+            lams.append(ctx.powers(ctx.exp_at(beta, n), k + 1)[k])
+    return ctx.ring.combine(lams, [codes])[0]

@@ -89,22 +89,16 @@ def table_pairs(q, npol, rng):
     zeta = min(first.roots_in(ctx.big))
     # per beta with beta(zeta) != 0: the codes beta(zeta)^(|n|-1-i) by i,
     # and lambda_beta^j by j
-    terms = []
+    codes, pows = [], []
     for b in polys_below_degree(field, npol.degree):
         v = b.eval_in(ctx.big, zeta, ctx.emb)
         if v:
-            codes = [ctx.big.pow(v, (size - 1 - i) % (size - 1))
-                     for i in range(rng + 1)]
-            terms.append((codes, ctx.powers(ctx.exp_value(b), rng + 1)))
-    pairs = []
-    for j in range(1, rng + 1):
-        for i in range(1, rng + 1):
-            acc = ctx.ring.zero
-            for codes, pows in terms:
-                acc = acc + pows[j].scale_const(codes[i])
-            if acc:
-                pairs.append((j, i))
-    return pairs
+            codes.append([ctx.big.pow(v, (size - 1 - i) % (size - 1))
+                          for i in range(1, rng + 1)])
+            pows.append(ctx.powers(ctx.exp_value(b), rng + 1))
+    rows = list(zip(*codes))
+    return [(j, i) for j in range(1, rng + 1) for i, acc in
+            enumerate(ctx.ring.combine([pw[j] for pw in pows], rows), 1) if acc]
 
 
 def format_table(pairs, fmt):

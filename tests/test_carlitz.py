@@ -430,6 +430,42 @@ class TestResiduePoint:
         with pytest.raises(NotReducible):
             red.lift_poly(Q).invert()
 
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS[:4],
+                             ids=TORSION_IDS[:4])
+    def test_residues_are_interned(self, field, coeffs, ext):
+        # one Residue per code of T: every operation returns the held
+        # element of the table's code, so == and hash follow the code
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        ring = ctx.reduced().ring
+        T, elems, emb = ring.field, ring.elems, ring.emb
+        assert [x.code for x in elems] == list(T.elements())
+        assert ring.zero is elems[0] and ring.one is elems[1]
+        for a, x in enumerate(elems):
+            assert -x is elems[T.neg_table[a]]
+            assert x.coords == a and bool(x) == bool(a)
+            if a:
+                assert x.invert() is elems[T.inv_table[a]]
+            for b, y in enumerate(elems):
+                assert x + y is elems[T.add_table[a][b]]
+                assert x * y is elems[T.mul_table[a][b]]
+                assert x - y is elems[T.add_table[a][T.neg_table[b]]]
+                assert (x == y) == (a == b)
+            for c in range(0, len(emb), 3):
+                assert x.scale_const(c) is elems[T.mul_table[a][emb[c]]]
+        sums = [x + ring.zero for x in elems] + [ring.one * x for x in elems]
+        assert len(set(sums)) == T.order
+        assert all(hash(x) == hash(elems[x.code]) for x in sums)
+        assert ring.dot([(elems[-1], elems[-1]), (ring.one, ring.one)]) is \
+            elems[T.add_table[T.mul_table[T.order - 1][T.order - 1]][1]]
+        assert ring.from_const(len(emb) - 1) is elems[emb[-1]]
+        theta = Pol.x(field).map_to(ctx.big, ctx.emb)
+        assert ring.from_pol(theta) is elems[ring.alpha]
+        assert [ring.gen(i) for i in range(len(ring.roots))] == [
+            elems[r] for r in ring.roots]
+        # one ring per point, so a new context shares these elements
+        again = TorsionContext(Pol(field, coeffs), ext_degree=ext).reduced()
+        assert again.ring is ring and again.lam is ctx.reduced().lam
+
     def test_none_past_order_limit(self):
         # over F_5, t^2+3 + 1 = (t+1)(t+4), so Q has degree 4 and F_625
         # would be the residue field

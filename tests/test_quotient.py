@@ -13,8 +13,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from drinfeld.algebra import (Pol, QuotientRing, RF, finite_field, parse_pol,
-                              quotient, row_echelon)
+from drinfeld.algebra import (Pol, QuotientRing, RF, REl, finite_field,
+                              parse_pol, quotient, row_echelon)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.errors import NotInvertible, Unsupported
 from drinfeld.series import UExpansion
@@ -369,6 +369,164 @@ def test_many_constant_operands_stay_reduced(ring):
             assert ring.dot([(k, x)] * m).rf_coords() == linear
             got = ring.dot([(k, x)] * m + [(x, ring.from_rf(theta))])
             assert got.rf_coords() == ref_add(linear, shifted)
+
+
+# -- sums of field-constant multiples (combine) --------------------------------
+
+def old_scaled(ring, x, code):
+    """The numerator x times the field element code, one element at a time:
+    the routine QuotientRing.combine replaced.  Digit j of a coefficient
+    becomes sum_i m[j][i] * digit i, where column i of m is code * y^i; for
+    a prime-field code m is diagonal and one table does it."""
+    field, times = ring.field, ring._times
+    n, p = field.n, field.p
+    if code < p:
+        return ring._translate(x, times[code])
+    size = ((x.bit_length() + 7) >> 3) + n - 1
+    raw = x.to_bytes(size - size % n, "little")
+    cols = [field.digits[field.mul(code, p ** i)] for i in range(n)]
+    out = bytearray(len(raw))
+    for j in range(n):
+        acc = sum(int.from_bytes(raw[i::n].translate(times[col[j]]),
+                                 "little") for i, col in enumerate(cols))
+        out[j::n] = ring._translate(acc, times[1]).to_bytes(len(raw) // n,
+                                                            "little")
+    return int.from_bytes(out, "little")
+
+
+def ref_combine(ring, coords, row):
+    """sum_k row[k] * coords[k] over RF coordinates."""
+    big = ring.field
+    out = [RF.zero(big)] * ring.total
+    for cx, code in zip(coords, row):
+        c = RF.from_pol(Pol.const(big, code))
+        out = ref_add(out, [s * c for s in cx])
+    return out
+
+
+def code_rows(big, count, rng):
+    """Rows of codes: random, zero, prime-field and non-prime ones."""
+    rows = [[rng.randrange(big.order) for _ in range(count)]
+            for _ in range(4)]
+    rows.append([0] * count)
+    rows.append([k % big.p for k in range(count)])
+    rows.append([big.order - 1 - k % big.order for k in range(count)])
+    return rows
+
+
+def test_combine_matches_reference(ring):
+    # integral elements run the kernel; with one denominator among them
+    # every row takes the exact path of dot
+    pairs = elements(ring, 21) + elements(ring, 22, nonzero=3, length=7)
+    integral = [(x, cx) for x, cx in pairs if x.den.is_one()]
+    rng = random.Random(23)
+    for group in (integral, integral[:1], pairs):
+        xs, coords = [x for x, _ in group], [cx for _, cx in group]
+        rows = code_rows(ring.field, len(xs), rng)
+        got = ring.combine(xs, rows)
+        assert len(got) == len(rows)
+        for row, g in zip(rows, got):
+            want = ref_combine(ring, coords, row)
+            assert g.rf_coords() == want
+            assert g == ring.from_rf_coords(want)
+            assert g.coords == ring.from_rf_coords(want).coords
+
+
+def test_combine_matches_old_scaled(ring):
+    # every code of the big field, one element at a time and as one row
+    big = ring.field
+    for x, cx in elements(ring, 24):
+        for code in big.elements():
+            scaled = x.scale_const(code)
+            if x.den.is_one():
+                assert ring.combine([x], [[code]])[0].num == old_scaled(
+                    ring, x.num, code)
+            if code:
+                assert scaled.num == old_scaled(ring, x.num, code)
+                assert scaled.den == x.den
+            else:
+                assert scaled == ring.zero and scaled.den.is_one()
+    xs = [x for x, _ in elements(ring, 25) if x.den.is_one()] * 2
+    row = list(range(1, len(xs) + 1))
+    want = ring.zero
+    for x, code in zip(xs, row):
+        want = want + REl(ring, old_scaled(ring, x.num, code), x.den)
+    assert ring.combine(xs, [row]) == [want]
+
+
+def test_combine_empty_rows(ring):
+    xs = [x for x, _ in elements(ring, 26)]
+    assert ring.combine([], [[]]) == [ring.zero]
+    assert ring.combine([], [[], []]) == [ring.zero, ring.zero]
+    assert ring.combine(xs, []) == []
+    zero = ring.combine(xs, [[0] * len(xs)])[0]
+    assert zero == ring.zero and zero.den.is_one()
+    assert ring.combine([ring.zero] * 3, [[1, 2 % ring.field.order, 0]]) == [
+        ring.zero]
+
+
+def test_combine_reduces_mid_sum(ring):
+    # every slot of x is p-1, and digit j of c*x sums up to n translates
+    # per element: pass the number of addends one pass mod p allows, so the
+    # kernel must reduce before the end of a row
+    big = ring.field
+    cx = worst_case(ring, 3)
+    x = ring.from_rf_coords(cx)
+    cap = 255 // (big.p - 1)
+    codes = sorted({1, big.p - 1, big.order - 1, big.p % big.order})
+    for m in (cap // big.n - 1, cap // big.n + 1, cap - 1, cap + 1, 70):
+        for code in codes:
+            times_m = RF.from_pol(Pol.const(big, big.mul(code,
+                                                         big.scalar(m))))
+            got = ring.combine([x] * m, [[code] * m, [0] * m])
+            assert got[0].rf_coords() == [s * times_m for s in cx]
+            assert got[1] == ring.zero
+
+
+def test_combine_code_cache_is_bounded(ring):
+    # one entry per field element used, however often it is used
+    big = ring.field
+    xs = [x for x, _ in elements(ring, 27) if x.den.is_one()]
+    for _ in range(3):
+        ring.combine(xs, [[c] * len(xs) for c in big.elements()])
+    assert set(ring._codes) == set(big.elements())
+    assert len(ring._codes) == big.order
+
+
+@pytest.mark.parametrize("p", [113, 127])
+def test_combine_large_characteristic(p):
+    # 255 // (p-1) = 2: a pass mod p after every addend
+    f = finite_field(p)
+    rng = random.Random(p)
+    rel = [RF.from_pol(Pol(f, [rng.randrange(p) for _ in range(3)]))
+           for _ in range(2)] + [RF.one(f)]
+    ring = quotient.QuotientRing(f, [("l", rel)])
+    coords = [[RF.from_pol(Pol(f, [p - 1 - rng.randrange(3)
+                                   for _ in range(rows)])) for _ in range(2)]
+              for rows in (1, 4, 9)]
+    xs = [ring.from_rf_coords(c) for c in coords]
+    rows = [[p - 1] * 3, [1, 0, p - 2], [rng.randrange(p) for _ in range(3)]]
+    for row, got in zip(rows, ring.combine(xs, rows)):
+        assert got.rf_coords() == ref_combine(ring, coords, row)
+
+
+@pytest.mark.parametrize("modulus, ext", [
+    (parse_pol(F3, "t^2+1"), 2), (_t(F4, 2, 1, 1), 2),
+    (parse_pol(F3, "t^2+t"), 1)], ids=["q3-one", "q4-one", "q3-two"])
+def test_residue_combine_matches_tables(modulus, ext):
+    red = TorsionContext(modulus, ext_degree=ext).reduced()
+    ring = red.ring
+    T, emb = ring.field, ring.emb
+    rng = random.Random(28)
+    xs = [ring.elems[rng.randrange(T.order)] for _ in range(6)]
+    rows = code_rows(red.big, len(xs), rng)
+    for row, got in zip(rows, ring.combine(xs, rows)):
+        want = 0
+        for x, code in zip(xs, row):
+            want = T.add_table[want][T.mul_table[x.code][emb[code]]]
+        assert got is ring.elems[want]
+    assert ring.combine([], [[]]) == [ring.zero]
+    assert ring.combine(xs, []) == []
 
 
 # -- series division and squares over these rings ------------------------------
