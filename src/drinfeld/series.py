@@ -9,7 +9,8 @@ sub-parameter v = u(z/q) with its inverse (descend).
 
 from .algebra import RF, Pol, lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
-from .errors import InsufficientDegreeBound, NotDescendable, SignMismatch
+from .errors import (InsufficientDegreeBound, NotDescendable, SignMismatch,
+                     Unsupported)
 
 
 WITNESS_WIDTH = 60
@@ -39,7 +40,8 @@ class ModularMeta:
 class UExpansion:
     """Sum of coeffs[n] * u^n for n < prec, coefficients in ctx.ring."""
 
-    __slots__ = ("ctx", "coeffs", "prec", "meta", "var")
+    # _moebius: moebius_of_series's coefficient tuples of X*(-X)^j for X = self
+    __slots__ = ("ctx", "coeffs", "prec", "meta", "var", "_moebius")
 
     def __init__(self, ctx, coeffs, prec=None, meta=None, var="u"):
         if prec is None:
@@ -52,6 +54,7 @@ class UExpansion:
         self.prec = prec
         self.meta = meta
         self.var = var
+        self._moebius = None
 
     @classmethod
     def zero(cls, ctx, prec, meta=None, var="u"):
@@ -303,11 +306,27 @@ def shift_by_value(f, lam, var=None):
 
 
 def moebius_of_series(X, lam):
-    """The fractional-linear value X/(lam*X + 1) for a series X of
-    positive order — this is u(w + beta/n) when X is the series of u(w)."""
+    """The fractional-linear value X/(lam*X + 1) for a series X of positive
+    order — this is u(w + beta/n) when X is the series of u(w).  Summed as
+    sum_j lam^j * Y_j with Y_j = X*(-X)^j, so each coefficient is one dot.
+    The Y_j with (j+1)*ord X < prec are kept on X as coefficient tuples and
+    the powers of lam come from ctx.powers; a zero X gives zero."""
+    order = X.order()
+    if not order:
+        raise Unsupported("Moebius value of a series of order %d" % order)
+    ys = X._moebius
+    if ys is None:
+        Y, minus, ys = X, -X, [X.coeffs]
+        while (len(ys) + 1) * order < X.prec:
+            Y = Y * minus
+            ys.append(Y.coeffs)
+        ys = X._moebius = tuple(ys)
     ctx = X.ctx
-    return X / (X.scale(lam)
-                + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var))
+    pows = ctx.powers(lam, len(ys))
+    dot = ctx.ring.dot
+    return UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
+                                 if y[n]]) for n in range(X.prec)],
+                      X.prec, None, X.var)
 
 
 def shift_by_torsion(f, beta, ctx):

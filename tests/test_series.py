@@ -2,14 +2,17 @@
 ascent/descent, and rendering of A-expansions and twisted Eisenstein
 objects."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.algebra import Pol, finite_field, monics_up_to_degree, parse_pol
+from drinfeld.algebra import (REl, Pol, finite_field, monics_up_to_degree,
+                              parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
-                             SignMismatch)
+                             SignMismatch, Unsupported)
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion, descend,
                              eisenstein_components, evaluate_at_shift,
@@ -148,6 +151,78 @@ class TestShifts:
         denom = (UExpansion.const(ctx, ctx.ring.one, 8)
                  + u.scale(lam)) ** 2
         assert got.agrees_with((u ** 2) * denom.inverse())
+
+
+def old_moebius(X, lam):
+    """The division route moebius_of_series replaced: X / (lam*X + 1)."""
+    ctx = X.ctx
+    return X / (X.scale(lam)
+                + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var))
+
+
+# (modulus, precision): q^2 < N, so u(cz) with deg c = 2 is nonzero
+MOEBIUS_LEVELS = [(pol3("t^2+1"), 12), (Pol(F4, (0, 1)), 20),
+                  (parse_pol(finite_field(5), "t"), 28),
+                  (Pol(finite_field(3, 2), (1, 1)), 84)]
+
+
+class TestMoebius:
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
+                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
+    def test_equals_division(self, modulus, N):
+        # u(cz) for deg c = 0, 1, 2 (orders 1, q, q^2), and at q = 4, 9 one
+        # of them divided by a non-prime code xi; several lam on each X and
+        # a second, shorter precision, so the memo on X is reused
+        ctx = TorsionContext(modulus)
+        field = ctx.field
+        th = Pol.x(field)
+        lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
+        lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
+        for prec in (N, N // 2):
+            series = [u_of_az(ctx, c, prec) for c in
+                      (Pol.one(field), th, th * th + Pol.one(field))]
+            if field.order > field.p:
+                xi = field.p
+                series.append(series[1].scale_const(ctx.emb[field.inv(xi)]))
+            for X in series:
+                for lam in lams:
+                    got = moebius_of_series(X, lam)
+                    assert got == old_moebius(X, lam), (prec, X.order())
+                memo = X._moebius
+                assert isinstance(memo, tuple) and all(
+                    isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
+                    for y in memo)
+                moebius_of_series(X, lams[0])
+                assert X._moebius is memo
+
+    def test_order_zero_raises_and_zero_gives_zero(self):
+        ctx = TorsionContext(TH)
+        X = UExpansion.const(ctx, ctx.ring.one, 8) + UExpansion.u(ctx, 8)
+        with pytest.raises(Unsupported, match="order 0"):
+            moebius_of_series(X, ctx.lam)
+        zero = UExpansion.zero(ctx, 8)
+        assert moebius_of_series(zero, ctx.lam) == zero
+
+    def test_no_cyclic_garbage(self):
+        # the lemma's loop of criterion 08: each u(cz) shifted by several
+        # torsion values; the memo on X must die with X, with no cycle
+        ctx = TorsionContext(pol3("t^2+1") * pol3("t+1"))
+        gk = goss_coeffs_in(ctx, 2)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for c in (pol3("1"), TH):
+                Uc = u_of_az(ctx, c, 12)
+                for beta in ctx.units()[:4]:
+                    poly_eval_series(
+                        gk, moebius_of_series(Uc, ctx.exp_value(beta)))
+            del Uc
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not garbage
 
 
 class TestSubParameter:
