@@ -41,7 +41,9 @@ class UExpansion:
     """Sum of coeffs[n] * u^n for n < prec, coefficients in ctx.ring."""
 
     # _moebius: moebius_of_series's coefficient tuples of X*(-X)^j for X = self
-    __slots__ = ("ctx", "coeffs", "prec", "meta", "var", "_moebius")
+    # _origin: on a value M = moebius_of_series(X, lam) only, the pair
+    # (X._moebius, lam) that poly_eval_series reads
+    __slots__ = ("ctx", "coeffs", "prec", "meta", "var", "_moebius", "_origin")
 
     def __init__(self, ctx, coeffs, prec=None, meta=None, var="u"):
         if prec is None:
@@ -55,6 +57,7 @@ class UExpansion:
         self.meta = meta
         self.var = var
         self._moebius = None
+        self._origin = None
 
     @classmethod
     def zero(cls, ctx, prec, meta=None, var="u"):
@@ -228,10 +231,21 @@ def lift_rf_to(ctx, rf):
 
 
 def poly_eval_series(coeffs, S):
-    """Evaluate a polynomial (list of ring elements, low first) at a series
-    of positive order, by accumulating truncated powers."""
+    """Evaluate a polynomial G (list of ring elements, low first) at a
+    series of positive order, by accumulating truncated powers.  A value
+    S = X/(lam*X + 1) of moebius_of_series with deg G >= 2 forms no power
+    of S: G(S) = sum_s c_s X^s with c = shift_by_value(G, lam), and
+    X^s = (-1)^(s-1) Y_{s-1} is read off the powers of X recorded on S, so
+    each coefficient is one dot."""
     ctx = S.ctx
     N = S.prec
+    if S._origin is not None and len(coeffs) > 2:
+        ys, lam = S._origin
+        c = shift_by_value(UExpansion(ctx, coeffs, len(ys) + 1), lam).coeffs
+        es = [c[s] if s % 2 else -c[s] for s in range(1, len(ys) + 1)]
+        return UExpansion(ctx, [coeffs[0]] + [
+            ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
+            for n in range(1, N)], N, None, S.var)
     out = UExpansion.const(ctx, coeffs[0], N, var=S.var) if coeffs else \
         UExpansion.zero(ctx, N, var=S.var)
     power = None
@@ -289,7 +303,7 @@ def shift_by_value(f, lam, var=None):
     N = f.prec
     p = ctx.field.p
     zero = ctx.ring.zero
-    pows = ctx.powers(lam, N)
+    pows = ctx.powers(lam, N - 1)  # n - i <= N - 2 below
     out = [zero] * N
     for i, c in enumerate(f.coeffs):
         if not c:
@@ -310,7 +324,9 @@ def moebius_of_series(X, lam):
     order — this is u(w + beta/n) when X is the series of u(w).  Summed as
     sum_j lam^j * Y_j with Y_j = X*(-X)^j, so each coefficient is one dot.
     The Y_j with (j+1)*ord X < prec are kept on X as coefficient tuples and
-    the powers of lam come from ctx.powers; a zero X gives zero."""
+    the powers of lam come from ctx.powers; a zero X gives zero.  The value
+    records the Y_j and lam in its _origin slot (no series), from which
+    poly_eval_series reads G(value)."""
     order = X.order()
     if not order:
         raise Unsupported("Moebius value of a series of order %d" % order)
@@ -324,9 +340,11 @@ def moebius_of_series(X, lam):
     ctx = X.ctx
     pows = ctx.powers(lam, len(ys))
     dot = ctx.ring.dot
-    return UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
-                                 if y[n]]) for n in range(X.prec)],
-                      X.prec, None, X.var)
+    out = UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
+                                if y[n]]) for n in range(X.prec)],
+                     X.prec, None, X.var)
+    out._origin = (ys, lam)
+    return out
 
 
 def shift_by_torsion(f, beta, ctx):

@@ -154,47 +154,64 @@ def test_criterion_07_twist_composition():
     assert verdict(7, "twist-composition", detail is None, detail)
 
 
+def _lemma_difference(ctx, ppol, qpol, k, cs, N):
+    """None when sum over |beta| < |q| of G_k(u(c(z+beta)/q + a/p)) equals
+    q^k G_k(u(cz + a q/p)) (gcd(c, q) = 1) or 0 (otherwise) for every c in
+    cs and every unit a mod p, else the first failing c, a and v^n."""
+    mod = ppol * qpol
+    one = Pol.one(ctx.field)
+    betas = polys_below_degree(ctx.field, qpol.degree)
+    gk = goss_coeffs_in(ctx, k)
+    qk = _modulus_power(ctx, qpol, k)
+    for c in cs:
+        Uc = u_of_az(ctx, c, N)
+        for a in ctx.units(ppol):
+            lhs = UExpansion.zero(ctx, N)
+            for beta in betas:
+                t = (c * beta * ppol + a * qpol) % mod
+                lhs = lhs + poly_eval_series(
+                    gk, moebius_of_series(Uc, ctx.exp_value(t)))
+            if c.gcd(qpol) == one:
+                Ucq = u_of_az(ctx, c * qpol, N)
+                ert = ctx.exp_value((a * qpol * qpol) % mod)
+                rhs = poly_eval_series(
+                    gk, moebius_of_series(Ucq, ert)).scale(qk)
+            else:
+                rhs = UExpansion.zero(ctx, N)
+            m = min(lhs.prec, rhs.prec)
+            d = lhs.truncate(m).first_difference(rhs.truncate(m))
+            if d is not None:
+                return "k=%d c=%s a=%s at v^%d" % (
+                    k, c.format(), a.format(), d)
+    return None
+
+
 def test_criterion_08_distribution_lemma():
     # sum over |beta| < |q| of G_k(u(c(z+beta)/q + a/p)) equals
     # q^k G_k(u(cz + a q/p)) when gcd(c, q) = 1 and 0 otherwise,
     # as v-series (v the parameter at z/q) in the joint p,q-torsion ring
     ppol, qpol = pol3("t^2+1"), TH
-    mod = ppol * qpol
-    ctx = TorsionContext(mod)
-    N = 27
-    one = Pol.one(F3)
+    ctx = TorsionContext(ppol * qpol)
+    cs = [pol3("1"), TH, pol3("t+1"), pol3("t+2")]
     detail = None
-    cs = [c for c in (one, TH, pol3("t+1"), pol3("t+2"))]
-    betas = polys_below_degree(F3, qpol.degree)
     for k in (1, 2, 3):
-        gk = goss_coeffs_in(ctx, k)
-        qk = _modulus_power(ctx, qpol, k)
-        for c in cs:
-            Uc = u_of_az(ctx, c, N)
-            for a in ctx.units(ppol):
-                lhs = UExpansion.zero(ctx, N)
-                for beta in betas:
-                    t = (c * beta * ppol + a * qpol) % mod
-                    lhs = lhs + poly_eval_series(
-                        gk, moebius_of_series(Uc, ctx.exp_value(t)))
-                if c.gcd(qpol) == one:
-                    Ucq = u_of_az(ctx, c * qpol, N)
-                    ert = ctx.exp_value((a * qpol * qpol) % mod)
-                    rhs = poly_eval_series(
-                        gk, moebius_of_series(Ucq, ert)).scale(qk)
-                else:
-                    rhs = UExpansion.zero(ctx, N)
-                m = min(lhs.prec, rhs.prec)
-                d = lhs.truncate(m).first_difference(rhs.truncate(m))
-                if d is not None:
-                    detail = "k=%d c=%s a=%s at v^%d" % (
-                        k, c.format(), a.format(), d)
-                    break
-            if detail:
-                break
+        detail = _lemma_difference(ctx, ppol, qpol, k, cs, 27)
         if detail:
             break
     assert verdict(8, "distribution-lemma", detail is None, detail)
+
+
+def test_distribution_lemma_multi_term_goss():
+    # at q = 3, G_4 = X^4 + X^2/(theta^3 - theta), so the lemma at k = 4
+    # checks G(M) of Moebius values M through a Carlitz-factorial
+    # denominator; c = theta exercises the zero right-hand side
+    ppol, qpol = pol3("t^2+1"), TH
+    ctx = TorsionContext(ppol * qpol)
+    gk = goss_coeffs_in(ctx, 4)
+    ring = ctx.ring
+    assert gk == [ring.zero, ring.zero,
+                  ctx.lift_poly(TH ** 3 - TH).invert(), ring.zero, ring.one]
+    assert _lemma_difference(ctx, ppol, qpol, 4, (pol3("1"), TH), 27) is None
 
 
 def test_criterion_09_congruences():

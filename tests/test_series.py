@@ -195,6 +195,55 @@ class TestMoebius:
                 moebius_of_series(X, lams[0])
                 assert X._moebius is memo
 
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
+                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
+    def test_goss_of_value_equals_powers_of_value(self, modulus, N):
+        # G_k(M) read off the powers recorded on M against the generic
+        # loop over powers of M, run on a copy of M without the record;
+        # k up to q+3 brings several terms and, for k > q, Carlitz-factorial
+        # denominators.  At q = 9 the generic loop on fractions is slow, so
+        # the precision is halved (deg c = 2 then gives a zero X) and the
+        # middle weights are skipped
+        ctx = TorsionContext(modulus)
+        field = ctx.field
+        q = field.order
+        th = Pol.x(field)
+        ks = range(1, q + 4) if q < 9 else (1, 2, 3, q + 1, q + 2, q + 3)
+        prec = N if q < 9 else N // 2
+        lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
+        lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
+        series = [u_of_az(ctx, c, prec) for c in
+                  (Pol.one(field), th, th * th + Pol.one(field))]
+        if q > field.p:
+            series.append(series[1].scale_const(ctx.emb[field.inv(field.p)]))
+        series.append(UExpansion.zero(ctx, prec))
+        for k in ks:
+            gk = goss_coeffs_in(ctx, k)
+            for X in series:
+                for lam in lams:
+                    M = moebius_of_series(X, lam)
+                    bare = UExpansion(ctx, M.coeffs, M.prec, None, M.var)
+                    assert bare._origin is None
+                    assert poly_eval_series(gk, M) == poly_eval_series(
+                        gk, bare), (k, X.order())
+
+    def test_record_does_not_leak(self):
+        # the record holds X's tuples and lam, never a series, and no
+        # series built from M carries it
+        ctx = TorsionContext(TH)
+        lam = ctx.exp_value(Pol.one(F3))
+        X = u_of_az(ctx, TH, 12)
+        M = moebius_of_series(X, lam)
+        ys, value = M._origin
+        assert ys is X._moebius and value is lam
+        assert all(isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
+                   for y in ys)
+        derived = [M.scale(lam), M + M, -M, M - M, M.truncate(6),
+                   M.with_meta(ModularMeta(2, 0)), M.scale_const(2), M * M,
+                   M * X, M ** 2]
+        assert all(d._origin is None for d in derived)
+        assert X._origin is None
+
     def test_order_zero_raises_and_zero_gives_zero(self):
         ctx = TorsionContext(TH)
         X = UExpansion.const(ctx, ctx.ring.one, 8) + UExpansion.u(ctx, 8)
