@@ -15,11 +15,11 @@ from .errors import ConductorMismatch, Unsupported
 
 # Largest residue field residue_point builds.  Its tables are built once
 # per process; the exact rows and rank they spare are paid per call.  Timed
-# in fresh interpreters on a 2-vCPU VM: F_81 and the point take
-# 0.035-0.039 s, against exact rows and rank of 0.05-0.09 s (rows over T
-# 0.013-0.019 s) at the F_3 quadratics, k = 1..3, N = 36; F_256 and its
-# point 0.42-0.54 s, against exact rows and rank of 0.17-0.21 s (0.02 s
-# over T) at F_4, t^2+wt+1, k = 1, 2, N = 40: one call there is faster exact.
+# in fresh interpreters on a 2-vCPU x86_64 VM: F_81 and the point take
+# 0.02-0.03 s, against exact rows and rank of 0.05-0.11 s at the F_3
+# quadratics, k = 1..3, N = 36; F_256 and its point 0.32-0.49 s (the
+# tables alone 0.31-0.44 s), against exact rows and rank of 0.11-0.19 s
+# at F_4, t^2+wt+1, k = 1 or 2, N = 40: one call there is faster exact.
 RESIDUE_ORDER_MAX = 81
 
 

@@ -4,13 +4,16 @@ The matrix slash actions never appear at runtime: their scalars are
 collapsed into the two hard-coded formulas
     T_q f = psi(q) q^k f(qz) + descend(sum_beta f((z+beta)/q))
     twist_raw(f) = n^(2m-k) sum_beta chi^{-1}(beta) f(z + beta/n).
+Both beta-sums are linear in the shift u -> u/(lambda_beta u + 1), so each
+is one shift_by_sums by the power sums sum_beta w_beta lambda_beta^j
+(characters.power_sums), not one shift per residue.
 """
 
 from .algebra import Pol, lucas_binomial, monics_up_to_degree
-from .characters import char_sum_s, gauss_thakur
+from .characters import gauss_thakur, power_sums
 from .errors import LevelPrime, NotPrimitive, Unsupported
 from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
-                     descend, evaluate_at_shift, rescale_arg, shift_by_value)
+                     descend, rescale_arg, shift_by_sums)
 
 
 def _modulus_power(ctx, m, e):
@@ -39,13 +42,7 @@ def _character_shift_sum(f, chi, ctx):
         raise ValueError("twisting needs weight/type metadata")
     n = ctx.conductor_of(chi)
     k, m = f.meta.weight, f.meta.type_
-    inv = chi.inverse()
-    out = UExpansion.zero(ctx, f.prec)
-    for beta in ctx.residues(n):
-        code = ctx.char_value(inv, beta)
-        if code:
-            lam = ctx.exp_at(beta, n)
-            out = out + shift_by_value(f, lam).scale_const(code)
+    out = shift_by_sums(f, power_sums(ctx, n, range(f.prec - 1 or 1), chi))
     neben = f.meta.neben
     newneben = (neben, chi, chi) if neben is not None else (chi, chi)
     level = n * n if f.meta.level is None else f.meta.level.lcm(n * n)
@@ -88,24 +85,23 @@ def twist_monomial_closed(i, chi, ctx, N):
         raise ValueError("monomial exponent must be positive")
     q = ctx.field.order
     p = ctx.field.p
-    s = chi.sign
     g_over_n = gauss_over_conductor(chi, ctx)
-    zero = ctx.ring.zero
-    out = [zero] * N
-    l = s if s else q - 1
-    while i + l < N:
+    out = [ctx.ring.zero] * N
+    ls = range(chi.sign or q - 1, N - i, q - 1)
+    for l, sl in zip(ls, power_sums(ctx, chi.conductor, ls, chi)):
         b = lucas_binomial(-i, l, p)
         if b:
-            out[i + l] = (g_over_n * char_sum_s(chi, l, ctx)).scale_const(b)
-        l += q - 1
+            out[i + l] = (g_over_n * sl).scale_const(b)
     return UExpansion(ctx, out, N)
 
 
 def hecke_u(f, qpol, ctx):
     """T_q on a u-expansion with metadata; output precision prec // |q|.
 
-    The result is verified free of the q-torsion generator: the beta-sum
-    is Galois-invariant, so any residue signals a bug.
+    The beta-sum is one shift by P_j = sum_beta lambda_beta^j over the
+    residues beta of q.  The Galois group permutes the lambda_beta, so each
+    P_j, and with it the result, is free of the q-torsion generator; the
+    result is verified to be, and any residue signals a bug.
     """
     if f.meta is None or f.meta.weight is None:
         raise ValueError("Hecke operators need weight metadata")
@@ -118,10 +114,8 @@ def hecke_u(f, qpol, ctx):
         raise ValueError("precision %d too small for |q| = %d" % (f.prec, size))
     k = f.meta.weight
     psi_q = neben_eval(f.meta.neben, qpol, ctx)
-    acc = UExpansion.zero(ctx, f.prec, var="v")
-    for beta in ctx.residues(qpol):
-        acc = acc + evaluate_at_shift(f, beta, qpol, ctx)
-    term2 = descend(acc, qpol)
+    sums = power_sums(ctx, qpol, range(f.prec - 1 or 1))
+    term2 = descend(shift_by_sums(f, sums, var="v"), qpol)
     term1 = rescale_arg(f, qpol).truncate(Nout).scale(ctx.lift_poly(qpol ** k))
     if psi_q != 1:
         term1 = term1.scale_const(psi_q)

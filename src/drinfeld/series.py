@@ -296,27 +296,31 @@ def u_of_az(ctx, a, N, var="u"):
     return UExpansion(ctx, out, N, var=var)
 
 
-def shift_by_value(f, lam, var=None):
-    """Substitute u -> u/(lam*u + 1) using the closed binomial form:
-    out[n] = sum_i c_i * binom(-i, n-i) * lam^(n-i)."""
+def shift_by_sums(f, sums, var=None):
+    """sum_b w_b * f(u/(lam_b*u + 1)) from sums[j] = sum_b w_b * lam_b^j,
+    j < max(prec - 1, 1): out[n] = sum_i c_i * binom(-i, n-i) * sums[n-i],
+    one dot per coefficient, with c_i scaled once per binomial value."""
     ctx = f.ctx
-    N = f.prec
     p = ctx.field.p
-    zero = ctx.ring.zero
-    pows = ctx.powers(lam, N - 1)  # n - i <= N - 2 below
-    out = [zero] * N
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            out[0] = out[0] + c
-            continue
-        for n in range(i, N):
-            b = lucas_binomial(-i, n - i, p)
-            if b:
-                term = c * pows[n - i] if n != i else c
-                out[n] = out[n] + term.scale_const(b % p)
-    return UExpansion(ctx, out, N, None, var or f.var)
+    dot = ctx.ring.dot
+    scaled = [(i, [c.scale_const(b) for b in range(p)])
+              for i, c in enumerate(f.coeffs) if c]
+    out = []
+    for n in range(f.prec):
+        pairs = []
+        for i, cs in scaled:
+            if i > n:
+                break
+            b = lucas_binomial(-i, n - i, p)  # zero for i = 0 < n
+            if b and sums[n - i]:
+                pairs.append((cs[b], sums[n - i]))
+        out.append(dot(pairs))
+    return UExpansion(ctx, out, f.prec, None, var or f.var)
+
+
+def shift_by_value(f, lam, var=None):
+    """Substitute u -> u/(lam*u + 1): shift_by_sums with the powers of lam."""
+    return shift_by_sums(f, f.ctx.powers(lam, f.prec - 1), var)
 
 
 def moebius_of_series(X, lam):
@@ -377,16 +381,6 @@ def to_subparameter(f, qpol, Nv):
     if f.prec < needed:
         raise ValueError("need u-precision %d for v-precision %d" % (needed, Nv))
     return poly_eval_series(list(f.coeffs[:needed]), U)
-
-
-def evaluate_at_shift(f, beta, qpol, ctx):
-    """f((z+beta)/q) as a series in v = u(z/q).
-
-    Writing w = z/q, the argument is w + beta/q, so this is the torsion
-    shift of f by exp_C(pi*beta/q) read in the sub-parameter.
-    """
-    lam = ctx.exp_at(beta % qpol, qpol)
-    return shift_by_value(f, lam, var="v")
 
 
 def descend(g, qpol, meta=None):

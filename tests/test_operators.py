@@ -11,10 +11,11 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import LevelPrime, NotPrimitive, Unsupported
 from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
-                             UExpansion, goss_coeffs_in, moebius_of_series,
-                             poly_eval_series, u_of_az)
+                             UExpansion, descend, goss_coeffs_in,
+                             moebius_of_series, poly_eval_series, rescale_arg,
+                             shift_by_value, u_of_az)
 from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
-                                hecke_twisted, hecke_u,
+                                hecke_twisted, hecke_u, neben_eval,
                                 twist_monomial_closed, twist_normalized,
                                 twist_raw, _modulus_power)
 from drinfeld.characters import gauss_thakur
@@ -398,3 +399,80 @@ def test_nonprime_q_matrix(q):
             rhs = poly_eval_series(gk, moebius_of_series(Ucq, ert)).scale(qk)
             assert lhs and lhs.agrees_with(rhs), "c = %s, a = %s" % (
                 c.format(), a.format())
+
+
+# -- the per-residue loops that the power-sum shifts replaced, as oracles --
+
+def residue_twist_sum(f, chi, ctx):
+    """sum_beta chi^{-1}(beta) f(z + beta/n), one shift per residue."""
+    n = chi.conductor
+    inv = chi.inverse()
+    out = UExpansion.zero(ctx, f.prec)
+    for beta in ctx.residues(n):
+        code = ctx.char_value(inv, beta)
+        if code:
+            lam = ctx.exp_at(beta, n)
+            out = out + shift_by_value(f, lam).scale_const(code)
+    return out
+
+
+def residue_hecke(f, qpol, ctx):
+    """T_q f = psi(q) q^k f(qz) + descend(sum_beta f((z+beta)/q)), one
+    shift per residue beta of q."""
+    acc = UExpansion.zero(ctx, f.prec, var="v")
+    for beta in ctx.residues(qpol):
+        lam = ctx.exp_at(beta, qpol)
+        acc = acc + shift_by_value(f, lam, var="v")
+    size = ctx.field.order ** qpol.degree
+    term1 = rescale_arg(f, qpol).truncate(f.prec // size)
+    term1 = term1.scale(ctx.lift_poly(qpol ** f.meta.weight))
+    psi = neben_eval(f.meta.neben, qpol, ctx)
+    if psi != 1:
+        term1 = term1.scale_const(psi)
+    return term1 + descend(acc, qpol)
+
+
+# q -> (Hecke prime, conductor, extension degree, exponents, precision):
+# character values lie outside the prime field at q = 3 (in F_9), 4 and 9
+ORACLE_LEVELS = {3: ("t", "t^2+1", 2, (0, 1, 2, 5), 12),
+                 4: ("t", "t+1", 1, (0, 1, 2), 12),
+                 5: ("t", "t+1", 1, (0, 1, 3), 15),
+                 9: ("t", "t+1", 1, (0, 1, 5), 27)}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
+def test_power_sum_shifts_equal_residue_loops(q):
+    # twist_raw, twist_normalized and hecke_u, exactly against the loops
+    # above, on a form, on a series with a torsion coefficient, and on the
+    # raw twist of that series, which has denominators (2m - k = -2)
+    qtext, ntext, ext, exps, N = ORACLE_LEVELS[q]
+    field = F3 if q == 3 else {4: F4, 5: finite_field(5), 9: F9}[q]
+    qpol, npol = parse_pol(field, qtext), parse_pol(field, ntext)
+    ctx = TorsionContext(qpol * npol, ext_degree=ext)
+    chis = [DirichletCharacter.from_conductor(npol, e, big=ctx.big)
+            for e in exps]
+    one = ctx.ring.one
+    theta = ctx.lift_poly(Pol.x(field))
+    lam = ctx.exp_at(Pol.one(field), npol)
+    bound = forms.bound_for_precision(field, N)
+    g = UExpansion(ctx, [ctx.ring.zero, one, theta, lam, one, theta * lam],
+                   N, ModularMeta(4, 1))
+    inputs = [forms.petrov_fs(ctx, 1, bound).render(N), g,
+              twist_raw(g, chis[1], ctx)]
+    assert any(c.den != ctx.ring.one.den for c in inputs[2].coeffs)
+    assert q == 5 or any(code >= field.p for chi in chis
+                         for code in map(chi.eval, ctx.residues(npol)))
+    for f in inputs:
+        k, m = f.meta.weight, f.meta.type_
+        for chi in chis:
+            want = residue_twist_sum(f, chi, ctx)
+            got = twist_raw(f, chi, ctx)
+            assert got.coeffs == want.scale(
+                _modulus_power(ctx, npol, 2 * m - k)).coeffs
+            if chi.is_primitive():
+                got = twist_normalized(f, chi, ctx)
+                assert got.coeffs == want.scale(
+                    gauss_over_conductor(chi, ctx)).coeffs
+        got = hecke_u(f, qpol, ctx)
+        want = residue_hecke(f, qpol, ctx)
+        assert got.prec == want.prec and got.coeffs == want.coeffs

@@ -15,11 +15,11 @@ from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
                              SignMismatch, Unsupported)
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion, descend,
-                             eisenstein_components, evaluate_at_shift,
-                             goss_coeffs_in,
+                             eisenstein_components, goss_coeffs_in,
                              moebius_of_series, poly_eval_scalar,
-                             poly_eval_series, rescale_arg, shift_by_torsion,
-                             shift_by_value, to_subparameter, u_of_az)
+                             poly_eval_series, rescale_arg, shift_by_sums,
+                             shift_by_torsion, shift_by_value, to_subparameter,
+                             u_of_az)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -152,6 +152,34 @@ class TestShifts:
                  + u.scale(lam)) ** 2
         assert got.agrees_with((u ** 2) * denom.inverse())
 
+    @pytest.mark.parametrize("modulus, N", [
+        (pol3("t^2+1"), 12), (Pol(F4, (0, 1)), 16),
+        (parse_pol(finite_field(5), "t"), 16),
+        (Pol(finite_field(3, 2), (1, 1)), 20)],
+        ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
+    def test_shift_by_sums_is_weighted_sum_of_shifts(self, modulus, N):
+        # sums[j] = sum_b w_b lam_b^j gives sum_b w_b shift_by_value(f, lam_b)
+        # exactly: weights outside the prime field at q = 4, 9, a lam with a
+        # denominator, lam = 0, and an f with denominators
+        ctx = TorsionContext(modulus)
+        field = ctx.field
+        th = ctx.lift_poly(Pol.x(field))
+        lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
+        lams += [ctx.ring.zero, (th + ctx.ring.one).invert()]
+        weights = [ctx.emb[field.order - 1], 1, 2 % field.p or 1,
+                   ctx.big.order - 1]
+        f = UExpansion(ctx, [th, ctx.ring.one, ctx.ring.zero, lams[0],
+                             th * lams[1], lams[3]], N)
+        for g in (f, f.scale(lams[3])):
+            want = UExpansion.zero(ctx, N)
+            for w, lam in zip(weights, lams):
+                want = want + shift_by_value(g, lam).scale_const(w)
+            sums = [sum(((lam ** j).scale_const(w)
+                         for w, lam in zip(weights, lams)), ctx.ring.zero)
+                    for j in range(N - 1)]
+            got = shift_by_sums(g, sums)
+            assert got.prec == N and got.coeffs == want.coeffs
+
 
 def old_moebius(X, lam):
     """The division route moebius_of_series replaced: X / (lam*X + 1)."""
@@ -272,6 +300,14 @@ class TestMoebius:
             gc.set_debug(0)
             gc.garbage.clear()
         assert not garbage
+
+
+def evaluate_at_shift(f, beta, qpol, ctx):
+    """f((z+beta)/q) as a series in v = u(z/q), one residue at a time: the
+    route hecke_u's power-sum shift replaced.  Writing w = z/q, the argument
+    is w + beta/q, so this is the torsion shift of f by exp_C(pi*beta/q)
+    read in the sub-parameter."""
+    return shift_by_value(f, ctx.exp_at(beta % qpol, qpol), var="v")
 
 
 class TestSubParameter:
