@@ -9,6 +9,8 @@ them into big integers costs more than it saves.
 
 import itertools
 
+from ..errors import NotSquareFree
+
 
 class Pol:
     """Immutable polynomial over a FiniteField."""
@@ -339,7 +341,6 @@ def factor_squarefree_monic(f):
                 factors.append(cand)
                 rem = q
                 if not (rem % cand):
-                    from ..errors import NotSquareFree
                     raise NotSquareFree("repeated factor %r" % cand)
         d += 1
     return factors

@@ -9,7 +9,7 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 from math import lcm
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
-                      is_irreducible, lucas_binomial)
+                      is_irreducible, lucas_binomial, polys_below_degree)
 from .errors import ConductorMismatch, NotPrimitive
 
 
@@ -147,7 +147,7 @@ def convolve(chi1, chi2, delta):
     _require_pair(chi1, chi2)
     big = chi1.big
     out = 0
-    for a in _residues(chi1):
+    for a in polys_below_degree(chi1.field, chi1.conductor.degree):
         v1 = chi1.eval(a)
         if v1:
             v2 = chi2.eval(delta - a)
@@ -181,11 +181,6 @@ def _require_pair(chi1, chi2):
         size = chi1.field.order ** prime.degree
         if not (1 <= k <= size - 2 and 1 <= j <= size - 2):
             raise ConductorMismatch("exponents must lie in 1..|p|-2 at every factor")
-
-
-def _residues(chi):
-    from .algebra import polys_below_degree
-    return polys_below_degree(chi.field, chi.conductor.degree)
 
 
 def _basic_gauss_sum(ctx, prime, root):

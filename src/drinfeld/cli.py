@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import os
-import re
 import sys
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
@@ -41,47 +40,15 @@ def field_of_order(q):
     return finite_field(p, n)
 
 
-def parse_char(field, text, var="t"):
-    """Character literal chi{p=<poly>; zeta=auto|<code>; e=<int>}, with the
-    p=/zeta=/e= block repeatable for composite conductors."""
-    m = re.match(r"\s*chi\{(.*)\}\s*$", text)
-    if not m:
-        raise ValueError("character literal must look like "
-                         "chi{p=t^2+2; zeta=auto; e=5}")
-    blocks = []
-    cur = None
-    for kv in m.group(1).split(";"):
-        kv = kv.strip()
-        if not kv:
-            continue
-        key, _, val = kv.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "p":
-            cur = {"p": val}
-            blocks.append(cur)
-        elif key in ("zeta", "e"):
-            if cur is None:
-                raise ValueError("'%s' before any 'p=' block" % key)
-            cur[key] = val
-        else:
-            raise ValueError("unknown character key %r" % key)
-    if not blocks:
-        raise ValueError("empty character literal")
-    fac = []
-    for b in blocks:
-        prime = parse_pol(field, b["p"], var)
-        z = b.get("zeta", "auto")
-        root = None if z == "auto" else int(z)
-        fac.append((prime, root, int(b.get("e", "1"))))
-    return DirichletCharacter(field, fac)
-
-
 # -- the table verb ----------------------------------------------------------
 
 def table_pairs(q, npol, rng):
     """All (j, i) with 1 <= i, j <= rng such that
     sum_beta beta(zeta)^(|n|-1-i) exp(beta/n)^j is nonzero, where zeta is
-    the canonical (smallest-code) root of the first prime factor of n."""
+    the canonical (smallest-code) root of the first prime factor of n.
+    Replacing beta by c*beta for c in F_q^* scales the term by
+    c^(j+|n|-1-i), so the sum is zero unless i = j mod q-1; only those
+    rows are summed."""
     field = npol.field
     ctx = TorsionContext(npol, ext_degree=npol.degree)
     size = q ** npol.degree
@@ -97,8 +64,13 @@ def table_pairs(q, npol, rng):
                           for i in range(1, rng + 1)])
             pows.append(ctx.powers(ctx.exp_value(b), rng + 1))
     rows = list(zip(*codes))
-    return [(j, i) for j in range(1, rng + 1) for i, acc in
-            enumerate(ctx.ring.combine([pw[j] for pw in pows], rows), 1) if acc]
+    pairs = []
+    for j in range(1, rng + 1):
+        kept = range((j - 1) % (q - 1) + 1, rng + 1, q - 1)
+        sums = ctx.ring.combine([pw[j] for pw in pows],
+                                [rows[i - 1] for i in kept])
+        pairs += [(j, i) for i, acc in zip(kept, sums) if acc]
+    return pairs
 
 
 def format_table(pairs, fmt):

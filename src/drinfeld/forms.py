@@ -1,5 +1,5 @@
 """Catalog of named forms, eigen-system verification, congruence checks,
-the Eisenstein rank count, and naive local L-factors.
+the twisted Eisenstein identities and the Eisenstein rank count.
 
 All Eisenstein objects are stored with the transcendental period factored
 out: EHat is the A-expansion sum_c chi^{-1}(c) G_k(u(cz)) and ETilde is the
@@ -351,31 +351,3 @@ def eisenstein_rank(ppol, k, N):
                           "not %s" % "".join("(%s)" % f.format()
                                              for f in ctx.primes))
     return certified_rank(ctx, lambda c: eisenstein_rows(c, k, N))
-
-
-# -- naive local L-factors --------------------------------------------------
-
-def local_l_factor(lam):
-    """Coefficients of the inverse local factor 1 - lam*x, constant first."""
-    if hasattr(lam, "ring"):
-        one = lam.ring.one
-    elif isinstance(lam, Pol):
-        one = Pol.one(lam.field)
-    else:
-        one = 1
-    if not lam:
-        return (one,)
-    return (one, -lam)
-
-
-def local_l_table(ctx, expected, degree_bound):
-    """Tabulate the inverse local factors 1 - expected(q)*x over all monic
-    primes of degree up to the bound (skipping primes dividing the modulus)."""
-    from .algebra import irreducible_monics
-    one = Pol.one(ctx.field)
-    out = []
-    for qpol in irreducible_monics(ctx.field, degree_bound):
-        if qpol.gcd(ctx.modulus) != one:
-            continue
-        out.append((qpol, local_l_factor(expected(qpol))))
-    return out

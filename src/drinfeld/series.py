@@ -3,8 +3,8 @@
 A UExpansion stores the coefficients of u^0..u^{N-1} exactly, over the
 quotient ring of a TorsionContext.  The three substitutions that drive
 everything else are u(az) (Carlitz rescaling of the argument),
-u(z + beta/n) (fractional-linear shift by a torsion value), and the
-sub-parameter v = u(z/q) with its inverse (descend).
+u(z + beta/n) (fractional-linear shift by a torsion value), and descent
+from the sub-parameter v = u(z/q) back to u (descend).
 """
 
 from .algebra import RF, Pol, lucas_binomial, monics_up_to_degree, power
@@ -351,15 +351,6 @@ def moebius_of_series(X, lam):
     return out
 
 
-def shift_by_torsion(f, beta, ctx):
-    """f(z + beta/n) for the context modulus n: shift by exp_value(beta)."""
-    if f.ctx is not ctx:
-        raise ValueError("expansion does not live in the given torsion ring")
-    if not beta % ctx.modulus:
-        return f
-    return shift_by_value(f, ctx.exp_value(beta))
-
-
 def rescale_arg(f, a, meta=None):
     """f(az): substitute u -> u_of_az(a)."""
     if a.is_one():
@@ -369,24 +360,11 @@ def rescale_arg(f, a, meta=None):
     return out if meta is None else out.with_meta(meta)
 
 
-def to_subparameter(f, qpol, Nv):
-    """Express f(z) in v = u(z/q): substitute u -> u_of_az(q) read in v.
-
-    f must carry enough u-precision: coefficients c_i with
-    i*|q| >= Nv cannot affect the result.
-    """
-    U = u_of_az(f.ctx, qpol, Nv, var="v")
-    size = f.ctx.field.order ** qpol.degree
-    needed = (Nv + size - 1) // size
-    if f.prec < needed:
-        raise ValueError("need u-precision %d for v-precision %d" % (needed, Nv))
-    return poly_eval_series(list(f.coeffs[:needed]), U)
-
-
 def descend(g, qpol, meta=None):
-    """Invert to_subparameter: solve sum_i c_i * U(v)^i = g for the c_i.
+    """Read a series g in v = u(z/q) back in u: solve sum_i c_i * U(v)^i = g
+    for the c_i, with U = u_of_az(q) written in v.
 
-    U = u_of_az(q) has order |q| and leading coefficient 1/lc(q), a unit,
+    U has order |q| and leading coefficient 1/lc(q), a unit,
     so the system is triangular.  A nonzero residual means g is not an
     A-periodic u-series and raises NotDescendable.
     """

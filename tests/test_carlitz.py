@@ -9,11 +9,12 @@ from drinfeld.algebra import (RF, Pol, finite_field, is_irreducible,
                               lucas_binomial, monics_of_degree, parse_pol,
                               polys_below_degree)
 from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
-                              carlitz_action, carlitz_coeffs,
-                              carlitz_factorials, goss_poly, goss_polys)
-from drinfeld.errors import NotReducible, Unsupported
+                              carlitz_coeffs, carlitz_factorials,
+                              goss_polys)
+from drinfeld.errors import NotReducible
 from drinfeld.series import UExpansion, goss_coeffs_in, shift_by_value
 
+from goss_oracle import goss_generating
 from residue_oracle import evaluator, point_image
 
 F3 = finite_field(3)
@@ -43,6 +44,25 @@ def pol3(text):
 def small_pols(max_deg=2):
     return st.lists(st.integers(0, 2), min_size=1, max_size=max_deg + 1).map(
         lambda xs: Pol.from_int_coeffs(F3, xs))
+
+
+def carlitz_action(a, x):
+    """C_a(x) = sum [a]_i x^(q^i) for x a polynomial or a quotient-ring
+    element, term by term from carlitz_coeffs: the oracle for the torsion
+    values of TorsionContext."""
+    q = a.field.order
+    lift = None
+    if not isinstance(x, Pol):
+        ring = x.ring
+        emb = ring.field.embedding(a.field)
+        lift = lambda c: ring.from_pol(c.map_to(ring.field, emb))
+    result = None
+    for i, c in enumerate(carlitz_coeffs(a)):
+        if not c:
+            continue
+        term = (x ** (q ** i)) * (c if lift is None else lift(c))
+        result = term if result is None else result + term
+    return result if result is not None else x - x
 
 
 class TestCarlitzCoeffs:
@@ -486,14 +506,14 @@ class TestGossPolynomials:
         for field in (F3, F5):
             q = field.order
             for k in range(1, q + 1):
-                coeffs = goss_poly(field, k)
+                coeffs = goss_polys(field, k)[k]
                 assert len(coeffs) == k + 1
                 assert not any(coeffs[:k])
                 assert coeffs[k] == coeffs[k].one(field) or coeffs[k]
 
     def test_first_composite(self):
         # q=3: G_4 = X^4 + X^2/D_1, D_1 = theta^3 - theta
-        coeffs = goss_poly(F3, 4)
+        coeffs = goss_polys(F3, 4)[4]
         d1 = pol3("t^3+2*t")
         assert coeffs[4].is_pol() and coeffs[4].num.is_one()
         assert coeffs[2].den == d1
@@ -516,16 +536,10 @@ class TestGossPolynomials:
                         assert j >= 1
 
     def test_both_constructions_agree(self):
-        from drinfeld.carlitz import _goss_generating, _goss_recursion
-        for field in (F3, F5):
+        # goss_polys (the recursion) against the generating identity at
+        # N = 4q, past every weight the suites, workloads and tests ask for
+        for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)):
+            field = finite_field(p, n)
             N = 4 * field.order
-            rec = _goss_recursion(field, N)
-            gen = _goss_generating(field, N)
-            assert rec[1:] == gen[1:]
-
-    def test_torsion_goss_small_index(self):
-        from drinfeld.carlitz import goss_poly_torsion
-        coeffs = goss_poly_torsion(TH, 2)
-        assert not any(coeffs[:2]) and coeffs[2]
-        with pytest.raises(Unsupported):
-            goss_poly_torsion(TH, 4)
+            assert (goss_polys(field, N)[1:]
+                    == goss_generating(field, N)[1:]), field.order

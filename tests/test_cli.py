@@ -11,10 +11,8 @@ from pathlib import Path
 import pytest
 
 from drinfeld import cli
-from drinfeld.algebra import Pol, finite_field, parse_pol, polys_below_degree
+from drinfeld.algebra import Pol, parse_pol, polys_below_degree
 from drinfeld.carlitz import TorsionContext
-
-F3 = finite_field(3)
 
 GOLDEN_Q3_THETA_RANGE6 = """\
 [j,i]:
@@ -43,33 +41,6 @@ class TestFieldOfOrder:
         for bad in (1, 6, 12, 0, -3):
             with pytest.raises(ValueError):
                 cli.field_of_order(bad)
-
-
-class TestParseChar:
-    def test_single_block(self):
-        chi = cli.parse_char(F3, "chi{p=t; zeta=auto; e=1}")
-        assert chi.conductor == Pol.x(F3)
-        assert chi.sign == 1
-
-    def test_defaults_and_composite(self):
-        # e defaults to 1 per block; exponents reduce mod |p| - 1
-        chi = cli.parse_char(F3, "chi{p=t; p=t^2+1; e=3}")
-        assert chi.conductor == Pol.x(F3) * parse_pol(F3, "t^2+1")
-        assert [e for _, _, e in chi.factors] == [1, 3]
-
-    def test_bad_literals(self):
-        for bad in ("t^2+2", "chi{}", "chi{e=1}", "chi{p=t; nope=1}"):
-            with pytest.raises(ValueError):
-                cli.parse_char(F3, bad)
-
-    @pytest.mark.parametrize("text", [
-        "chi{p=t^2+1; zeta=0; e=1}", "chi{p=t^2+1; zeta=7; e=1}",
-        "chi{p=t^2+1; zeta=100; e=1}", "chi{p=t^2; e=1}"],
-        ids=["not-a-root", "other-code", "not-a-code", "square"])
-    def test_bad_character_data(self, text):
-        # the roots of t^2+1 in F_9 are 3 and 6
-        with pytest.raises(ValueError):
-            cli.parse_char(F3, text)
 
 
 class TestTable:
@@ -129,6 +100,25 @@ def _running_product_table_pairs(q, npol, rng):
     return pairs
 
 
+def _full_sum_table_pairs(q, npol, rng):
+    """table_pairs as it was before it skipped the rows i != j mod q-1:
+    one combine over all rng rows for every j."""
+    field = npol.field
+    ctx = TorsionContext(npol, ext_degree=npol.degree)
+    size = q ** npol.degree
+    zeta = min(ctx.primes[0].roots_in(ctx.big))
+    codes, pows = [], []
+    for b in polys_below_degree(field, npol.degree):
+        v = b.eval_in(ctx.big, zeta, ctx.emb)
+        if v:
+            codes.append([ctx.big.pow(v, (size - 1 - i) % (size - 1))
+                          for i in range(1, rng + 1)])
+            pows.append(ctx.powers(ctx.exp_value(b), rng + 1))
+    rows = list(zip(*codes))
+    return [(j, i) for j in range(1, rng + 1) for i, acc in
+            enumerate(ctx.ring.combine([pw[j] for pw in pows], rows), 1) if acc]
+
+
 class TestTablePairs:
     @pytest.mark.parametrize("q, modulus, rng", [
         (3, "t^2+t", 12), (3, "t^2+1", 12), (4, "t^2+t+1", 20)])
@@ -136,6 +126,16 @@ class TestTablePairs:
         # at t^2+t the first prime is t, so beta(zeta) = 0 for beta = t
         npol = parse_pol(cli.field_of_order(q), modulus)
         assert cli.table_pairs(q, npol, rng) == _running_product_table_pairs(
+            q, npol, rng)
+
+    @pytest.mark.parametrize("q, modulus, rng", [
+        (5, "t^2+2", 23), (3, "t", 6), (3, "t^2+t", 12), (4, "t^2+t+1", 30),
+        (2, "t^3+t+1", 10), (9, "t", 20), (3, "t^3+2*t+1", 15),
+        (5, "t^2+t", 26)])
+    def test_skipped_rows_are_zero(self, q, modulus, rng):
+        # the rows i != j mod q-1 that table_pairs skips sum to zero
+        npol = parse_pol(cli.field_of_order(q), modulus)
+        assert cli.table_pairs(q, npol, rng) == _full_sum_table_pairs(
             q, npol, rng)
 
 

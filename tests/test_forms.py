@@ -485,21 +485,3 @@ def _all_unit_rows(ppol, k, N):
         rows.append(tilde.coeffs)
         rows.append(hat.coeffs)
     return rows
-
-
-class TestLocalL:
-    def test_factor(self):
-        ctx = TorsionContext(TH)
-        lam = ctx.lift_poly(pol3("t+1"))
-        assert forms.local_l_factor(ctx.ring.zero) == (ctx.ring.one,)
-        assert forms.local_l_factor(lam) == (ctx.ring.one, -lam)
-        assert forms.local_l_factor(0) == (1,)
-
-    def test_table_skips_level(self):
-        ctx = TorsionContext(TH)
-        tab = forms.local_l_table(ctx, lambda p: ctx.lift_poly(p), 2)
-        primes = [p for p, _ in tab]
-        assert TH not in primes
-        assert pol3("t+1") in primes and pol3("t^2+1") in primes
-        for p, fac in tab:
-            assert fac == (ctx.ring.one, -ctx.lift_poly(p))

@@ -20,6 +20,8 @@ from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
                                 twist_raw, _modulus_power)
 from drinfeld.characters import gauss_thakur
 
+from series_oracle import shift_by_torsion
+
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
 F9 = finite_field(3, 2)
@@ -61,7 +63,6 @@ class TestTwistRaw:
             twist_raw(UExpansion.u(ctx, 8), chi, ctx)
 
     def test_trivial_character_is_full_shift_sum(self):
-        from drinfeld.series import shift_by_torsion
         ctx = TorsionContext(TH)
         chi = DirichletCharacter.trivial(TH)
         k, m = 2, 1

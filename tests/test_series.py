@@ -18,8 +18,9 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              eisenstein_components, goss_coeffs_in,
                              moebius_of_series, poly_eval_scalar,
                              poly_eval_series, rescale_arg, shift_by_sums,
-                             shift_by_torsion, shift_by_value, to_subparameter,
-                             u_of_az)
+                             shift_by_value, u_of_az)
+
+from series_oracle import shift_by_torsion, to_subparameter
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
