@@ -13,7 +13,7 @@ embedding and every root choice reproducible across runs.
 
 import functools
 
-from ..errors import NotReducible
+from ..errors import NotReducible, Unsupported
 from .poly import Pol, digit_tuples, is_irreducible, monics_of_degree
 
 
@@ -31,8 +31,9 @@ def _min_irreducible(p, n):
 class FiniteField:
     """F_{p^n} with precomputed add/mul/inv tables.
 
-    Intended for the small constant fields of this library (order a few
-    hundred at most); construction cost is O(order^2).
+    Intended for the small constant fields of this library: the tables
+    take O(order^2) time and memory, so an order above 1024 raises
+    Unsupported.
     """
 
     __slots__ = (
@@ -46,8 +47,9 @@ class FiniteField:
         if n < 1:
             raise ValueError("n must be positive")
         order = p ** n
-        if order > 4096:
-            raise ValueError("field too large for tabulated arithmetic")
+        if order > 1024:
+            raise Unsupported("F_%d is too large for tabulated arithmetic"
+                              " (order at most 1024)" % order)
         self.p = p
         self.n = n
         self.order = order
@@ -137,8 +139,9 @@ class FiniteField:
 class ResidueRing:
     """The image of a torsion ring in a finite field T: theta -> alpha,
     generator i -> roots[i], a big-field code c -> emb[c].  It has what
-    UExpansion and TorsionContext use of a QuotientRing, on its elements
-    elems[c], one per code c of T; no image in T raises NotReducible."""
+    UExpansion and TorsionContext use of a QuotientRing (a fraction enters
+    as from_pol(num) * from_pol(den).invert()), on its elements elems[c],
+    one per code c of T; no image in T raises NotReducible."""
 
     __slots__ = ("field", "emb", "alpha", "roots", "elems", "zero", "one")
 
@@ -161,9 +164,6 @@ class ResidueRing:
 
     def from_pol(self, p):
         return self.elems[p.eval_in(self.field, self.alpha, self.emb)]
-
-    def from_rf(self, rf):
-        return self.from_pol(rf.num) * self.from_pol(rf.den).invert()
 
     def from_const(self, code):
         return self.elems[self.emb[code]]

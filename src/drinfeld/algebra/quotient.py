@@ -19,7 +19,7 @@ degree bound.
 Canonical form.  Every slot is < p, gcd(content(num), den) = 1 where the
 content is the gcd of the coordinates, and den is monic; zero has den = 1.
 So == and hash compare (num, den) directly.  The denominator is 1 except on
-the paths through invert() and lifted rational constants.
+the paths through invert().
 
 Arithmetic.  Sums, negation and prime-field scaling act slot by slot: an
 integer operation, then one bytes.translate pass mod p; a sum or difference
@@ -71,9 +71,9 @@ class QuotientRing:
     one = property(lambda self: REl(self, 1, self._unit))
 
     def __init__(self, field, generators):
-        """generators: sequence of (name, relation) with relation a list of
-        RF coefficients of a monic polynomial (low degree first), each a
-        polynomial in theta."""
+        """generators: sequence of (name, relation) with relation the list
+        of Pol coefficients in theta of a monic polynomial, low degree
+        first."""
         p, n = field.p, field.n
         if p >= 128:
             raise Unsupported("packed quotient rings need p < 128, not %d" % p)
@@ -82,10 +82,8 @@ class QuotientRing:
         self.relations = tuple(tuple(rel) for _, rel in generators)
         self.dims = tuple(len(rel) - 1 for rel in self.relations)
         for rel, d in zip(self.relations, self.dims):
-            if d < 1 or rel[-1] != RF.one(field):
+            if d < 1 or rel[-1] != Pol.one(field):
                 raise ValueError("relations must be monic of positive degree")
-            if not all(c.is_pol() for c in rel):
-                raise ValueError("relation coefficients must be polynomials")
         total = 1
         strides = []
         for d in self.dims:
@@ -123,7 +121,7 @@ class QuotientRing:
         for rel, d, s in zip(self.relations, self.dims, ext_strides):
             terms = []
             for t in range(d):
-                coeff = -rel[t].num
+                coeff = -rel[t]
                 for b in range(n):
                     digs = [field.digits[c][b] for c in coeff.c]
                     if any(digs):
@@ -151,10 +149,6 @@ class QuotientRing:
         self._unit = Pol.one(field)
 
     # -- constructors for elements --
-
-    def from_rf(self, rf):
-        return REl(self, self._pack([rf.num]),
-                   self._unit if rf.den.is_one() else rf.den)
 
     def from_rf_coords(self, coords):
         """The element with the given RF coordinates."""
@@ -500,7 +494,7 @@ class REl:
         if self.den is ring._unit and self.num < ring.field.p:
             return REl(ring, ring.field.inv(self.num), ring._unit)
         if self.is_scalar():
-            return ring.from_rf(self.scalar_part().inverse())
+            return ring.from_rf_coords([self.scalar_part().inverse()])
         return _invert(self)
 
     def exponent_free(self, i):

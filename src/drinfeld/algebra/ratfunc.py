@@ -1,8 +1,6 @@
 """Rational functions in theta over a finite field, kept reduced.
 
-Invariant: gcd(num, den) = 1 and den is monic.  Arithmetic between two
-polynomial values (den == 1) stays on a fast path that never runs a gcd,
-which keeps the bulk of the library's computations denominator-free.
+Invariant: gcd(num, den) = 1 and den is monic; the constructor restores it.
 """
 
 from .poly import Pol
@@ -57,14 +55,7 @@ class RF:
         return (isinstance(other, RF) and self.num == other.num
                 and self.den == other.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __add__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return RF(self.num + other.num, None, reduce=False)
-        if self.den == other.den:
-            return RF(self.num + other.num, self.den)
         return RF(self.num * other.den + other.num * self.den,
                   self.den * other.den)
 
@@ -75,27 +66,7 @@ class RF:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return RF(self.num * other.num, None, reduce=False)
-        if not self.num or not other.num:
-            return RF.zero(self.field)
-        # cross-cancel before multiplying to limit degree growth
-        n1, d2 = self.num, other.den
-        n2, d1 = other.num, self.den
-        if not d2.is_one():
-            g = n1.gcd(d2)
-            if g.degree > 0:
-                n1, d2 = n1 // g, d2 // g
-        if not d1.is_one():
-            g = n2.gcd(d1)
-            if g.degree > 0:
-                n2, d1 = n2 // g, d1 // g
-        num = n1 * n2
-        den = d1 * d2
-        if not den.is_monic():
-            lcinv = den.field.inv(den.leading())
-            num, den = num.scale(lcinv), den.scale(lcinv)
-        return RF(num, den, reduce=False)
+        return RF(self.num * other.num, self.den * other.den)
 
     def inverse(self):
         if not self.num:

@@ -73,9 +73,9 @@ class TorsionContext:
             coeffs = carlitz_coeffs(prime)
             q = field.order
             deg = q ** prime.degree - 1
-            rel = [RF.zero(big)] * (deg + 1)
+            rel = [Pol.zero(big)] * (deg + 1)
             for j, c in enumerate(coeffs):
-                rel[q ** j - 1] = RF.from_pol(c.map_to(big, self.emb))
+                rel[q ** j - 1] = c.map_to(big, self.emb)
             gens.append(("l%d" % (i + 1), rel))
         # partial fractions: sum c_i * (n/p_i) = 1 in A, where
         # s*(n/p_i) + t*p_i = 1 gives c_i = s mod p_i (c_1 = 1 for one prime)
@@ -236,7 +236,7 @@ class TorsionContext:
                     T = finite_field(field.p, field.n * deg)
                     emb = T.embedding(big)
                     alpha = Q.roots_in(T, [emb[c] for c in self.emb])[0]
-                    roots = [Pol(T, [c.num.eval_in(T, alpha, emb)
+                    roots = [Pol(T, [c.eval_in(T, alpha, emb)
                                      for c in rel]).roots_in(T)[0]
                              for rel in self.ring.relations]
                     return T, emb, alpha, roots

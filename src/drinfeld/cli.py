@@ -155,7 +155,7 @@ def suite_twist_commute(args):
     rhs = twist_raw(hecke_u(f, th, ctx), chi, ctx)
     rhs = rhs.scale_const(ctx.char_value(chi, th))
     m = min(lhs.prec, rhs.prec)
-    d = lhs.truncate(m).difference(rhs.truncate(m))
+    d = lhs.difference(rhs)
     return [VerificationReport(
         "twist-commute", {"q": 3, "chi": repr(chi), "hecke": th.format()},
         m, d is None, d)]

@@ -257,7 +257,7 @@ def ehat_twist_identity(chi, k, ppol, N):
     R = twisted_eis(ctx, chi, k).render(N)
     rhs = (rescale_arg(R, ppol) - R).scale(gauss_over_conductor(chi, ctx))
     m = min(lhs.prec, rhs.prec)
-    d = lhs.truncate(m).difference(rhs.truncate(m))
+    d = lhs.difference(rhs)
     params = {"p": ppol.format(), "k": k, "chi": repr(chi), "N": N}
     return VerificationReport("ehat-twist", params, m, d is None, d)
 

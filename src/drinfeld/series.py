@@ -7,7 +7,7 @@ u(z + beta/n) (fractional-linear shift by a torsion value), and descent
 from the sub-parameter v = u(z/q) back to u (descend).
 """
 
-from .algebra import RF, Pol, lucas_binomial, monics_up_to_degree, power
+from .algebra import Pol, lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import (InsufficientDegreeBound, NotDescendable, SignMismatch,
                      Unsupported)
@@ -224,12 +224,6 @@ def bound_for_precision(field, N, min_exp=1):
     return b
 
 
-def lift_rf_to(ctx, rf):
-    """An RF over the base field as an RF over the context's big field."""
-    return RF(rf.num.map_to(ctx.big, ctx.emb),
-              rf.den.map_to(ctx.big, ctx.emb))
-
-
 def poly_eval_series(coeffs, S):
     """Evaluate a polynomial G (list of ring elements, low first) at a
     series of positive order, by accumulating truncated powers.  A value
@@ -269,8 +263,9 @@ def poly_eval_scalar(coeffs, x, ring):
 
 def goss_coeffs_in(ctx, k):
     """G_k's coefficients lifted into the context ring (list of REl)."""
-    raw = goss_polys(ctx.field, k)[k]
-    return [ctx.ring.from_rf(lift_rf_to(ctx, c)) for c in raw]
+    return [ctx.lift_poly(c.num) if c.den.is_one()
+            else ctx.lift_poly(c.num) * ctx.lift_poly(c.den).invert()
+            for c in goss_polys(ctx.field, k)[k]]
 
 
 def u_of_az(ctx, a, N, var="u"):

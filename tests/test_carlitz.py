@@ -382,7 +382,7 @@ class TestResiduePoint:
         base = [emb[c] for c in ctx.emb]
         assert Q.eval_in(T, alpha, base) == 0
         for rel, r in zip(ctx.ring.relations, roots):
-            phi = Pol(T, [c.num.eval_in(T, alpha, emb) for c in rel])
+            phi = Pol(T, [c.eval_in(T, alpha, emb) for c in rel])
             # the relation splits into distinct linear factors over T
             found = phi.roots_in(T, T.embedding(T))
             assert r == found[0] and len(found) == phi.degree
@@ -442,11 +442,8 @@ class TestResiduePoint:
         for x, y in zip(goss_coeffs_in(ctx, 2 * field.order + 1),
                         goss_coeffs_in(red, 2 * field.order + 1)):
             assert y.code == image(x)
-        # an element with no image, and inverting one that vanishes in T
+        # inverting an element that vanishes in T
         Q = _residue_modulus(ctx)
-        with pytest.raises(NotReducible):
-            red.ring.from_rf(RF(Pol.one(ctx.big),
-                                Q.map_to(ctx.big, ctx.emb)))
         with pytest.raises(NotReducible):
             red.lift_poly(Q).invert()
 
@@ -543,3 +540,19 @@ class TestGossPolynomials:
             N = 4 * field.order
             assert (goss_polys(field, N)[1:]
                     == goss_generating(field, N)[1:]), field.order
+
+    @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS[:4],
+                             ids=TORSION_IDS[:4])
+    def test_lifted_coefficients_are_the_fractions(self, field, coeffs, ext):
+        # past k = q the coefficients are fractions; each lifts to the
+        # scalar whose one coordinate is that fraction over the big field
+        ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+        ring, k = ctx.ring, 2 * field.order + 1
+        zeros = [RF.zero(ctx.big)] * (ring.total - 1)
+        fractions = 0
+        for c, x in zip(goss_polys(field, k)[k], goss_coeffs_in(ctx, k)):
+            want = RF(c.num.map_to(ctx.big, ctx.emb),
+                      c.den.map_to(ctx.big, ctx.emb))
+            assert x.rf_coords() == [want] + zeros
+            fractions += not want.is_pol()
+        assert fractions

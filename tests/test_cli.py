@@ -196,6 +196,11 @@ class TestVerify:
         code, _, err = run(capsys, ["table", "--q", "6"])
         assert code == 2 and "error:" in err
 
+    def test_field_too_large_exit_2(self, capsys):
+        code, out, err = run(capsys, ["table", "--q", "4093"])
+        assert code == 2 and out == ""
+        assert "error: F_4093 is too large" in err
+
     def test_profile_writes_stats_and_keeps_stdout(self, capsys, tmp_path):
         argv = ["verify", "--suite", "convolution"]
         plain = run(capsys, argv)
