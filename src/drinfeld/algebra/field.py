@@ -17,6 +17,13 @@ from ..errors import NotReducible, Unsupported
 from .poly import Pol, digit_tuples, is_irreducible, monics_of_degree
 
 
+def check_size(order):
+    """Refuse F_order if its tables would not fit: order above 1024."""
+    if order > 1024:
+        raise Unsupported("F_%d is too large for tabulated arithmetic"
+                          " (order at most 1024)" % order)
+
+
 def _min_irreducible(p, n):
     """Monic irreducible of degree n with smallest coefficient code, as a
     coefficient list c_0..c_n."""
@@ -47,9 +54,7 @@ class FiniteField:
         if n < 1:
             raise ValueError("n must be positive")
         order = p ** n
-        if order > 1024:
-            raise Unsupported("F_%d is too large for tabulated arithmetic"
-                              " (order at most 1024)" % order)
+        check_size(order)
         self.p = p
         self.n = n
         self.order = order

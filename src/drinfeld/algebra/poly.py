@@ -244,23 +244,25 @@ def power(x, e, one):
 
 
 def parse_pol(field, text, symbol="t"):
-    """Parse 'c*t^k' sums with integer coefficients 0..p-1.
+    """Parse 'c*t^k' sums with integer coefficients 0..p-1."""
+    return Pol.from_int_coeffs(field, parse_int_coeffs(text, symbol))
+
+
+def parse_int_coeffs(text, symbol="t"):
+    """The integer coefficients, low first, of a 'c*t^k' sum, unreduced.
 
     Raises ValueError with the offending position on malformed input.
     """
     s = text.replace(" ", "").replace("-", "+-")
     if not s:
         raise ValueError("empty polynomial literal")
-    coeffs = {}
-    pos = 0
+    coeffs, pos = {}, 0
     for term in s.split("+"):
         if term == "":
             pos += 1
             continue
-        body = term
-        neg = body.startswith("-")
-        if neg:
-            body = body[1:]
+        neg = term.startswith("-")
+        body = term[1:] if neg else term
         if symbol in body:
             head, _, tail = body.partition(symbol)
             if head in ("", "*"):
@@ -281,14 +283,9 @@ def parse_pol(field, text, symbol="t"):
             if not body.isdigit():
                 raise ValueError("bad term %r at position %d" % (term, pos))
             c, k = int(body), 0
-        if neg:
-            c = -c
-        coeffs[k] = coeffs.get(k, 0) + c
+        coeffs[k] = coeffs.get(k, 0) + (-c if neg else c)
         pos += len(term) + 1
-    ints = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for k, c in coeffs.items():
-        ints[k] = c
-    return Pol.from_int_coeffs(field, ints)
+    return [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
 
 
 def digit_tuples(q, d):

@@ -16,8 +16,9 @@ import json
 import os
 import sys
 
-from .algebra import (Pol, factor_squarefree_monic, finite_field,
-                      irreducible_monics, parse_pol, polys_below_degree)
+from .algebra import (Pol, check_size, factor_squarefree_monic,
+                      finite_field, irreducible_monics, parse_int_coeffs,
+                      parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
 from .characters import (DirichletCharacter, convolve, jacobi_factor)
 from .errors import DrinfeldError
@@ -28,8 +29,8 @@ from . import forms
 from .forms import VerificationReport
 
 
-def field_of_order(q):
-    """The finite field with q = p^n elements."""
+def prime_power(q):
+    """(p, n) with q = p^n."""
     p = next((d for d in range(2, int(abs(q) ** 0.5) + 1) if q % d == 0), q)
     n, m = 0, q
     while m > 1 and m % p == 0:
@@ -37,7 +38,12 @@ def field_of_order(q):
         n += 1
     if q < 2 or m != 1:
         raise ValueError("q = %d is not a prime power" % q)
-    return finite_field(p, n)
+    return p, n
+
+
+def field_of_order(q):
+    """The finite field with q = p^n elements."""
+    return finite_field(*prime_power(q))
 
 
 # -- the table verb ----------------------------------------------------------
@@ -94,8 +100,13 @@ def format_table(pairs, fmt):
 
 
 def cmd_table(args):
-    field = field_of_order(args.q)
-    npol = parse_pol(field, args.modulus, args.var)
+    p, n = prime_power(args.q)
+    check_size(args.q)
+    ints = parse_int_coeffs(args.modulus, args.var)
+    # the sums live in F_(q^deg); deg reads the ints mod p, as F_q would
+    deg = max((k for k, c in enumerate(ints) if c % p), default=0)
+    check_size(args.q ** deg)
+    npol = Pol.from_int_coeffs(finite_field(p, n), ints)
     pairs = table_pairs(args.q, npol, args.range)
     text = format_table(pairs, args.format)
     if text:

@@ -42,7 +42,7 @@ class UExpansion:
 
     # _moebius: moebius_of_series's coefficient tuples of X*(-X)^j for X = self
     # _origin: on a value M = moebius_of_series(X, lam) only, the pair
-    # (X._moebius, lam) that poly_eval_series reads
+    # (X._moebius, lam) that poly_eval_series reads; M.coeffs is summed on read
     __slots__ = ("ctx", "coeffs", "prec", "meta", "var", "_moebius", "_origin")
 
     def __init__(self, ctx, coeffs, prec=None, meta=None, var="u"):
@@ -214,6 +214,19 @@ class UExpansion:
         return self.format()
 
 
+class _MoebiusValue(UExpansion):
+    """moebius_of_series's value M: reading coeffs first sums G(M) at G = X."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):  # reached only when lookup fails
+        if name != "coeffs":
+            raise AttributeError(name)
+        x = UExpansion.u(self.ctx, 2).coeffs  # G = X
+        self.coeffs = poly_eval_series(x, self).coeffs
+        return self.coeffs
+
+
 def bound_for_precision(field, N, min_exp=1):
     """Smallest degree bound b with min_exp * q^(b+1) >= N, so that terms
     at monics of degree > b cannot touch coefficients below N."""
@@ -227,21 +240,20 @@ def bound_for_precision(field, N, min_exp=1):
 def poly_eval_series(coeffs, S):
     """Evaluate a polynomial G (list of ring elements, low first) at a
     series of positive order, by accumulating truncated powers.  A value
-    S = X/(lam*X + 1) of moebius_of_series with deg G >= 2 forms no power
-    of S: G(S) = sum_s c_s X^s with c = shift_by_value(G, lam), and
-    X^s = (-1)^(s-1) Y_{s-1} is read off the powers of X recorded on S, so
-    each coefficient is one dot."""
+    S = X/(lam*X + 1) of moebius_of_series with deg G >= 1 forms no power
+    of S and reads none of its coefficients: G(S) = sum_s c_s X^s with
+    c = shift_by_value(G, lam), and X^s = (-1)^(s-1) Y_{s-1} is read off the
+    powers of X recorded on S, so each coefficient is one dot."""
     ctx = S.ctx
     N = S.prec
-    if S._origin is not None and len(coeffs) > 2:
+    if S._origin is not None and len(coeffs) > 1:
         ys, lam = S._origin
         c = shift_by_value(UExpansion(ctx, coeffs, len(ys) + 1), lam).coeffs
         es = [c[s] if s % 2 else -c[s] for s in range(1, len(ys) + 1)]
         return UExpansion(ctx, [coeffs[0]] + [
             ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
             for n in range(1, N)], N, None, S.var)
-    out = UExpansion.const(ctx, coeffs[0], N, var=S.var) if coeffs else \
-        UExpansion.zero(ctx, N, var=S.var)
+    out = UExpansion(ctx, coeffs[:1], N, None, S.var)
     power = None
     ordS = S.order()
     for i in range(1, len(coeffs)):
@@ -320,12 +332,11 @@ def shift_by_value(f, lam, var=None):
 
 def moebius_of_series(X, lam):
     """The fractional-linear value X/(lam*X + 1) for a series X of positive
-    order — this is u(w + beta/n) when X is the series of u(w).  Summed as
-    sum_j lam^j * Y_j with Y_j = X*(-X)^j, so each coefficient is one dot.
-    The Y_j with (j+1)*ord X < prec are kept on X as coefficient tuples and
-    the powers of lam come from ctx.powers; a zero X gives zero.  The value
-    records the Y_j and lam in its _origin slot (no series), from which
-    poly_eval_series reads G(value)."""
+    order — this is u(w + beta/n) when X is the series of u(w).  The value
+    is a record: the Y_j = X*(-X)^j with (j+1)*ord X < prec, kept on X as
+    coefficient tuples, and lam, in its _origin slot (no series), from which
+    poly_eval_series reads G(value).  Its coefficients sum_j lam^j * Y_j,
+    one dot each, are summed on their first read; a zero X gives zero."""
     order = X.order()
     if not order:
         raise Unsupported("Moebius value of a series of order %d" % order)
@@ -336,12 +347,8 @@ def moebius_of_series(X, lam):
             Y = Y * minus
             ys.append(Y.coeffs)
         ys = X._moebius = tuple(ys)
-    ctx = X.ctx
-    pows = ctx.powers(lam, len(ys))
-    dot = ctx.ring.dot
-    out = UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
-                                if y[n]]) for n in range(X.prec)],
-                     X.prec, None, X.var)
+    out = _MoebiusValue(X.ctx, (), X.prec, None, X.var)
+    del out.coeffs
     out._origin = (ys, lam)
     return out
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from drinfeld import cli
-from drinfeld.algebra import Pol, parse_pol, polys_below_degree
+from drinfeld.algebra import FiniteField, Pol, parse_pol, polys_below_degree
 from drinfeld.carlitz import TorsionContext
 
 GOLDEN_Q3_THETA_RANGE6 = """\
@@ -200,6 +200,33 @@ class TestVerify:
         code, out, err = run(capsys, ["table", "--q", "4093"])
         assert code == 2 and out == ""
         assert "error: F_4093 is too large" in err
+
+    @pytest.mark.parametrize("argv, refused", [
+        (["--q", "1024"], 1024 ** 2), (["--q", "1021"], 1021 ** 2),
+        (["--q", "11", "--modulus", "t^3+1"], 11 ** 3)])
+    def test_oversized_extension_refused_before_any_field(
+            self, capsys, monkeypatch, argv, refused):
+        # F_(q^deg) is refused before F_q is built: a wrapper on
+        # FiniteField.__init__ records every field built during the run
+        built = []
+        init = FiniteField.__init__
+
+        def recording(field, p, n):
+            init(field, p, n)
+            built.append(field.order)
+        monkeypatch.setattr(FiniteField, "__init__", recording)
+        code, out, err = run(capsys, ["table"] + argv)
+        assert code == 2 and out == ""
+        assert "error: F_%d is too large" % refused in err
+        assert all(order <= 32 for order in built), built
+
+    def test_extension_degree_is_read_mod_p(self, capsys):
+        # 5t^5 vanishes over F_5, so the modulus has degree 2 and the table
+        # is the default one, not refused for F_(5^5)
+        plain = run(capsys, ["table", "--range", "6"])
+        padded = run(capsys, ["table", "--range", "6",
+                              "--modulus", "5t^5+t^2+2"])
+        assert padded == plain and plain[0] == 0 and plain[1]
 
     def test_profile_writes_stats_and_keeps_stdout(self, capsys, tmp_path):
         argv = ["verify", "--suite", "convolution"]

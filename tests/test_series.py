@@ -7,8 +7,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.algebra import (REl, Pol, finite_field, monics_up_to_degree,
-                              parse_pol)
+from drinfeld.algebra import (REl, Pol, QuotientRing, finite_field,
+                              monics_up_to_degree, parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
@@ -189,6 +189,32 @@ def old_moebius(X, lam):
                 + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var))
 
 
+def eager_moebius(X, lam):
+    """The eager sum moebius_of_series made before its coefficients were
+    summed on read: sum_j lam^j * Y_j with Y_j = X*(-X)^j, one dot per
+    coefficient."""
+    order = X.order()
+    Y, minus, ys = X, -X, [X.coeffs]
+    while (len(ys) + 1) * order < X.prec:
+        Y = Y * minus
+        ys.append(Y.coeffs)
+    ctx = X.ctx
+    pows = ctx.powers(lam, len(ys))
+    dot = ctx.ring.dot
+    return UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
+                                 if y[n]]) for n in range(X.prec)],
+                      X.prec, None, X.var)
+
+
+def is_pending(M):
+    """True while M's coefficient slot has not been read."""
+    try:
+        UExpansion.coeffs.__get__(M)
+    except AttributeError:
+        return True
+    return False
+
+
 # (modulus, precision): q^2 < N, so u(cz) with deg c = 2 is nonzero
 MOEBIUS_LEVELS = [(pol3("t^2+1"), 12), (Pol(F4, (0, 1)), 20),
                   (parse_pol(finite_field(5), "t"), 28),
@@ -255,6 +281,68 @@ class TestMoebius:
                     assert bare._origin is None
                     assert poly_eval_series(gk, M) == poly_eval_series(
                         gk, bare), (k, X.order())
+
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
+                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
+    def test_pending_value_equals_eager_sum(self, modulus, N):
+        # X of order 1 and q, at a precision that is no multiple of q;
+        # lam = 0, a torsion value and 1/(theta+1), which has a denominator.
+        # Each series built from a pending value equals the one built from
+        # the eager sum, and the pending value is summed by the first read
+        ctx = TorsionContext(modulus)
+        field = ctx.field
+        th = Pol.x(field)
+        lams = [ctx.ring.zero, ctx.exp_value(ctx.units()[0]),
+                ctx.lift_poly(th + Pol.one(field)).invert()]
+        prec = N - 1 if field.order < 9 else N // 2 - 1
+        assert prec % field.order
+        for X in (u_of_az(ctx, Pol.one(field), prec), u_of_az(ctx, th, prec)):
+            for lam in lams:
+                E = eager_moebius(X, lam)
+                M = moebius_of_series(X, lam)
+                assert is_pending(M)
+                assert M.coeffs == E.coeffs, (X.order(), lam)
+                assert not is_pending(M) and M.coeffs is M.coeffs
+
+                def fresh():
+                    return moebius_of_series(X, lam)
+                other = eager_moebius(X, lams[1])
+                assert fresh().truncate(5) == E.truncate(5)
+                assert fresh() + other == E + other
+                assert other + fresh() == other + E
+                assert fresh() - other == E - other
+                assert fresh().scale(lams[1]) == E.scale(lams[1])
+                assert fresh() * other == E * other
+                assert other * fresh() == other * E
+                P = fresh()
+                assert P * P == E * E
+                assert fresh() == E and E == fresh()
+                assert fresh().difference(E) is None
+                assert fresh().difference(X) == E.difference(X)
+
+    def test_fused_route_leaves_the_value_unsummed(self, monkeypatch):
+        # G_2(M) on the lemma's ring: the eager sum cost N dots more (53 at
+        # N = 12); the first read of M.coeffs costs one fused evaluation at
+        # G = X (4 dots in shift_by_value, then N - 1), the second none
+        ctx = TorsionContext(pol3("t^2+1") * pol3("t+1"))
+        N = 12
+        gk = goss_coeffs_in(ctx, 2)
+        X = u_of_az(ctx, TH, N)
+        lam = ctx.exp_value(Pol.one(F3))
+        calls = []
+        dot = QuotientRing.dot
+
+        def counting(ring, pairs):
+            calls.append(1)
+            return dot(ring, pairs)
+        monkeypatch.setattr(QuotientRing, "dot", counting)
+        M = moebius_of_series(X, lam)
+        poly_eval_series(gk, M)
+        assert len(calls) == 53 - N and is_pending(M)
+        M.coeffs
+        assert len(calls) == 53 - N + 4 + N - 1
+        M.coeffs
+        assert len(calls) == 53 + 3
 
     def test_record_does_not_leak(self):
         # the record holds X's tuples and lam, never a series, and no
