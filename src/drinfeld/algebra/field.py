@@ -17,11 +17,13 @@ from ..errors import NotReducible, Unsupported
 from .poly import Pol, digit_tuples, is_irreducible, monics_of_degree
 
 
-def check_size(order):
-    """Refuse F_order if its tables would not fit: order above 1024."""
-    if order > 1024:
-        raise Unsupported("F_%d is too large for tabulated arithmetic"
-                          " (order at most 1024)" % order)
+def check_size(q, deg=1):
+    """Refuse F_(q^deg) if its tables would not fit: order above 1024.
+    A deg above 10 gives an order above 2^10, named as a power, not formed."""
+    if deg > 10 or q ** deg > 1024:
+        raise Unsupported("F_%s is too large for tabulated arithmetic"
+                          " (order at most 1024)"
+                          % ("(%d^%d)" % (q, deg) if deg > 10 else q ** deg))
 
 
 def _min_irreducible(p, n):

@@ -245,11 +245,14 @@ def power(x, e, one):
 
 def parse_pol(field, text, symbol="t"):
     """Parse 'c*t^k' sums with integer coefficients 0..p-1."""
-    return Pol.from_int_coeffs(field, parse_int_coeffs(text, symbol))
+    terms = parse_int_coeffs(text, symbol)
+    return Pol.from_int_coeffs(field, [terms.get(k, 0) for k in
+                                       range(max(terms, default=-1) + 1)])
 
 
 def parse_int_coeffs(text, symbol="t"):
-    """The integer coefficients, low first, of a 'c*t^k' sum, unreduced.
+    """The integer coefficients of a 'c*t^k' sum, unreduced, as a dict
+    {exponent: coefficient}: no dense list, whatever the exponents.
 
     Raises ValueError with the offending position on malformed input.
     """
@@ -285,7 +288,7 @@ def parse_int_coeffs(text, symbol="t"):
             c, k = int(body), 0
         coeffs[k] = coeffs.get(k, 0) + (-c if neg else c)
         pos += len(term) + 1
-    return [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
+    return coeffs
 
 
 def digit_tuples(q, d):

@@ -110,10 +110,6 @@ class TorsionContext:
         """A polynomial in theta as a scalar ring element."""
         return self.ring.from_pol(p.map_to(self.big, self.emb))
 
-    def lift_const(self, code):
-        """A base-field constant as a scalar ring element."""
-        return self.ring.from_const(self.emb[code])
-
     def big_const(self, code):
         """A big-field constant as a scalar ring element."""
         return self.ring.from_const(code)

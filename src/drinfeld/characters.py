@@ -225,21 +225,20 @@ def gauss_thakur(chi, ctx):
     return out
 
 
-def power_sums(ctx, n, exponents, chi=None):
+def power_sums(ctx, n, exponents, chi):
     """[sum over residues beta mod n of chi^{-1}(beta) exp(beta/n)^j for j in
-    exponents], for n a divisor of the context modulus (the conductor, when
-    chi is given) and chi^{-1}(beta) read as 1 when chi is None.  Replacing
-    beta by c*beta for c in F_q^* scales the term by c^(j - sign chi), so
-    the sum is zero unless j = sign mod q-1; each other one is a combine of
-    the memoized powers by the codes."""
-    inv = None if chi is None else chi.inverse()
+    exponents], for n the conductor of chi, a divisor of the context
+    modulus.  Replacing beta by c*beta for c in F_q^* scales the term by
+    c^(j - sign chi), so the sum is zero unless j = sign mod q-1; each other
+    one is a combine of the memoized powers by the codes."""
+    inv = chi.inverse()
     codes, pows, count = [], [], max(exponents, default=0) + 1
     for beta in ctx.residues(n):
-        code = 1 if inv is None else ctx.char_value(inv, beta)
+        code = ctx.char_value(inv, beta)
         if code:
             codes.append(code)
             pows.append(ctx.powers(ctx.exp_at(beta, n), count))
-    sign, step = (0 if chi is None else chi.sign), ctx.field.order - 1
+    sign, step = chi.sign, ctx.field.order - 1
     return [ctx.ring.combine([x[j] for x in pows], [codes])[0]
             if (j - sign) % step == 0 else ctx.ring.zero for j in exponents]
 

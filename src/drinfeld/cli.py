@@ -102,11 +102,12 @@ def format_table(pairs, fmt):
 def cmd_table(args):
     p, n = prime_power(args.q)
     check_size(args.q)
-    ints = parse_int_coeffs(args.modulus, args.var)
-    # the sums live in F_(q^deg); deg reads the ints mod p, as F_q would
-    deg = max((k for k, c in enumerate(ints) if c % p), default=0)
-    check_size(args.q ** deg)
-    npol = Pol.from_int_coeffs(finite_field(p, n), ints)
+    terms = parse_int_coeffs(args.modulus, args.var)
+    # the sums live in F_(q^deg); deg reads the terms mod p, as F_q would
+    deg = max((k for k, c in terms.items() if c % p), default=0)
+    check_size(args.q, deg)
+    npol = Pol.from_int_coeffs(finite_field(p, n),
+                               [terms.get(k, 0) for k in range(deg + 1)])
     pairs = table_pairs(args.q, npol, args.range)
     text = format_table(pairs, args.format)
     if text:

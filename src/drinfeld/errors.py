@@ -26,10 +26,6 @@ class ConductorMismatch(DrinfeldError):
     """Raised when a character's conductor data or constant field does not fit."""
 
 
-class NotDescendable(DrinfeldError):
-    """Raised when a sub-parameter series is not an A-periodic u-series."""
-
-
 class SignMismatch(DrinfeldError):
     """Raised when a character sign violates a required congruence."""
 

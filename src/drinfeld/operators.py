@@ -2,18 +2,20 @@
 
 The matrix slash actions never appear at runtime: their scalars are
 collapsed into the two hard-coded formulas
-    T_q f = psi(q) q^k f(qz) + descend(sum_beta f((z+beta)/q))
+    T_q f = psi(q) q^k f(qz) + sum_beta f((z+beta)/q)
     twist_raw(f) = n^(2m-k) sum_beta chi^{-1}(beta) f(z + beta/n).
-Both beta-sums are linear in the shift u -> u/(lambda_beta u + 1), so each
-is one shift_by_sums by the power sums sum_beta w_beta lambda_beta^j
-(characters.power_sums), not one shift per residue.
+The twist's beta-sum is linear in the shift u -> u/(lambda_beta u + 1), so
+it is one shift_by_sums by the power sums sum_beta chi^{-1}(beta)
+lambda_beta^j (characters.power_sums), not one shift per residue.  The
+Hecke beta-sum is read off in closed form in u (see hecke_u).
 """
 
 from .algebra import Pol, lucas_binomial, monics_up_to_degree
+from .carlitz import carlitz_coeffs
 from .characters import gauss_thakur, power_sums
 from .errors import LevelPrime, NotPrimitive, Unsupported
 from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
-                     descend, rescale_arg, shift_by_sums)
+                     rescale_arg, shift_by_sums)
 
 
 def _modulus_power(ctx, m, e):
@@ -98,10 +100,14 @@ def twist_monomial_closed(i, chi, ctx, N):
 def hecke_u(f, qpol, ctx):
     """T_q on a u-expansion with metadata; output precision prec // |q|.
 
-    The beta-sum is one shift by P_j = sum_beta lambda_beta^j over the
-    residues beta of q.  The Galois group permutes the lambda_beta, so each
-    P_j, and with it the result, is free of the q-torsion generator; the
-    result is verified to be, and any residue signals a bug.
+    The beta-sum in closed form, by Goss polynomials of the lattice
+    L = ker C_q (Gekeler, Invent. Math. 93, 1988): e_L(x) = C_q(x)/q, and
+    x = e(z/q) has C_q(x) = 1/u, so sum_beta u((z+beta)/q)^n =
+    sum_{l in L} (x+l)^(-n) = G_{n,L}(qu) = H_n(u), where H_1 = qX and, for
+    n > 1, H_n = X * sum_{i>=0} [q]_i H_{n-q^i} (H_{<=0} = 0) in A[X].  The a_0
+    term has |q| = 0 summands, and H_n starts at u^ceil(n/|q|), so no
+    n >= prec reaches the output.  The result is verified to be free of the
+    q-torsion generator, and any residue signals a bug.
     """
     if f.meta is None or f.meta.weight is None:
         raise ValueError("Hecke operators need weight metadata")
@@ -114,9 +120,22 @@ def hecke_u(f, qpol, ctx):
         raise ValueError("precision %d too small for |q| = %d" % (f.prec, size))
     k = f.meta.weight
     psi_q = neben_eval(f.meta.neben, qpol, ctx)
-    sums = power_sums(ctx, qpol, range(f.prec - 1 or 1))
-    term2 = descend(shift_by_sums(f, sums, var="v"), qpol)
-    term1 = rescale_arg(f, qpol).truncate(Nout).scale(ctx.lift_poly(qpol ** k))
+    zero = Pol.zero(ctx.field)
+    steps = [(ctx.field.order ** i, c)
+             for i, c in enumerate(carlitz_coeffs(qpol)) if c]
+    H = [[zero] * Nout, ([zero, qpol] + [zero] * Nout)[:Nout]]
+    pairs = [[] for _ in range(Nout)]
+    for n, a in enumerate(f.coeffs):
+        if n > 1:
+            terms = [(c, H[n - s]) for s, c in steps if s < n]
+            H.append([zero] + [sum((c * h[m] for c, h in terms if h[m]), zero)
+                               for m in range(Nout - 1)])
+        if n and a:
+            for m, h in enumerate(H[n]):
+                if h:
+                    pairs[m].append((a, ctx.lift_poly(h)))
+    term2 = UExpansion(ctx, [ctx.ring.dot(ps) for ps in pairs], Nout)
+    term1 = rescale_arg(f.truncate(Nout), qpol).scale(ctx.lift_poly(qpol ** k))
     if psi_q != 1:
         term1 = term1.scale_const(psi_q)
     out = (term1 + term2).with_meta(f.meta)

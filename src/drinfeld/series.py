@@ -1,16 +1,14 @@
 """Truncated u-expansions and the substitution calculus.
 
 A UExpansion stores the coefficients of u^0..u^{N-1} exactly, over the
-quotient ring of a TorsionContext.  The three substitutions that drive
-everything else are u(az) (Carlitz rescaling of the argument),
-u(z + beta/n) (fractional-linear shift by a torsion value), and descent
-from the sub-parameter v = u(z/q) back to u (descend).
+quotient ring of a TorsionContext.  The two substitutions that drive
+everything else are u(az) (Carlitz rescaling of the argument) and
+u(z + beta/n) (fractional-linear shift by a torsion value).
 """
 
 from .algebra import Pol, lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
-from .errors import (InsufficientDegreeBound, NotDescendable, SignMismatch,
-                     Unsupported)
+from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
 
 
 WITNESS_WIDTH = 60
@@ -43,9 +41,9 @@ class UExpansion:
     # _moebius: moebius_of_series's coefficient tuples of X*(-X)^j for X = self
     # _origin: on a value M = moebius_of_series(X, lam) only, the pair
     # (X._moebius, lam) that poly_eval_series reads; M.coeffs is summed on read
-    __slots__ = ("ctx", "coeffs", "prec", "meta", "var", "_moebius", "_origin")
+    __slots__ = ("ctx", "coeffs", "prec", "meta", "_moebius", "_origin")
 
-    def __init__(self, ctx, coeffs, prec=None, meta=None, var="u"):
+    def __init__(self, ctx, coeffs, prec=None, meta=None):
         if prec is None:
             prec = len(coeffs)
         zero = ctx.ring.zero
@@ -55,26 +53,25 @@ class UExpansion:
         self.coeffs = tuple(coeffs)
         self.prec = prec
         self.meta = meta
-        self.var = var
         self._moebius = None
         self._origin = None
 
     @classmethod
-    def zero(cls, ctx, prec, meta=None, var="u"):
-        return cls(ctx, [], prec, meta, var)
+    def zero(cls, ctx, prec, meta=None):
+        return cls(ctx, [], prec, meta)
 
     @classmethod
-    def u(cls, ctx, prec, meta=None, var="u"):
-        return cls(ctx, [ctx.ring.zero, ctx.ring.one], prec, meta, var)
+    def u(cls, ctx, prec, meta=None):
+        return cls(ctx, [ctx.ring.zero, ctx.ring.one], prec, meta)
 
     @classmethod
-    def monomial(cls, ctx, i, prec, meta=None, var="u"):
+    def monomial(cls, ctx, i, prec, meta=None):
         zero = ctx.ring.zero
-        return cls(ctx, [zero] * i + [ctx.ring.one], prec, meta, var)
+        return cls(ctx, [zero] * i + [ctx.ring.one], prec, meta)
 
     @classmethod
-    def const(cls, ctx, value, prec, meta=None, var="u"):
-        return cls(ctx, [value], prec, meta, var)
+    def const(cls, ctx, value, prec, meta=None):
+        return cls(ctx, [value], prec, meta)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -93,10 +90,10 @@ class UExpansion:
     def truncate(self, N):
         if N > self.prec:
             raise ValueError("cannot extend precision")
-        return UExpansion(self.ctx, self.coeffs[:N], N, self.meta, self.var)
+        return UExpansion(self.ctx, self.coeffs[:N], N, self.meta)
 
     def with_meta(self, meta):
-        return UExpansion(self.ctx, self.coeffs, self.prec, meta, self.var)
+        return UExpansion(self.ctx, self.coeffs, self.prec, meta)
 
     def _align(self, other):
         if self.ctx is not other.ctx:
@@ -107,17 +104,17 @@ class UExpansion:
         N = self._align(other)
         return UExpansion(self.ctx, [a + b for a, b in
                                      zip(self.coeffs[:N], other.coeffs[:N])],
-                          N, self.meta, self.var)
+                          N, self.meta)
 
     def __neg__(self):
         return UExpansion(self.ctx, [-a for a in self.coeffs], self.prec,
-                          self.meta, self.var)
+                          self.meta)
 
     def __sub__(self, other):
         N = self._align(other)
         return UExpansion(self.ctx, [a - b for a, b in
                                      zip(self.coeffs[:N], other.coeffs[:N])],
-                          N, self.meta, self.var)
+                          N, self.meta)
 
     def __mul__(self, other):
         N = self._align(other)
@@ -136,7 +133,7 @@ class UExpansion:
             right = other.coeffs
             out = [dot([(a, right[n - i]) for i, a in left
                         if i <= n and right[n - i]]) for n in range(N)]
-        return UExpansion(self.ctx, out, N, None, self.var)
+        return UExpansion(self.ctx, out, N)
 
     def __truediv__(self, other):
         """Series quotient; the constant term of other must be a unit.
@@ -150,26 +147,25 @@ class UExpansion:
         for n, x in enumerate(self.coeffs[:N]):
             out.append(dot([(d0inv, x)] + [(s, out[n - i]) for i, s in steps
                                            if i <= n and out[n - i]]))
-        return UExpansion(self.ctx, out, N, None, self.var)
+        return UExpansion(self.ctx, out, N)
 
     def scale(self, value):
         return UExpansion(self.ctx, [c * value if c else c for c in self.coeffs],
-                          self.prec, self.meta, self.var)
+                          self.prec, self.meta)
 
     def scale_const(self, code):
         return UExpansion(self.ctx, [c.scale_const(code) for c in self.coeffs],
-                          self.prec, self.meta, self.var)
+                          self.prec, self.meta)
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative series powers unsupported")
         return power(self, e, UExpansion.const(self.ctx, self.ctx.ring.one,
-                                               self.prec, var=self.var))
+                                               self.prec))
 
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
-        return UExpansion.const(self.ctx, self.ctx.ring.one, self.prec,
-                                var=self.var) / self
+        return UExpansion.const(self.ctx, self.ctx.ring.one, self.prec) / self
 
     def __eq__(self, other):
         if not isinstance(other, UExpansion) or self.ctx is not other.ctx:
@@ -196,19 +192,19 @@ class UExpansion:
         n = self.first_difference(other)
         if n is None:
             return None
-        return "%s^%d: %s != %s" % (self.var, n, _cut(self.coeffs[n].format()),
-                                    _cut(other.coeffs[n].format()))
+        return "u^%d: %s != %s" % (n, _cut(self.coeffs[n].format()),
+                                   _cut(other.coeffs[n].format()))
 
     def format(self, symbol="t"):
         parts = []
         for n, c in enumerate(self.coeffs):
             if not c:
                 continue
-            mono = "" if n == 0 else (self.var if n == 1 else "%s^%d" % (self.var, n))
+            mono = "" if n == 0 else ("u" if n == 1 else "u^%d" % n)
             cs = "(%s)" % c.format(symbol)
             parts.append(cs + ("*" + mono if mono else ""))
         body = " + ".join(parts) if parts else "0"
-        return "%s + O(%s^%d)" % (body, self.var, self.prec)
+        return "%s + O(u^%d)" % (body, self.prec)
 
     def __repr__(self):
         return self.format()
@@ -252,8 +248,8 @@ def poly_eval_series(coeffs, S):
         es = [c[s] if s % 2 else -c[s] for s in range(1, len(ys) + 1)]
         return UExpansion(ctx, [coeffs[0]] + [
             ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
-            for n in range(1, N)], N, None, S.var)
-    out = UExpansion(ctx, coeffs[:1], N, None, S.var)
+            for n in range(1, N)], N)
+    out = UExpansion(ctx, coeffs[:1], N)
     power = None
     ordS = S.order()
     for i in range(1, len(coeffs)):
@@ -280,7 +276,7 @@ def goss_coeffs_in(ctx, k):
             for c in goss_polys(ctx.field, k)[k]]
 
 
-def u_of_az(ctx, a, N, var="u"):
+def u_of_az(ctx, a, N):
     """u(az) as a u-series: u^{q^d} / (sum_i [a]_i u^{q^d - q^i})."""
     if not a:
         raise ValueError("a must be nonzero")
@@ -297,13 +293,13 @@ def u_of_az(ctx, a, N, var="u"):
     if size >= N:
         # only the constant term of the inverse could matter, and even the
         # leading u^{q^d} is out of range
-        return UExpansion.zero(ctx, N, var=var)
-    inv = UExpansion(ctx, den, N - size, var=var).inverse()
+        return UExpansion.zero(ctx, N)
+    inv = UExpansion(ctx, den, N - size).inverse()
     out = [zero] * size + list(inv.coeffs)
-    return UExpansion(ctx, out, N, var=var)
+    return UExpansion(ctx, out, N)
 
 
-def shift_by_sums(f, sums, var=None):
+def shift_by_sums(f, sums):
     """sum_b w_b * f(u/(lam_b*u + 1)) from sums[j] = sum_b w_b * lam_b^j,
     j < max(prec - 1, 1): out[n] = sum_i c_i * binom(-i, n-i) * sums[n-i],
     one dot per coefficient, with c_i scaled once per binomial value."""
@@ -322,12 +318,12 @@ def shift_by_sums(f, sums, var=None):
             if b and sums[n - i]:
                 pairs.append((cs[b], sums[n - i]))
         out.append(dot(pairs))
-    return UExpansion(ctx, out, f.prec, None, var or f.var)
+    return UExpansion(ctx, out, f.prec)
 
 
-def shift_by_value(f, lam, var=None):
+def shift_by_value(f, lam):
     """Substitute u -> u/(lam*u + 1): shift_by_sums with the powers of lam."""
-    return shift_by_sums(f, f.ctx.powers(lam, f.prec - 1), var)
+    return shift_by_sums(f, f.ctx.powers(lam, f.prec - 1))
 
 
 def moebius_of_series(X, lam):
@@ -347,56 +343,17 @@ def moebius_of_series(X, lam):
             Y = Y * minus
             ys.append(Y.coeffs)
         ys = X._moebius = tuple(ys)
-    out = _MoebiusValue(X.ctx, (), X.prec, None, X.var)
+    out = _MoebiusValue(X.ctx, (), X.prec)
     del out.coeffs
     out._origin = (ys, lam)
     return out
 
 
-def rescale_arg(f, a, meta=None):
+def rescale_arg(f, a):
     """f(az): substitute u -> u_of_az(a)."""
     if a.is_one():
-        return f if meta is None else f.with_meta(meta)
-    U = u_of_az(f.ctx, a, f.prec, var=f.var)
-    out = poly_eval_series(list(f.coeffs), U)
-    return out if meta is None else out.with_meta(meta)
-
-
-def descend(g, qpol, meta=None):
-    """Read a series g in v = u(z/q) back in u: solve sum_i c_i * U(v)^i = g
-    for the c_i, with U = u_of_az(q) written in v.
-
-    U has order |q| and leading coefficient 1/lc(q), a unit,
-    so the system is triangular.  A nonzero residual means g is not an
-    A-periodic u-series and raises NotDescendable.
-    """
-    ctx = g.ctx
-    size = ctx.field.order ** qpol.degree
-    Nu = g.prec // size
-    if Nu < 1:
-        raise NotDescendable("v-precision %d below the order %d" % (g.prec, size))
-    U = u_of_az(ctx, qpol, g.prec, var=g.var)
-    residual = list(g.coeffs)
-    out = []
-    power = UExpansion.const(ctx, ctx.ring.one, g.prec, var=g.var)
-    lead = ctx.lift_const(qpol.leading())
-    for i in range(Nu):
-        ci = residual[i * size]
-        if i:
-            # divide by the leading coefficient lc(q)^(-i) of U^i
-            ci = ci * (lead ** i)
-        out.append(ci)
-        if ci:
-            for n, c in enumerate(power.coeffs):
-                if c:
-                    residual[n] = residual[n] - ci * c
-        if i + 1 < Nu:
-            power = power * U
-    limit = Nu * size
-    for n in range(limit):
-        if residual[n]:
-            raise NotDescendable("residual coefficient at v^%d" % n)
-    return UExpansion(ctx, out, Nu, meta, "u")
+        return f
+    return poly_eval_series(list(f.coeffs), u_of_az(f.ctx, a, f.prec))
 
 
 class AExpansion:

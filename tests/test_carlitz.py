@@ -190,7 +190,7 @@ def _shift_uncached(f, lam):
             if b:
                 term = c * pows[n - i] if n != i else c
                 out[n] = out[n] + term.scale_const(b % p)
-    return UExpansion(ctx, out, N, None, f.var)
+    return UExpansion(ctx, out, N)
 
 
 def _memo_elements(ctx):

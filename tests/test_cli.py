@@ -220,6 +220,22 @@ class TestVerify:
         assert "error: F_%d is too large" % refused in err
         assert all(order <= 32 for order in built), built
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--q", "3", "--modulus", "t^2000000"], "(3^2000000)"),
+        (["--q", "2", "--modulus", "t^100000000"], "(2^100000000)")])
+    def test_huge_degree_refused_from_the_terms(self, capsys, monkeypatch,
+                                                argv, name):
+        # the degree is read off the parsed terms: no dense coefficient
+        # list, no field and no integer q^deg is built
+        def fail(*args):
+            raise AssertionError("built before the refusal")
+        monkeypatch.setattr(Pol, "from_int_coeffs", fail)
+        monkeypatch.setattr(FiniteField, "__init__", fail)
+        code, out, err = run(capsys, ["table"] + argv)
+        assert code == 2 and out == ""
+        assert ("error: F_%s is too large for tabulated arithmetic (order at"
+                " most 1024)" % name) in err
+
     def test_extension_degree_is_read_mod_p(self, capsys):
         # 5t^5 vanishes over F_5, so the modulus has degree 2 and the table
         # is the default one, not refused for F_(5^5)

@@ -11,7 +11,7 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import LevelPrime, NotPrimitive, Unsupported
 from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
-                             UExpansion, descend, goss_coeffs_in,
+                             UExpansion, goss_coeffs_in,
                              moebius_of_series, poly_eval_series, rescale_arg,
                              shift_by_value, u_of_az)
 from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
@@ -20,7 +20,7 @@ from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
                                 twist_raw, _modulus_power)
 from drinfeld.characters import gauss_thakur
 
-from series_oracle import shift_by_torsion
+from series_oracle import descend, shift_by_torsion
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -420,10 +420,10 @@ def residue_twist_sum(f, chi, ctx):
 def residue_hecke(f, qpol, ctx):
     """T_q f = psi(q) q^k f(qz) + descend(sum_beta f((z+beta)/q)), one
     shift per residue beta of q."""
-    acc = UExpansion.zero(ctx, f.prec, var="v")
+    acc = UExpansion.zero(ctx, f.prec)
     for beta in ctx.residues(qpol):
         lam = ctx.exp_at(beta, qpol)
-        acc = acc + shift_by_value(f, lam, var="v")
+        acc = acc + shift_by_value(f, lam)
     size = ctx.field.order ** qpol.degree
     term1 = rescale_arg(f, qpol).truncate(f.prec // size)
     term1 = term1.scale(ctx.lift_poly(qpol ** f.meta.weight))
@@ -441,26 +441,34 @@ ORACLE_LEVELS = {3: ("t", "t^2+1", 2, (0, 1, 2, 5), 12),
                  9: ("t", "t+1", 1, (0, 1, 5), 27)}
 
 
+def oracle_inputs(ctx, npol, chi, N):
+    """A form, a series with theta and torsion coefficients (and a constant
+    term, which the Hecke beta-sum kills), and the raw twist of that series
+    by chi, which has denominators (2m - k = -2)."""
+    field = ctx.field
+    one = ctx.ring.one
+    theta = ctx.lift_poly(Pol.x(field))
+    lam = ctx.exp_at(Pol.one(field), npol)
+    bound = forms.bound_for_precision(field, N)
+    g = UExpansion(ctx, [theta, one, theta, lam, one, theta * lam], N,
+                   ModularMeta(4, 1))
+    inputs = [forms.petrov_fs(ctx, 1, bound).render(N), g,
+              twist_raw(g, chi, ctx)]
+    assert any(c.den != one.den for c in inputs[2].coeffs)
+    return inputs
+
+
 @pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
 def test_power_sum_shifts_equal_residue_loops(q):
     # twist_raw, twist_normalized and hecke_u, exactly against the loops
-    # above, on a form, on a series with a torsion coefficient, and on the
-    # raw twist of that series, which has denominators (2m - k = -2)
+    # above, on the three oracle_inputs
     qtext, ntext, ext, exps, N = ORACLE_LEVELS[q]
     field = F3 if q == 3 else {4: F4, 5: finite_field(5), 9: F9}[q]
     qpol, npol = parse_pol(field, qtext), parse_pol(field, ntext)
     ctx = TorsionContext(qpol * npol, ext_degree=ext)
     chis = [DirichletCharacter.from_conductor(npol, e, big=ctx.big)
             for e in exps]
-    one = ctx.ring.one
-    theta = ctx.lift_poly(Pol.x(field))
-    lam = ctx.exp_at(Pol.one(field), npol)
-    bound = forms.bound_for_precision(field, N)
-    g = UExpansion(ctx, [ctx.ring.zero, one, theta, lam, one, theta * lam],
-                   N, ModularMeta(4, 1))
-    inputs = [forms.petrov_fs(ctx, 1, bound).render(N), g,
-              twist_raw(g, chis[1], ctx)]
-    assert any(c.den != ctx.ring.one.den for c in inputs[2].coeffs)
+    inputs = oracle_inputs(ctx, npol, chis[1], N)
     assert q == 5 or any(code >= field.p for chi in chis
                          for code in map(chi.eval, ctx.residues(npol)))
     for f in inputs:
@@ -477,3 +485,26 @@ def test_power_sum_shifts_equal_residue_loops(q):
         got = hecke_u(f, qpol, ctx)
         want = residue_hecke(f, qpol, ctx)
         assert got.prec == want.prec and got.coeffs == want.coeffs
+
+
+# (field, Hecke prime, conductor, extension degree, exponent, precision):
+# C_q has a term [q]_2 x^(q^2) for the two primes of degree 2, and q = t
+# over F_9 runs to |q|^2 coefficients
+HECKE_LEVELS = [(F3, "t^2+1", "t", 1, 1, 81),
+                (finite_field(2), "t^2+t+1", "t^3+t+1", 3, 1, 32),
+                (F9, "t", "t+1", 1, 1, 81)]
+
+
+@pytest.mark.parametrize("field, qtext, ntext, ext, e, N", HECKE_LEVELS,
+                         ids=["F3-t2+1", "F2-t2+t+1", "F9-t"])
+def test_hecke_closed_form_equals_residue_loop(field, qtext, ntext, ext, e,
+                                               N):
+    # hecke_u's closed-form beta-sum, exactly against the descent of the
+    # per-residue shifts, on the three oracle_inputs
+    qpol, npol = parse_pol(field, qtext), parse_pol(field, ntext)
+    ctx = TorsionContext(qpol * npol, ext_degree=ext)
+    chi = DirichletCharacter.from_conductor(npol, e, big=ctx.big)
+    for f in oracle_inputs(ctx, npol, chi, N):
+        got = hecke_u(f, qpol, ctx)
+        want = residue_hecke(f, qpol, ctx)
+        assert got and got.prec == want.prec and got.coeffs == want.coeffs

@@ -11,16 +11,17 @@ from drinfeld.algebra import (REl, Pol, QuotientRing, finite_field,
                               monics_up_to_degree, parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
-from drinfeld.errors import (InsufficientDegreeBound, NotDescendable,
-                             SignMismatch, Unsupported)
+from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
+                             Unsupported)
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
-                             TwistedEisenstein, UExpansion, descend,
+                             TwistedEisenstein, UExpansion,
                              eisenstein_components, goss_coeffs_in,
                              moebius_of_series, poly_eval_scalar,
                              poly_eval_series, rescale_arg, shift_by_sums,
                              shift_by_value, u_of_az)
 
-from series_oracle import shift_by_torsion, to_subparameter
+from series_oracle import (NotDescendable, descend, shift_by_torsion,
+                           to_subparameter)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -34,7 +35,7 @@ def pol3(text):
 
 def small_series(ctx, N=8):
     def build(ints):
-        coeffs = [ctx.lift_const(v % 3) for v in ints]
+        coeffs = [ctx.big_const(ctx.emb[v % 3]) for v in ints]
         coeffs += [ctx.ring.zero] * (N - len(coeffs))
         return UExpansion(ctx, coeffs[:N], N)
     return st.lists(st.integers(0, 2), min_size=1, max_size=N).map(build)
@@ -186,7 +187,7 @@ def old_moebius(X, lam):
     """The division route moebius_of_series replaced: X / (lam*X + 1)."""
     ctx = X.ctx
     return X / (X.scale(lam)
-                + UExpansion.const(ctx, ctx.ring.one, X.prec, var=X.var))
+                + UExpansion.const(ctx, ctx.ring.one, X.prec))
 
 
 def eager_moebius(X, lam):
@@ -203,7 +204,7 @@ def eager_moebius(X, lam):
     dot = ctx.ring.dot
     return UExpansion(ctx, [dot([(pows[j], y[n]) for j, y in enumerate(ys)
                                  if y[n]]) for n in range(X.prec)],
-                      X.prec, None, X.var)
+                      X.prec)
 
 
 def is_pending(M):
@@ -277,7 +278,7 @@ class TestMoebius:
             for X in series:
                 for lam in lams:
                     M = moebius_of_series(X, lam)
-                    bare = UExpansion(ctx, M.coeffs, M.prec, None, M.var)
+                    bare = UExpansion(ctx, M.coeffs, M.prec)
                     assert bare._origin is None
                     assert poly_eval_series(gk, M) == poly_eval_series(
                         gk, bare), (k, X.order())
@@ -396,7 +397,7 @@ def evaluate_at_shift(f, beta, qpol, ctx):
     route hecke_u's power-sum shift replaced.  Writing w = z/q, the argument
     is w + beta/q, so this is the torsion shift of f by exp_C(pi*beta/q)
     read in the sub-parameter."""
-    return shift_by_value(f, ctx.exp_at(beta % qpol, qpol), var="v")
+    return shift_by_value(f, ctx.exp_at(beta % qpol, qpol))
 
 
 class TestSubParameter:
@@ -422,14 +423,14 @@ class TestSubParameter:
 
     def test_v_not_descendable(self):
         ctx = TorsionContext(TH)
-        g = UExpansion.u(ctx, 9, var="v")
+        g = UExpansion.u(ctx, 9)
         with pytest.raises(NotDescendable):
             descend(g, TH)
 
     def test_full_beta_sum_descends_torsion_free(self):
         ctx = TorsionContext(TH)
         f = UExpansion.u(ctx, 27)
-        acc = UExpansion.zero(ctx, 27, var="v")
+        acc = UExpansion.zero(ctx, 27)
         for beta in [Pol.zero(F3), Pol.one(F3), Pol.const(F3, 2)]:
             acc = acc + evaluate_at_shift(f, beta, TH, ctx)
         out = descend(acc, TH)
