@@ -100,8 +100,8 @@ def format_table(pairs, fmt):
 
 
 def cmd_table(args):
-    p, n = prime_power(args.q)
     check_size(args.q)
+    p, n = prime_power(args.q)
     terms = parse_int_coeffs(args.modulus, args.var)
     # the sums live in F_(q^deg); deg reads the terms mod p, as F_q would
     deg = max((k for k, c in terms.items() if c % p), default=0)

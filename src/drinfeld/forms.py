@@ -155,8 +155,7 @@ def verify_eigensystem(form, qlist, expected, N):
     for qpol in qlist:
         if isinstance(form, AExpansion):
             got = hecke_a(form, qpol)
-            want = form.scaled_by(expected(qpol))
-            bad = _first_coeff_mismatch(form.ctx, got, want)
+            bad = _first_coeff_mismatch(got, form, expected(qpol))
         elif isinstance(form, TwistedEisenstein):
             got = hecke_twisted(form, qpol)
             want = form.scaled_by(expected(qpol))
@@ -179,9 +178,11 @@ def verify_eigensystem(form, qlist, expected, N):
     return VerificationReport("eigensystem", params, N, passed, witness)
 
 
-def _first_coeff_mismatch(ctx, F, G):
-    for a in monics_up_to_degree(ctx.field, min(F.bound, G.bound)):
-        if F.coefficient(a) != G.coefficient(a):
+def _first_coeff_mismatch(got, form, lam):
+    """The first monic a with deg a <= got.bound, the degrees T_q keeps,
+    where got's coefficient is not lam times form's."""
+    for a in monics_up_to_degree(got.ctx.field, got.bound):
+        if got.coefficient(a) != form.coefficient(a) * lam:
             return "a = %s" % a.format()
     return None
 

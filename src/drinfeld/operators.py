@@ -10,7 +10,8 @@ lambda_beta^j (characters.power_sums), not one shift per residue.  The
 Hecke beta-sum is read off in closed form in u (see hecke_u).
 """
 
-from .algebra import Pol, lucas_binomial, monics_up_to_degree
+from .algebra import (Pol, is_irreducible, lucas_binomial,
+                      monics_up_to_degree)
 from .carlitz import carlitz_coeffs
 from .characters import gauss_thakur, power_sums
 from .errors import LevelPrime, NotPrimitive, Unsupported
@@ -147,35 +148,25 @@ def hecke_u(f, qpol, ctx):
 
 
 def hecke_a(F, qpol):
-    """T_q on an A-expansion:
-    c'_a = q^g c_a [gcd(a,q)=1] + q^k psi(q) c_{a/q} [q | a],
-    with g the Goss index and k the weight."""
+    """T_q on an A-expansion, for q a monic prime:
+    c'_a = q^g c_a [q does not divide a] + q^k psi(q) c_{a/q} [q | a],
+    with g the Goss index and k the weight; one division per monic a."""
+    if not (qpol.is_monic() and is_irreducible(qpol)):
+        raise ValueError("T_q needs a monic prime q, not %s" % qpol.format())
     ctx = F.ctx
-    g = F.index
-    k = F.weight
-    qg = ctx.lift_poly(qpol ** g)
-    qk = ctx.lift_poly(qpol ** k)
+    qg = ctx.lift_poly(qpol ** F.index)
+    qk = ctx.lift_poly(qpol ** F.weight)
     psi_q = neben_eval(F.neben, qpol, ctx)
     if psi_q != 1:
         qk = qk.scale_const(psi_q)
     newbound = F.bound - qpol.degree
     if newbound < 0:
         raise ValueError("degree bound too small for this Hecke prime")
-    one = Pol.one(ctx.field)
     coeffs = {}
     for a in monics_up_to_degree(ctx.field, newbound):
-        acc = ctx.ring.zero
-        if a.gcd(qpol) == one:
-            c = F.coeffs.get(a.c)
-            if c:
-                acc = acc + c * qg
-        else:
-            quot, rem = divmod(a, qpol)
-            if not rem:
-                c = F.coeffs.get(quot.c)
-                if c:
-                    acc = acc + c * qk
-        coeffs[a.c] = acc
+        quot, rem = divmod(a, qpol)
+        c, scale = (F.coefficient(a), qg) if rem else (F.coefficient(quot), qk)
+        coeffs[a.c] = c * scale if c else ctx.ring.zero
     return AExpansion(ctx, F.kind, F.index, F.weight, F.type_, coeffs,
                       newbound, F.neben)
 
@@ -204,15 +195,9 @@ def delta_sum(F, npol, ctx):
     one = Pol.one(ctx.field)
     ni = ctx.lift_poly(npol ** F.index)
     coeffs = {}
-    for a in monics_up_to_degree(ctx.field, F.bound):
-        c = F.coeffs.get(a.c)
-        target = a * npol
-        if target.degree > F.bound:
-            continue
+    for a in monics_up_to_degree(ctx.field, F.bound - npol.degree):
+        c = F.coefficient(a)
         if c and a.gcd(npol) == one:
-            coeffs[target.c] = c * ni
-    out = {}
-    for a in monics_up_to_degree(ctx.field, F.bound):
-        out[a.c] = coeffs.get(a.c, ctx.ring.zero)
-    return AExpansion(ctx, "power", F.index, F.weight, F.type_, out,
+            coeffs[(a * npol).c] = c * ni
+    return AExpansion(ctx, "power", F.index, F.weight, F.type_, coeffs,
                       F.bound, F.neben)

@@ -6,7 +6,7 @@ everything else are u(az) (Carlitz rescaling of the argument) and
 u(z + beta/n) (fractional-linear shift by a torsion value).
 """
 
-from .algebra import Pol, lucas_binomial, monics_up_to_degree, power
+from .algebra import lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
 
@@ -358,13 +358,14 @@ def rescale_arg(f, a):
 
 class AExpansion:
     """Sum over monic a of c_a * u(az)^i (power type) or c_a * G_k(u(az))
-    (goss type), stored as an explicit coefficient map up to a degree bound."""
+    (goss type) up to a degree bound: an explicit coefficient map, or a
+    rule whose value at a is computed when coefficient(a) first reads it."""
 
     __slots__ = ("kind", "index", "weight", "type_", "neben", "coeffs",
-                 "bound", "ctx")
+                 "rule", "bound", "ctx")
 
     def __init__(self, ctx, kind, index, weight, type_, coeffs, bound,
-                 neben=None):
+                 neben=None, rule=None):
         if kind not in ("power", "goss"):
             raise ValueError("kind must be 'power' or 'goss'")
         if index < 1:
@@ -376,30 +377,25 @@ class AExpansion:
         self.type_ = type_
         self.neben = neben
         self.coeffs = dict(coeffs)
+        self.rule = rule
         self.bound = bound
 
     @classmethod
     def from_rule(cls, ctx, kind, index, weight, type_, rule, bound,
                   neben=None):
-        coeffs = {}
-        for a in monics_up_to_degree(ctx.field, bound):
-            coeffs[a.c] = rule(a)
-        return cls(ctx, kind, index, weight, type_, coeffs, bound, neben)
+        return cls(ctx, kind, index, weight, type_, {}, bound, neben, rule)
 
     def coefficient(self, a):
-        return self.coeffs.get(a.c, self.ctx.ring.zero)
+        """c_a for monic a; zero beyond the bound and off an explicit map."""
+        c = self.coeffs.get(a.c)
+        if c is None:
+            if self.rule is None or a.degree > self.bound:
+                return self.ctx.ring.zero
+            c = self.coeffs[a.c] = self.rule(a)
+        return c
 
     def meta(self):
         return ModularMeta(self.weight, self.type_, neben=self.neben)
-
-    def map_coeffs(self, fn):
-        return AExpansion(self.ctx, self.kind, self.index, self.weight,
-                          self.type_, {k: fn(Pol(self.ctx.field, k), v)
-                                       for k, v in self.coeffs.items()},
-                          self.bound, self.neben)
-
-    def scaled_by(self, value):
-        return self.map_coeffs(lambda a, c: c * value)
 
     def render(self, N):
         """Truncated u-expansion; the omitted degrees must start beyond N."""
@@ -412,12 +408,8 @@ class AExpansion:
         out = UExpansion.zero(ctx, N)
         gk = goss_coeffs_in(ctx, self.index) if self.kind == "goss" else None
         for a in monics_up_to_degree(ctx.field, self.bound):
-            c = self.coeffs.get(a.c)
+            c = min_exp * q ** a.degree < N and self.coefficient(a)
             if not c:
-                continue
-            if self.index * q ** a.degree >= N and self.kind == "power":
-                continue
-            if q ** a.degree >= N:
                 continue
             U = u_of_az(ctx, a, N)
             if self.kind == "power":

@@ -236,6 +236,17 @@ class TestVerify:
         assert ("error: F_%s is too large for tabulated arithmetic (order at"
                 " most 1024)" % name) in err
 
+    def test_huge_q_refused_before_factoring(self, capsys, monkeypatch):
+        # a 20-digit prime: trial division up to its square root would run
+        # for hours, so the size is checked before q is factored
+        def fail(q):
+            raise AssertionError("factored before the refusal")
+        monkeypatch.setattr(cli, "prime_power", fail)
+        code, out, err = run(capsys, ["table", "--q",
+                                      "10000000000000000051"])
+        assert code == 2 and out == ""
+        assert "error: F_10000000000000000051 is too large" in err
+
     def test_extension_degree_is_read_mod_p(self, capsys):
         # 5t^5 vanishes over F_5, so the modulus has degree 2 and the table
         # is the default one, not refused for F_(5^5)

@@ -15,9 +15,11 @@ from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (NotReducible, NotSquareFree, SignMismatch,
                              Unsupported)
 from drinfeld.operators import hecke_u
-from drinfeld.series import (UExpansion, goss_coeffs_in, poly_eval_scalar,
-                             poly_eval_series, shift_by_value, u_of_az)
+from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
+                             poly_eval_scalar, poly_eval_series,
+                             shift_by_value, u_of_az)
 
+from eigen_oracle import eigen_check
 from residue_oracle import point_image
 
 F3 = finite_field(3)
@@ -124,7 +126,25 @@ class TestEigensystemReports:
         assert ok.passed and ok.witness is None
         bad = forms.verify_eigensystem(
             F, qs, lambda p: ctx.lift_poly(p * p), 0)
-        assert not bad.passed and bad.witness.startswith("q=t+1")
+        assert not bad.passed and bad.witness == "q=t+1 at a = 1"
+        late = forms.verify_eigensystem(
+            F, qs, lambda p: ctx.lift_poly(p ** p.degree), 0)
+        assert not late.passed and late.witness == "q=t^2+1 at a = 1"
+
+    def test_reads_only_the_compared_degrees(self):
+        # T_q keeps deg a <= bound - deg q: no top-degree coefficient is
+        # computed, and none twice
+        ctx = TorsionContext(TH)
+        read = []
+
+        def rule(a):
+            read.append(a.c)
+            return ctx.lift_poly(a ** 3)
+        F = AExpansion.from_rule(ctx, "power", 1, 4, 1, rule, 3)
+        rep = forms.verify_eigensystem(F, irreducible_monics(F3, 2),
+                                       ctx.lift_poly, 0)
+        assert rep.passed and len(read) == len(set(read))
+        assert set(read) == {a.c for a in monics_up_to_degree(F3, 2)}
 
     def test_u_expansion_dispatch(self):
         ctx = TorsionContext(TH)
@@ -160,6 +180,59 @@ class TestEigensystemReports:
     def test_unknown_object(self):
         with pytest.raises(TypeError):
             forms.verify_eigensystem(object(), [TH], None, 0)
+
+
+def eigen_cases(q, bound):
+    """(name, form, primes, eigenvalue) at level theta over F_q: f_1, Delta,
+    E_theta and EHat of k = q-2 for the character of conductor theta with
+    exponent 1, the last two on the primes away from theta."""
+    field = {3: F3, 4: F4, 5: finite_field(5), 9: finite_field(3, 2)}[q]
+    th = Pol.x(field)
+    ctx = TorsionContext(th)
+    chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
+    primes = irreducible_monics(field, 2)
+    away = [p for p in primes if p != th]
+    return ctx, [
+        ("petrov_fs", forms.petrov_fs(ctx, 1, bound), primes,
+         ctx.lift_poly),
+        ("delta", forms.delta(ctx, bound), primes,
+         lambda p: ctx.lift_poly(p ** (q - 1))),
+        ("eisenstein_ep", forms.eisenstein_ep(ctx, th, bound), away,
+         ctx.lift_poly),
+        ("fricke_eis", forms.fricke_eis(ctx, chi, q - 2, bound), away,
+         lambda p: ctx.lift_poly(p ** (q - 2)))]
+
+
+def planted(F, b):
+    """F with the coefficient at the monic b raised by one."""
+    one = F.ctx.ring.one
+    return AExpansion.from_rule(
+        F.ctx, F.kind, F.index, F.weight, F.type_,
+        lambda a: F.rule(a) + one if a == b else F.rule(a), F.bound, F.neben)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9], ids=lambda q: "q%d" % q)
+def test_eigen_check_equals_whole_form_oracle(q):
+    # the check reads deg a <= bound - deg q and scales one coefficient at a
+    # time; the oracle scales the whole form and compares over the smaller
+    # bound, so passed and the witness must agree byte for byte
+    bound = 3 if q < 9 else 2
+    ctx, cases = eigen_cases(q, bound)
+    # (theta+1)^(bound-1) is (theta+1) times a monic that T_(theta+1) reads
+    b = (Pol.x(ctx.field) + Pol.one(ctx.field)) ** (bound - 1)
+    for name, F, primes, lam in cases:
+        last = primes[-1]
+        plants = [
+            ("true", F, lam),
+            ("scaled", F, lambda p: lam(p) * ctx.lift_poly(p)),
+            ("last prime", F,
+             lambda p: lam(p) + ctx.ring.one if p == last else lam(p)),
+            ("coefficient", planted(F, b), lam)]
+        for plant, G, expected in plants:
+            got = forms.verify_eigensystem(G, primes, expected, 0)
+            want = eigen_check(G, primes, expected)
+            assert (got.passed, got.witness) == want, (name, plant)
+            assert got.passed == (plant == "true"), (name, plant, want)
 
 
 class TestConstantTerm:

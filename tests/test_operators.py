@@ -20,6 +20,7 @@ from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
                                 twist_raw, _modulus_power)
 from drinfeld.characters import gauss_thakur
 
+from eigen_oracle import hecke_a_gcd, scaled_by
 from series_oracle import descend, shift_by_torsion
 
 F3 = finite_field(3)
@@ -224,7 +225,7 @@ class TestHeckeA:
             F = petrov(ctx, s, 4)
             for qpol in (TH, pol3("t+1"), pol3("t^2+1")):
                 got = hecke_a(F, qpol)
-                want = F.scaled_by(ctx.lift_poly(qpol))
+                want = scaled_by(F, ctx.lift_poly(qpol))
                 for a in monics_up_to_degree(F3, got.bound):
                     assert got.coefficient(a) == want.coefficient(a)
 
@@ -237,7 +238,7 @@ class TestHeckeA:
             4)
         for qpol in (pol3("t+1"), pol3("t^2+1")):
             got = hecke_a(Ep, qpol)
-            want = Ep.scaled_by(ctx.lift_poly(qpol))
+            want = scaled_by(Ep, ctx.lift_poly(qpol))
             for a in monics_up_to_degree(F3, got.bound):
                 assert got.coefficient(a) == want.coefficient(a)
 
@@ -255,6 +256,35 @@ class TestHeckeA:
         assert hecke_a(F, pol3("t^2+1")).bound == 1
         with pytest.raises(ValueError):
             hecke_a(petrov(ctx, 1, 1), pol3("t^2+1"))
+
+    @pytest.mark.parametrize("qpol", [pol3("2t+1"), pol3("2t^2+2"),
+                                      pol3("t^2+2t+1"), pol3("t^2+2"),
+                                      Pol.one(F3), pol3("2")])
+    def test_only_monic_primes(self, qpol):
+        # t^2+2t+1 = (t+1)^2 and t^2+2 = (t+1)(t+2) are monic but not prime
+        ctx = TorsionContext(TH)
+        with pytest.raises(ValueError, match="monic prime"):
+            hecke_a(petrov(ctx, 1, 3), qpol)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9], ids=lambda q: "q%d" % q)
+def test_hecke_a_division_equals_gcd_oracle(q):
+    # one divmod per monic against the gcd test, for every prime of degree
+    # <= 2, on forms with zero coefficients (E_p), Goss index q-1 (Delta)
+    # and a nebentypus chi^{-1} of conductor theta (EHat, k = q-2)
+    field = {3: F3, 4: F4, 5: finite_field(5), 9: F9}[q]
+    th = Pol.x(field)
+    ctx = TorsionContext(th)
+    chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
+    for F in (forms.petrov_fs(ctx, 1, 3), forms.delta(ctx, 3),
+              forms.eisenstein_ep(ctx, th + Pol.one(field), 3),
+              forms.fricke_eis(ctx, chi, q - 2, 3)):
+        for qpol in irreducible_monics(field, 2):
+            got, want = hecke_a(F, qpol), hecke_a_gcd(F, qpol)
+            assert got.bound == want.bound == 3 - qpol.degree
+            for a in monics_up_to_degree(field, got.bound + 1):
+                assert got.coefficient(a) == want.coefficient(a), (
+                    qpol.format(), a.format())
 
 
 class TestHeckeTwisted:
@@ -310,7 +340,7 @@ class TestDeltaSum:
                   for a in monics_up_to_degree(F3, 3)}
         F = AExpansion(ctx, "power", 1, 2, 1, coeffs, 3)
         G = delta_sum(F, TH, ctx)
-        assert all(not c for c in G.coeffs.values())
+        assert not any(G.coefficient(a) for a in monics_up_to_degree(F3, 3))
 
     def test_large_index_unsupported(self):
         ctx = TorsionContext(TH)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.algebra import (REl, Pol, QuotientRing, finite_field,
-                              monics_up_to_degree, parse_pol)
+                              monics_of_degree, monics_up_to_degree,
+                              parse_pol)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
@@ -495,6 +496,58 @@ class TestAExpansionRender:
         F = AExpansion(ctx, "power", 1, 4, 1, coeffs, 3)
         low, high = F.render(9), F.render(27)
         assert low.agrees_with(high.truncate(9))
+
+
+class TestLazyRule:
+    """A rule's coefficient is computed when coefficient(a) first reads it."""
+
+    @staticmethod
+    def counting(field, kind="power", index=1, bound=2):
+        ctx = TorsionContext(Pol.x(field))
+        calls = []
+
+        def rule(a):
+            calls.append(a.c)
+            # zero on the multiples of theta, so a read may find a zero
+            if not a.c[0]:
+                return ctx.ring.zero
+            return ctx.lift_poly(a ** (index + a.degree))
+        F = AExpansion.from_rule(ctx, kind, index, index + 1, index, rule,
+                                 bound)
+        return ctx, F, rule, calls
+
+    @pytest.mark.parametrize("field", [F3, F4], ids=["q3", "q4"])
+    def test_rule_called_once_per_monic_read(self, field):
+        ctx, F, rule, calls = self.counting(field)
+        read = monics_up_to_degree(field, 2)[::3]
+        want = [rule(a) for a in read]
+        del calls[:]
+        assert [F.coefficient(a) for a in read + read] == want + want
+        assert calls == [a.c for a in read]
+
+    @pytest.mark.parametrize("field", [F3, F4], ids=["q3", "q4"])
+    def test_beyond_bound_is_zero_without_the_rule(self, field):
+        ctx, F, rule, calls = self.counting(field)
+        for a in monics_of_degree(field, F.bound + 1):
+            assert not F.coefficient(a)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, index", [("power", 1), ("power", 2),
+                                             ("goss", 2)])
+    @pytest.mark.parametrize("field", [F3, F4], ids=["q3", "q4"])
+    def test_render_equals_eager_map(self, field, kind, index):
+        N = field.order ** 2 + 1
+        ctx, F, rule, calls = self.counting(field, kind, index)
+        eager = AExpansion(ctx, kind, index, index + 1, index,
+                           {a.c: rule(a)
+                            for a in monics_up_to_degree(field, 2)}, 2)
+        del calls[:]
+        got, want = F.render(N), eager.render(N)
+        assert got and got.prec == want.prec and got.coeffs == want.coeffs
+        # each monic that reaches u^N is computed once, the rest never
+        reach = index if kind == "power" else 1
+        assert calls == [a.c for a in monics_up_to_degree(field, 2)
+                         if reach * field.order ** a.degree < N]
 
 
 class TestTwistedEisenstein:
