@@ -9,7 +9,8 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 from math import lcm
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
-                      is_irreducible, lucas_binomial, polys_below_degree)
+                      is_irreducible, lucas_binomial, monics_up_to_degree,
+                      polys_below_degree)
 from .errors import ConductorMismatch, NotPrimitive
 
 
@@ -184,12 +185,14 @@ def _require_pair(chi1, chi2):
 
 
 def _basic_gauss_sum(ctx, prime, root):
-    """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)."""
+    """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)
+    = -(the sum over monic delta), as C_{c delta} = c C_delta and
+    chi_zeta(c delta) = c chi_zeta(delta) for c in F_q^*."""
     big = ctx.big
-    deltas = [delta for delta in ctx.residues(prime) if delta]
+    deltas = monics_up_to_degree(ctx.field, prime.degree - 1)
     row = [big.inv(delta.eval_in(big, root, ctx.emb)) for delta in deltas]
-    return ctx.ring.combine([ctx.exp_at(delta, prime) for delta in deltas],
-                            [row])[0]
+    return -ctx.ring.combine([ctx.exp_at(delta, prime) for delta in deltas],
+                             [row])[0]
 
 
 def gauss_thakur(chi, ctx):
@@ -229,21 +232,18 @@ def power_sums(ctx, n, exponents, chi):
     """[sum over residues beta mod n of chi^{-1}(beta) exp(beta/n)^j for j in
     exponents], for n the conductor of chi, a divisor of the context
     modulus.  Replacing beta by c*beta for c in F_q^* scales the term by
-    c^(j - sign chi), so the sum is zero unless j = sign mod q-1; each other
-    one is a combine of the memoized powers by the codes."""
-    inv = chi.inverse()
+    c^(j - sign chi), so the sum is zero unless j = sign mod q-1, and else
+    the q-1 = -1 terms of each orbit F_q^* beta are equal: a combine over
+    beta = 0 (its own orbit) and the monic beta, by the codes chi^{-1}(0)
+    and -chi^{-1}(beta), of the memoized powers."""
+    inv, minus = chi.inverse(), ctx.big.scalar(-1)
     codes, pows, count = [], [], max(exponents, default=0) + 1
-    for beta in ctx.residues(n):
+    betas = monics_up_to_degree(ctx.field, n.degree - 1)
+    for beta in [Pol.zero(ctx.field)] + betas:
         code = ctx.char_value(inv, beta)
         if code:
-            codes.append(code)
+            codes.append(ctx.big.mul(minus, code) if beta else code)
             pows.append(ctx.powers(ctx.exp_at(beta, n), count))
     sign, step = chi.sign, ctx.field.order - 1
     return [ctx.ring.combine([x[j] for x in pows], [codes])[0]
             if (j - sign) % step == 0 else ctx.ring.zero for j in exponents]
-
-
-def char_sum_s(chi, k, ctx):
-    """s(chi, k) = sum over residues beta of chi^{-1}(beta) exp(beta/n)^k,
-    for n the conductor (a divisor of the context modulus)."""
-    return power_sums(ctx, ctx.conductor_of(chi), (k,), chi)[0]

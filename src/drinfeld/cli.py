@@ -17,8 +17,8 @@ import os
 import sys
 
 from .algebra import (Pol, check_size, factor_squarefree_monic,
-                      finite_field, irreducible_monics, parse_int_coeffs,
-                      parse_pol, polys_below_degree)
+                      finite_field, irreducible_monics, monics_up_to_degree,
+                      parse_int_coeffs, parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
 from .characters import (DirichletCharacter, convolve, jacobi_factor)
 from .errors import DrinfeldError
@@ -54,16 +54,15 @@ def table_pairs(q, npol, rng):
     the canonical (smallest-code) root of the first prime factor of n.
     Replacing beta by c*beta for c in F_q^* scales the term by
     c^(j+|n|-1-i), so the sum is zero unless i = j mod q-1; only those
-    rows are summed."""
-    field = npol.field
+    rows are summed.  In them each orbit F_q^* beta adds q-1 = -1 times its
+    monic term and beta = 0 adds nothing: the monic beta give it up to sign."""
     ctx = TorsionContext(npol, ext_degree=npol.degree)
     size = q ** npol.degree
-    first = ctx.primes[0]
-    zeta = min(first.roots_in(ctx.big))
-    # per beta with beta(zeta) != 0: the codes beta(zeta)^(|n|-1-i) by i,
-    # and lambda_beta^j by j
+    zeta = min(ctx.primes[0].roots_in(ctx.big))
+    # per monic beta with beta(zeta) != 0: the codes beta(zeta)^(|n|-1-i)
+    # by i, and lambda_beta^j by j
     codes, pows = [], []
-    for b in polys_below_degree(field, npol.degree):
+    for b in monics_up_to_degree(npol.field, npol.degree - 1):
         v = b.eval_in(ctx.big, zeta, ctx.emb)
         if v:
             codes.append([ctx.big.pow(v, (size - 1 - i) % (size - 1))

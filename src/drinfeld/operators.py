@@ -6,8 +6,8 @@ collapsed into the two hard-coded formulas
     twist_raw(f) = n^(2m-k) sum_beta chi^{-1}(beta) f(z + beta/n).
 The twist's beta-sum is linear in the shift u -> u/(lambda_beta u + 1), so
 it is one shift_by_sums by the power sums sum_beta chi^{-1}(beta)
-lambda_beta^j (characters.power_sums), not one shift per residue.  The
-Hecke beta-sum is read off in closed form in u (see hecke_u).
+lambda_beta^j (characters.power_sums: one monic beta per F_q^*-orbit), not
+one shift per residue.  The Hecke beta-sum is in closed form (see hecke_u).
 """
 
 from .algebra import (Pol, is_irreducible, lucas_binomial,

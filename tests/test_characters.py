@@ -9,15 +9,47 @@ from drinfeld import characters
 from drinfeld.algebra import (FiniteField, Pol, factor_squarefree_monic,
                               finite_field, parse_pol, polys_below_degree)
 from drinfeld.carlitz import TorsionContext
-from drinfeld.characters import (DirichletCharacter, char_sum_s, convolve,
-                                 gauss_thakur, jacobi_factor)
+from drinfeld.characters import (DirichletCharacter, convolve, gauss_thakur,
+                                 jacobi_factor, power_sums)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
-from drinfeld.operators import twist_raw
+from drinfeld.operators import twist_normalized, twist_raw
 from drinfeld.series import ModularMeta, TwistedEisenstein, UExpansion
 
+F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
+F5 = finite_field(5)
+F9 = finite_field(3, 2)
 TH = Pol.x(F3)
+
+
+def char_sum_s(chi, k, ctx):
+    """s(chi, k) = sum over residues beta of chi^{-1}(beta) exp(beta/n)^k,
+    for n the conductor (a divisor of the context modulus)."""
+    return power_sums(ctx, ctx.conductor_of(chi), (k,), chi)[0]
+
+
+def all_residue_power_sums(ctx, n, exponents, chi):
+    """power_sums as one combine over every residue beta mod n, for every
+    exponent: no F_q^*-orbit folding and no sign rule."""
+    inv = chi.inverse()
+    codes, pows, count = [], [], max(exponents, default=0) + 1
+    for beta in ctx.residues(n):
+        code = ctx.char_value(inv, beta)
+        if code:
+            codes.append(code)
+            pows.append(ctx.powers(ctx.exp_at(beta, n), count))
+    return [ctx.ring.combine([x[j] for x in pows], [codes])[0]
+            for j in exponents]
+
+
+def all_delta_basic_gauss_sum(ctx, prime, root):
+    """g(chi_zeta) as the sum over every nonzero delta mod prime."""
+    big = ctx.big
+    deltas = [delta for delta in ctx.residues(prime) if delta]
+    row = [big.inv(delta.eval_in(big, root, ctx.emb)) for delta in deltas]
+    return ctx.ring.combine([ctx.exp_at(delta, prime) for delta in deltas],
+                            [row])[0]
 
 
 def pol3(text):
@@ -306,3 +338,79 @@ class TestCharSums:
         chi = DirichletCharacter.from_conductor(conductor, e, big=down.big)
         got = [char_sum_s(chi, k, down) for k in range(N, -1, -1)]
         assert [x.coords for x in got[::-1]] == [x.coords for x in want]
+
+
+# (modulus, conductor, exponents): q = 2, 3, 4, 5 and 9, trivial and
+# non-primitive characters included
+ORBIT_CASES = [
+    (parse_pol(F2, "t^3+t+1"), parse_pol(F2, "t^3+t+1"), 3),
+    (parse_pol(F2, "t^2+t+1"), parse_pol(F2, "t^2+t+1"), 0),
+    (TH, TH, 0),
+    (pol3("t^2+1"), pol3("t^2+1"), 3),
+    (TH * pol3("t+1"), TH * pol3("t+1"), [1, 0]),
+    (TH * pol3("t+1"), TH * pol3("t+1"), 0),
+    (TH * pol3("t+1"), TH, 1),
+    (Pol(F4, (2, 1, 1)), Pol(F4, (2, 1, 1)), 5),
+    (parse_pol(F5, "t^2+2"), parse_pol(F5, "t^2+2"), 1),
+    (parse_pol(F5, "t^2+2"), parse_pol(F5, "t^2+2"), 7),
+    (parse_pol(F5, "t^2+2"), parse_pol(F5, "t^2+2"), 0),
+    (Pol.x(F9), Pol.x(F9), 3),
+]
+ORBIT_IDS = ["q2-t3+t+1", "q2-trivial", "q3-t-trivial", "q3-t2+1",
+             "q3-t2+t-nonprimitive", "q3-t2+t-trivial", "q3-divisor", "q4",
+             "q5-e1", "q5-e7", "q5-trivial", "q9-t"]
+
+
+class TestOrbitSums:
+    """The beta-sums over monic residues against the all-residue sums."""
+
+    @pytest.mark.parametrize("npol, conductor, e", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_power_sums_match_all_residues(self, npol, conductor, e):
+        # every j < N: j = 0, j on and off sign chi mod q-1, and (for the
+        # trivial character, whose sums vanish below |n| - 1) j = |n| - 1
+        N = max(12, npol.field.order ** conductor.degree)
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(conductor, e, big=ctx.big)
+        got = power_sums(ctx, conductor, range(N), chi)
+        oracle = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(conductor, e, big=oracle.big)
+        want = all_residue_power_sums(oracle, conductor, range(N), chi)
+        assert [x.coords for x in got] == [x.coords for x in want]
+        assert any(want)
+
+    @pytest.mark.parametrize("npol, exponents", [
+        (Pol(F4, (2, 1, 1)), [5]), (Pol(F4, (2, 1, 1)), [7]),
+        (parse_pol(F5, "t^2+2"), [1]), (parse_pol(F5, "t^2+2"), [13]),
+        (Pol.x(F9), [5]), (pol3("t^2+1"), [5]),
+        (TH * pol3("t+1"), [1, 1]), (parse_pol(F5, "t^2+t"), [3, 2])],
+        ids=["q4-e5", "q4-e7", "q5-e1", "q5-e13", "q9-t", "q3-two-digits",
+             "q3-two-primes", "q5-two-primes"])
+    def test_gauss_thakur_matches_all_deltas(self, npol, exponents,
+                                             monkeypatch):
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(npol, exponents, big=ctx.big)
+        got = gauss_thakur(chi, ctx)
+        monkeypatch.setattr(characters, "_basic_gauss_sum",
+                            all_delta_basic_gauss_sum)
+        oracle = TorsionContext(npol, ext_degree=npol.degree)
+        chi = DirichletCharacter.from_conductor(npol, exponents,
+                                                big=oracle.big)
+        want = gauss_thakur(chi, oracle)
+        assert got.coords == want.coords
+        assert got
+
+    def test_twist_builds_powers_of_monic_residues_only(self):
+        # q = 5, t^2+2: the twist reads lambda_beta for the 6 monic beta,
+        # not for all 24 units, and no non-monic exp_value is computed
+        npol = parse_pol(F5, "t^2+2")
+        ctx = TorsionContext(npol, ext_degree=2)
+        chi = DirichletCharacter.from_conductor(npol, 1, big=ctx.big)
+        f = UExpansion.monomial(ctx, 1, 30).with_meta(ModularMeta(0, 0))
+        twist_normalized(f, chi, ctx)
+        assert all(Pol(F5, key).is_monic() for key in ctx._exp_cache)
+        memo = set(ctx._powers)
+        monics = [b for b in ctx.residues(npol) if b and b.is_monic()]
+        others = [b for b in ctx.residues(npol) if b and not b.is_monic()]
+        assert (len(monics), len(others)) == (6, 18)
+        assert all(ctx.exp_value(b).coords in memo for b in monics)
+        assert not any(ctx.exp_value(b).coords in memo for b in others)

@@ -101,8 +101,9 @@ def _running_product_table_pairs(q, npol, rng):
 
 
 def _full_sum_table_pairs(q, npol, rng):
-    """table_pairs as it was before it skipped the rows i != j mod q-1:
-    one combine over all rng rows for every j."""
+    """table_pairs as it was before it skipped the rows i != j mod q-1 and
+    the non-monic beta: one combine over all rng rows and every residue
+    beta for every j."""
     field = npol.field
     ctx = TorsionContext(npol, ext_degree=npol.degree)
     size = q ** npol.degree
@@ -137,6 +138,24 @@ class TestTablePairs:
         npol = parse_pol(cli.field_of_order(q), modulus)
         assert cli.table_pairs(q, npol, rng) == _full_sum_table_pairs(
             q, npol, rng)
+
+    def test_sums_over_monic_residues_only(self, monkeypatch):
+        # q = 5, t^2+2: the 6 monic beta give every sum up to sign, so the
+        # torsion values of the 18 other units are never computed
+        seen = []
+
+        class Recording(TorsionContext):
+            __slots__ = ()
+
+            def exp_value(self, beta):
+                seen.append(beta)
+                return super().exp_value(beta)
+        monkeypatch.setattr(cli, "TorsionContext", Recording)
+        npol = parse_pol(cli.field_of_order(5), "t^2+2")
+        assert set(cli.table_pairs(5, npol, 23)) == set(
+            cli.golden_table_pairs())
+        assert sorted(b.c for b in seen) == sorted(
+            b.c for b in polys_below_degree(npol.field, 2) if b.is_monic())
 
 
 class TestVerify:
