@@ -169,6 +169,9 @@ class ResidueRing:
         return [self.dot((e, self.from_const(c)) for e, c in zip(elems, row))
                 for row in rows]
 
+    def power_step(self, prev, x):
+        return prev * x
+
     def from_pol(self, p):
         return self.elems[p.eval_in(self.field, self.alpha, self.emb)]
 

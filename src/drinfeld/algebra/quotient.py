@@ -163,6 +163,9 @@ class QuotientRing:
         return self.from_pol(Pol.const(self.field, code))
 
     def gen(self, i):
+        """Generator i, reduced by its relation: -c for a relation x + c."""
+        if self.dims[i] == 1:
+            return self.from_pol(-self.relations[i][0])
         return REl(self, 1 << (8 * self._strides[i] * self.field.n),
                    self._unit)
 
@@ -206,6 +209,15 @@ class QuotientRing:
                         acc[k] = get(k, 0) + va * vb
             terms.append(self._reduce(acc, w))
         return REl(self, self._slot_sum(terms), unit)
+
+    def power_step(self, prev, x):
+        """prev * x, leaving prev's column cache as it was: in a chain of
+        powers each power's columns are read once, to build the next, and
+        only x's, read at every step, are kept."""
+        cols = prev._cols
+        out = prev * x
+        prev._cols = cols
+        return out
 
     def _slot_sum(self, terms):
         """The slot-wise sum mod p of numerators with slots < p: up to

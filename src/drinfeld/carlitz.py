@@ -52,11 +52,13 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
-    Memos ``powers`` and ``gauss`` (g(chi), 1/n per conductor n) die with it.
+    Memos ``powers``, ``gauss`` (g(chi), 1/n per conductor n) and ``u_az``
+    (u(az) and its Moebius Y-chain per (a, N), see series.u_of_az) hold
+    ring elements only, so they die with it; reduced() has its own.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "_cofs", "_exp_cache", "_powers", "gauss")
+                 "gens", "_cofs", "_exp_cache", "_powers", "gauss", "u_az")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -87,7 +89,7 @@ class TorsionContext:
         """Make ring the context's ring, with fresh generators and memos."""
         self.ring = ring
         self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
-        self._exp_cache, self._powers, self.gauss = {}, {}, {}
+        self._exp_cache, self._powers, self.gauss, self.u_az = {}, {}, {}, {}
 
     lam = property(lambda self: self.exp_value(Pol.one(self.field)))
 
@@ -156,11 +158,12 @@ class TorsionContext:
 
     def powers(self, x, count):
         """[1, x, ..., x^(count-1)] for a ring element x, or a longer list
-        of the same powers.  Kept per value of x and grown by one product
-        per new power; callers must not mutate the list."""
+        of the same powers.  Kept per value of x and grown by one
+        ring.power_step per new power, so no power but x keeps the column
+        cache its product read; callers must not mutate the list."""
         pows = self._powers.setdefault(x.coords, [self.ring.one])
         while len(pows) < count:
-            pows.append(pows[-1] * x)
+            pows.append(self.ring.power_step(pows[-1], x))
         return pows
 
     def torsion_inverse(self, level):

@@ -38,9 +38,11 @@ class ModularMeta:
 class UExpansion:
     """Sum of coeffs[n] * u^n for n < prec, coefficients in ctx.ring."""
 
-    # _moebius: moebius_of_series's coefficient tuples of X*(-X)^j for X = self
+    # _moebius: a one-item list (shared with u_of_az's memo) that
+    # moebius_of_series fills with the coefficient tuples of X*(-X)^j
     # _origin: on a value M = moebius_of_series(X, lam) only, the pair
-    # (X._moebius, lam) that poly_eval_series reads; M.coeffs is summed on read
+    # (those tuples, lam) that poly_eval_series reads; M.coeffs is summed
+    # on read
     __slots__ = ("ctx", "coeffs", "prec", "meta", "_moebius", "_origin")
 
     def __init__(self, ctx, coeffs, prec=None, meta=None):
@@ -277,26 +279,29 @@ def goss_coeffs_in(ctx, k):
 
 
 def u_of_az(ctx, a, N):
-    """u(az) as a u-series: u^{q^d} / (sum_i [a]_i u^{q^d - q^i})."""
+    """u(az) as a u-series: u^{q^d} / (sum_i [a]_i u^{q^d - q^i}).  Kept
+    on ctx per (a, N) as the coefficient tuple and one cell, which
+    moebius_of_series fills with the Y-chain of every series returned for
+    that (a, N); the memo holds ring elements only, no series."""
     if not a:
         raise ValueError("a must be nonzero")
-    field = ctx.field
-    q = field.order
-    d = a.degree
-    size = q ** d
-    ring = ctx.ring
-    zero = ring.zero
-    den = [zero] * N
-    for i, c in enumerate(carlitz_coeffs(a)):
-        if c and size - q ** i < N:
-            den[size - q ** i] = ctx.lift_poly(c)
-    if size >= N:
-        # only the constant term of the inverse could matter, and even the
-        # leading u^{q^d} is out of range
-        return UExpansion.zero(ctx, N)
-    inv = UExpansion(ctx, den, N - size).inverse()
-    out = [zero] * size + list(inv.coeffs)
-    return UExpansion(ctx, out, N)
+    key = (a.c, N)
+    if key not in ctx.u_az:
+        q = ctx.field.order
+        size = q ** a.degree
+        coeffs = ()  # size >= N: even the leading u^{q^d} is out of range
+        if size < N:
+            zero = ctx.ring.zero
+            den = [zero] * (N - size)
+            for i, c in enumerate(carlitz_coeffs(a)):
+                if c and size - q ** i < N - size:
+                    den[size - q ** i] = ctx.lift_poly(c)
+            coeffs = (zero,) * size + UExpansion(ctx, den).inverse().coeffs
+        ctx.u_az[key] = (coeffs, [None])
+    coeffs, cell = ctx.u_az[key]
+    out = UExpansion(ctx, coeffs, N)
+    out._moebius = cell
+    return out
 
 
 def shift_by_sums(f, sums):
@@ -329,20 +334,24 @@ def shift_by_value(f, lam):
 def moebius_of_series(X, lam):
     """The fractional-linear value X/(lam*X + 1) for a series X of positive
     order — this is u(w + beta/n) when X is the series of u(w).  The value
-    is a record: the Y_j = X*(-X)^j with (j+1)*ord X < prec, kept on X as
-    coefficient tuples, and lam, in its _origin slot (no series), from which
+    is a record: the Y_j = X*(-X)^j with (j+1)*ord X < prec, kept as
+    coefficient tuples in X's cell (shared by every series u_of_az returns
+    for one (a, N)), and lam, in its _origin slot (no series), from which
     poly_eval_series reads G(value).  Its coefficients sum_j lam^j * Y_j,
     one dot each, are summed on their first read; a zero X gives zero."""
     order = X.order()
     if not order:
         raise Unsupported("Moebius value of a series of order %d" % order)
-    ys = X._moebius
+    cell = X._moebius
+    if cell is None:
+        cell = X._moebius = [None]
+    ys = cell[0]
     if ys is None:
         Y, minus, ys = X, -X, [X.coeffs]
         while (len(ys) + 1) * order < X.prec:
             Y = Y * minus
             ys.append(Y.coeffs)
-        ys = X._moebius = tuple(ys)
+        ys = cell[0] = tuple(ys)
     out = _MoebiusValue(X.ctx, (), X.prec)
     del out.coeffs
     out._origin = (ys, lam)

@@ -1,13 +1,39 @@
-"""Substitutions the library runs only through their fused or closed-form
-routes: a torsion shift by one residue, the ascent to the sub-parameter
-v = u(z/q), and the descent from v back to u.  The oracles that the
-power-sum shifts and the closed-form Hecke beta-sum of operators.py are
-tested against.  A series in v is a UExpansion whose variable is read as v.
+"""Substitutions the library runs only through their fused, closed-form
+or memoised routes: a torsion shift by one residue, the ascent to the
+sub-parameter v = u(z/q), the descent from v back to u, and u(az) built
+afresh.  The oracles that the power-sum shifts, the closed-form Hecke
+beta-sum of operators.py and the per-context u(az) memo are tested
+against.  A series in v is a UExpansion whose variable is read as v.
 """
 
+from drinfeld.carlitz import carlitz_coeffs
 from drinfeld.errors import DrinfeldError
 from drinfeld.series import (UExpansion, poly_eval_series, shift_by_value,
                              u_of_az)
+
+
+def direct_u_of_az(ctx, a, N):
+    """u(az) as a u-series: u^{q^d} / (sum_i [a]_i u^{q^d - q^i}), built on
+    every call, as series.u_of_az did before it kept a memo."""
+    if not a:
+        raise ValueError("a must be nonzero")
+    field = ctx.field
+    q = field.order
+    d = a.degree
+    size = q ** d
+    ring = ctx.ring
+    zero = ring.zero
+    den = [zero] * N
+    for i, c in enumerate(carlitz_coeffs(a)):
+        if c and size - q ** i < N:
+            den[size - q ** i] = ctx.lift_poly(c)
+    if size >= N:
+        # only the constant term of the inverse could matter, and even the
+        # leading u^{q^d} is out of range
+        return UExpansion.zero(ctx, N)
+    inv = UExpansion(ctx, den, N - size).inverse()
+    out = [zero] * size + list(inv.coeffs)
+    return UExpansion(ctx, out, N)
 
 
 class NotDescendable(DrinfeldError):

@@ -157,6 +157,31 @@ class TestTorsionContext:
                 want = want + carlitz_action(beta * s, ctx.gens[i])
             assert ctx.exp_value(beta) == want
 
+    @pytest.mark.parametrize("modulus", ["t", "t+1", "t^2+t", "t^4+t"])
+    def test_linear_primes_over_f2(self, modulus):
+        # q = 2 and a linear prime p: Phi_p(x) = x + p has degree 1, so the
+        # generator is the scalar p itself, not the monomial x; t^4+t adds
+        # the prime t^2+t+1, whose generator is a monomial
+        F2 = finite_field(2)
+        n = parse_pol(F2, modulus)
+        ctx = TorsionContext(n)
+        one = Pol.one(F2)
+        for prime, gen in zip(ctx.primes, ctx.gens):
+            # Phi_p(lambda_i) = C_p(lambda_i) / lambda_i
+            phi = ctx.ring.dot([(ctx.lift_poly(c), gen ** (2 ** j - 1))
+                                for j, c in enumerate(carlitz_coeffs(prime))
+                                if c])
+            assert not phi and gen
+        lam = ctx.lam
+        assert not carlitz_action(n, lam)
+        divisors = {one.c: one}
+        for prime in ctx.primes:
+            divisors.update({(d * prime).c: d * prime
+                             for d in list(divisors.values())})
+        del divisors[n.c]
+        assert divisors and all(carlitz_action(d, lam)
+                                for d in divisors.values())
+
     def test_exp_at_requires_divisor(self):
         ctx = TorsionContext(TH)
         with pytest.raises(ValueError):
@@ -224,6 +249,27 @@ class TestTorsionMemos:
             assert long[:3] == short[:3]
             for j in range(7):
                 assert long[j] == x ** j
+
+    @pytest.mark.parametrize("field, coeffs", MEMO_LEVELS, ids=MEMO_IDS)
+    def test_powers_keep_no_column_cache(self, field, coeffs):
+        # each power's columns are read once, to build the next, so only x
+        # keeps a column cache (an element with a denominator is multiplied
+        # through integral copies and keeps none); the reduced context
+        # takes the same path
+        ctx = TorsionContext(Pol(field, coeffs))
+        torsion, generic = _memo_elements(ctx)
+        for x in (torsion, generic):
+            pows = ctx.powers(x, 9)
+            assert all(p._cols is None for p in pows)
+            assert [p.coords for p in pows[:9]] == [(x ** j).coords
+                                                    for j in range(9)]
+        assert torsion._cols is not None and generic._cols is None
+        red = ctx.reduced()
+        lam = red.lam
+        fresh = [red.ring.one]
+        for _ in range(8):
+            fresh.append(fresh[-1] * lam)
+        assert red.powers(lam, 9)[:9] == fresh
 
     def test_powers_zero_and_one(self):
         ctx = TorsionContext(TH)

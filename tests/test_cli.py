@@ -67,6 +67,15 @@ class TestTable:
                                       "--range", "0"])
         assert code == 0 and out == "" and not err
 
+    def test_q2_linear_modulus(self, capsys):
+        # over F_2 at t+1 the generator is theta + 1, the one monic residue
+        # 1 gives the sum lambda^j, never zero: the full grid
+        code, out, err = run(capsys, ["table", "--q", "2", "--modulus", "t+1",
+                                      "--range", "3", "--format", "csv"])
+        assert code == 0 and not err
+        assert out == "j,i\n" + "".join("%d,%d\n" % (j, i) for j in (1, 2, 3)
+                                        for i in (1, 2, 3))
+
     def test_default_matches_embedded_golden(self):
         npol = parse_pol(cli.field_of_order(5), "t^2+2")
         assert set(cli.table_pairs(5, npol, 23)) == set(
@@ -122,9 +131,11 @@ def _full_sum_table_pairs(q, npol, rng):
 
 class TestTablePairs:
     @pytest.mark.parametrize("q, modulus, rng", [
-        (3, "t^2+t", 12), (3, "t^2+1", 12), (4, "t^2+t+1", 20)])
+        (3, "t^2+t", 12), (3, "t^2+1", 12), (4, "t^2+t+1", 20),
+        (2, "t^4+t", 10)])
     def test_matches_running_product(self, q, modulus, rng):
-        # at t^2+t the first prime is t, so beta(zeta) = 0 for beta = t
+        # at t^2+t the first prime is t, so beta(zeta) = 0 for beta = t;
+        # t^4+t = t(t+1)(t^2+t+1) over F_2 has two linear primes
         npol = parse_pol(cli.field_of_order(q), modulus)
         assert cli.table_pairs(q, npol, rng) == _running_product_table_pairs(
             q, npol, rng)

@@ -7,7 +7,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld.algebra import (REl, Pol, QuotientRing, finite_field,
+from drinfeld import series
+from drinfeld.algebra import (REl, Pol, QuotientRing, Residue, finite_field,
                               monics_of_degree, monics_up_to_degree,
                               parse_pol)
 from drinfeld.carlitz import TorsionContext
@@ -21,8 +22,8 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              poly_eval_series, rescale_arg, shift_by_sums,
                              shift_by_value, u_of_az)
 
-from series_oracle import (NotDescendable, descend, shift_by_torsion,
-                           to_subparameter)
+from series_oracle import (NotDescendable, descend, direct_u_of_az,
+                           shift_by_torsion, to_subparameter)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -63,6 +64,11 @@ class TestDifference:
         assert len(a) == WITNESS_WIDTH and a.endswith("...")
 
 
+# one level for each q in 3, 4, 5, 9, each with a residue point
+U_MEMO_LEVELS = [pol3("t^2+1"), P4, parse_pol(finite_field(5), "t^2+2"),
+                 Pol(finite_field(3, 2), (1, 1))]
+
+
 class TestUOfAz:
     def test_identity(self):
         ctx = TorsionContext(TH)
@@ -94,6 +100,53 @@ class TestUOfAz:
                 lhs = u_of_az(ctx, a * b, 30)
                 rhs = rescale_arg(u_of_az(ctx, a, 30), b)
                 assert lhs.agrees_with(rhs)
+
+    @pytest.mark.parametrize("modulus", U_MEMO_LEVELS,
+                             ids=["q3-t^2+1", "q4-t^2+t+w", "q5-t^2+2",
+                                  "q9-t+1"])
+    def test_memo_equals_direct(self, modulus, monkeypatch):
+        # a of degree 0, 1 and 2, one of them not monic, at precisions
+        # below, between and above q^deg a; the exact context first, then
+        # its reduced() context, which starts with a memo of its own
+        builds = []
+        carlitz_coeffs = series.carlitz_coeffs
+        monkeypatch.setattr(series, "carlitz_coeffs",
+                            lambda a: builds.append(a) or carlitz_coeffs(a))
+        exact = TorsionContext(modulus)
+        field = exact.field
+        q = field.order
+        th = Pol.x(field)
+        avals = [Pol.one(field), th, Pol(field, (1, 2)),
+                 th * th + Pol.one(field)]
+        precs = [2, q + 1, q * q + 3]
+        red = exact.reduced()
+        for ctx in (exact, red):
+            assert not ctx.u_az
+            del builds[:]
+            for a in avals:
+                for N in precs:
+                    first = u_of_az(ctx, a, N)
+                    assert first == direct_u_of_az(ctx, a, N), (a, N)
+                    again = u_of_az(ctx, a, N)
+                    assert again == first and again is not first
+                    assert all(x is y for x, y in zip(first.coeffs,
+                                                      again.coeffs) if x)
+                    assert again._moebius is first._moebius
+            # one entry, with its own chain cell, per (a, N); a build only
+            # where q^deg a < N, and none for a repeated (a, N)
+            assert len(ctx.u_az) == len(avals) * len(precs)
+            assert len({id(cell) for _, cell in ctx.u_az.values()}) == len(
+                ctx.u_az)
+            assert len(builds) == sum(q ** a.degree < N for a in avals
+                                      for N in precs)
+        assert red.u_az is not exact.u_az
+        X = u_of_az(red, th, precs[-1])
+        moebius_of_series(X, red.lam)
+        seen = [c for coeffs, cell in red.u_az.values()
+                for c in coeffs + sum(cell[0] or (), ())]
+        assert seen and all(isinstance(c, Residue) for c in seen)
+        assert all(isinstance(c, REl) for coeffs, _ in exact.u_az.values()
+                   for c in coeffs)
 
 
 class TestShifts:
@@ -245,12 +298,12 @@ class TestMoebius:
                 for lam in lams:
                     got = moebius_of_series(X, lam)
                     assert got == old_moebius(X, lam), (prec, X.order())
-                memo = X._moebius
+                memo = X._moebius[0]
                 assert isinstance(memo, tuple) and all(
                     isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
                     for y in memo)
                 moebius_of_series(X, lams[0])
-                assert X._moebius is memo
+                assert X._moebius[0] is memo
 
     @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
                              ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
@@ -354,7 +407,7 @@ class TestMoebius:
         X = u_of_az(ctx, TH, 12)
         M = moebius_of_series(X, lam)
         ys, value = M._origin
-        assert ys is X._moebius and value is lam
+        assert ys is X._moebius[0] and value is lam
         assert all(isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
                    for y in ys)
         derived = [M.scale(lam), M + M, -M, M - M, M.truncate(6),
@@ -372,25 +425,83 @@ class TestMoebius:
         assert moebius_of_series(zero, ctx.lam) == zero
 
     def test_no_cyclic_garbage(self):
-        # the lemma's loop of criterion 08: each u(cz) shifted by several
-        # torsion values; the memo on X must die with X, with no cycle
+        # the lemma's loop of criterion 08; the memos on the series and the
+        # context must die with them, with no cycle
         ctx = TorsionContext(pol3("t^2+1") * pol3("t+1"))
-        gk = goss_coeffs_in(ctx, 2)
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            for c in (pol3("1"), TH):
-                Uc = u_of_az(ctx, c, 12)
-                for beta in ctx.units()[:4]:
-                    poly_eval_series(
-                        gk, moebius_of_series(Uc, ctx.exp_value(beta)))
-            del Uc
+            lemma_loop(ctx, pol3("t^2+1"), pol3("t+1"))
+            del ctx
             gc.collect()
             garbage = list(gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
         assert not garbage
+
+    def test_chain_built_once_per_series(self, monkeypatch):
+        # in the lemma's loop u(c*q*z) is asked for again at every unit a,
+        # but its Y-chain is built once per c: the only series products
+        # are the chains' own, one per Y_j with j >= 1
+        ppol, qpol = pol3("t^2+1"), pol3("t+1")
+        ctx = TorsionContext(ppol * qpol)
+        products = []
+        mul = UExpansion.__mul__
+        monkeypatch.setattr(UExpansion, "__mul__",
+                            lambda f, g: products.append(1) or mul(f, g))
+        chains = lemma_loop(ctx, ppol, qpol)
+        assert len(ctx.units(ppol)) == 8
+        assert all(len({id(ys) for ys in seen}) == 1
+                   for seen in chains.values())
+        assert len(products) == sum(len(seen[0]) - 1
+                                    for seen in chains.values())
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    def test_context_dies_without_garbage(self, reduce):
+        # a context that has used u_of_az, moebius_of_series and powers is
+        # freed by reference counting alone, its memos with it
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            ctx = TorsionContext(pol3("t^2+1"))
+            if reduce:
+                ctx = ctx.reduced()
+            X = u_of_az(ctx, TH, 12)
+            poly_eval_series(goss_coeffs_in(ctx, 2),
+                             moebius_of_series(X, ctx.lam))
+            ctx.powers(ctx.exp_value(TH), 9)
+            assert ctx.u_az and X._moebius[0] and ctx._powers
+            del ctx, X
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not garbage
+
+
+def lemma_loop(ctx, ppol, qpol, N=12):
+    """The loop of the distribution lemma (criterion 08) at k = 2, for
+    c = 1 and theta: G_2 of u(cz) shifted by a few torsion values, and of
+    u(c*q*z) built again at every unit a mod p.  Returns {(c, side): the
+    Y-chains the Moebius values read}."""
+    gk = goss_coeffs_in(ctx, 2)
+    mod = ctx.modulus
+    chains = {}
+    for c in (Pol.one(ctx.field), Pol.x(ctx.field)):
+        Uc = u_of_az(ctx, c, N)
+        for beta in ctx.units()[:4]:
+            M = moebius_of_series(Uc, ctx.exp_value(beta))
+            poly_eval_series(gk, M)
+            chains.setdefault((c.c, "c"), []).append(M._origin[0])
+        for a in ctx.units(ppol):
+            Ucq = u_of_az(ctx, c * qpol, N)
+            M = moebius_of_series(Ucq, ctx.exp_value(a * qpol * qpol % mod))
+            poly_eval_series(gk, M)
+            chains.setdefault((c.c, "cq"), []).append(M._origin[0])
+    return chains
 
 
 def evaluate_at_shift(f, beta, qpol, ctx):
