@@ -52,13 +52,14 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
-    Memos ``powers``, ``gauss`` (g(chi), 1/n per conductor n) and ``u_az``
-    (u(az) and its Moebius Y-chain per (a, N), see series.u_of_az) hold
-    ring elements only, so they die with it; reduced() has its own.
+    Memos ``powers``, ``gauss`` (g(chi), 1/n per conductor n), ``u_az``
+    (see series.u_of_az) and ``twist_sums`` (see operators.normalized_sums)
+    hold ring elements only, so they die with it; reduced() has its own.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "_cofs", "_exp_cache", "_powers", "gauss", "u_az")
+                 "gens", "_cofs", "_exp_cache", "_powers", "gauss", "u_az",
+                 "twist_sums")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -89,7 +90,8 @@ class TorsionContext:
         """Make ring the context's ring, with fresh generators and memos."""
         self.ring = ring
         self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
-        self._exp_cache, self._powers, self.gauss, self.u_az = {}, {}, {}, {}
+        self._exp_cache, self._powers, self.gauss = {}, {}, {}
+        self.u_az, self.twist_sums = {}, {}
 
     lam = property(lambda self: self.exp_value(Pol.one(self.field)))
 

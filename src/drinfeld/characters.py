@@ -6,6 +6,7 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 0^0 = 1 so that exponent-zero factors never kill a value.
 """
 
+from functools import lru_cache
 from math import lcm
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
@@ -17,7 +18,7 @@ from .errors import ConductorMismatch, NotPrimitive
 class DirichletCharacter:
     """factors: (prime, root code in big, exponent); emb maps field to big."""
 
-    __slots__ = ("field", "big", "emb", "factors", "conductor")
+    __slots__ = ("field", "big", "emb", "factors", "conductor", "_values")
 
     def __init__(self, field, factors, big=None):
         for prime, _, _ in factors:
@@ -50,7 +51,7 @@ class DirichletCharacter:
         self.big = big
         self.emb = emb
         self.factors = tuple(resolved)
-        self.conductor = conductor
+        self.conductor, self._values = conductor, None
 
     @classmethod
     def from_conductor(cls, modulus, exponents, big=None):
@@ -90,7 +91,7 @@ class DirichletCharacter:
         q = self.field.order
         out = object.__new__(DirichletCharacter)
         out.field, out.big, out.emb = self.field, self.big, self.emb
-        out.conductor = self.conductor
+        out.conductor, out._values = self.conductor, None
         out.factors = tuple((p, r, e % (q ** p.degree - 1)) for (p, r, _), e
                             in zip(self.factors, exponents))
         return out
@@ -134,6 +135,13 @@ class DirichletCharacter:
             out = big.mul(out, big.pow(v, e))
         return out
 
+    def values(self):
+        """chi on polys_below_degree(field, deg conductor), tabulated once."""
+        if self._values is None:
+            self._values = [self.eval(a) for a in polys_below_degree(
+                self.field, self.conductor.degree)]
+        return self._values
+
     def eval_inv(self, a):
         v = self.eval(a)
         return self.big.inv(v) if v else 0
@@ -143,17 +151,24 @@ class DirichletCharacter:
                                      for p, r, e in self.factors)
 
 
+@lru_cache(maxsize=None)
+def _residue_differences(field, d):
+    """{r.c: [index of r - a for a in polys_below_degree(field, d)]}."""
+    residues = polys_below_degree(field, d)
+    index = {r.c: i for i, r in enumerate(residues)}
+    return {r.c: [index[(r - a).c] for a in residues] for r in residues}
+
+
 def convolve(chi1, chi2, delta):
-    """(chi1 * chi2)(delta) = sum over residues a of chi1(a)chi2(delta-a)."""
+    """(chi1 * chi2)(delta) = sum over residues a of chi1(a)chi2(delta-a),
+    from the value tables; delta is read mod the conductor."""
     _require_pair(chi1, chi2)
-    big = chi1.big
+    big, n, values2 = chi1.big, chi1.conductor, chi2.values()
     out = 0
-    for a in polys_below_degree(chi1.field, chi1.conductor.degree):
-        v1 = chi1.eval(a)
-        if v1:
-            v2 = chi2.eval(delta - a)
-            if v2:
-                out = big.add(out, big.mul(v1, v2))
+    for v1, j in zip(chi1.values(),
+                     _residue_differences(chi1.field, n.degree)[(delta % n).c]):
+        if v1 and values2[j]:
+            out = big.add(out, big.mul(v1, values2[j]))
     return out
 
 

@@ -183,20 +183,15 @@ def suite_convolution(args):
         chis = [DirichletCharacter(field, [(p, None, e)
                                            for p, e in zip(primes, exps)])
                 for exps in itertools.product(*ranges)]
-        witness = None
-        count = 0
-        for chi1 in chis:
-            for chi2 in chis:
-                scalar, prod = jacobi_factor(chi1, chi2)
-                for delta in polys_below_degree(field, npol.degree):
-                    lhs = convolve(chi1, chi2, delta)
-                    rhs = chi1.big.mul(prod.eval(delta), scalar)
-                    count += 1
-                    if lhs != rhs:
-                        witness = "chi1=%r chi2=%r delta=%s" % (
-                            chi1, chi2, delta.format())
-                        break
-                if witness:
+        witness, count = None, 0
+        for chi1, chi2 in itertools.product(chis, repeat=2):
+            scalar, prod = jacobi_factor(chi1, chi2)
+            for delta in polys_below_degree(field, npol.degree):
+                count += 1
+                if convolve(chi1, chi2, delta) != chi1.big.mul(
+                        prod.eval(delta), scalar):
+                    witness = "chi1=%r chi2=%r delta=%s" % (
+                        chi1, chi2, delta.format())
                     break
             if witness:
                 break

@@ -7,7 +7,8 @@ collapsed into the two hard-coded formulas
 The twist's beta-sum is linear in the shift u -> u/(lambda_beta u + 1), so
 it is one shift_by_sums by the power sums sum_beta chi^{-1}(beta)
 lambda_beta^j (characters.power_sums: one monic beta per F_q^*-orbit), not
-one shift per residue.  The Hecke beta-sum is in closed form (see hecke_u).
+one shift per residue; the normalized twist's sums carry g(chi^{-1})/n
+(normalized_sums).  The Hecke beta-sum is in closed form (see hecke_u).
 """
 
 from .algebra import (Pol, is_irreducible, lucas_binomial,
@@ -39,13 +40,14 @@ def neben_eval(neben, a, ctx):
     return ctx.char_value(neben, a)
 
 
-def _character_shift_sum(f, chi, ctx):
-    """sum_beta chi^{-1}(beta) f(z + beta/n), carrying the twisted metadata."""
+def _character_shift_sum(f, chi, sums):
+    """sum_beta w(beta) f(z + beta/n), w a multiple of chi^{-1}, from
+    sums[j] = sum_beta w(beta) lambda_beta^j; carries the twisted metadata."""
     if f.meta is None:
         raise ValueError("twisting needs weight/type metadata")
-    n = ctx.conductor_of(chi)
+    n = chi.conductor
     k, m = f.meta.weight, f.meta.type_
-    out = shift_by_sums(f, power_sums(ctx, n, range(f.prec - 1 or 1), chi))
+    out = shift_by_sums(f, sums)
     neben = f.meta.neben
     newneben = (neben, chi, chi) if neben is not None else (chi, chi)
     level = n * n if f.meta.level is None else f.meta.level.lcm(n * n)
@@ -55,7 +57,8 @@ def _character_shift_sum(f, chi, ctx):
 
 def twist_raw(f, chi, ctx):
     """The projection pi-hat_chi: n^(2m-k) * sum_beta chi^{-1}(beta) f(z + beta/n)."""
-    out = _character_shift_sum(f, chi, ctx)
+    sums = power_sums(ctx, ctx.conductor_of(chi), range(f.prec - 1 or 1), chi)
+    out = _character_shift_sum(f, chi, sums)
     k, m = f.meta.weight, f.meta.type_
     return out.scale(_modulus_power(ctx, chi.conductor, 2 * m - k))
 
@@ -69,32 +72,42 @@ def gauss_over_conductor(chi, ctx):
     return gauss_thakur(chi.inverse(), ctx) * ctx.gauss[n]
 
 
-def twist_normalized(f, chi, ctx):
-    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi; integral output.  The
-    conductor powers cancel, so the beta-sum is scaled by g(chi^{-1})/n."""
+def normalized_sums(chi, ctx, count):
+    """[(g(chi^{-1})/n) * s(chi, j) for j < count] or a longer list, kept in
+    ctx.twist_sums per chi, so g/n scales each sum once; do not mutate it."""
     if not chi.is_primitive():
         raise NotPrimitive("normalized twists need a primitive character")
-    out = _character_shift_sum(f, chi, ctx)
-    return out.scale(gauss_over_conductor(chi, ctx))
+    sums = ctx.twist_sums.get(chi, [])
+    if len(sums) < count:
+        g_over_n = gauss_over_conductor(chi, ctx)
+        sums = ctx.twist_sums[chi] = sums + [
+            s * g_over_n if s else s for s in
+            power_sums(ctx, chi.conductor, range(len(sums), count), chi)]
+    return sums
+
+
+def twist_normalized(f, chi, ctx):
+    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi; integral output.  The
+    conductor powers cancel, so the beta-sum runs on the sums of
+    normalized_sums, which carry g(chi^{-1})/n."""
+    return _character_shift_sum(
+        f, chi, normalized_sums(chi, ctx, f.prec - 1 or 1))
 
 
 def twist_monomial_closed(i, chi, ctx, N):
     """Closed form of pi_chi(u^i):
     u^i * sum over l >= 1 congruent to s_chi mod q-1 of
     binom(-i, l) * (g(chi^{-1})/n) * s(chi, l) * u^l."""
-    if not chi.is_primitive():
-        raise NotPrimitive("closed form needs a primitive character")
     if i < 1:
         raise ValueError("monomial exponent must be positive")
     q = ctx.field.order
     p = ctx.field.p
-    g_over_n = gauss_over_conductor(chi, ctx)
+    sums = normalized_sums(chi, ctx, N - i)
     out = [ctx.ring.zero] * N
-    ls = range(chi.sign or q - 1, N - i, q - 1)
-    for l, sl in zip(ls, power_sums(ctx, chi.conductor, ls, chi)):
+    for l in range(chi.sign or q - 1, N - i, q - 1):
         b = lucas_binomial(-i, l, p)
         if b:
-            out[i + l] = (g_over_n * sl).scale_const(b)
+            out[i + l] = sums[l].scale_const(b)
     return UExpansion(ctx, out, N)
 
 

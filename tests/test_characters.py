@@ -56,6 +56,22 @@ def pol3(text):
     return parse_pol(F3, text)
 
 
+def direct_convolve(chi1, chi2, delta):
+    """(chi1 * chi2)(delta) as the loop over residues a of
+    chi1.eval(a) * chi2.eval(delta - a), with delta as given."""
+    big = chi1.big
+    out = 0
+    for a in polys_below_degree(chi1.field, chi1.conductor.degree):
+        out = big.add(out, big.mul(chi1.eval(a), chi2.eval(delta - a)))
+    return out
+
+
+def convolvable(chi):
+    """Whether convolve accepts chi: every exponent in 1..|p|-2."""
+    q = chi.field.order
+    return all(1 <= e <= q ** p.degree - 2 for p, _, e in chi.factors)
+
+
 def all_primitive(npol):
     primes = factor_squarefree_monic(npol)
     q = npol.field.order
@@ -210,6 +226,54 @@ class TestConvolution:
         assert scalar == 0
         for delta in [Pol.one(F5), parse_pol(F5, "t+1")]:
             assert convolve(chi1, chi2, delta) == 0
+
+
+# (q, conductor): theta, a quadratic and theta*(theta+1) for q = 3, 4, 5;
+# t^2+1 = (t+1)^2 is not square-free over F_4, which takes t^2+t+w instead
+CONVOLUTION_LEVELS = [(q, text) for q in (3, 4, 5)
+                      for text in ("t", "t^2+t+w" if q == 4 else "t^2+1",
+                                   "t^2+t")]
+
+
+@pytest.mark.parametrize("q, ntext", CONVOLUTION_LEVELS,
+                         ids=["q%d-%s" % level for level in CONVOLUTION_LEVELS])
+def test_convolve_equals_residue_loop(q, ntext):
+    # convolve reads value tables and a residue-difference index; the loop
+    # evaluates both characters at every residue.  Characters made by
+    # inverse() and chi * psi skip __init__, and must tabulate their own
+    # values, not their parents'.
+    field = {3: F3, 4: F4, 5: F5}[q]
+    npol = parse_pol(field, ntext.replace("w", "2"))
+    base = all_primitive(npol)[:3]
+    for chi in base:
+        chi.values()  # tabulated before any character is made from it
+    made = [chi.inverse() for chi in base] + [
+        chi * psi for chi, psi in itertools.combinations(base, 2)]
+    made = [chi for chi in made if convolvable(chi)]
+    assert made
+    pairs = (list(itertools.product(base, base + made))
+             + list(itertools.product(made, base[:1])))
+    deltas = polys_below_degree(field, npol.degree)
+    for chi1, chi2 in pairs:
+        for delta in deltas:
+            assert convolve(chi1, chi2, delta) == direct_convolve(
+                chi1, chi2, delta)
+
+
+@pytest.mark.parametrize("q, ntext", [(3, "t^2+1"), (5, "t^2+t")],
+                         ids=["q3-t2+1", "q5-t2+t"])
+def test_convolve_reduces_delta(q, ntext):
+    # a delta of degree >= deg n is read as its residue mod n
+    field = {3: F3, 5: F5}[q]
+    npol = parse_pol(field, ntext)
+    chi1, chi2 = all_primitive(npol)[:2]
+    for m in (Pol.one(field), Pol.x(field), parse_pol(field, "t^3+2t+1")):
+        for delta in polys_below_degree(field, npol.degree):
+            far = delta + npol * m
+            assert far.degree >= npol.degree
+            want = convolve(chi1, chi2, delta)
+            assert convolve(chi1, chi2, far) == want
+            assert direct_convolve(chi1, chi2, far) == want
 
 
 class TestGaussThakur:

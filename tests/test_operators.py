@@ -18,7 +18,7 @@ from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
                                 hecke_twisted, hecke_u, neben_eval,
                                 twist_monomial_closed, twist_normalized,
                                 twist_raw, _modulus_power)
-from drinfeld.characters import gauss_thakur
+from drinfeld.characters import gauss_thakur, power_sums
 
 from eigen_oracle import hecke_a_gcd, scaled_by
 from series_oracle import descend, shift_by_torsion
@@ -471,6 +471,16 @@ ORACLE_LEVELS = {3: ("t", "t^2+1", 2, (0, 1, 2, 5), 12),
                  9: ("t", "t+1", 1, (0, 1, 5), 27)}
 
 
+def oracle_level(q):
+    """(field, context, characters, precision) of ORACLE_LEVELS[q]."""
+    qtext, ntext, ext, exps, N = ORACLE_LEVELS[q]
+    field = F3 if q == 3 else {4: F4, 5: finite_field(5), 9: F9}[q]
+    npol = parse_pol(field, ntext)
+    ctx = TorsionContext(parse_pol(field, qtext) * npol, ext_degree=ext)
+    return field, ctx, [DirichletCharacter.from_conductor(npol, e, big=ctx.big)
+                        for e in exps], N
+
+
 def oracle_inputs(ctx, npol, chi, N):
     """A form, a series with theta and torsion coefficients (and a constant
     term, which the Hecke beta-sum kills), and the raw twist of that series
@@ -492,12 +502,8 @@ def oracle_inputs(ctx, npol, chi, N):
 def test_power_sum_shifts_equal_residue_loops(q):
     # twist_raw, twist_normalized and hecke_u, exactly against the loops
     # above, on the three oracle_inputs
-    qtext, ntext, ext, exps, N = ORACLE_LEVELS[q]
-    field = F3 if q == 3 else {4: F4, 5: finite_field(5), 9: F9}[q]
-    qpol, npol = parse_pol(field, qtext), parse_pol(field, ntext)
-    ctx = TorsionContext(qpol * npol, ext_degree=ext)
-    chis = [DirichletCharacter.from_conductor(npol, e, big=ctx.big)
-            for e in exps]
+    field, ctx, chis, N = oracle_level(q)
+    qpol, npol = parse_pol(field, ORACLE_LEVELS[q][0]), chis[0].conductor
     inputs = oracle_inputs(ctx, npol, chis[1], N)
     assert q == 5 or any(code >= field.p for chi in chis
                          for code in map(chi.eval, ctx.residues(npol)))
@@ -515,6 +521,56 @@ def test_power_sum_shifts_equal_residue_loops(q):
         got = hecke_u(f, qpol, ctx)
         want = residue_hecke(f, qpol, ctx)
         assert got.prec == want.prec and got.coeffs == want.coeffs
+
+
+def power_sum_closed_form(i, chi, ctx, N):
+    """twist_monomial_closed by power_sums, each value scaled by
+    gauss_over_conductor on its own: (g/n * s(chi, l)).scale_const(b)."""
+    q, p = ctx.field.order, ctx.field.p
+    g_over_n = gauss_over_conductor(chi, ctx)
+    out = [ctx.ring.zero] * N
+    ls = range(chi.sign or q - 1, N - i, q - 1)
+    for l, sl in zip(ls, power_sums(ctx, chi.conductor, ls, chi)):
+        b = lucas_binomial(-i, l, p)
+        if b:
+            out[i + l] = (g_over_n * sl).scale_const(b)
+    return UExpansion(ctx, out, N)
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
+def test_closed_form_equals_power_sum_route(q):
+    # twist_monomial_closed reads (g/n) * s(chi, l) from ctx.twist_sums,
+    # exactly against scaling each power sum on its own
+    _, ctx, chis, N = oracle_level(q)
+    for chi in filter(DirichletCharacter.is_primitive, chis):
+        for i in (1, 2, 3):
+            got = twist_monomial_closed(i, chi, ctx, N)
+            assert got.coeffs == power_sum_closed_form(i, chi, ctx, N).coeffs
+
+
+@pytest.mark.parametrize("precs", [(6, 12), (12, 6)], ids=["grow", "shrink"])
+@pytest.mark.parametrize("q", [3, 9], ids=["q3", "q9"])
+def test_normalized_sums_across_precisions(q, precs):
+    # the memo of (g/n) * s(chi, j) grows when a higher precision asks for
+    # more sums and is read, never cut, at a lower one; every call equals
+    # the residue loop and the power-sum route
+    field, ctx, chis, _ = oracle_level(q)
+    chi = next(chi for chi in chis if chi.is_primitive())
+    bound = forms.bound_for_precision(field, max(precs))
+    form = forms.petrov_fs(ctx, 1, bound).render(max(precs))
+    longest = 0
+    for N in precs:
+        longest = max(longest, N)
+        f = form.truncate(N)
+        got = twist_normalized(f, chi, ctx)
+        want = residue_twist_sum(f, chi, ctx).scale(
+            gauss_over_conductor(chi, ctx))
+        assert got.prec == N and got.coeffs == want.coeffs
+        for i in (1, 2):
+            got = twist_monomial_closed(i, chi, ctx, N)
+            assert got.prec == N and got.coeffs == power_sum_closed_form(
+                i, chi, ctx, N).coeffs
+        assert len(ctx.twist_sums[chi]) == longest - 1
 
 
 # (field, Hecke prime, conductor, extension degree, exponent, precision):

@@ -15,6 +15,7 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
                              Unsupported)
+from drinfeld.operators import twist_monomial_closed, twist_normalized
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion,
                              eisenstein_components, goss_coeffs_in,
@@ -460,14 +461,25 @@ class TestMoebius:
     @pytest.mark.parametrize("reduce", [False, True],
                              ids=["exact", "reduced"])
     def test_context_dies_without_garbage(self, reduce):
-        # a context that has used u_of_az, moebius_of_series and powers is
-        # freed by reference counting alone, its memos with it
+        # a context that has used the normalized twists, u_of_az,
+        # moebius_of_series and powers is freed by reference counting alone,
+        # its memos with it; twist_sums holds ring elements only, and
+        # reduced() starts with it empty
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            ctx = TorsionContext(pol3("t^2+1"))
+            ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+            chi = DirichletCharacter.from_conductor(ctx.modulus, 1,
+                                                    big=ctx.big)
+            f = UExpansion.u(ctx, 12, meta=ModularMeta(0, 0))
+            twist_normalized(f, chi, ctx)
+            twist_monomial_closed(2, chi, ctx, 12)
+            assert [type(s) for s in ctx.twist_sums[chi]] == [
+                type(ctx.ring.one)] * 11
+            del f
             if reduce:
                 ctx = ctx.reduced()
+                assert ctx.twist_sums == {}
             X = u_of_az(ctx, TH, 12)
             poly_eval_series(goss_coeffs_in(ctx, 2),
                              moebius_of_series(X, ctx.lam))
