@@ -160,10 +160,19 @@ class TorsionContext:
 
     def powers(self, x, count):
         """[1, x, ..., x^(count-1)] for a ring element x, or a longer list
-        of the same powers.  Kept per value of x and grown by one
-        ring.power_step per new power, so no power but x keeps the column
-        cache its product read; callers must not mutate the list."""
+        of the same powers; callers must not mutate the list.  Kept per
+        value of x.  A list too short is first extended from the kept list
+        of an F_q^*-multiple y = c*x (c != 1), where that is longer, by
+        the orbit rule x^j = c^(-j) * y^j: one scale_const per power.  Any
+        power still missing is one ring.power_step, so no power but x keeps
+        the column cache its product read."""
         pows = self._powers.setdefault(x.coords, [self.ring.one])
+        if len(pows) < count:
+            f, emb = self.field, self.emb
+            for c in range(2, f.order):
+                ys = self._powers.get(x.scale_const(emb[c]).coords, ())
+                pows += [ys[j].scale_const(emb[f.pow(c, -j)])
+                         for j in range(len(pows), min(count, len(ys)))]
         while len(pows) < count:
             pows.append(self.ring.power_step(pows[-1], x))
         return pows

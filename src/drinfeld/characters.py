@@ -11,7 +11,7 @@ from math import lcm
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
                       is_irreducible, lucas_binomial, monics_up_to_degree,
-                      polys_below_degree)
+                      polys_below_degree, power)
 from .errors import ConductorMismatch, NotPrimitive
 
 
@@ -236,7 +236,7 @@ def gauss_thakur(chi, ctx):
             digit = e % q
             if digit:
                 basic = _basic_gauss_sum(ctx, prime, r)
-                out = out * basic ** digit
+                out = out * power(basic, digit, ctx.ring.one)
             e //= q
             r = big.pow(r, q)
     ctx.gauss[chi] = out

@@ -183,13 +183,21 @@ def suite_convolution(args):
         chis = [DirichletCharacter(field, [(p, None, e)
                                            for p, e in zip(primes, exps)])
                 for exps in itertools.product(*ranges)]
-        witness, count = None, 0
+        # values() follows polys_below_degree, whose order (base-q digits,
+        # least significant first) puts the residues of a divisor first;
+        # pairs with equal exponent sums share one product character
+        residues = polys_below_degree(field, npol.degree)
+        index = {r.c: i for i, r in enumerate(residues)}
+        witness, count, tables = None, 0, {}
         for chi1, chi2 in itertools.product(chis, repeat=2):
             scalar, prod = jacobi_factor(chi1, chi2)
-            for delta in polys_below_degree(field, npol.degree):
+            if prod not in tables:
+                tables[prod] = prod.values()
+            values, n = tables[prod], prod.conductor
+            for delta in residues:
                 count += 1
                 if convolve(chi1, chi2, delta) != chi1.big.mul(
-                        prod.eval(delta), scalar):
+                        values[index[(delta % n).c]], scalar):
                     witness = "chi1=%r chi2=%r delta=%s" % (
                         chi1, chi2, delta.format())
                     break

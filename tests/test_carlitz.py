@@ -311,6 +311,81 @@ class TestTorsionMemos:
                 assert got.coeffs == want.coeffs
 
 
+# (field, modulus coefficients, extension degree): one prime level for each
+# q in 3, 4, 5, 9; at q = 4 and 9 the extension gives a base-field constant
+# a big-field code other than its own
+ORBIT_LEVELS = [(F3, (1, 0, 1), 1), (F4, (2, 1, 1), 2), (F5, (2, 0, 1), 1),
+                (F9, (0, 1), 2)]
+ORBIT_IDS = ["q3-t2+1", "q4-t2+t+w-d2", "q5-t2+2", "q9-t-d2"]
+
+
+def _orbit_context(field, coeffs, ext, reduce):
+    ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
+    return ctx.reduced() if reduce else ctx
+
+
+def _orbit(ctx, value):
+    """[value(c*beta) for c in F_q^*], beta the last unit of the level:
+    each member built from its own residue, not by scaling."""
+    beta = ctx.units()[-1]
+    return [value(Pol.const(ctx.field, c) * beta) for c in ctx.field.units()]
+
+
+def _power_chain(ring, x, count):
+    """[1, x, ..., x^(count-1)] by ring.power_step alone."""
+    pows = [ring.one]
+    while len(pows) < count:
+        pows.append(ring.power_step(pows[-1], x))
+    return pows
+
+
+class TestPowerOrbits:
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("field, coeffs, ext", ORBIT_LEVELS,
+                             ids=ORBIT_IDS)
+    def test_orbit_lists_equal_chains(self, field, coeffs, ext, reduce):
+        # each member of an orbit asks for two powers more than the last,
+        # so its list is derived from the last one's and grown past it;
+        # then the first member asks for more than any: derived from the
+        # longest, then grown.  Run on torsion values and on their
+        # inverses, which carry a denominator in the exact ring
+        ctx = _orbit_context(field, coeffs, ext, reduce)
+        inverse = ctx.torsion_inverse(ctx.modulus)
+        for value in (ctx.exp_value, lambda b: inverse(ctx.exp_value(b))):
+            orbit = _orbit(ctx, value)
+            for i, x in enumerate(orbit):
+                ctx.powers(x, 3 + 2 * i)
+            ctx.powers(orbit[0], 2 * len(orbit) + 3)
+            for x in orbit:
+                got = ctx.powers(x, 1)
+                assert [p.coords for p in got] == [
+                    p.coords for p in _power_chain(ctx.ring, x, len(got))]
+        # the last orbit, the inverses
+        if not reduce:
+            assert all(x.den.degree > 0 for x in orbit)
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("field, coeffs, ext", ORBIT_LEVELS,
+                             ids=ORBIT_IDS)
+    def test_multiples_make_no_power_step(self, field, coeffs, ext, reduce,
+                                          monkeypatch):
+        # after powers(lam, n), powers(c*lam, n) scales lam's list alone
+        ctx = _orbit_context(field, coeffs, ext, reduce)
+        orbit = _orbit(ctx, ctx.exp_value)
+        ctx.powers(orbit[0], 12)
+        steps, step = [], type(ctx.ring).power_step
+        monkeypatch.setattr(type(ctx.ring), "power_step",
+                            lambda ring, prev, x: steps.append(x)
+                            or step(ring, prev, x))
+        for x in orbit[1:]:
+            assert len(ctx.powers(x, 12)) >= 12
+        assert not steps
+        ctx.powers(orbit[-1], 13)
+        assert len(steps) == 1
+
+
 class TestTorsionInverse:
     @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
                              ids=TORSION_IDS)

@@ -464,22 +464,25 @@ class TestMoebius:
         # a context that has used the normalized twists, u_of_az,
         # moebius_of_series and powers is freed by reference counting alone,
         # its memos with it; twist_sums holds ring elements only, and
-        # reduced() starts with it empty
+        # reduced() starts with it empty and runs the twists too
+        def run_twists(ctx):
+            f = UExpansion.u(ctx, 12, meta=ModularMeta(0, 0))
+            twist_normalized(f, chi, ctx)
+            twist_monomial_closed(2, chi, ctx, 12)
+            assert [type(s) for s in ctx.twist_sums[chi]] == [
+                type(ctx.ring.one)] * 11
+
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
             chi = DirichletCharacter.from_conductor(ctx.modulus, 1,
                                                     big=ctx.big)
-            f = UExpansion.u(ctx, 12, meta=ModularMeta(0, 0))
-            twist_normalized(f, chi, ctx)
-            twist_monomial_closed(2, chi, ctx, 12)
-            assert [type(s) for s in ctx.twist_sums[chi]] == [
-                type(ctx.ring.one)] * 11
-            del f
+            run_twists(ctx)
             if reduce:
                 ctx = ctx.reduced()
                 assert ctx.twist_sums == {}
+                run_twists(ctx)
             X = u_of_az(ctx, TH, 12)
             poly_eval_series(goss_coeffs_in(ctx, 2),
                              moebius_of_series(X, ctx.lam))
