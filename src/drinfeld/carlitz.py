@@ -1,4 +1,6 @@
-"""Carlitz module, cyclotomic torsion rings, and Goss polynomials.
+"""Carlitz module, cyclotomic torsion rings, and Goss polynomials (one
+recursion, goss_recursion, for every lattice: the Carlitz lattice of
+goss_polys and the ker C_q of operators.hecke_u).
 
 The Carlitz module is the F_q[theta]-module structure on any F_q[theta]
 algebra given by C_theta(x) = theta*x + x^q.  Its n-torsion generates the
@@ -52,7 +54,7 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
-    Memos ``powers``, ``gauss`` (g(chi), 1/n per conductor n), ``u_az``
+    Memos ``powers``, ``gauss`` (g(chi) per character chi), ``u_az``
     (see series.u_of_az) and ``twist_sums`` (see operators.normalized_sums)
     hold ring elements only, so they die with it; reduced() has its own.
     """
@@ -275,31 +277,20 @@ def carlitz_factorials(field, count):
     return out
 
 
-def _goss_recursion(field, N):
-    """G_1..G_N as RF-coefficient lists (low degree first) via the recursion
-    G_k = X*(G_{k-1} + sum_i G_{k-q^i}/D_i), with G_k = X^k for k <= q."""
-    q = field.order
-    imax = 1
-    while q ** (imax + 1) <= N:
-        imax += 1
-    D = carlitz_factorials(field, imax + 1)
-    alpha = [RF.from_pol(d).inverse() for d in D]
-    zero = RF.zero(field)
-    one = RF.one(field)
-    polys = [None]  # 1-indexed
-    for k in range(1, N + 1):
-        if k <= q:
-            polys.append([zero] * k + [one])
-            continue
-        acc = list(polys[k - 1])
-        i = 1
-        while q ** i < k:
-            prev = polys[k - q ** i]
-            a = alpha[i]
-            for j, c in enumerate(prev):
-                if c:
-                    acc[j] = acc[j] + c * a
-            i += 1
+def goss_recursion(steps, N, zero, width=None):
+    """G_1..G_N of the lattice with exponential sum_i c_i x^(q^i), for steps
+    = [(q^i, c_i)], by Gekeler's recursion (Invent. Math. 93, 1988):
+    G_1 = c_0*X, G_n = X * sum_{q^i < n} c_i G_{n-q^i}.  Coefficient lists,
+    low degree first, indexed 1..N and cut to width coefficients if given."""
+    polys = [None, [zero, steps[0][1]][:width]]  # 1-indexed
+    for n in range(2, N + 1):
+        size = n if width is None else min(n, width - 1)
+        acc = [zero] * size
+        for s, c in steps:
+            if s < n:
+                for j, x in enumerate(polys[n - s][:size]):
+                    if x:
+                        acc[j] = acc[j] + c * x
         polys.append([zero] + acc)
     return polys
 
@@ -308,17 +299,18 @@ _goss_cache = {}
 
 
 def goss_polys(field, N):
-    """G_1..G_N for the Carlitz lattice, by the recursion of Gekeler
-    (Invent. Math. 93, 1988) and cached per (field, N).
-
-    Returns a list indexed 1..N of RF coefficient lists.  The recursion is
-    the only construction here; the tests check it against the exponential
-    generating identity.
-    """
+    """G_1..G_N for the Carlitz lattice, e(x) = sum_i x^(q^i)/D_i: a list
+    indexed 1..N of RF coefficient lists from goss_recursion, cached per
+    (field, N).  The tests check it against the exponential generating
+    identity.  The recursion reads only the steps with q^i < N."""
     if N < 1:
         raise ValueError("k must be positive")
     key = (id(field), N)
     cached = _goss_cache.get(key)
     if cached is None:
-        cached = _goss_cache[key] = _goss_recursion(field, N)
+        q = field.order
+        count = next(i for i in range(1, N + 1) if q ** i >= N)
+        steps = [(q ** i, RF.from_pol(d).inverse()) for i, d
+                 in enumerate(carlitz_factorials(field, count))]
+        cached = _goss_cache[key] = goss_recursion(steps, N, RF.zero(field))
     return cached

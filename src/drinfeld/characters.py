@@ -199,15 +199,20 @@ def _require_pair(chi1, chi2):
             raise ConductorMismatch("exponents must lie in 1..|p|-2 at every factor")
 
 
+def root_power_row(ctx, root, e):
+    """The orbit_sums row of the weight beta -> beta(root)^e, read as 0 where
+    beta(root) = 0; its degree is e, as (c*beta)(root) = c*beta(root) for
+    c in F_q^*."""
+    def weight(beta):
+        v = beta.eval_in(ctx.big, root, ctx.emb)
+        return ctx.big.pow(v, e) if v else 0
+    return e, weight
+
+
 def _basic_gauss_sum(ctx, prime, root):
-    """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda)
-    = -(the sum over monic delta), as C_{c delta} = c C_delta and
-    chi_zeta(c delta) = c chi_zeta(delta) for c in F_q^*."""
-    big = ctx.big
-    deltas = monics_up_to_degree(ctx.field, prime.degree - 1)
-    row = [big.inv(delta.eval_in(big, root, ctx.emb)) for delta in deltas]
-    return -ctx.ring.combine([ctx.exp_at(delta, prime) for delta in deltas],
-                             [row])[0]
+    """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda),
+    chi_zeta(delta) = delta(zeta): an orbit sum at j = 1."""
+    return orbit_sums(ctx, prime, [root_power_row(ctx, root, -1)], [1])[0][0]
 
 
 def gauss_thakur(chi, ctx):
@@ -243,22 +248,45 @@ def gauss_thakur(chi, ctx):
     return out
 
 
+def orbit_sums(ctx, n, rows, exponents):
+    """For each j in exponents, {r: sum_{beta mod n} w(beta) lambda_beta^j}
+    over the rows r = (s, w) with s + j = 0 mod q-1; every other row sums
+    to zero.  lambda_beta = exp(beta/n), n dividing the context modulus,
+    and each weight w maps beta to a big-field code with w(c*beta) =
+    c^s w(beta) for c in F_q^*, so replacing beta by c*beta scales a term
+    by c^(s+j); in the rows kept the q-1 = -1 terms of each orbit F_q^*
+    beta are equal: one combine per j over beta = 0 (its own orbit) and
+    the monic beta with a nonzero code, by the codes w(0) and -w(beta)."""
+    big, minus, step = ctx.big, ctx.big.scalar(-1), ctx.field.order - 1
+    count = max(exponents, default=0) + 1
+    cols, pows = [], []
+    for b in [Pol.zero(ctx.field)] + monics_up_to_degree(ctx.field,
+                                                         n.degree - 1):
+        col = [big.mul(minus, w(b)) if b else w(b) for _, w in rows]
+        if any(col):
+            lam = ctx.exp_at(b, n)
+            cols.append(col)
+            # x^0, x^1 alone (a basic Gauss sum) need no chain of powers
+            pows.append(ctx.powers(lam, count) if count > 2
+                        else (ctx.ring.one, lam))
+    codes = [[col[r] for col in cols] for r in range(len(rows))]
+    classes = {}
+    for r, (s, _) in enumerate(rows):
+        classes.setdefault(s % step, []).append(r)
+    out = []
+    for j in exponents:
+        live = classes.get(-j % step, [])
+        sums = ctx.ring.combine([pw[j] for pw in pows],
+                                [codes[r] for r in live]) if live else []
+        out.append(dict(zip(live, sums)))
+    return out
+
+
 def power_sums(ctx, n, exponents, chi):
-    """[sum over residues beta mod n of chi^{-1}(beta) exp(beta/n)^j for j in
-    exponents], for n the conductor of chi, a divisor of the context
-    modulus.  Replacing beta by c*beta for c in F_q^* scales the term by
-    c^(j - sign chi), so the sum is zero unless j = sign mod q-1, and else
-    the q-1 = -1 terms of each orbit F_q^* beta are equal: a combine over
-    beta = 0 (its own orbit) and the monic beta, by the codes chi^{-1}(0)
-    and -chi^{-1}(beta), of the memoized powers."""
-    inv, minus = chi.inverse(), ctx.big.scalar(-1)
-    codes, pows, count = [], [], max(exponents, default=0) + 1
-    betas = monics_up_to_degree(ctx.field, n.degree - 1)
-    for beta in [Pol.zero(ctx.field)] + betas:
-        code = ctx.char_value(inv, beta)
-        if code:
-            codes.append(ctx.big.mul(minus, code) if beta else code)
-            pows.append(ctx.powers(ctx.exp_at(beta, n), count))
-    sign, step = chi.sign, ctx.field.order - 1
-    return [ctx.ring.combine([x[j] for x in pows], [codes])[0]
-            if (j - sign) % step == 0 else ctx.ring.zero for j in exponents]
+    """[sum_{beta mod n} chi^{-1}(beta) exp(beta/n)^j for j in exponents], n
+    the conductor of chi (dividing the context modulus): the orbit sums of
+    the row chi^{-1}, of degree -sign chi as chi^{-1}(c) = c^(-sign chi)."""
+    inv = chi.inverse()
+    rows = [(-chi.sign, lambda beta: ctx.char_value(inv, beta))]
+    return [sums.get(0, ctx.ring.zero)
+            for sums in orbit_sums(ctx, n, rows, exponents)]

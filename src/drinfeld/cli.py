@@ -17,10 +17,11 @@ import os
 import sys
 
 from .algebra import (Pol, check_size, factor_squarefree_monic,
-                      finite_field, irreducible_monics, monics_up_to_degree,
-                      parse_int_coeffs, parse_pol, polys_below_degree)
+                      finite_field, irreducible_monics, parse_int_coeffs,
+                      parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
-from .characters import (DirichletCharacter, convolve, jacobi_factor)
+from .characters import (DirichletCharacter, convolve, jacobi_factor,
+                         orbit_sums, root_power_row)
 from .errors import DrinfeldError
 from .series import UExpansion, ModularMeta
 from .operators import (hecke_u, twist_monomial_closed, twist_normalized,
@@ -51,31 +52,15 @@ def field_of_order(q):
 def table_pairs(q, npol, rng):
     """All (j, i) with 1 <= i, j <= rng such that
     sum_beta beta(zeta)^(|n|-1-i) exp(beta/n)^j is nonzero, where zeta is
-    the canonical (smallest-code) root of the first prime factor of n.
-    Replacing beta by c*beta for c in F_q^* scales the term by
-    c^(j+|n|-1-i), so the sum is zero unless i = j mod q-1; only those
-    rows are summed.  In them each orbit F_q^* beta adds q-1 = -1 times its
-    monic term and beta = 0 adds nothing: the monic beta give it up to sign."""
+    the canonical (smallest-code) root of the first prime factor of n: the
+    orbit sums of the rows beta(zeta)^(-i), as beta(zeta)^(|n|-1) = 1 where
+    beta(zeta) != 0, so only the rows i = j mod q-1 are summed."""
     ctx = TorsionContext(npol, ext_degree=npol.degree)
-    size = q ** npol.degree
     zeta = min(ctx.primes[0].roots_in(ctx.big))
-    # per monic beta with beta(zeta) != 0: the codes beta(zeta)^(|n|-1-i)
-    # by i, and lambda_beta^j by j
-    codes, pows = [], []
-    for b in monics_up_to_degree(npol.field, npol.degree - 1):
-        v = b.eval_in(ctx.big, zeta, ctx.emb)
-        if v:
-            codes.append([ctx.big.pow(v, (size - 1 - i) % (size - 1))
-                          for i in range(1, rng + 1)])
-            pows.append(ctx.powers(ctx.exp_value(b), rng + 1))
-    rows = list(zip(*codes))
-    pairs = []
-    for j in range(1, rng + 1):
-        kept = range((j - 1) % (q - 1) + 1, rng + 1, q - 1)
-        sums = ctx.ring.combine([pw[j] for pw in pows],
-                                [rows[i - 1] for i in kept])
-        pairs += [(j, i) for i, acc in zip(kept, sums) if acc]
-    return pairs
+    rows = [root_power_row(ctx, zeta, -i) for i in range(1, rng + 1)]
+    sums = orbit_sums(ctx, npol, rows, range(1, rng + 1))
+    return [(j, r + 1) for j, accs in enumerate(sums, 1)
+            for r, acc in accs.items() if acc]
 
 
 def format_table(pairs, fmt):

@@ -13,13 +13,13 @@ import json
 from .algebra import Pol, REl, Residue, monics_up_to_degree, row_echelon
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter
-from .errors import NotReducible, SignMismatch, Unsupported
+from .errors import NotReducible, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
                      bound_for_precision, eisenstein_components, fold_units,
                      goss_coeffs_in, moebius_of_series, poly_eval_series,
-                     rescale_arg, u_of_az)
+                     require_sign, rescale_arg, u_of_az)
 from .operators import (gauss_over_conductor, hecke_a, hecke_twisted, hecke_u,
                         twist_normalized)
 
@@ -70,10 +70,7 @@ def fricke_eis(ctx, chi, k, bound):
     coefficient vanishing on multiples of the conductor made explicit (the
     trivial character would otherwise contribute there); weight k, type k,
     nebentypus chi^{-1}."""
-    q = ctx.field.order
-    if (chi.sign + k) % (q - 1) != 0:
-        raise SignMismatch("need s_chi = -k mod q-1 (got s=%d, k=%d)"
-                           % (chi.sign, k))
+    require_sign(chi, k)
     ppol = chi.conductor
     one = Pol.one(ctx.field)
     inv = chi.inverse()

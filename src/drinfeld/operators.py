@@ -6,14 +6,14 @@ collapsed into the two hard-coded formulas
     twist_raw(f) = n^(2m-k) sum_beta chi^{-1}(beta) f(z + beta/n).
 The twist's beta-sum is linear in the shift u -> u/(lambda_beta u + 1), so
 it is one shift_by_sums by the power sums sum_beta chi^{-1}(beta)
-lambda_beta^j (characters.power_sums: one monic beta per F_q^*-orbit), not
+lambda_beta^j (characters.power_sums, an orbit sum over monic beta), not
 one shift per residue; the normalized twist's sums carry g(chi^{-1})/n
-(normalized_sums).  The Hecke beta-sum is in closed form (see hecke_u).
+(normalized_sums).  The Hecke beta-sum is a Goss sum of ker C_q (hecke_u).
 """
 
 from .algebra import (Pol, is_irreducible, lucas_binomial,
                       monics_up_to_degree)
-from .carlitz import carlitz_coeffs
+from .carlitz import carlitz_coeffs, goss_recursion
 from .characters import gauss_thakur, power_sums
 from .errors import LevelPrime, NotPrimitive, Unsupported
 from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
@@ -64,12 +64,9 @@ def twist_raw(f, chi, ctx):
 
 
 def gauss_over_conductor(chi, ctx):
-    """g(chi^{-1})/n for n the conductor of chi, as a ring element; 1/n is
-    kept in ctx.gauss under the key n."""
-    n = chi.conductor
-    if n not in ctx.gauss:
-        ctx.gauss[n] = ctx.lift_poly(n).invert()
-    return gauss_thakur(chi.inverse(), ctx) * ctx.gauss[n]
+    """g(chi^{-1})/n for n the conductor of chi, as a ring element."""
+    return (gauss_thakur(chi.inverse(), ctx)
+            * ctx.lift_poly(chi.conductor).invert())
 
 
 def normalized_sums(chi, ctx, count):
@@ -117,11 +114,11 @@ def hecke_u(f, qpol, ctx):
     The beta-sum in closed form, by Goss polynomials of the lattice
     L = ker C_q (Gekeler, Invent. Math. 93, 1988): e_L(x) = C_q(x)/q, and
     x = e(z/q) has C_q(x) = 1/u, so sum_beta u((z+beta)/q)^n =
-    sum_{l in L} (x+l)^(-n) = G_{n,L}(qu) = H_n(u), where H_1 = qX and, for
-    n > 1, H_n = X * sum_{i>=0} [q]_i H_{n-q^i} (H_{<=0} = 0) in A[X].  The a_0
-    term has |q| = 0 summands, and H_n starts at u^ceil(n/|q|), so no
-    n >= prec reaches the output.  The result is verified to be free of the
-    q-torsion generator, and any residue signals a bug.
+    sum_{l in L} (x+l)^(-n) = G_{n,L}(qu) = H_n(u) in A[X]: the
+    carlitz.goss_recursion of c_i = [q]_i, cut to prec // |q| coefficients.
+    The a_0 term has |q| = 0 summands, and H_n starts at u^ceil(n/|q|), so
+    no n >= prec reaches the output.  The result is verified to be free of
+    the q-torsion generator, and any residue signals a bug.
     """
     if f.meta is None or f.meta.weight is None:
         raise ValueError("Hecke operators need weight metadata")
@@ -134,16 +131,11 @@ def hecke_u(f, qpol, ctx):
         raise ValueError("precision %d too small for |q| = %d" % (f.prec, size))
     k = f.meta.weight
     psi_q = neben_eval(f.meta.neben, qpol, ctx)
-    zero = Pol.zero(ctx.field)
     steps = [(ctx.field.order ** i, c)
              for i, c in enumerate(carlitz_coeffs(qpol)) if c]
-    H = [[zero] * Nout, ([zero, qpol] + [zero] * Nout)[:Nout]]
+    H = goss_recursion(steps, f.prec - 1, Pol.zero(ctx.field), Nout)
     pairs = [[] for _ in range(Nout)]
     for n, a in enumerate(f.coeffs):
-        if n > 1:
-            terms = [(c, H[n - s]) for s, c in steps if s < n]
-            H.append([zero] + [sum((c * h[m] for c, h in terms if h[m]), zero)
-                               for m in range(Nout - 1)])
         if n and a:
             for m, h in enumerate(H[n]):
                 if h:

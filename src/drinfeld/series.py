@@ -484,6 +484,14 @@ def fold_units(ctx, k, level, comp):
             for a in ctx.units(level) if a.is_monic()}
 
 
+def require_sign(chi, k):
+    """Raise SignMismatch unless s_chi = -k mod q-1, the condition under
+    which the Eisenstein series of weight k with character chi exist."""
+    if (chi.sign + k) % (chi.field.order - 1):
+        raise SignMismatch("need s_chi = -k mod q-1 (got s=%d, k=%d)"
+                           % (chi.sign, k))
+
+
 class TwistedEisenstein:
     """The weight-k Eisenstein object sum_a comp(a) * E~_{(0,a)} where
     E~_{(0,a)} := (p^k / pi^k) E_{(0,a)} = sum_{c in A} G_k(u(cz + a/p)).
@@ -508,10 +516,7 @@ class TwistedEisenstein:
 
     @classmethod
     def build(cls, ctx, k, chi):
-        q = ctx.field.order
-        if (chi.sign + k) % (q - 1) != 0:
-            raise SignMismatch("need s_chi = -k mod q-1 (got s=%d, k=%d)"
-                               % (chi.sign, k))
+        require_sign(chi, k)
         inv = chi.inverse()
         comp = {a.c: ctx.ring.one.scale_const(ctx.char_value(inv, a))
                 for a in ctx.units(ctx.conductor_of(chi))}

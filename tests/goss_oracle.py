@@ -1,9 +1,26 @@
-"""Goss polynomials of the Carlitz lattice from the exponential generating
-identity.  An oracle for carlitz.goss_polys, which builds them by the
-recursion G_k = X*(G_{k-1} + sum_i G_{k-q^i}/D_i)."""
+"""Goss polynomials from constructions independent of
+carlitz.goss_recursion: those of the Carlitz lattice from the exponential
+generating identity (an oracle for goss_polys), and those of ker C_q by
+the loop operators.hecke_u once ran inline (an oracle for hecke_u's H_n)."""
 
-from drinfeld.algebra import RF
-from drinfeld.carlitz import carlitz_factorials
+from drinfeld.algebra import RF, Pol
+from drinfeld.carlitz import carlitz_coeffs, carlitz_factorials
+
+
+def kernel_goss_loop(qpol, N, width):
+    """H_0..H_N, H_n(X) = G_{n, ker C_q}(qX), each as a list of exactly
+    width Pol coefficients (low degree first, cut or padded with zeros):
+    H_0 = 0, H_1 = qX and H_n = X * sum_{i>=0} [q]_i H_{n-q^i}, summed
+    coefficient by coefficient over the steps with q^i < n."""
+    zero = Pol.zero(qpol.field)
+    steps = [(qpol.field.order ** i, c)
+             for i, c in enumerate(carlitz_coeffs(qpol)) if c]
+    H = [[zero] * width, ([zero, qpol] + [zero] * width)[:width]]
+    for n in range(2, N + 1):
+        terms = [(c, H[n - s]) for s, c in steps if s < n]
+        H.append([zero] + [sum((c * h[m] for c, h in terms if h[m]), zero)
+                           for m in range(width - 1)])
+    return H
 
 
 def goss_generating(field, N):

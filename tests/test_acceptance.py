@@ -7,7 +7,7 @@ from argparse import Namespace
 from drinfeld import cli, forms
 from drinfeld.algebra import (Pol, finite_field, lucas_binomial, parse_pol,
                               polys_below_degree)
-from drinfeld.carlitz import TorsionContext, _goss_recursion
+from drinfeld.carlitz import TorsionContext, goss_polys
 from drinfeld.characters import DirichletCharacter
 from drinfeld.operators import (hecke_a, hecke_u, twist_normalized, twist_raw,
                                 _modulus_power)
@@ -287,7 +287,7 @@ def test_criterion_13_goss_oracle():
     for q in (3, 5):
         field = finite_field(q)
         N = 4 * q
-        rec = _goss_recursion(field, N)
+        rec = goss_polys(field, N)
         gen = goss_generating(field, N)
         if rec != gen:
             detail = "constructions differ at q=%d" % q

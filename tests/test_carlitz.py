@@ -5,16 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from drinfeld.algebra import (RF, Pol, finite_field, is_irreducible,
-                              lucas_binomial, monics_of_degree, parse_pol,
+from drinfeld.algebra import (RF, Pol, finite_field, irreducible_monics,
+                              is_irreducible, lucas_binomial,
+                              monics_of_degree, parse_pol,
                               polys_below_degree)
 from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
                               carlitz_coeffs, carlitz_factorials,
-                              goss_polys)
+                              goss_polys, goss_recursion)
 from drinfeld.errors import NotReducible
 from drinfeld.series import UExpansion, goss_coeffs_in, shift_by_value
 
-from goss_oracle import goss_generating
+from goss_oracle import goss_generating, kernel_goss_loop
 from residue_oracle import evaluator, point_image
 
 F3 = finite_field(3)
@@ -677,3 +678,54 @@ class TestGossPolynomials:
             assert x.rf_coords() == [want] + zeros
             fractions += not want.is_pol()
         assert fractions
+
+
+def _kernel_primes():
+    """(q, Q) for a linear and a quadratic monic prime Q, q = 2, 3, 4, 5, 9:
+    the first of each degree in the order of irreducible_monics."""
+    out = []
+    for field in (finite_field(2), F3, F4, F5, F9):
+        for d in (1, 2):
+            Q = next(P for P in irreducible_monics(field, d) if P.degree == d)
+            out.append((field.order, Q))
+    return out
+
+
+KERNEL_PRIMES = _kernel_primes()
+KERNEL_IDS = ["q%d-%s" % (q, Q.format()) for q, Q in KERNEL_PRIMES]
+
+
+class TestGossRecursionOnKernel:
+    """goss_recursion with c_i = [q]_i, as hecke_u calls it, against the loop
+    hecke_u ran inline before (goss_oracle.kernel_goss_loop)."""
+
+    @pytest.mark.parametrize("q, Q", KERNEL_PRIMES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("width", [3, 7, 40])
+    def test_matches_inline_loop(self, q, Q, width):
+        # width 3 and 7 cut H_n below its degree n, width 40 lies above
+        # every degree; N reaches past q^2 wherever that stays small
+        N = min(30, q ** 2 + 3)
+        zero = Pol.zero(Q.field)
+        steps = [(q ** i, c) for i, c in enumerate(carlitz_coeffs(Q)) if c]
+        got = goss_recursion(steps, N, zero, width)
+        want = kernel_goss_loop(Q, N, width)
+        assert len(got) == N + 1 and got[0] is None
+        for n in range(1, N + 1):
+            assert len(got[n]) == min(n + 1, width)
+            assert got[n] + [zero] * (width - len(got[n])) == want[n], n
+        assert any(any(h) for h in got[1:])
+
+    @pytest.mark.parametrize("q, Q", KERNEL_PRIMES[:4], ids=KERNEL_IDS[:4])
+    def test_cut_is_a_prefix(self, q, Q):
+        # a width only drops coefficients: the cut lists are prefixes of
+        # the full ones, which have degree n, top coefficient q^n (from
+        # the step [q]_0 = q) and no constant term
+        N = 12
+        zero = Pol.zero(Q.field)
+        steps = [(q ** i, c) for i, c in enumerate(carlitz_coeffs(Q)) if c]
+        full = goss_recursion(steps, N, zero)
+        cut = goss_recursion(steps, N, zero, 4)
+        for n in range(1, N + 1):
+            assert len(full[n]) == n + 1 and not full[n][0]
+            assert full[n][n] == Q ** n
+            assert cut[n] == full[n][:4]

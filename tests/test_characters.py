@@ -10,7 +10,8 @@ from drinfeld.algebra import (FiniteField, Pol, factor_squarefree_monic,
                               finite_field, parse_pol, polys_below_degree)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import (DirichletCharacter, convolve, gauss_thakur,
-                                 jacobi_factor, power_sums)
+                                 jacobi_factor, orbit_sums, power_sums,
+                                 root_power_row)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
 from drinfeld.operators import (gauss_over_conductor, twist_monomial_closed,
                                 twist_normalized, twist_raw)
@@ -43,6 +44,17 @@ def all_residue_power_sums(ctx, n, exponents, chi):
             codes.append(code)
             pows.append(ctx.powers(ctx.exp_at(beta, n), count))
     return [ctx.ring.combine([x[j] for x in pows], [codes])[0]
+            for j in exponents]
+
+
+def all_residue_orbit_sums(ctx, n, rows, exponents):
+    """orbit_sums as one combine over every residue beta mod n, for every
+    exponent and every row: no F_q^*-orbit folding and no sign rule."""
+    betas = ctx.residues(n)
+    count = max(exponents, default=0) + 1
+    pows = [ctx.powers(ctx.exp_at(beta, n), count) for beta in betas]
+    return [ctx.ring.combine([x[j] for x in pows],
+                             [[w(beta) for beta in betas] for _, w in rows])
             for j in exponents]
 
 
@@ -464,6 +476,46 @@ class TestOrbitSums:
         want = all_residue_power_sums(oracle, conductor, range(N), chi)
         assert [x.coords for x in got] == [x.coords for x in want]
         assert any(want)
+
+    @pytest.mark.parametrize("npol, e", [
+        (pol3("t^2+t"), [1, 1]), (Pol(F4, (2, 1, 1)), 5), (Pol.x(F9), 3),
+        (parse_pol(F5, "t^2+2"), 7), (parse_pol(F2, "t^3+t+1"), 3)],
+        ids=["q3-t2+t", "q4", "q9-t", "q5", "q2"])
+    def test_orbit_sums_match_all_residues(self, npol, e):
+        # several rows at once: the trivial character (chi^{-1}(0) = 1, so
+        # at j = 0 the beta = 0 term counts: its sum there is |n| = 0, which
+        # folding beta = 0 into a -1 orbit would change), a primitive
+        # chi^{-1}, and beta(zeta)^(-i) for i = 1, 2, 3, which over t^2+t
+        # at the root zeta = 0 of t vanishes at beta = t, 2t as well as at 0
+        N = max(10, npol.field.order ** npol.degree)
+
+        def rows(ctx):
+            trivial = DirichletCharacter.trivial(npol, big=ctx.big)
+            inv = DirichletCharacter.from_conductor(
+                npol, e, big=ctx.big).inverse()
+            zeta = min(ctx.primes[0].roots_in(ctx.big))
+            return ([(0, lambda b: ctx.char_value(trivial, b)),
+                     (inv.sign, lambda b: ctx.char_value(inv, b))]
+                    + [root_power_row(ctx, zeta, -i) for i in (1, 2, 3)])
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        got = orbit_sums(ctx, npol, rows(ctx), range(N))
+        oracle = TorsionContext(npol, ext_degree=npol.degree)
+        want = all_residue_orbit_sums(oracle, npol, rows(oracle), range(N))
+        zero = ctx.ring.zero
+        assert [[sums.get(r, zero).coords for r in range(5)]
+                for sums in got] == [[x.coords for x in row] for row in want]
+        # only the rows of j's class mod q-1 are summed; every row is
+        # nonzero somewhere
+        step = npol.field.order - 1
+        assert [sorted(sums) for sums in got] == [
+            [r for r, (s, _) in enumerate(rows(ctx)) if (s + j) % step == 0]
+            for j in range(N)]
+        assert all(any(sums.get(r) for sums in got) for r in range(5))
+        # first powers alone take the path that builds no power chain
+        ctx = TorsionContext(npol, ext_degree=npol.degree)
+        first = orbit_sums(ctx, npol, rows(ctx), [1])[0]
+        assert ([first.get(r, zero).coords for r in range(5)]
+                == [x.coords for x in want[1]])
 
     @pytest.mark.parametrize("npol, exponents", [
         (Pol(F4, (2, 1, 1)), [5]), (Pol(F4, (2, 1, 1)), [7]),

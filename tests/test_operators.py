@@ -130,9 +130,9 @@ class TestTwistNormalized:
             assert twist_normalized(ui, chi, ctx).agrees_with(closed)
         assert nonzero
 
-    def test_conductor_inverted_once_per_context(self, monkeypatch):
-        # 1/n is kept in ctx.gauss: every character of conductor n, on every
-        # call, reuses the one inversion; a new context inverts again
+    def test_gauss_memo_holds_characters_only(self, monkeypatch):
+        # ctx.gauss keeps g(chi) per character and nothing else: each call
+        # inverts n itself, once, and a new context gives the same values
         ppol = pol3("t^2+1")
         ctx = TorsionContext(ppol, ext_degree=2)
         chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
@@ -145,11 +145,13 @@ class TestTwistNormalized:
                             lambda x: inverted.append(x) or invert(x))
         for _ in range(3):
             assert [gauss_over_conductor(chi, ctx) for chi in chis] == want
-        assert inverted == [ctx.lift_poly(ppol)]
+        assert inverted == [ctx.lift_poly(ppol)] * 9
+        assert set(ctx.gauss) == {chi.inverse() for chi in chis}
         other = TorsionContext(ppol, ext_degree=2)
-        gauss_over_conductor(chis[0], other)
-        gauss_over_conductor(chis[1], other)
-        assert len(inverted) == 2
+        chis = [DirichletCharacter.from_conductor(ppol, e, big=other.big)
+                for e in (1, 2, 5)]
+        assert ([gauss_over_conductor(chi, other).coords for chi in chis]
+                == [x.coords for x in want])
 
     def test_independent_of_weight_metadata(self):
         # the conductor powers cancel, leaving n^(-1) regardless of (k, m)
