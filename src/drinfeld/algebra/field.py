@@ -169,6 +169,9 @@ class ResidueRing:
         return [self.dot((e, self.from_const(c)) for e, c in zip(elems, row))
                 for row in rows]
 
+    def dot_once(self, pairs):
+        return self.dot(pairs)  # a residue keeps no column cache
+
     def power_step(self, prev, x):
         return prev * x
 

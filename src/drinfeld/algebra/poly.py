@@ -231,16 +231,16 @@ class Pol:
 
 
 def power(x, e, one):
-    """x^e for e >= 0 by repeated squaring, starting from one; the last
-    squaring, which nothing would use, is skipped."""
-    r = one
+    """x^e for e >= 0 by repeated squaring, with no product by one (x^1 is x
+    itself) and no last squaring, which nothing would use."""
+    r = None
     while e:
         if e & 1:
-            r = r * x
+            r = x if r is None else r * x
         e >>= 1
         if e:
             x = x * x
-    return r
+    return one if r is None else r
 
 
 def parse_pol(field, text, symbol="t"):

@@ -210,14 +210,20 @@ class QuotientRing:
             terms.append(self._reduce(acc, w))
         return REl(self, self._slot_sum(terms), unit)
 
+    def dot_once(self, pairs):
+        """dot over a sequence of pairs, leaving each second operand's column
+        cache as it was, for operands read once (a power, a memo's element)."""
+        held = [(b, b._cols) for _, b in pairs]
+        out = self.dot(pairs)
+        for b, cols in held:
+            b._cols = cols
+        return out
+
     def power_step(self, prev, x):
         """prev * x, leaving prev's column cache as it was: in a chain of
         powers each power's columns are read once, to build the next, and
         only x's, read at every step, are kept."""
-        cols = prev._cols
-        out = prev * x
-        prev._cols = cols
-        return out
+        return self.dot_once(((x, prev),))
 
     def _slot_sum(self, terms):
         """The slot-wise sum mod p of numerators with slots < p: up to

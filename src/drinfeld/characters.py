@@ -6,7 +6,7 @@ chi(a) = a(zeta_1)^{e_1} * ... * a(zeta_r)^{e_r}, with the convention
 0^0 = 1 so that exponent-zero factors never kill a value.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .algebra import (Pol, factor_squarefree_monic, finite_field,
@@ -199,20 +199,24 @@ def _require_pair(chi1, chi2):
             raise ConductorMismatch("exponents must lie in 1..|p|-2 at every factor")
 
 
-def root_power_row(ctx, root, e):
-    """The orbit_sums row of the weight beta -> beta(root)^e, read as 0 where
-    beta(root) = 0; its degree is e, as (c*beta)(root) = c*beta(root) for
-    c in F_q^*."""
-    def weight(beta):
-        v = beta.eval_in(ctx.big, root, ctx.emb)
-        return ctx.big.pow(v, e) if v else 0
-    return e, weight
+def root_power_rows(ctx, root, exponents):
+    """The orbit_sums rows of the weights beta -> beta(root)^e, e in
+    exponents, read as 0 where beta(root) = 0; a row's degree is its e, as
+    (c*beta)(root) = c*beta(root) for c in F_q^*.  orbit_sums reads all
+    rows at one beta in turn, so each beta(root) is evaluated once."""
+    last = [None, 0]  # the beta read last, and beta(root)
+
+    def weight(e, beta):
+        if beta is not last[0]:
+            last[:] = beta, beta.eval_in(ctx.big, root, ctx.emb)
+        return last[1] and ctx.big.pow(last[1], e)
+    return [(e, partial(weight, e)) for e in exponents]
 
 
 def _basic_gauss_sum(ctx, prime, root):
     """g(chi_zeta) = sum_{delta != 0} chi_zeta(delta)^{-1} C_delta(lambda),
     chi_zeta(delta) = delta(zeta): an orbit sum at j = 1."""
-    return orbit_sums(ctx, prime, [root_power_row(ctx, root, -1)], [1])[0][0]
+    return orbit_sums(ctx, prime, root_power_rows(ctx, root, [-1]), [1])[0][0]
 
 
 def gauss_thakur(chi, ctx):

@@ -21,7 +21,7 @@ from .algebra import (Pol, check_size, factor_squarefree_monic,
                       parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
 from .characters import (DirichletCharacter, convolve, jacobi_factor,
-                         orbit_sums, root_power_row)
+                         orbit_sums, root_power_rows)
 from .errors import DrinfeldError
 from .series import UExpansion, ModularMeta
 from .operators import (hecke_u, twist_monomial_closed, twist_normalized,
@@ -57,7 +57,7 @@ def table_pairs(q, npol, rng):
     beta(zeta) != 0, so only the rows i = j mod q-1 are summed."""
     ctx = TorsionContext(npol, ext_degree=npol.degree)
     zeta = min(ctx.primes[0].roots_in(ctx.big))
-    rows = [root_power_row(ctx, zeta, -i) for i in range(1, rng + 1)]
+    rows = root_power_rows(ctx, zeta, range(-1, -rng - 1, -1))
     sums = orbit_sums(ctx, npol, rows, range(1, rng + 1))
     return [(j, r + 1) for j, accs in enumerate(sums, 1)
             for r, acc in accs.items() if acc]

@@ -17,9 +17,9 @@ from .errors import NotReducible, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
-                     bound_for_precision, eisenstein_components, fold_units,
-                     goss_coeffs_in, moebius_of_series, poly_eval_series,
-                     require_sign, rescale_arg, u_of_az)
+                     bound_for_precision, combination, eisenstein_components,
+                     fold_units, goss_coeffs_in, moebius_of_series,
+                     poly_eval_series, require_sign, rescale_arg, u_of_az)
 from .operators import (gauss_over_conductor, hecke_a, hecke_twisted, hecke_u,
                         twist_normalized)
 
@@ -296,7 +296,7 @@ def eisenstein_rows(ctx, k, N):
     both series for each character chi with the matching sign.
 
     Both rows are character-independent series computed once and combined
-    per character with |units| scalings: the ETilde row from the E_a at
+    per character, one combination each: the ETilde row from the E_a at
     monic units a, with chi^{-1} folded onto them by fold_units, and the
     EHat row as sum_r chi^{-1}(r) B_r over the units r mod p, with
     B_r = sum_{c monic, c = r mod p} G_k(u(cz)).
@@ -318,16 +318,11 @@ def eisenstein_rows(ctx, k, N):
             buckets[r] += poly_eval_series(gk, u_of_az(ctx, c, N))
     rows = []
     for chi in chis:
-        inv = {r.c: chi.eval_inv(r) for r in units}
-        w = fold_units(ctx, k, ppol,
-                       {r: ctx.big_const(v) for r, v in inv.items()})
-        tilde = hat = UExpansion.zero(ctx, N)
-        for akey, E in comps.items():
-            tilde = tilde + E.scale(w[akey])
-        for r, B in buckets.items():
-            hat = hat + B.scale_const(inv[r])
-        rows.append(tilde.coeffs)
-        rows.append(hat.coeffs)
+        inv = {r.c: ctx.big_const(chi.eval_inv(r)) for r in units}
+        w = fold_units(ctx, k, ppol, inv)
+        for terms in ([(w[a], E.coeffs) for a, E in comps.items()],
+                      [(inv[r], B.coeffs) for r, B in buckets.items()]):
+            rows.append(combination(ctx, terms, N).coeffs)
     return rows
 
 

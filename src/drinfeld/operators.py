@@ -17,7 +17,7 @@ from .carlitz import carlitz_coeffs, goss_recursion
 from .characters import gauss_thakur, power_sums
 from .errors import LevelPrime, NotPrimitive, Unsupported
 from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
-                     rescale_arg, shift_by_sums)
+                     combination, rescale_arg, shift_by_sums)
 
 
 def _modulus_power(ctx, m, e):
@@ -129,22 +129,17 @@ def hecke_u(f, qpol, ctx):
     Nout = f.prec // size
     if Nout < 1:
         raise ValueError("precision %d too small for |q| = %d" % (f.prec, size))
-    k = f.meta.weight
-    psi_q = neben_eval(f.meta.neben, qpol, ctx)
+    qk = ctx.lift_poly(qpol ** f.meta.weight).scale_const(
+        neben_eval(f.meta.neben, qpol, ctx))
     steps = [(ctx.field.order ** i, c)
              for i, c in enumerate(carlitz_coeffs(qpol)) if c]
     H = goss_recursion(steps, f.prec - 1, Pol.zero(ctx.field), Nout)
-    pairs = [[] for _ in range(Nout)]
-    for n, a in enumerate(f.coeffs):
-        if n and a:
-            for m, h in enumerate(H[n]):
-                if h:
-                    pairs[m].append((a, ctx.lift_poly(h)))
-    term2 = UExpansion(ctx, [ctx.ring.dot(ps) for ps in pairs], Nout)
-    term1 = rescale_arg(f.truncate(Nout), qpol).scale(ctx.lift_poly(qpol ** k))
-    if psi_q != 1:
-        term1 = term1.scale_const(psi_q)
-    out = (term1 + term2).with_meta(f.meta)
+    zero = ctx.ring.zero
+    out = combination(ctx, [(qk, rescale_arg(f.truncate(Nout), qpol).coeffs)]
+                      + [(a, UExpansion(ctx, [ctx.lift_poly(h) if h else zero
+                                              for h in H[n]], Nout).coeffs)
+                         for n, a in enumerate(f.coeffs) if n and a],
+                      Nout, f.meta)
     for n, c in enumerate(out.coeffs):
         if not c.exponent_free(qidx):
             raise RuntimeError("Hecke output not free of the q-torsion "
@@ -155,7 +150,7 @@ def hecke_u(f, qpol, ctx):
 def hecke_a(F, qpol):
     """T_q on an A-expansion, for q a monic prime:
     c'_a = q^g c_a [q does not divide a] + q^k psi(q) c_{a/q} [q | a],
-    with g the Goss index and k the weight; one division per monic a."""
+    with g the Goss index and k the weight; a/q is looked up, not divided."""
     if not (qpol.is_monic() and is_irreducible(qpol)):
         raise ValueError("T_q needs a monic prime q, not %s" % qpol.format())
     ctx = F.ctx
@@ -167,10 +162,12 @@ def hecke_a(F, qpol):
     newbound = F.bound - qpol.degree
     if newbound < 0:
         raise ValueError("degree bound too small for this Hecke prime")
+    quots = {(qpol * b).c: b for b in
+             monics_up_to_degree(ctx.field, newbound - qpol.degree)}
     coeffs = {}
     for a in monics_up_to_degree(ctx.field, newbound):
-        quot, rem = divmod(a, qpol)
-        c, scale = (F.coefficient(a), qg) if rem else (F.coefficient(quot), qk)
+        b = quots.get(a.c)
+        c, scale = (F.coefficient(b), qk) if b else (F.coefficient(a), qg)
         coeffs[a.c] = c * scale if c else ctx.ring.zero
     return AExpansion(ctx, F.kind, F.index, F.weight, F.type_, coeffs,
                       newbound, F.neben)

@@ -235,6 +235,14 @@ def bound_for_precision(field, N, min_exp=1):
     return b
 
 
+def combination(ctx, terms, N, meta=None):
+    """sum_k c_k * S_k to precision N for terms [(c_k, coefficients of S_k)],
+    one ring.dot_once each, so the S_k (a u_of_az memo) keep their caches."""
+    dot = ctx.ring.dot_once
+    return UExpansion(ctx, [dot([(c, s[n]) for c, s in terms if s[n]])
+                            for n in range(N)], N, meta)
+
+
 def poly_eval_series(coeffs, S):
     """Evaluate a polynomial G (list of ring elements, low first) at a
     series of positive order, by accumulating truncated powers.  A value
@@ -251,16 +259,15 @@ def poly_eval_series(coeffs, S):
         return UExpansion(ctx, [coeffs[0]] + [
             ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
             for n in range(1, N)], N)
-    out = UExpansion(ctx, coeffs[:1], N)
-    power = None
-    ordS = S.order()
+    terms = [(coeffs[0], UExpansion.const(ctx, ctx.ring.one, N).coeffs)]
+    power, ordS = None, S.order()
     for i in range(1, len(coeffs)):
         if i * ordS >= N:
             break
         power = S if power is None else power * S
         if coeffs[i]:
-            out = out + power.scale(coeffs[i])
-    return out
+            terms.append((coeffs[i], power.coeffs))
+    return combination(ctx, terms, N)
 
 
 def poly_eval_scalar(coeffs, x, ring):
@@ -407,26 +414,23 @@ class AExpansion:
         return ModularMeta(self.weight, self.type_, neben=self.neben)
 
     def render(self, N):
-        """Truncated u-expansion; the omitted degrees must start beyond N."""
-        q = self.ctx.field.order
+        """Truncated u-expansion sum_a c_a G(u(az)), G = X^i or G_k, as one
+        combination of the u(az)^j by c_a g_j; the bound must reach u^N."""
+        ctx, q = self.ctx, self.ctx.field.order
         min_exp = self.index if self.kind == "power" else 1
-        if self.bound < bound_for_precision(self.ctx.field, N, min_exp):
+        if self.bound < bound_for_precision(ctx.field, N, min_exp):
             raise InsufficientDegreeBound(
                 "degree bound %d cannot reach precision %d" % (self.bound, N))
-        ctx = self.ctx
-        out = UExpansion.zero(ctx, N)
-        gk = goss_coeffs_in(ctx, self.index) if self.kind == "goss" else None
+        g = (goss_coeffs_in(ctx, self.index) if self.kind == "goss"
+             else [ctx.ring.zero] * self.index + [ctx.ring.one])
+        terms = []
         for a in monics_up_to_degree(ctx.field, self.bound):
             c = min_exp * q ** a.degree < N and self.coefficient(a)
-            if not c:
-                continue
-            U = u_of_az(ctx, a, N)
-            if self.kind == "power":
-                term = U ** self.index
-            else:
-                term = poly_eval_series(gk, U)
-            out = out + term.scale(c)
-        return out.with_meta(self.meta())
+            if c:
+                U = u_of_az(ctx, a, N)
+                terms += [(c * gj, (U ** j).coeffs) for j, gj in enumerate(g)
+                          if gj and j * q ** a.degree < N]
+        return combination(ctx, terms, N, self.meta())
 
 
 def eisenstein_components(ctx, k, level, N):
@@ -439,36 +443,29 @@ def eisenstein_components(ctx, k, level, N):
     and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
     -1 when (q-1) | n and 0 otherwise.  So with the power sums
     P_m = sum_{c' monic} u(c'z)^(m(q-1)) and s = G_k(u/(lambda_a u + 1)),
-    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m, with 1/lambda_a
-    from the Carlitz relation (TorsionContext.torsion_inverse).
+    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m, one combination,
+    with 1/lambda_a from the Carlitz relation (TorsionContext.torsion_inverse).
     """
     q = ctx.field.order
     step = q - 1
     P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
     for c in monics_up_to_degree(ctx.field, bound_for_precision(ctx.field, N)):
         count = (N - 1) // (step * q ** c.degree)  # powers of order < N
-        if not count:
-            continue
-        V = W = u_of_az(ctx, c, N) ** step
-        for m in range(count):
-            if m:
-                W = W * V
+        for m in range(count):  # W = V^(m+1), V = u(cz)^(q-1)
+            W = W * V if m else (V := u_of_az(ctx, c, N) ** step)
             P[m] = P[m] + W
     gk = goss_coeffs_in(ctx, k)
     G = UExpansion(ctx, gk, N)
     inverse = ctx.torsion_inverse(level)
+    one = UExpansion.const(ctx, ctx.ring.one, N).coeffs
     out = {}
     for a in ctx.units(level):
-        if not a.is_monic():
-            continue
-        lam = ctx.exp_at(a, level)
-        s = shift_by_value(G, lam).coeffs
-        E = UExpansion.const(
-            ctx, poly_eval_scalar(gk, inverse(lam), ctx.ring), N)
-        for m, Pm in enumerate(P, 1):
-            if s[m * step]:
-                E = E - Pm.scale(s[m * step])
-        out[a.c] = E
+        if a.is_monic():
+            lam = ctx.exp_at(a, level)
+            s = shift_by_value(G, lam).coeffs[step::step]  # s_{m(q-1)}
+            out[a.c] = combination(
+                ctx, [(poly_eval_scalar(gk, inverse(lam), ctx.ring), one)]
+                + [(-x, Pm.coeffs) for x, Pm in zip(s, P) if x], N)
     return out
 
 
@@ -535,12 +532,10 @@ class TwistedEisenstein:
 
     def render(self, N):
         """Truncated u-expansion sum_a comp(a) * E_a over the units a,
-        computed as sum_{a monic} w(a) * E_a with the components folded
-        onto the monic units by fold_units."""
+        computed as the combination sum_{a monic} w(a) * E_a with the
+        components folded onto the monic units by fold_units."""
         ctx = self.ctx
-        out = UExpansion.zero(ctx, N)
         comps = eisenstein_components(ctx, self.k, self.level, N)
         w = fold_units(ctx, self.k, self.level, self.components)
-        for key, E in comps.items():
-            out = out + E.scale(w[key])
-        return out.with_meta(self.meta())
+        return combination(ctx, [(w[key], E.coeffs) for key, E in
+                                 comps.items()], N, self.meta())

@@ -1,15 +1,24 @@
-"""Substitutions the library runs only through their fused, closed-form
-or memoised routes: a torsion shift by one residue, the ascent to the
-sub-parameter v = u(z/q), the descent from v back to u, and u(az) built
-afresh.  The oracles that the power-sum shifts, the closed-form Hecke
-beta-sum of operators.py and the per-context u(az) memo are tested
-against.  A series in v is a UExpansion whose variable is read as v.
+"""Substitutions and sums the library runs only through their fused,
+closed-form or memoised routes: a torsion shift by one residue, the ascent
+to the sub-parameter v = u(z/q), the descent from v back to u, u(az) built
+afresh, powers as repeated products, T_q on an A-expansion by one division
+per monic, and the linear combinations of u-series that
+series.combination forms with one dot per coefficient, summed here term by
+term as S.scale(c) plus series additions.  The oracles that the power-sum
+shifts, the closed-form Hecke beta-sum of operators.py, the per-context
+u(az) memo, algebra.power, operators.hecke_a, the renders and the
+Eisenstein components and rows are tested against.  A series in v is a
+UExpansion whose variable is read as v.
 """
 
+from drinfeld.algebra import monics_up_to_degree
 from drinfeld.carlitz import carlitz_coeffs
+from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import DrinfeldError
-from drinfeld.series import (UExpansion, poly_eval_series, shift_by_value,
-                             u_of_az)
+from drinfeld.operators import neben_eval
+from drinfeld.series import (UExpansion, bound_for_precision, fold_units,
+                             goss_coeffs_in, poly_eval_scalar,
+                             poly_eval_series, shift_by_value, u_of_az)
 
 
 def direct_u_of_az(ctx, a, N):
@@ -99,3 +108,134 @@ def descend(g, qpol, meta=None):
         if residual[n]:
             raise NotDescendable("residual coefficient at v^%d" % n)
     return UExpansion(ctx, out, Nu, meta)
+
+
+def repeated_product(x, e, one):
+    """x^e as e products, starting from one."""
+    out = one
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+def divmod_hecke_coeffs(F, qpol):
+    """The coefficient map of hecke_a(F, qpol), by one divmod per monic a."""
+    ctx = F.ctx
+    qg = ctx.lift_poly(qpol ** F.index)
+    qk = ctx.lift_poly(qpol ** F.weight)
+    psi_q = neben_eval(F.neben, qpol, ctx)
+    if psi_q != 1:
+        qk = qk.scale_const(psi_q)
+    coeffs = {}
+    for a in monics_up_to_degree(ctx.field, F.bound - qpol.degree):
+        quot, rem = divmod(a, qpol)
+        c, scale = (F.coefficient(a), qg) if rem else (F.coefficient(quot), qk)
+        coeffs[a.c] = c * scale if c else ctx.ring.zero
+    return coeffs
+
+
+def scaled_sum_poly_eval(coeffs, S):
+    """poly_eval_series(coeffs, S) for a series S with no Moebius record:
+    the powers of S scaled and summed one by one."""
+    ctx, N = S.ctx, S.prec
+    out = UExpansion(ctx, coeffs[:1], N)
+    power = None
+    for i in range(1, len(coeffs)):
+        if i * S.order() >= N:
+            break
+        power = S if power is None else power * S
+        if coeffs[i]:
+            out = out + power.scale(coeffs[i])
+    return out
+
+
+def scaled_sum_render(F, N):
+    """F.render(N) as sum_a term_a.scale(c_a), with u(az) built afresh and
+    u(az)^i as repeated products."""
+    ctx = F.ctx
+    q = ctx.field.order
+    min_exp = F.index if F.kind == "power" else 1
+    gk = goss_coeffs_in(ctx, F.index) if F.kind == "goss" else None
+    one = UExpansion.const(ctx, ctx.ring.one, N)
+    out = UExpansion.zero(ctx, N)
+    for a in monics_up_to_degree(ctx.field, F.bound):
+        c = min_exp * q ** a.degree < N and F.coefficient(a)
+        if c:
+            U = direct_u_of_az(ctx, a, N)
+            term = (repeated_product(U, F.index, one) if gk is None
+                    else scaled_sum_poly_eval(gk, U))
+            out = out + term.scale(c)
+    return out
+
+
+def scaled_sum_components(ctx, k, level, N):
+    """eisenstein_components(ctx, k, level, N) with every E_a summed as
+    G_k(1/lambda_a) - sum_m P_m.scale(s_{m(q-1)})."""
+    q = ctx.field.order
+    step = q - 1
+    one = UExpansion.const(ctx, ctx.ring.one, N)
+    P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
+    for c in monics_up_to_degree(ctx.field, bound_for_precision(ctx.field, N)):
+        count = (N - 1) // (step * q ** c.degree)
+        if count:
+            V = repeated_product(direct_u_of_az(ctx, c, N), step, one)
+            for m in range(count):
+                P[m] = P[m] + repeated_product(V, m + 1, one)
+    gk = goss_coeffs_in(ctx, k)
+    G = UExpansion(ctx, gk, N)
+    inverse = ctx.torsion_inverse(level)
+    out = {}
+    for a in ctx.units(level):
+        if a.is_monic():
+            lam = ctx.exp_at(a, level)
+            s = shift_by_value(G, lam).coeffs
+            E = UExpansion.const(
+                ctx, poly_eval_scalar(gk, inverse(lam), ctx.ring), N)
+            for m, Pm in enumerate(P, 1):
+                if s[m * step]:
+                    E = E - Pm.scale(s[m * step])
+            out[a.c] = E
+    return out
+
+
+def scaled_sum_twisted_render(T, N):
+    """T.render(N) as sum_a E_a.scale(w(a)) over scaled_sum_components."""
+    ctx = T.ctx
+    comps = scaled_sum_components(ctx, T.k, T.level, N)
+    w = fold_units(ctx, T.k, T.level, T.components)
+    out = UExpansion.zero(ctx, N)
+    for key, E in comps.items():
+        out = out + E.scale(w[key])
+    return out
+
+
+def scaled_sum_rows(ctx, k, N):
+    """forms.eisenstein_rows(ctx, k, N) with each ETilde row summed as
+    E_a.scale(w(a)) and each EHat row as B_r.scale_const(chi^{-1}(r))."""
+    ppol = ctx.modulus
+    field = ppol.field
+    q = field.order
+    size = q ** ppol.degree
+    chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
+            for e in range(size - 1) if (e + k) % (q - 1) == 0]
+    units = ctx.units(ppol)
+    comps = scaled_sum_components(ctx, k, ppol, N)
+    gk = goss_coeffs_in(ctx, k)
+    buckets = {r.c: UExpansion.zero(ctx, N) for r in units}
+    for c in monics_up_to_degree(field, bound_for_precision(field, N)):
+        r = (c % ppol).c
+        if r in buckets and q ** c.degree < N:
+            buckets[r] += scaled_sum_poly_eval(gk, direct_u_of_az(ctx, c, N))
+    rows = []
+    for chi in chis:
+        inv = {r.c: chi.eval_inv(r) for r in units}
+        w = fold_units(ctx, k, ppol,
+                       {r: ctx.big_const(v) for r, v in inv.items()})
+        tilde = hat = UExpansion.zero(ctx, N)
+        for akey, E in comps.items():
+            tilde = tilde + E.scale(w[akey])
+        for r, B in buckets.items():
+            hat = hat + B.scale_const(inv[r])
+        rows.append(tilde.coeffs)
+        rows.append(hat.coeffs)
+    return rows

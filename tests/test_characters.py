@@ -11,7 +11,7 @@ from drinfeld.algebra import (FiniteField, Pol, factor_squarefree_monic,
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import (DirichletCharacter, convolve, gauss_thakur,
                                  jacobi_factor, orbit_sums, power_sums,
-                                 root_power_row)
+                                 root_power_rows)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
 from drinfeld.operators import (gauss_over_conductor, twist_monomial_closed,
                                 twist_normalized, twist_raw)
@@ -496,7 +496,7 @@ class TestOrbitSums:
             zeta = min(ctx.primes[0].roots_in(ctx.big))
             return ([(0, lambda b: ctx.char_value(trivial, b)),
                      (inv.sign, lambda b: ctx.char_value(inv, b))]
-                    + [root_power_row(ctx, zeta, -i) for i in (1, 2, 3)])
+                    + root_power_rows(ctx, zeta, (-1, -2, -3)))
         ctx = TorsionContext(npol, ext_degree=npol.degree)
         got = orbit_sums(ctx, npol, rows(ctx), range(N))
         oracle = TorsionContext(npol, ext_degree=npol.degree)

@@ -168,6 +168,26 @@ class TestTablePairs:
         assert sorted(b.c for b in seen) == sorted(
             b.c for b in polys_below_degree(npol.field, 2) if b.is_monic())
 
+    def test_evaluates_each_beta_once(self, monkeypatch):
+        # the rows beta(zeta)^(-i) share one evaluation of beta(zeta) per
+        # beta, so the table's evaluations do not grow with its range: at
+        # q = 5, t^2+2, beta = 0 and the 6 monic beta, besides the roots
+        calls = []
+        eval_in = Pol.eval_in
+        monkeypatch.setattr(Pol, "eval_in", lambda self, *args: calls.append(
+            self.c) or eval_in(self, *args))
+        npol = parse_pol(cli.field_of_order(5), "t^2+2")
+        counts = []
+        for rng in (1, 23):
+            del calls[:]
+            cli.table_pairs(5, npol, rng)
+            counts.append(len(calls))
+            betas = [c for c in calls if c != npol.c]
+            assert sorted(betas) == sorted(
+                [()] + [b.c for b in polys_below_degree(npol.field, 2)
+                        if b.is_monic()])
+        assert counts[0] == counts[1]
+
 
 class TestVerify:
     def test_all_suites_match_golden(self, capsys):

@@ -21,6 +21,7 @@ from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
 
 from eigen_oracle import eigen_check
 from residue_oracle import point_image
+from series_oracle import scaled_sum_rows
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -457,6 +458,26 @@ class TestRank:
             assert len(got) == 2 * size // (ppol.field.order - 1)
             assert all(len(row) == N for row in got)
             assert got == want, "k = %d" % k
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("ppol, ks, N", [
+        (pol3("t^2+1"), (1, 2), 12), (P4, (1, 2), 10),
+        (parse_pol(finite_field(5), "t+1"), (1, 2), 14),
+        (Pol(finite_field(3, 2), (1, 1)), (1, 2), 20),
+    ], ids=["q3-t^2+1", "q4-t^2+t+w", "q5-t+1", "q9-t+1"])
+    def test_rows_equal_scaled_sums(self, ppol, ks, N, reduce):
+        # each row is one combination per coefficient; it equals, entry for
+        # entry, the sum of scaled E_a and scaled buckets B_r it replaces
+        ctx = _rank_context(ppol)
+        ctx = ctx.reduced() if reduce else ctx
+        for k in ks:
+            got = forms.eisenstein_rows(ctx, k, N)
+            want = scaled_sum_rows(ctx, k, N)
+            assert len(got) == len(want) == 2 * (
+                ppol.field.order ** ppol.degree - 1) // (ppol.field.order - 1)
+            assert ([[x.coords for x in row] for row in got]
+                    == [[x.coords for x in row] for row in want]), k
 
 
 def _rank_context(ppol):

@@ -21,7 +21,7 @@ from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
 from drinfeld.characters import gauss_thakur, power_sums
 
 from eigen_oracle import hecke_a_gcd, scaled_by
-from series_oracle import descend, shift_by_torsion
+from series_oracle import descend, divmod_hecke_coeffs, shift_by_torsion
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -287,6 +287,34 @@ def test_hecke_a_division_equals_gcd_oracle(q):
             for a in monics_up_to_degree(field, got.bound + 1):
                 assert got.coefficient(a) == want.coefficient(a), (
                     qpol.format(), a.format())
+
+
+@pytest.mark.parametrize("q", [3, 4, 9], ids=lambda q: "q%d" % q)
+def test_hecke_a_quotients_equal_divmod_loop(q):
+    # the quotients a/q read off the products q*b equal one divmod per
+    # monic a, map for map, for every prime of degree 1 and 2, with and
+    # without a nebentypus; bound 4 leaves multiples a = q*b with deg b up
+    # to 2 (deg q = 1) and a = q (deg q = 2).  The coefficients are no
+    # eigenform's, so q^g c_(qb) and q^k psi(q) c_b differ
+    field = {3: F3, 4: F4, 9: F9}[q]
+    th = Pol.x(field)
+    ctx = TorsionContext(th)
+    chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
+    for F in (AExpansion.from_rule(ctx, "power", 1, 3, 1, lambda a:
+                                   ctx.lift_poly(a + th), 4),
+              AExpansion.from_rule(ctx, "goss", 2, 5, 2, lambda a:
+                                   ctx.lift_poly(a * a + th), 4,
+                                   neben=chi.inverse())):
+        for qpol in irreducible_monics(field, 2):
+            got = hecke_a(F, qpol).coeffs
+            want = divmod_hecke_coeffs(F, qpol)
+            assert ({a: c.coords for a, c in got.items()}
+                    == {a: c.coords for a, c in want.items()})
+            multiples = [(qpol * b).c for b in
+                         monics_up_to_degree(field, 4 - 2 * qpol.degree)]
+            # psi(theta) = 0 at the conductor theta of the nebentypus
+            assert multiples and (any(got[a] for a in multiples)
+                                  or F.neben is not None and qpol == th)
 
 
 class TestHeckeTwisted:

@@ -7,10 +7,10 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld import series
+from drinfeld import forms, series
 from drinfeld.algebra import (REl, Pol, QuotientRing, Residue, finite_field,
                               monics_of_degree, monics_up_to_degree,
-                              parse_pol)
+                              parse_pol, power)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
@@ -18,13 +18,17 @@ from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
 from drinfeld.operators import twist_monomial_closed, twist_normalized
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion,
+                             bound_for_precision, combination,
                              eisenstein_components, goss_coeffs_in,
                              moebius_of_series, poly_eval_scalar,
                              poly_eval_series, rescale_arg, shift_by_sums,
                              shift_by_value, u_of_az)
 
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
-                           shift_by_torsion, to_subparameter)
+                           repeated_product, scaled_sum_components,
+                           scaled_sum_poly_eval, scaled_sum_render,
+                           scaled_sum_twisted_render, shift_by_torsion,
+                           to_subparameter)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -622,6 +626,140 @@ class TestAExpansionRender:
         F = AExpansion(ctx, "power", 1, 4, 1, coeffs, 3)
         low, high = F.render(9), F.render(27)
         assert low.agrees_with(high.truncate(9))
+
+
+# one level for each q in 3, 4, 5, 9, with a residue point: (modulus,
+# constant-field degree, character exponent e, weight k with e + k = 0
+# mod q-1, precision)
+FUSED_LEVELS = [(pol3("t^2+1"), 2, 1, 1, 12), (P4, 2, 2, 1, 10),
+                (Pol(finite_field(5), (1, 1)), 1, 2, 2, 14),
+                (Pol(finite_field(3, 2), (1, 1)), 1, 6, 2, 20)]
+FUSED_IDS = ["q3-t^2+1", "q4-t^2+t+w", "q5-t+1", "q9-t+1"]
+
+
+def fused_context(modulus, ext, reduce):
+    ctx = TorsionContext(modulus, ext_degree=ext)
+    return ctx.reduced() if reduce else ctx
+
+
+def coords(series):
+    return [c.coords for c in series.coeffs]
+
+
+class TestCombination:
+    """Each linear combination of u-series is one dot per coefficient; it
+    equals, coefficient for coefficient, the sum of S.scale(c) it replaces
+    (series_oracle), on exact and reduced contexts."""
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("modulus, ext, e, k, N", FUSED_LEVELS,
+                             ids=FUSED_IDS)
+    def test_renders_equal_scaled_sums(self, modulus, ext, e, k, N, reduce):
+        ctx = fused_context(modulus, ext, reduce)
+        q = ctx.field.order
+        chi = DirichletCharacter.from_conductor(modulus, e, big=ctx.big)
+        bound = bound_for_precision(ctx.field, N)
+        # power type at index 1 and q-1, Goss type at k, and (exact only:
+        # Carlitz factorials may vanish at a residue point) at q+1, whose
+        # Goss polynomial has more than one term
+        renders = [forms.petrov_fs(ctx, 1, bound), forms.delta(ctx, bound),
+                   forms.fricke_eis(ctx, chi, k, bound)]
+        if not reduce:
+            renders.append(AExpansion.from_rule(
+                ctx, "goss", q + 1, q + 1, q + 1, ctx.lift_poly, bound))
+        for F in renders:
+            got = F.render(N)
+            assert got.prec == N and got.meta.weight == F.weight
+            assert coords(got) == coords(scaled_sum_render(F, N)), F.kind
+        # the Goss-polynomial and rescaling path of poly_eval_series, on a
+        # series with a constant term too
+        th = Pol.x(ctx.field)
+        U = u_of_az(ctx, th + Pol.one(ctx.field), N)
+        f = [ctx.lift_poly(th)] + list(renders[0].render(N).coeffs[1:])
+        for coeffs in (goss_coeffs_in(ctx, k), f):
+            assert coords(poly_eval_series(coeffs, U)) == coords(
+                scaled_sum_poly_eval(coeffs, U))
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("modulus, ext, e, k, N", FUSED_LEVELS,
+                             ids=FUSED_IDS)
+    def test_components_equal_scaled_sums(self, modulus, ext, e, k, N,
+                                          reduce):
+        ctx = fused_context(modulus, ext, reduce)
+        q = ctx.field.order
+        for e, k in ((e, k), (0, q - 1)):
+            chi = DirichletCharacter.from_conductor(modulus, e, big=ctx.big)
+            got = eisenstein_components(ctx, k, modulus, N)
+            want = scaled_sum_components(ctx, k, modulus, N)
+            assert {a: coords(E) for a, E in got.items()} == {
+                a: coords(E) for a, E in want.items()}
+            T = TwistedEisenstein.build(ctx, k, chi)
+            assert coords(T.render(N)) == coords(
+                scaled_sum_twisted_render(T, N))
+
+    def test_combination_of_nothing_is_zero(self):
+        ctx = TorsionContext(TH)
+        assert combination(ctx, [], 4) == UExpansion.zero(ctx, 4)
+        S = u_of_az(ctx, Pol.one(F3), 4)
+        assert combination(ctx, [(ctx.ring.zero, S.coeffs)], 4) == (
+            UExpansion.zero(ctx, 4))
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    def test_power_equals_repeated_product(self, reduce, monkeypatch):
+        # on Pol, ring elements and series, power(x, e, one) for e = 0..6
+        # equals e products from one; x^1 is x itself, so it makes no dot
+        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        ctx = ctx.reduced() if reduce else ctx
+        dots = []
+        dot = type(ctx.ring).dot
+        monkeypatch.setattr(type(ctx.ring), "dot", lambda ring, pairs: (
+            dots.append(1) or dot(ring, pairs)))
+        lam = ctx.exp_value(TH + Pol.one(F3))
+        values = [(pol3("t^2+2t+2"), Pol.one(F3), lambda x: x.c),
+                  (lam, ctx.ring.one, lambda x: x.coords),
+                  (u_of_az(ctx, TH, 12) + UExpansion.u(ctx, 12),
+                   UExpansion.const(ctx, ctx.ring.one, 12), coords)]
+        # a Pol product and a residue product (a table lookup) make no dot
+        for (x, one, key), dotted in zip(values, (False, not reduce, True)):
+            for e in range(7):
+                want = key(repeated_product(x, e, one))
+                del dots[:]
+                assert key(power(x, e, one)) == want, e
+                assert bool(dots) == (dotted and e > 1), e
+            assert power(x, 1, one) is x and power(x, 0, one) is one
+        if not reduce:
+            assert lam ** 1 is lam and values[2][0] ** 1 is values[2][0]
+
+    def test_combinations_keep_memo_column_caches(self):
+        # a combination reads each coefficient of u(az) in one dot, so it
+        # leaves the memo's column caches as they were: a render again
+        # changes none, and an element with none gains none from a power
+        # render at index 1 or a Goss render at k = 1, which read the memo
+        # in combinations only (u(az)^2 in the components is a square,
+        # whose product reads the memo and caches)
+        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        chi = DirichletCharacter.from_conductor(ctx.modulus, 1, big=ctx.big)
+        N = 30
+        bound = bound_for_precision(F3, N)
+        renders = [forms.petrov_fs(ctx, 1, bound),
+                   forms.fricke_eis(ctx, chi, 1, bound),
+                   forms.twisted_eis(ctx, chi, 1)]
+        for F in renders:
+            F.render(N)
+        memo = [x for coeffs, _ in ctx.u_az.values() for x in coeffs if x]
+        assert len(ctx.u_az) == len(monics_up_to_degree(F3, bound))
+        before = [x._cols for x in memo]
+        for F in renders:
+            F.render(N)
+        assert all(x._cols is cols for x, cols in zip(memo, before))
+        for x in memo:
+            x._cols = None
+        for F in renders[:2]:
+            F.render(N)
+        assert all(x._cols is None for x in memo)
 
 
 class TestLazyRule:
