@@ -155,10 +155,8 @@ def hecke_a(F, qpol):
         raise ValueError("T_q needs a monic prime q, not %s" % qpol.format())
     ctx = F.ctx
     qg = ctx.lift_poly(qpol ** F.index)
-    qk = ctx.lift_poly(qpol ** F.weight)
-    psi_q = neben_eval(F.neben, qpol, ctx)
-    if psi_q != 1:
-        qk = qk.scale_const(psi_q)
+    qk = ctx.lift_poly(qpol ** F.weight).scale_const(
+        neben_eval(F.neben, qpol, ctx))
     newbound = F.bound - qpol.degree
     if newbound < 0:
         raise ValueError("degree bound too small for this Hecke prime")

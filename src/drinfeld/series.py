@@ -6,6 +6,8 @@ everything else are u(az) (Carlitz rescaling of the argument) and
 u(z + beta/n) (fractional-linear shift by a torsion value).
 """
 
+from collections import namedtuple
+
 from .algebra import lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
@@ -38,12 +40,8 @@ class ModularMeta:
 class UExpansion:
     """Sum of coeffs[n] * u^n for n < prec, coefficients in ctx.ring."""
 
-    # _moebius: a one-item list (shared with u_of_az's memo) that
-    # moebius_of_series fills with the coefficient tuples of X*(-X)^j
-    # _origin: on a value M = moebius_of_series(X, lam) only, the pair
-    # (those tuples, lam) that poly_eval_series reads; M.coeffs is summed
-    # on read
-    __slots__ = ("ctx", "coeffs", "prec", "meta", "_moebius", "_origin")
+    # _powers: the list that powers() keeps, shared with u_of_az's memo
+    __slots__ = ("ctx", "coeffs", "prec", "meta", "_powers")
 
     def __init__(self, ctx, coeffs, prec=None, meta=None):
         if prec is None:
@@ -55,8 +53,7 @@ class UExpansion:
         self.coeffs = tuple(coeffs)
         self.prec = prec
         self.meta = meta
-        self._moebius = None
-        self._origin = None
+        self._powers = None
 
     @classmethod
     def zero(cls, ctx, prec, meta=None):
@@ -165,6 +162,24 @@ class UExpansion:
         return power(self, e, UExpansion.const(self.ctx, self.ctx.ring.one,
                                                self.prec))
 
+    def powers(self, count):
+        """[S^1, ..., S^count] as coefficient tuples, cut before the first
+        power of order >= prec (it and all later ones are zero).  Built one
+        product at a time and kept, so each power is formed once; the
+        order is read only when a power is missing."""
+        if self._powers is None:
+            self._powers = [self.coeffs] if self else []
+        kept = self._powers
+        if len(kept) < count:
+            order = self.order()
+            if order:
+                count = min(count, (self.prec - 1) // order)
+            while len(kept) < count:
+                prev = UExpansion(self.ctx, kept[-1])
+                other = prev if len(kept) == 1 else self  # S^2 as a square
+                kept.append((prev * other).coeffs)
+        return kept[:count]
+
     def inverse(self):
         """Series inverse; the constant term must be a unit."""
         return UExpansion.const(self.ctx, self.ctx.ring.one, self.prec) / self
@@ -212,19 +227,6 @@ class UExpansion:
         return self.format()
 
 
-class _MoebiusValue(UExpansion):
-    """moebius_of_series's value M: reading coeffs first sums G(M) at G = X."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):  # reached only when lookup fails
-        if name != "coeffs":
-            raise AttributeError(name)
-        x = UExpansion.u(self.ctx, 2).coeffs  # G = X
-        self.coeffs = poly_eval_series(x, self).coeffs
-        return self.coeffs
-
-
 def bound_for_precision(field, N, min_exp=1):
     """Smallest degree bound b with min_exp * q^(b+1) >= N, so that terms
     at monics of degree > b cannot touch coefficients below N."""
@@ -244,30 +246,28 @@ def combination(ctx, terms, N, meta=None):
 
 
 def poly_eval_series(coeffs, S):
-    """Evaluate a polynomial G (list of ring elements, low first) at a
-    series of positive order, by accumulating truncated powers.  A value
-    S = X/(lam*X + 1) of moebius_of_series with deg G >= 1 forms no power
-    of S and reads none of its coefficients: G(S) = sum_s c_s X^s with
-    c = shift_by_value(G, lam), and X^s = (-1)^(s-1) Y_{s-1} is read off the
-    powers of X recorded on S, so each coefficient is one dot."""
-    ctx = S.ctx
-    N = S.prec
-    if S._origin is not None and len(coeffs) > 1:
-        ys, lam = S._origin
-        c = shift_by_value(UExpansion(ctx, coeffs, len(ys) + 1), lam).coeffs
-        es = [c[s] if s % 2 else -c[s] for s in range(1, len(ys) + 1)]
-        return UExpansion(ctx, [coeffs[0]] + [
-            ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
-            for n in range(1, N)], N)
-    terms = [(coeffs[0], UExpansion.const(ctx, ctx.ring.one, N).coeffs)]
-    power, ordS = None, S.order()
-    for i in range(1, len(coeffs)):
-        if i * ordS >= N:
-            break
-        power = S if power is None else power * S
-        if coeffs[i]:
-            terms.append((coeffs[i], power.coeffs))
-    return combination(ctx, terms, N)
+    """G(S) for a polynomial G (list of ring elements, low first), as
+    sum_s c_s X^s over the powers that X keeps, one ring.dot per
+    coefficient (which keeps the powers' column caches for the next read):
+    c = G and X = S at a series S, and at a value S = moebius_of_series(X,
+    lam), c = shift_by_value(G, lam), since G(X/(lam X + 1)) is G(u/(lam u
+    + 1)) at u = X.  Only the powers of order below the precision are
+    formed, and at a series none past deg G."""
+    if isinstance(S, MoebiusValue):
+        X = S.X
+        pows = X.powers(X.prec)
+        c = shift_by_value(UExpansion(X.ctx, coeffs, len(pows) + 1),
+                           S.lam).coeffs
+    else:
+        X, c = S, coeffs
+        pows = X.powers(len(coeffs) - 1)
+    ctx, N = X.ctx, X.prec
+    terms = [(cs, p) for cs, p in
+             zip(c, [UExpansion.const(ctx, ctx.ring.one, N).coeffs] + pows)
+             if cs]
+    dot = ctx.ring.dot
+    return UExpansion(ctx, [dot([(cs, p[n]) for cs, p in terms if p[n]])
+                            for n in range(N)], N)
 
 
 def poly_eval_scalar(coeffs, x, ring):
@@ -287,27 +287,26 @@ def goss_coeffs_in(ctx, k):
 
 def u_of_az(ctx, a, N):
     """u(az) as a u-series: u^{q^d} / (sum_i [a]_i u^{q^d - q^i}).  Kept
-    on ctx per (a, N) as the coefficient tuple and one cell, which
-    moebius_of_series fills with the Y-chain of every series returned for
-    that (a, N); the memo holds ring elements only, no series."""
+    on ctx per (a, N) as the list of its powers that UExpansion.powers
+    grows, shared by every series returned for that (a, N); the memo holds
+    coefficient tuples only, no series."""
     if not a:
         raise ValueError("a must be nonzero")
     key = (a.c, N)
-    if key not in ctx.u_az:
+    kept = ctx.u_az.get(key)
+    if kept is None:
         q = ctx.field.order
         size = q ** a.degree
-        coeffs = ()  # size >= N: even the leading u^{q^d} is out of range
+        kept = ctx.u_az[key] = []  # size >= N: u(az) is zero to precision N
         if size < N:
             zero = ctx.ring.zero
             den = [zero] * (N - size)
             for i, c in enumerate(carlitz_coeffs(a)):
                 if c and size - q ** i < N - size:
                     den[size - q ** i] = ctx.lift_poly(c)
-            coeffs = (zero,) * size + UExpansion(ctx, den).inverse().coeffs
-        ctx.u_az[key] = (coeffs, [None])
-    coeffs, cell = ctx.u_az[key]
-    out = UExpansion(ctx, coeffs, N)
-    out._moebius = cell
+            kept.append((zero,) * size + UExpansion(ctx, den).inverse().coeffs)
+    out = UExpansion(ctx, kept[0] if kept else (), N)
+    out._powers = kept
     return out
 
 
@@ -338,31 +337,19 @@ def shift_by_value(f, lam):
     return shift_by_sums(f, f.ctx.powers(lam, f.prec - 1))
 
 
+# the value X/(lam*X + 1) that moebius_of_series returns, as its two parts
+MoebiusValue = namedtuple("MoebiusValue", "X lam")
+
+
 def moebius_of_series(X, lam):
     """The fractional-linear value X/(lam*X + 1) for a series X of positive
-    order — this is u(w + beta/n) when X is the series of u(w).  The value
-    is a record: the Y_j = X*(-X)^j with (j+1)*ord X < prec, kept as
-    coefficient tuples in X's cell (shared by every series u_of_az returns
-    for one (a, N)), and lam, in its _origin slot (no series), from which
-    poly_eval_series reads G(value).  Its coefficients sum_j lam^j * Y_j,
-    one dot each, are summed on their first read; a zero X gives zero."""
+    order — this is u(w + beta/n) when X is the series of u(w) — as the
+    record (X, lam), with no coefficients of its own: poly_eval_series
+    evaluates G at it from the powers that X keeps."""
     order = X.order()
     if not order:
         raise Unsupported("Moebius value of a series of order %d" % order)
-    cell = X._moebius
-    if cell is None:
-        cell = X._moebius = [None]
-    ys = cell[0]
-    if ys is None:
-        Y, minus, ys = X, -X, [X.coeffs]
-        while (len(ys) + 1) * order < X.prec:
-            Y = Y * minus
-            ys.append(Y.coeffs)
-        ys = cell[0] = tuple(ys)
-    out = _MoebiusValue(X.ctx, (), X.prec)
-    del out.coeffs
-    out._origin = (ys, lam)
-    return out
+    return MoebiusValue(X, lam)
 
 
 def rescale_arg(f, a):
@@ -415,7 +402,8 @@ class AExpansion:
 
     def render(self, N):
         """Truncated u-expansion sum_a c_a G(u(az)), G = X^i or G_k, as one
-        combination of the u(az)^j by c_a g_j; the bound must reach u^N."""
+        combination by c_a g_j of the powers u(az)^j that the u_of_az memo
+        keeps; the bound must reach u^N."""
         ctx, q = self.ctx, self.ctx.field.order
         min_exp = self.index if self.kind == "power" else 1
         if self.bound < bound_for_precision(ctx.field, N, min_exp):
@@ -426,10 +414,9 @@ class AExpansion:
         terms = []
         for a in monics_up_to_degree(ctx.field, self.bound):
             c = min_exp * q ** a.degree < N and self.coefficient(a)
-            if c:
-                U = u_of_az(ctx, a, N)
-                terms += [(c * gj, (U ** j).coeffs) for j, gj in enumerate(g)
-                          if gj and j * q ** a.degree < N]
+            if c:  # g_0 = 0: G is X^i or G_k
+                terms += [(c * gj, p) for gj, p in zip(g[1:], u_of_az(
+                    ctx, a, N).powers(len(g) - 1)) if gj]
         return combination(ctx, terms, N, self.meta())
 
 

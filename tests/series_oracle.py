@@ -2,13 +2,15 @@
 closed-form or memoised routes: a torsion shift by one residue, the ascent
 to the sub-parameter v = u(z/q), the descent from v back to u, u(az) built
 afresh, powers as repeated products, T_q on an A-expansion by one division
-per monic, and the linear combinations of u-series that
-series.combination forms with one dot per coefficient, summed here term by
-term as S.scale(c) plus series additions.  The oracles that the power-sum
-shifts, the closed-form Hecke beta-sum of operators.py, the per-context
-u(az) memo, algebra.power, operators.hecke_a, the renders and the
-Eisenstein components and rows are tested against.  A series in v is a
-UExpansion whose variable is read as v.
+per monic, the two routes by which poly_eval_series once evaluated a
+polynomial (the Y-chain of a Moebius value and the loop over fresh
+powers), and the linear combinations of u-series that series.combination
+forms with one dot per coefficient, summed here term by term as
+S.scale(c) plus series additions.  The oracles that the power-sum shifts,
+the closed-form Hecke beta-sum of operators.py, the per-context u(az)
+memo, algebra.power, poly_eval_series, operators.hecke_a, the renders and
+the Eisenstein components and rows are tested against.  A series in v is
+a UExpansion whose variable is read as v.
 """
 
 from drinfeld.algebra import monics_up_to_degree
@@ -16,8 +18,8 @@ from drinfeld.carlitz import carlitz_coeffs
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import DrinfeldError
 from drinfeld.operators import neben_eval
-from drinfeld.series import (UExpansion, bound_for_precision, fold_units,
-                             goss_coeffs_in, poly_eval_scalar,
+from drinfeld.series import (UExpansion, bound_for_precision, combination,
+                             fold_units, goss_coeffs_in, poly_eval_scalar,
                              poly_eval_series, shift_by_value, u_of_az)
 
 
@@ -134,9 +136,44 @@ def divmod_hecke_coeffs(F, qpol):
     return coeffs
 
 
+def y_chain_poly_eval(coeffs, X, lam):
+    """G(X/(lam*X + 1)) for X of positive order by the fused route
+    poly_eval_series once took at a Moebius value: the chain
+    Y_j = X*(-X)^j with (j+1)*ord X < prec, c = shift_by_value(G, lam), and
+    X^s = (-1)^(s-1) Y_{s-1}, so that the coefficient at u^n, n >= 1, is
+    one dot over the Y_j; the constant term is g_0."""
+    ctx, N = X.ctx, X.prec
+    order = X.order()
+    Y, minus, ys = X, -X, [X.coeffs]
+    while (len(ys) + 1) * order < N:
+        Y = Y * minus
+        ys.append(Y.coeffs)
+    c = shift_by_value(UExpansion(ctx, coeffs, len(ys) + 1), lam).coeffs
+    es = [c[s] if s % 2 else -c[s] for s in range(1, len(ys) + 1)]
+    return UExpansion(ctx, [coeffs[0]] + [
+        ctx.ring.dot([(e, y[n]) for e, y in zip(es, ys) if e and y[n]])
+        for n in range(1, N)], N)
+
+
+def power_loop_poly_eval(coeffs, S):
+    """poly_eval_series(coeffs, S) at a series S by the loop it once ran:
+    S^i formed afresh, one product at a time while i * ord S < prec, and
+    sum_i g_i S^i as one series.combination."""
+    ctx, N = S.ctx, S.prec
+    terms = [(coeffs[0], UExpansion.const(ctx, ctx.ring.one, N).coeffs)]
+    power, order = None, S.order()
+    for i in range(1, len(coeffs)):
+        if i * order >= N:
+            break
+        power = S if power is None else power * S
+        if coeffs[i]:
+            terms.append((coeffs[i], power.coeffs))
+    return combination(ctx, terms, N)
+
+
 def scaled_sum_poly_eval(coeffs, S):
-    """poly_eval_series(coeffs, S) for a series S with no Moebius record:
-    the powers of S scaled and summed one by one."""
+    """poly_eval_series(coeffs, S) at a series S: the powers of S scaled
+    and summed one by one."""
     ctx, N = S.ctx, S.prec
     out = UExpansion(ctx, coeffs[:1], N)
     power = None

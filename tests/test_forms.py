@@ -236,6 +236,62 @@ def test_eigen_check_equals_whole_form_oracle(q):
             assert got.passed == (plant == "true"), (name, plant, want)
 
 
+def eigen_suite_character(ppol, k, big):
+    """The character of the eigen suite of drinfeld verify at weight k: the
+    first exponent e >= 1 with e + k even, of conductor ppol."""
+    e = next(e for e in range(1, 8) if (e + k) % 2 == 0)
+    return DirichletCharacter.from_conductor(ppol, e, big=big)
+
+
+class TestETildeHecke:
+    """ETilde = sum_a chi^{-1}(a) E_(0,a) as a Hecke eigenform on its
+    u-expansion, at the eigen suite's level t^2+1 over F_3 for k = 1, 2, 3:
+    hecke_u acts on the rendered series, so a wrong Eisenstein series fails
+    here, where the eigen suite's check on the components cannot see it."""
+
+    def test_eigenvalue_at_coprime_primes(self):
+        # T_Q ETilde = chi(Q) Q^k ETilde at each monic prime Q of degree
+        # <= 2 other than p, rendered at N = 30 in the ring of p*Q; the
+        # eigenvalue Q^k without chi(Q) fails wherever chi(Q) != 1
+        ppol, N = pol3("t^2+1"), 30
+        primes = [Q for Q in irreducible_monics(F3, 2) if Q != ppol]
+        assert len(primes) == 5
+        for k in (1, 2, 3):
+            missed = 0
+            for Q in primes:
+                ctx = TorsionContext(ppol * Q, ext_degree=2)
+                chi = eigen_suite_character(ppol, k, ctx.big)
+                E = forms.twisted_eis(ctx, chi, k).render(N)
+                qk = ctx.lift_poly(Q ** k)
+                right = forms.verify_eigensystem(
+                    E, [Q], lambda _: qk.scale_const(chi.eval(Q)), N)
+                assert right.passed, (k, Q.format(), right.witness)
+                wrong = forms.verify_eigensystem(E, [Q], lambda _: qk, N)
+                assert wrong.passed == (chi.eval(Q) == 1), (k, Q.format())
+                missed += not wrong.passed
+            assert missed, k
+
+    def test_level_prime_values(self):
+        # at Q = p, psi(p) = 0 leaves hecke_u the beta-sum alone.  Pinned as
+        # measured values (PAPER.md holds only the abstract, which does not
+        # state them): at N = 81, U_p EHat = p^k EHat and U_p ETilde = 0;
+        # p^(k+1) for EHat and p^k for ETilde must fail
+        ppol, N = pol3("t^2+1"), 81
+        ctx = TorsionContext(ppol, ext_degree=2)
+        bound = forms.bound_for_precision(F3, N)
+        for k in (1, 2, 3):
+            chi = eigen_suite_character(ppol, k, ctx.big)
+            pk = ctx.lift_poly(ppol ** k)
+            hat = forms.fricke_eis(ctx, chi, k, bound).render(N)
+            tilde = forms.twisted_eis(ctx, chi, k).render(N)
+            assert forms.verify_eigensystem(hat, [ppol], lambda _: pk, N)
+            assert not hecke_u(tilde, ppol, ctx)
+            assert not forms.verify_eigensystem(
+                hat, [ppol], lambda _: pk * ctx.lift_poly(ppol), N)
+            assert not forms.verify_eigensystem(tilde, [ppol],
+                                                lambda _: pk, N)
+
+
 class TestConstantTerm:
     def test_nonzero_and_eigen(self):
         for ppol in (TH, pol3("t+1"), pol3("t^2+1")):

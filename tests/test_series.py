@@ -25,10 +25,11 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              shift_by_value, u_of_az)
 
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
-                           repeated_product, scaled_sum_components,
-                           scaled_sum_poly_eval, scaled_sum_render,
-                           scaled_sum_twisted_render, shift_by_torsion,
-                           to_subparameter)
+                           power_loop_poly_eval, repeated_product,
+                           scaled_sum_components, scaled_sum_poly_eval,
+                           scaled_sum_render, scaled_sum_twisted_render,
+                           shift_by_torsion, to_subparameter,
+                           y_chain_poly_eval)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -112,7 +113,9 @@ class TestUOfAz:
     def test_memo_equals_direct(self, modulus, monkeypatch):
         # a of degree 0, 1 and 2, one of them not monic, at precisions
         # below, between and above q^deg a; the exact context first, then
-        # its reduced() context, which starts with a memo of its own
+        # its reduced() context, which starts with a memo of its own.  The
+        # powers of u(az) are formed once per (a, N): the series asked for
+        # again reads the same power elements, with no series product
         builds = []
         carlitz_coeffs = series.carlitz_coeffs
         monkeypatch.setattr(series, "carlitz_coeffs",
@@ -124,6 +127,10 @@ class TestUOfAz:
         avals = [Pol.one(field), th, Pol(field, (1, 2)),
                  th * th + Pol.one(field)]
         precs = [2, q + 1, q * q + 3]
+        products = []
+        mul = UExpansion.__mul__
+        monkeypatch.setattr(UExpansion, "__mul__",
+                            lambda f, g: products.append(1) or mul(f, g))
         red = exact.reduced()
         for ctx in (exact, red):
             assert not ctx.u_az
@@ -132,26 +139,34 @@ class TestUOfAz:
                 for N in precs:
                     first = u_of_az(ctx, a, N)
                     assert first == direct_u_of_az(ctx, a, N), (a, N)
+                    want = [repeated_product(first, j, UExpansion.const(
+                        ctx, ctx.ring.one, N)).coeffs for j in (1, 2, 3)]
+                    # cut before the first power of order >= N, so a zero
+                    # u(az) has none, not even u(az)^1
+                    assert first.powers(1) == [w for w in want[:1] if any(w)]
+                    pows = first.powers(3)
+                    assert pows == [w for w in want if any(w)], (a, N)
+                    del products[:]
                     again = u_of_az(ctx, a, N)
                     assert again == first and again is not first
                     assert all(x is y for x, y in zip(first.coeffs,
                                                       again.coeffs) if x)
-                    assert again._moebius is first._moebius
-            # one entry, with its own chain cell, per (a, N); a build only
-            # where q^deg a < N, and none for a repeated (a, N)
+                    assert all(x is y for x, y in zip(
+                        sum(pows, ()), sum(again.powers(3), ())))
+                    assert not products
+            # one entry, with a list of powers of its own, per (a, N); a
+            # build only where q^deg a < N, and none for a repeated (a, N)
             assert len(ctx.u_az) == len(avals) * len(precs)
-            assert len({id(cell) for _, cell in ctx.u_az.values()}) == len(
+            assert len({id(kept) for kept in ctx.u_az.values()}) == len(
                 ctx.u_az)
             assert len(builds) == sum(q ** a.degree < N for a in avals
                                       for N in precs)
         assert red.u_az is not exact.u_az
         X = u_of_az(red, th, precs[-1])
-        moebius_of_series(X, red.lam)
-        seen = [c for coeffs, cell in red.u_az.values()
-                for c in coeffs + sum(cell[0] or (), ())]
-        assert seen and all(isinstance(c, Residue) for c in seen)
-        assert all(isinstance(c, REl) for coeffs, _ in exact.u_az.values()
-                   for c in coeffs)
+        poly_eval_series(goss_coeffs_in(red, 2), moebius_of_series(X, red.lam))
+        for ctx, kind in ((red, Residue), (exact, REl)):
+            seen = [c for kept in ctx.u_az.values() for p in kept for c in p]
+            assert seen and all(isinstance(c, kind) for c in seen)
 
 
 class TestShifts:
@@ -197,7 +212,7 @@ class TestShifts:
         ctx = TorsionContext(TH)
         lam = ctx.exp_value(Pol.one(F3))
         X = u_of_az(ctx, TH, 10)
-        m = moebius_of_series(X, lam)
+        m = moebius_value(X, lam)
         denom_inv = (UExpansion.const(ctx, ctx.ring.one, 10)
                      + X.scale(lam)).inverse()
         assert m.agrees_with(X * denom_inv)
@@ -243,16 +258,23 @@ class TestShifts:
 
 
 def old_moebius(X, lam):
-    """The division route moebius_of_series replaced: X / (lam*X + 1)."""
+    """The division route to the value: X / (lam*X + 1)."""
     ctx = X.ctx
     return X / (X.scale(lam)
                 + UExpansion.const(ctx, ctx.ring.one, X.prec))
 
 
+def moebius_value(X, lam):
+    """The coefficients of the value X/(lam*X + 1), read as G at
+    moebius_of_series(X, lam) for G = X."""
+    ctx = X.ctx
+    return poly_eval_series([ctx.ring.zero, ctx.ring.one],
+                            moebius_of_series(X, lam))
+
+
 def eager_moebius(X, lam):
-    """The eager sum moebius_of_series made before its coefficients were
-    summed on read: sum_j lam^j * Y_j with Y_j = X*(-X)^j, one dot per
-    coefficient."""
+    """The value as the eager sum sum_j lam^j * Y_j with Y_j = X*(-X)^j,
+    one dot per coefficient."""
     order = X.order()
     Y, minus, ys = X, -X, [X.coeffs]
     while (len(ys) + 1) * order < X.prec:
@@ -266,89 +288,79 @@ def eager_moebius(X, lam):
                       X.prec)
 
 
-def is_pending(M):
-    """True while M's coefficient slot has not been read."""
-    try:
-        UExpansion.coeffs.__get__(M)
-    except AttributeError:
-        return True
-    return False
+def moebius_inputs(ctx, prec):
+    """The series u(cz) for deg c = 0, 1, 2 (orders 1, q, q^2), at q = 4, 9
+    one of them divided by a non-prime code xi, and the values lam: two
+    torsion values, 0 and 1/(theta+1), which has a denominator."""
+    field = ctx.field
+    th = Pol.x(field)
+    lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
+    lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
+    series = [u_of_az(ctx, c, prec) for c in
+              (Pol.one(field), th, th * th + Pol.one(field))]
+    if field.order > field.p:
+        series.append(series[1].scale_const(ctx.emb[field.inv(field.p)]))
+    return series, lams
 
 
 # (modulus, precision): q^2 < N, so u(cz) with deg c = 2 is nonzero
 MOEBIUS_LEVELS = [(pol3("t^2+1"), 12), (Pol(F4, (0, 1)), 20),
                   (parse_pol(finite_field(5), "t"), 28),
                   (Pol(finite_field(3, 2), (1, 1)), 84)]
+MOEBIUS_IDS = ["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"]
 
 
 class TestMoebius:
-    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
-                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
-    def test_equals_division(self, modulus, N):
-        # u(cz) for deg c = 0, 1, 2 (orders 1, q, q^2), and at q = 4, 9 one
-        # of them divided by a non-prime code xi; several lam on each X and
-        # a second, shorter precision, so the memo on X is reused
-        ctx = TorsionContext(modulus)
-        field = ctx.field
-        th = Pol.x(field)
-        lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
-        lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
-        for prec in (N, N // 2):
-            series = [u_of_az(ctx, c, prec) for c in
-                      (Pol.one(field), th, th * th + Pol.one(field))]
-            if field.order > field.p:
-                xi = field.p
-                series.append(series[1].scale_const(ctx.emb[field.inv(xi)]))
-            for X in series:
-                for lam in lams:
-                    got = moebius_of_series(X, lam)
-                    assert got == old_moebius(X, lam), (prec, X.order())
-                memo = X._moebius[0]
-                assert isinstance(memo, tuple) and all(
-                    isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
-                    for y in memo)
-                moebius_of_series(X, lams[0])
-                assert X._moebius[0] is memo
+    """moebius_of_series(X, lam) is the record (X, lam); poly_eval_series
+    evaluates G at it as one dot per coefficient over X's kept powers."""
 
-    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
-                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
-    def test_goss_of_value_equals_powers_of_value(self, modulus, N):
-        # G_k(M) read off the powers recorded on M against the generic
-        # loop over powers of M, run on a copy of M without the record;
-        # k up to q+3 brings several terms and, for k > q, Carlitz-factorial
-        # denominators.  At q = 9 the generic loop on fractions is slow, so
-        # the precision is halved (deg c = 2 then gives a zero X) and the
-        # middle weights are skipped
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS, ids=MOEBIUS_IDS)
+    def test_equals_division(self, modulus, N, monkeypatch):
+        # the value (G = X) equals X/(lam X + 1) by series division, for
+        # several lam on each X and at a second, shorter precision; the
+        # powers of X are formed for the first lam only
         ctx = TorsionContext(modulus)
-        field = ctx.field
-        q = field.order
-        th = Pol.x(field)
+        products = []
+        mul = UExpansion.__mul__
+        monkeypatch.setattr(UExpansion, "__mul__",
+                            lambda f, g: products.append(1) or mul(f, g))
+        for prec in (N, N // 2):
+            series, lams = moebius_inputs(ctx, prec)
+            for X in series:
+                for i, lam in enumerate(lams):
+                    want = old_moebius(X, lam)
+                    del products[:]
+                    assert moebius_value(X, lam) == want, (prec, X.order())
+                    if i:
+                        assert not products
+
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS, ids=MOEBIUS_IDS)
+    def test_goss_of_value_equals_powers_of_value(self, modulus, N):
+        # G_k at the record against the generic loop over powers of the
+        # value, formed by division; k up to q+3 brings several terms and,
+        # for k > q, Carlitz-factorial denominators.  At q = 9 the generic
+        # loop on fractions is slow, so the precision is halved (deg c = 2
+        # then gives a zero X) and the middle weights are skipped
+        ctx = TorsionContext(modulus)
+        q = ctx.field.order
         ks = range(1, q + 4) if q < 9 else (1, 2, 3, q + 1, q + 2, q + 3)
         prec = N if q < 9 else N // 2
-        lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
-        lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
-        series = [u_of_az(ctx, c, prec) for c in
-                  (Pol.one(field), th, th * th + Pol.one(field))]
-        if q > field.p:
-            series.append(series[1].scale_const(ctx.emb[field.inv(field.p)]))
+        series, lams = moebius_inputs(ctx, prec)
         series.append(UExpansion.zero(ctx, prec))
         for k in ks:
             gk = goss_coeffs_in(ctx, k)
             for X in series:
                 for lam in lams:
-                    M = moebius_of_series(X, lam)
-                    bare = UExpansion(ctx, M.coeffs, M.prec)
-                    assert bare._origin is None
-                    assert poly_eval_series(gk, M) == poly_eval_series(
-                        gk, bare), (k, X.order())
+                    assert poly_eval_series(
+                        gk, moebius_of_series(X, lam)) == power_loop_poly_eval(
+                            gk, old_moebius(X, lam)), (k, X.order())
 
-    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS,
-                             ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS, ids=MOEBIUS_IDS)
     def test_pending_value_equals_eager_sum(self, modulus, N):
-        # X of order 1 and q, at a precision that is no multiple of q;
-        # lam = 0, a torsion value and 1/(theta+1), which has a denominator.
-        # Each series built from a pending value equals the one built from
-        # the eager sum, and the pending value is summed by the first read
+        # the record holds X and lam and no coefficients; G = X at it gives
+        # the eager sum of lam^j Y_j, for X of order 1 and q at a precision
+        # that is no multiple of q, at lam = 0, a torsion value and
+        # 1/(theta+1)
         ctx = TorsionContext(modulus)
         field = ctx.field
         th = Pol.x(field)
@@ -358,68 +370,83 @@ class TestMoebius:
         assert prec % field.order
         for X in (u_of_az(ctx, Pol.one(field), prec), u_of_az(ctx, th, prec)):
             for lam in lams:
-                E = eager_moebius(X, lam)
                 M = moebius_of_series(X, lam)
-                assert is_pending(M)
-                assert M.coeffs == E.coeffs, (X.order(), lam)
-                assert not is_pending(M) and M.coeffs is M.coeffs
+                assert M.X is X and M.lam is lam and len(M) == 2
+                assert not hasattr(M, "coeffs")
+                assert moebius_value(X, lam) == eager_moebius(X, lam), (
+                    X.order(), lam)
 
-                def fresh():
-                    return moebius_of_series(X, lam)
-                other = eager_moebius(X, lams[1])
-                assert fresh().truncate(5) == E.truncate(5)
-                assert fresh() + other == E + other
-                assert other + fresh() == other + E
-                assert fresh() - other == E - other
-                assert fresh().scale(lams[1]) == E.scale(lams[1])
-                assert fresh() * other == E * other
-                assert other * fresh() == other * E
-                P = fresh()
-                assert P * P == E * E
-                assert fresh() == E and E == fresh()
-                assert fresh().difference(E) is None
-                assert fresh().difference(X) == E.difference(X)
+    @pytest.mark.parametrize("modulus, N", MOEBIUS_LEVELS, ids=MOEBIUS_IDS)
+    def test_one_loop_equals_both_routes(self, modulus, N):
+        # the one loop of poly_eval_series against the two routes it
+        # replaced (series_oracle): at a record, the fused Y-chain route and
+        # the generic power loop on the value by division; at a series, the
+        # generic power loop.  G = X, a constant G, G_1 and G_{q+1}; every
+        # X of moebius_inputs and a zero X; every lam, 1/(theta+1) too
+        ctx = TorsionContext(modulus)
+        q = ctx.field.order
+        prec = N if q < 9 else N // 2
+        series, lams = moebius_inputs(ctx, prec)
+        series.append(UExpansion.zero(ctx, prec))
+        th = ctx.lift_poly(Pol.x(ctx.field))
+        polys = [[ctx.ring.zero, ctx.ring.one], [th],
+                 goss_coeffs_in(ctx, 1), goss_coeffs_in(ctx, q + 1)]
+        for G in polys:
+            for X in series:
+                assert coords(poly_eval_series(G, X)) == coords(
+                    power_loop_poly_eval(G, X)), (len(G), X.order())
+                for lam in lams:
+                    got = coords(poly_eval_series(
+                        G, moebius_of_series(X, lam)))
+                    assert got == coords(y_chain_poly_eval(G, X, lam))
+                    assert got == coords(power_loop_poly_eval(
+                        G, old_moebius(X, lam))), (len(G), X.order())
 
     def test_fused_route_leaves_the_value_unsummed(self, monkeypatch):
-        # G_2(M) on the lemma's ring: the eager sum cost N dots more (53 at
-        # N = 12); the first read of M.coeffs costs one fused evaluation at
-        # G = X (4 dots in shift_by_value, then N - 1), the second none
+        # G_2 at a record on the lemma's ring, N = 12, X = u(theta z) of
+        # order 3: the first evaluation forms X^2 and X^3 (two series
+        # products); one at another lam forms none and makes one dot per
+        # coefficient of the shifted G_2 (4) and of the value (12)
         ctx = TorsionContext(pol3("t^2+1") * pol3("t+1"))
         N = 12
         gk = goss_coeffs_in(ctx, 2)
         X = u_of_az(ctx, TH, N)
-        lam = ctx.exp_value(Pol.one(F3))
-        calls = []
+        lams = [ctx.exp_value(Pol.one(F3)), ctx.exp_value(TH)]
+        for lam in lams:
+            ctx.powers(lam, N)
+        calls, products = [], []
         dot = QuotientRing.dot
+        mul = UExpansion.__mul__
 
         def counting(ring, pairs):
             calls.append(1)
             return dot(ring, pairs)
         monkeypatch.setattr(QuotientRing, "dot", counting)
-        M = moebius_of_series(X, lam)
-        poly_eval_series(gk, M)
-        assert len(calls) == 53 - N and is_pending(M)
-        M.coeffs
-        assert len(calls) == 53 - N + 4 + N - 1
-        M.coeffs
-        assert len(calls) == 53 + 3
+        monkeypatch.setattr(UExpansion, "__mul__",
+                            lambda f, g: products.append(1) or mul(f, g))
+        poly_eval_series(gk, moebius_of_series(X, lams[0]))
+        assert len(products) == 2
+        del calls[:], products[:]
+        poly_eval_series(gk, moebius_of_series(X, lams[1]))
+        assert not products and len(calls) == 4 + N
 
     def test_record_does_not_leak(self):
-        # the record holds X's tuples and lam, never a series, and no
-        # series built from M carries it
+        # the record is the pair (X, lam), and no series built from X
+        # reads the powers X has formed (a truncation or a new meta shares
+        # X's coefficients, so its first power does)
         ctx = TorsionContext(TH)
         lam = ctx.exp_value(Pol.one(F3))
         X = u_of_az(ctx, TH, 12)
         M = moebius_of_series(X, lam)
-        ys, value = M._origin
-        assert ys is X._moebius[0] and value is lam
-        assert all(isinstance(y, tuple) and all(isinstance(c, REl) for c in y)
-                   for y in ys)
-        derived = [M.scale(lam), M + M, -M, M - M, M.truncate(6),
-                   M.with_meta(ModularMeta(2, 0)), M.scale_const(2), M * M,
-                   M * X, M ** 2]
-        assert all(d._origin is None for d in derived)
-        assert X._origin is None
+        assert tuple(M) == (X, lam)
+        poly_eval_series(goss_coeffs_in(ctx, 2), M)
+        formed = sum(X.powers(12)[1:], ())
+        derived = [X.scale(lam), X + X, -X, X - X, X.truncate(6),
+                   X.with_meta(ModularMeta(2, 0)), X.scale_const(2), X * X,
+                   X ** 2]
+        for d in derived:
+            assert not any(x is y for x, y in zip(
+                sum(d.powers(3)[1:], ()), formed) if x)
 
     def test_order_zero_raises_and_zero_gives_zero(self):
         ctx = TorsionContext(TH)
@@ -427,7 +454,11 @@ class TestMoebius:
         with pytest.raises(Unsupported, match="order 0"):
             moebius_of_series(X, ctx.lam)
         zero = UExpansion.zero(ctx, 8)
-        assert moebius_of_series(zero, ctx.lam) == zero
+        assert zero.powers(1) == [] and X.powers(3) == [
+            X.coeffs, (X * X).coeffs, (X * X * X).coeffs]
+        assert moebius_value(zero, ctx.lam) == zero
+        assert poly_eval_series(goss_coeffs_in(ctx, 2),
+                                moebius_of_series(zero, ctx.lam)) == zero
 
     def test_no_cyclic_garbage(self):
         # the lemma's loop of criterion 08; the memos on the series and the
@@ -447,8 +478,8 @@ class TestMoebius:
 
     def test_chain_built_once_per_series(self, monkeypatch):
         # in the lemma's loop u(c*q*z) is asked for again at every unit a,
-        # but its Y-chain is built once per c: the only series products
-        # are the chains' own, one per Y_j with j >= 1
+        # but its powers are formed once per c: the only series products
+        # are the powers' own, one per power X^s with s >= 2
         ppol, qpol = pol3("t^2+1"), pol3("t+1")
         ctx = TorsionContext(ppol * qpol)
         products = []
@@ -457,8 +488,10 @@ class TestMoebius:
                             lambda f, g: products.append(1) or mul(f, g))
         chains = lemma_loop(ctx, ppol, qpol)
         assert len(ctx.units(ppol)) == 8
-        assert all(len({id(ys) for ys in seen}) == 1
-                   for seen in chains.values())
+        for seen in chains.values():
+            first = sum(seen[0], ())
+            assert all(len(s) == len(seen[0]) and all(
+                x is y for x, y in zip(sum(s, ()), first)) for s in seen)
         assert len(products) == sum(len(seen[0]) - 1
                                     for seen in chains.values())
 
@@ -491,7 +524,7 @@ class TestMoebius:
             poly_eval_series(goss_coeffs_in(ctx, 2),
                              moebius_of_series(X, ctx.lam))
             ctx.powers(ctx.exp_value(TH), 9)
-            assert ctx.u_az and X._moebius[0] and ctx._powers
+            assert ctx.u_az and len(X.powers(12)) == 3 and ctx._powers
             del ctx, X
             gc.collect()
             garbage = list(gc.garbage)
@@ -505,21 +538,20 @@ def lemma_loop(ctx, ppol, qpol, N=12):
     """The loop of the distribution lemma (criterion 08) at k = 2, for
     c = 1 and theta: G_2 of u(cz) shifted by a few torsion values, and of
     u(c*q*z) built again at every unit a mod p.  Returns {(c, side): the
-    Y-chains the Moebius values read}."""
+    powers of X that the Moebius values read}."""
     gk = goss_coeffs_in(ctx, 2)
     mod = ctx.modulus
     chains = {}
     for c in (Pol.one(ctx.field), Pol.x(ctx.field)):
         Uc = u_of_az(ctx, c, N)
         for beta in ctx.units()[:4]:
-            M = moebius_of_series(Uc, ctx.exp_value(beta))
-            poly_eval_series(gk, M)
-            chains.setdefault((c.c, "c"), []).append(M._origin[0])
+            poly_eval_series(gk, moebius_of_series(Uc, ctx.exp_value(beta)))
+            chains.setdefault((c.c, "c"), []).append(Uc.powers(N))
         for a in ctx.units(ppol):
             Ucq = u_of_az(ctx, c * qpol, N)
-            M = moebius_of_series(Ucq, ctx.exp_value(a * qpol * qpol % mod))
-            poly_eval_series(gk, M)
-            chains.setdefault((c.c, "cq"), []).append(M._origin[0])
+            poly_eval_series(gk, moebius_of_series(
+                Ucq, ctx.exp_value(a * qpol * qpol % mod)))
+            chains.setdefault((c.c, "cq"), []).append(Ucq.powers(N))
     return chains
 
 
@@ -734,30 +766,33 @@ class TestCombination:
             assert lam ** 1 is lam and values[2][0] ** 1 is values[2][0]
 
     def test_combinations_keep_memo_column_caches(self):
-        # a combination reads each coefficient of u(az) in one dot, so it
-        # leaves the memo's column caches as they were: a render again
-        # changes none, and an element with none gains none from a power
-        # render at index 1 or a Goss render at k = 1, which read the memo
-        # in combinations only (u(az)^2 in the components is a square,
-        # whose product reads the memo and caches)
+        # a combination reads each coefficient of u(az) and of its kept
+        # powers in one dot, so it leaves the memo's column caches as they
+        # were: a render again changes none, and an element with none gains
+        # none from a power render at index 1 or q - 1 or a Goss render at
+        # k = 1, which read the memo in combinations only once the powers
+        # are kept (u(az)^2 in the components is a square, whose product
+        # reads the memo and caches)
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
         chi = DirichletCharacter.from_conductor(ctx.modulus, 1, big=ctx.big)
         N = 30
         bound = bound_for_precision(F3, N)
         renders = [forms.petrov_fs(ctx, 1, bound),
                    forms.fricke_eis(ctx, chi, 1, bound),
-                   forms.twisted_eis(ctx, chi, 1)]
+                   forms.delta(ctx, bound), forms.twisted_eis(ctx, chi, 1)]
         for F in renders:
             F.render(N)
-        memo = [x for coeffs, _ in ctx.u_az.values() for x in coeffs if x]
+        memo = [x for kept in ctx.u_az.values() for p in kept for x in p
+                if x]
         assert len(ctx.u_az) == len(monics_up_to_degree(F3, bound))
+        assert max(len(kept) for kept in ctx.u_az.values()) == 2
         before = [x._cols for x in memo]
         for F in renders:
             F.render(N)
         assert all(x._cols is cols for x, cols in zip(memo, before))
         for x in memo:
             x._cols = None
-        for F in renders[:2]:
+        for F in renders[:3]:
             F.render(N)
         assert all(x._cols is None for x in memo)
 
