@@ -20,8 +20,8 @@ from .series import (AExpansion, TwistedEisenstein, UExpansion,
                      bound_for_precision, combination, eisenstein_components,
                      fold_units, goss_coeffs_in, moebius_of_series,
                      poly_eval_series, require_sign, rescale_arg, u_of_az)
-from .operators import (gauss_over_conductor, hecke_a, hecke_twisted, hecke_u,
-                        twist_normalized)
+from .operators import (gauss_over_conductor, hecke_a_rule, hecke_twisted,
+                        hecke_u, twist_normalized)
 
 
 # -- catalog builders ------------------------------------------------------
@@ -144,15 +144,17 @@ def eis_constant_term(chi, k, ctx):
 def verify_eigensystem(form, qlist, expected, N):
     """Check T_q form = expected(q) * form for each q, with the engine
     picked by the object's type (A-expansion, twisted Eisenstein object, or
-    u-expansion).  expected maps a monic prime to a ring scalar."""
+    u-expansion).  expected maps a monic prime to a ring scalar.  On an
+    A-expansion, c_a q^g != lam c_a exactly when c_a d != 0, d = q^g - lam,
+    so the check decides lam = q^g and c_{qb} lam = q^k psi(q) c_b: that the
+    coefficient rule is multiplicative, not a u-level eigen check."""
     params = {"object": type(form).__name__,
               "primes": [q.format() for q in qlist], "N": N}
     witness = None
     passed = True
     for qpol in qlist:
         if isinstance(form, AExpansion):
-            got = hecke_a(form, qpol)
-            bad = _first_coeff_mismatch(got, form, expected(qpol))
+            bad = _eigen_mismatch(form, qpol, expected(qpol))
         elif isinstance(form, TwistedEisenstein):
             got = hecke_twisted(form, qpol)
             want = form.scaled_by(expected(qpol))
@@ -175,11 +177,13 @@ def verify_eigensystem(form, qlist, expected, N):
     return VerificationReport("eigensystem", params, N, passed, witness)
 
 
-def _first_coeff_mismatch(got, form, lam):
-    """The first monic a with deg a <= got.bound, the degrees T_q keeps,
-    where got's coefficient is not lam times form's."""
-    for a in monics_up_to_degree(got.ctx.field, got.bound):
-        if got.coefficient(a) != form.coefficient(a) * lam:
+def _eigen_mismatch(form, qpol, lam):
+    """The first a that T_q keeps where (T_q form)_a != lam c_a, or None."""
+    qg, qk, walk = hecke_a_rule(form, qpol)
+    d = qg - lam
+    for a, b in walk:
+        if (form.coefficient(b) * qk != form.coefficient(a) * lam if b
+                else d and (c := form.coefficient(a)) and c * d):
             return "a = %s" % a.format()
     return None
 

@@ -147,28 +147,34 @@ def hecke_u(f, qpol, ctx):
     return out
 
 
-def hecke_a(F, qpol):
-    """T_q on an A-expansion, for q a monic prime:
-    c'_a = q^g c_a [q does not divide a] + q^k psi(q) c_{a/q} [q | a],
-    with g the Goss index and k the weight; a/q is looked up, not divided."""
+def hecke_a_rule(F, qpol):
+    """T_q's rule on an A-expansion, q a monic prime: c'_a = q^g c_a, or
+    q^k psi(q) c_{a/q} where q | a (g the Goss index, k the weight), as q^g,
+    q^k psi(q) and [(a, a/q or None)] for monic a, deg a <= bound - deg q."""
     if not (qpol.is_monic() and is_irreducible(qpol)):
         raise ValueError("T_q needs a monic prime q, not %s" % qpol.format())
     ctx = F.ctx
-    qg = ctx.lift_poly(qpol ** F.index)
-    qk = ctx.lift_poly(qpol ** F.weight).scale_const(
-        neben_eval(F.neben, qpol, ctx))
     newbound = F.bound - qpol.degree
     if newbound < 0:
         raise ValueError("degree bound too small for this Hecke prime")
     quots = {(qpol * b).c: b for b in
              monics_up_to_degree(ctx.field, newbound - qpol.degree)}
+    qk = ctx.lift_poly(qpol ** F.weight).scale_const(
+        neben_eval(F.neben, qpol, ctx))
+    return (ctx.lift_poly(qpol ** F.index), qk,
+            [(a, quots.get(a.c))
+             for a in monics_up_to_degree(ctx.field, newbound)])
+
+
+def hecke_a(F, qpol):
+    """T_q on an A-expansion, by hecke_a_rule."""
+    qg, qk, walk = hecke_a_rule(F, qpol)
     coeffs = {}
-    for a in monics_up_to_degree(ctx.field, newbound):
-        b = quots.get(a.c)
+    for a, b in walk:
         c, scale = (F.coefficient(b), qk) if b else (F.coefficient(a), qg)
-        coeffs[a.c] = c * scale if c else ctx.ring.zero
-    return AExpansion(ctx, F.kind, F.index, F.weight, F.type_, coeffs,
-                      newbound, F.neben)
+        coeffs[a.c] = c * scale if c else F.ctx.ring.zero
+    return AExpansion(F.ctx, F.kind, F.index, F.weight, F.type_, coeffs,
+                      F.bound - qpol.degree, F.neben)
 
 
 def hecke_twisted(T, qpol):

@@ -1,8 +1,11 @@
 """The A-expansion eigen check by whole forms: T_q by the gcd test, the
 whole form scaled by the eigenvalue, and the first mismatch over the
-smaller degree bound.  The oracles that operators.hecke_a (one division
-per monic) and forms.verify_eigensystem (only the compared coefficients)
-are tested against.
+smaller degree bound, every coefficient formed and compared.  The oracles
+that operators.hecke_a (a/q looked up, not divided) and
+forms.verify_eigensystem are tested against.  The latter forms no T_q F:
+at q not dividing a it decides c_a q^g = lambda c_a by d = q^g - lambda,
+with no product or read when d = 0, and it compares two products only at
+a = q b, so (passed, witness) must agree with eigen_check byte for byte.
 """
 
 from drinfeld.algebra import Pol, monics_up_to_degree

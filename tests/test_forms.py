@@ -14,7 +14,7 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (NotReducible, NotSquareFree, SignMismatch,
                              Unsupported)
-from drinfeld.operators import hecke_u
+from drinfeld.operators import hecke_a, hecke_a_rule, hecke_u
 from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
                              poly_eval_scalar, poly_eval_series,
                              shift_by_value, u_of_az)
@@ -133,19 +133,48 @@ class TestEigensystemReports:
         assert not late.passed and late.witness == "q=t^2+1 at a = 1"
 
     def test_reads_only_the_compared_degrees(self):
-        # T_q keeps deg a <= bound - deg q: no top-degree coefficient is
-        # computed, and none twice
+        # T_q keeps deg a <= bound - deg q.  With the true eigenvalue,
+        # d = q^g - lambda(q) = 0 decides every a prime to q unread, so only
+        # the a = q b and their b are read; with d != 0 the check reads c_a
+        # in monic order up to the witness.  No coefficient is computed
+        # twice, and none above bound - deg q
         ctx = TorsionContext(TH)
-        read = []
+        bound, primes = 4, irreducible_monics(F3, 2)
 
-        def rule(a):
-            read.append(a.c)
-            return ctx.lift_poly(a ** 3)
-        F = AExpansion.from_rule(ctx, "power", 1, 4, 1, rule, 3)
-        rep = forms.verify_eigensystem(F, irreducible_monics(F3, 2),
-                                       ctx.lift_poly, 0)
-        assert rep.passed and len(read) == len(set(read))
-        assert set(read) == {a.c for a in monics_up_to_degree(F3, 2)}
+        def reads(rule, expected, qs):
+            read = []
+            F = AExpansion.from_rule(ctx, "power", 1, 4, 1, lambda a: (
+                read.append(a) or rule(a)), bound)
+            rep = forms.verify_eigensystem(F, qs, expected, 0)
+            assert len(read) == len({a.c for a in read})
+            return rep, read
+        rep, read = reads(lambda a: ctx.lift_poly(a ** 3), ctx.lift_poly,
+                          primes)
+        assert rep.passed
+        assert {a.c for a in read} == {
+            c.c for q in primes
+            for b in monics_up_to_degree(F3, bound - 2 * q.degree)
+            for c in (b, q * b)}
+        # c_a = a^3 for deg a >= 2, else 0; lambda(t+1) = t+2 fails first
+        # at t^2, the first a of degree 2, which t+1 does not divide
+        rep, read = reads(
+            lambda a: ctx.lift_poly(a ** 3) if a.degree > 1 else ctx.ring.zero,
+            lambda p: ctx.lift_poly(p + Pol.one(F3)), [pol3("t+1")])
+        monics = list(monics_up_to_degree(F3, bound - 1))
+        assert rep.witness == "q=t+1 at a = t^2"
+        assert read == monics[:monics.index(pol3("t^2")) + 1]
+
+    @pytest.mark.parametrize("bound, qpol", [(3, TH * TH), (1, pol3("t^2+1"))],
+                             ids=["non-prime", "bound-below-deg-q"])
+    def test_errors_match_hecke_a(self, bound, qpol):
+        # the check validates q and the bound where hecke_a does
+        # (operators.hecke_a_rule), so it raises the same ValueError
+        ctx = TorsionContext(TH)
+        F = forms.petrov_fs(ctx, 1, bound)
+        with pytest.raises(ValueError) as want:
+            hecke_a(F, qpol)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            forms.verify_eigensystem(F, [qpol], ctx.lift_poly, 0)
 
     def test_u_expansion_dispatch(self):
         ctx = TorsionContext(TH)
@@ -183,13 +212,14 @@ class TestEigensystemReports:
             forms.verify_eigensystem(object(), [TH], None, 0)
 
 
-def eigen_cases(q, bound):
-    """(name, form, primes, eigenvalue) at level theta over F_q: f_1, Delta,
-    E_theta and EHat of k = q-2 for the character of conductor theta with
-    exponent 1, the last two on the primes away from theta."""
+def eigen_cases(q, bound, composite=False):
+    """(name, form, primes, eigenvalue) at level theta, or theta(theta+1)
+    when composite, over F_q: f_1, Delta, E_theta and EHat of k = q-2 for
+    the character of conductor theta with exponent 1, the last two on the
+    primes away from theta."""
     field = {3: F3, 4: F4, 5: finite_field(5), 9: finite_field(3, 2)}[q]
     th = Pol.x(field)
-    ctx = TorsionContext(th)
+    ctx = TorsionContext(th * (th + Pol.one(field)) if composite else th)
     chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
     primes = irreducible_monics(field, 2)
     away = [p for p in primes if p != th]
@@ -232,6 +262,31 @@ def test_eigen_check_equals_whole_form_oracle(q):
         for plant, G, expected in plants:
             got = forms.verify_eigensystem(G, primes, expected, 0)
             want = eigen_check(G, primes, expected)
+            assert (got.passed, got.witness) == want, (name, plant)
+            assert got.passed == (plant == "true"), (name, plant, want)
+
+
+@pytest.mark.parametrize("q", [3, 4], ids=lambda q: "q%d" % q)
+def test_eigen_check_with_denominators_equals_oracle(q):
+    # eigenvalues with the denominator theta+1, at the composite level
+    # theta(theta+1).  q^g formed through lift_poly(theta+1).invert() leaves
+    # d = q^g - lambda exactly zero and passes; q^g + 1/(theta+1) fails, at
+    # every prime or at the last only, with the oracle's witness.  Over F_3
+    # this ring is a field, so the test exercises no zero divisors
+    ctx, cases = eigen_cases(q, 3, composite=True)
+    s = ctx.lift_poly(Pol.x(ctx.field) + Pol.one(ctx.field))
+    inv = s.invert()
+    for name, F, primes, lam in cases:
+        last = primes[-1]
+        for p in primes:
+            assert not hecke_a_rule(F, p)[0] - lam(p) * s * inv, (name, p)
+        plants = [
+            ("true", lambda p: lam(p) * s * inv),
+            ("offset", lambda p: lam(p) + inv),
+            ("last prime", lambda p: lam(p) + inv if p == last else lam(p))]
+        for plant, expected in plants:
+            got = forms.verify_eigensystem(F, primes, expected, 0)
+            want = eigen_check(F, primes, expected)
             assert (got.passed, got.witness) == want, (name, plant)
             assert got.passed == (plant == "true"), (name, plant, want)
 
