@@ -15,14 +15,16 @@ from .algebra import (RF, Pol, QuotientRing, residue_ring,
                       monics_of_degree, polys_below_degree)
 from .errors import ConductorMismatch
 
-# Largest residue field residue_point builds.  Its tables are built once
-# per process; the exact rows and rank they spare are paid per call.  Timed
-# in fresh interpreters on a 2-vCPU x86_64 VM: F_81 and the point take
-# 0.02-0.03 s, against exact rows and rank of 0.05-0.11 s at the F_3
-# quadratics, k = 1..3, N = 36; F_256 and its point 0.32-0.49 s (the
-# tables alone 0.31-0.44 s), against exact rows and rank of 0.11-0.19 s
-# at F_4, t^2+wt+1, k = 1 or 2, N = 40: one call there is faster exact.
-RESIDUE_ORDER_MAX = 81
+# Largest residue field _reductions builds.  Its tables are built once
+# per process, and only after every smaller point fell short; the exact rows
+# and rank they spare are paid per call.  Timed in fresh interpreters on a
+# 2-vCPU x86_64 VM: F_27 and the first point of an F_3 quadratic take
+# 0.002 s; F_243 and its point at t^3+2t+1 0.19 s, against 274 s (one run)
+# for the exact rows and rank there at k = 2, N = 150, where F_27 gives 25
+# of 26; F_256 and its point 0.32-0.49 s, against exact rows and rank of
+# 0.11-0.19 s at F_4, t^2+wt+1, k = 1 or 2, N = 40: one call there is
+# faster exact.
+RESIDUE_ORDER_MAX = 243
 
 
 def carlitz_coeffs(a):
@@ -56,7 +58,8 @@ class TorsionContext:
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
     Memos ``powers``, ``gauss`` (g(chi) per character chi), ``u_az``
     (see series.u_of_az) and ``twist_sums`` (see operators.normalized_sums)
-    hold ring elements only, so they die with it; reduced() has its own.
+    hold ring elements only, so they die with it; a reduced context (see
+    _reductions) has its own.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
@@ -96,21 +99,6 @@ class TorsionContext:
         self.u_az, self.twist_sums = {}, {}
 
     lam = property(lambda self: self.exp_value(Pol.one(self.field)))
-
-    def reduced(self):
-        """This context over T = A/Q: the same modulus and constants, with
-        the ResidueRing of residue_point() as its ring, so every method
-        returns the image in T of its exact value (or raises NotReducible
-        where that has no image).  None when residue_point() is None."""
-        point = self.residue_point()
-        if point is None:
-            return None
-        red = object.__new__(TorsionContext)
-        for name in ("field", "big", "emb", "modulus", "primes", "_cofs"):
-            setattr(red, name, getattr(self, name))
-        T, emb, alpha, roots = point
-        red._attach(residue_ring(T, tuple(emb), alpha, tuple(roots)))
-        return red
 
     def lift_poly(self, p):
         """A polynomial in theta as a scalar ring element."""
@@ -222,20 +210,22 @@ class TorsionContext:
             return self.ring.dot(pairs)
         return apply
 
-    def residue_point(self):
-        """(T, emb, alpha, roots): a point of the ring over a finite field.
+    def _reductions(self):
+        """This context over T = A/Q, for each monic irreducible
+        Q = modulus*m + 1 (m monic, in the order of monics_of_degree) of
+        each degree that the extension degree divides, least first, while
+        T has at most RESIDUE_ORDER_MAX elements; a generator, so a field
+        is built only when the points before it were not enough.
 
-        T = A/Q for the first monic irreducible Q = modulus*m + 1 (m monic,
-        in the order of monics_of_degree) of the least degree that the
-        extension degree divides, so T contains the big field; emb is
-        T.embedding(big), alpha a root of Q and roots[i] the least root of
-        relation i at theta = alpha.  Such a Q splits completely in the
-        torsion field (Hayes, Trans. AMS 189, 1974), so these roots exist
-        and theta -> alpha, lambda_i -> roots[i], c -> emb[c] is a ring
-        homomorphism on the elements whose denominator is nonzero at
-        alpha.  Base-field constants go through self.emb first, so one
-        embedding serves everything.  None when T would have more than
-        RESIDUE_ORDER_MAX elements.
+        Such a Q splits completely in the torsion field (Hayes, Trans. AMS
+        189, 1974), so the relations have roots in T, and theta -> alpha
+        (a root of Q), lambda_i -> the least root of relation i at alpha,
+        c -> emb[c] (emb = T.embedding(big); base-field constants go
+        through self.emb first) is a ring homomorphism on the elements
+        whose denominator is nonzero at alpha.  The reduced context has
+        the same modulus and constants, with that ResidueRing as its ring,
+        so every method returns the image in T of its exact value (or
+        raises NotReducible where that has no image).
         """
         field, big, mod = self.field, self.big, self.modulus
         ext = big.n // field.n
@@ -251,9 +241,14 @@ class TorsionContext:
                     roots = [Pol(T, [c.eval_in(T, alpha, emb)
                                      for c in rel]).roots_in(T)[0]
                              for rel in self.ring.relations]
-                    return T, emb, alpha, roots
+                    red = object.__new__(TorsionContext)
+                    for name in ("field", "big", "emb", "modulus", "primes",
+                                 "_cofs"):
+                        setattr(red, name, getattr(self, name))
+                    red._attach(residue_ring(T, tuple(emb), alpha,
+                                             tuple(roots)))
+                    yield red
             deg += ext
-        return None
 
     def residues(self, modulus=None):
         """All beta in A with deg beta < deg modulus, in canonical order."""

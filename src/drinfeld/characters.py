@@ -142,10 +142,6 @@ class DirichletCharacter:
                 self.field, self.conductor.degree)]
         return self._values
 
-    def eval_inv(self, a):
-        v = self.eval(a)
-        return self.big.inv(v) if v else 0
-
     def __repr__(self):
         return "chi{%s}" % "; ".join("%s^%d@%d" % (p.format(), e, r)
                                      for p, r, e in self.factors)

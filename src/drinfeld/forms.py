@@ -18,8 +18,8 @@ from .errors import NotReducible, Unsupported
 # bench/test_bench.py checks that the tracer rewraps it in this module.
 from .series import (AExpansion, TwistedEisenstein, UExpansion,
                      bound_for_precision, combination, eisenstein_components,
-                     fold_units, goss_coeffs_in, moebius_of_series,
-                     poly_eval_series, require_sign, rescale_arg, u_of_az)
+                     goss_coeffs_in, moebius_of_series, poly_eval_series,
+                     require_sign, rescale_arg, u_of_az)
 from .operators import (gauss_over_conductor, hecke_a_rule, hecke_twisted,
                         hecke_u, twist_normalized)
 
@@ -276,73 +276,74 @@ def certified_rank(ctx, build):
     """Rank of the rows build(ctx) over ctx's ring (a field), certified in
     a residue field where it can be.
 
-    build runs first on ctx.reduced(), over T = A/Q.  Reduction is a ring
+    build runs on each reduced context of ctx in turn (see
+    TorsionContext._reductions), over T = A/Q.  Reduction is a ring
     homomorphism, so those rows are the images of the exact rows, and full
     rank over T proves full rank.  A shortfall over T proves nothing (Q may
-    divide every maximal minor), so then, with no residue field, and when
-    a value has no image in T (NotReducible), the answer is the exact
+    divide every maximal minor), and a value with no image in T raises
+    NotReducible; either way the next point is tried.  Only when no point
+    up to RESIDUE_ORDER_MAX certifies is the answer the exact
     matrix_rank(build(ctx)).
     """
-    red = ctx.reduced()
-    if red is not None:
+    for red in ctx._reductions():
         try:
             rows = [list(row) for row in build(red)]
-            if len(row_echelon(rows, Residue.invert)) == len(rows):
-                return len(rows)
         except NotReducible:
-            pass
+            continue
+        if len(row_echelon(rows, Residue.invert)) == len(rows):
+            return len(rows)
     return matrix_rank(build(ctx))
 
 
 def eisenstein_rows(ctx, k, N):
-    """The ETilde and EHat rows of eisenstein_rank over ctx, exact or
-    reduced, for an irreducible level p: the coefficients u^0..u^(N-1) of
-    both series for each character chi with the matching sign.
+    """The rank rows of eisenstein_rank over ctx, exact or reduced, for an
+    irreducible level p: the coefficients u^0..u^(N-1) of E_a and of
+    F_a = sum_{c = a mod p, c != 0} G_k(u(cz)) for each monic unit a.
 
-    Both rows are character-independent series computed once and combined
-    per character, one combination each: the ETilde row from the E_a at
-    monic units a, with chi^{-1} folded onto them by fold_units, and the
-    EHat row as sum_r chi^{-1}(r) B_r over the units r mod p, with
-    B_r = sum_{c monic, c = r mod p} G_k(u(cz)).
+    E_a comes from eisenstein_components.  F_a is one combination over the
+    monic c: the nonzero c' = a mod p are the c/xi for monic c = xi*a mod p
+    (xi in F_q^*), and G_k(u(cz/xi)) = xi^k G_k(u(cz)).
     """
-    ppol = ctx.modulus
-    field = ppol.field
+    ppol, field = ctx.modulus, ctx.field
     q = field.order
-    size = q ** ppol.degree
-    chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
-            for e in range(size - 1) if (e + k) % (q - 1) == 0]
-    bound = bound_for_precision(field, N)
-    units = ctx.units(ppol)
     comps = eisenstein_components(ctx, k, ppol, N)
     gk = goss_coeffs_in(ctx, k)
-    buckets = {r.c: UExpansion.zero(ctx, N) for r in units}
-    for c in monics_up_to_degree(field, bound):
-        r = (c % ppol).c
-        if r in buckets and q ** c.degree < N:
-            buckets[r] += poly_eval_series(gk, u_of_az(ctx, c, N))
+    terms = {a: [] for a in comps}
+    for c in monics_up_to_degree(field, bound_for_precision(field, N)):
+        r = c % ppol
+        if r and q ** c.degree < N:
+            xi = r.leading()
+            terms[r.monic().c].append(
+                (ctx.big_const(ctx.emb[field.pow(xi, k)]),
+                 poly_eval_series(gk, u_of_az(ctx, c, N)).coeffs))
     rows = []
-    for chi in chis:
-        inv = {r.c: ctx.big_const(chi.eval_inv(r)) for r in units}
-        w = fold_units(ctx, k, ppol, inv)
-        for terms in ([(w[a], E.coeffs) for a, E in comps.items()],
-                      [(inv[r], B.coeffs) for r, B in buckets.items()]):
-            rows.append(combination(ctx, terms, N).coeffs)
+    for a, E in comps.items():
+        rows += [E.coeffs, combination(ctx, terms[a], N).coeffs]
     return rows
 
 
 def eisenstein_rank(ppol, k, N):
     """Rank of the span of {ETilde_chi^(k), EHat_chi^(k)} over all chi with
     the matching sign, from truncated u-expansions; expected value
-    2(|p|-1)/(q-1), which is also the number of rows.  The level p must be
-    irreducible.
+    2(|p|-1)/(q-1), the number of cusps of Gamma_1(p), which is also the
+    number of rows.  The level p must be irreducible.
 
-    The rank is certified_rank of eisenstein_rows: the rows are built and
-    ranked over the residue field T = A/Q, where full rank proves full
-    rank over the torsion field, and only a shortfall over T, or a value
-    with no image there, builds the exact rows for matrix_rank.  A rank
+    No character is built: the rows are the E_a and F_a of eisenstein_rows,
+    which span the same space.  The sign condition gives chi(xi) = xi^(-k)
+    on F_q^*, so ETilde_chi = -sum_a chi^{-1}(a) E_a and EHat_chi =
+    sum_a chi^{-1}(a) F_a over the monic units a.  The matrix
+    [chi^{-1}(a)] is a diagonal matrix times the character table of
+    (A/p)^*/F_q^*, whose order divides |p| - 1, so the characteristic does
+    not divide it and the table is invertible.  Rank does not change under
+    a field extension, so the rows are ranked over the torsion ring of F_q
+    itself, with no extension degree.
+
+    The rank is certified_rank of those rows: full rank over a residue
+    field T = A/Q proves full rank over the torsion field, and only when
+    no point certifies are the exact rows built for matrix_rank.  A rank
     below the row count may only mean that the precision N is too low.
     """
-    ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+    ctx = TorsionContext(ppol)
     if len(ctx.primes) > 1:
         raise Unsupported("the Eisenstein count needs an irreducible level, "
                           "not %s" % "".join("(%s)" % f.format()

@@ -1,6 +1,6 @@
 """The image of an exact torsion-ring element in a residue field, read off
 its packed numerator slot by slot.  An oracle for the reduced contexts of
-TorsionContext.reduced(), which build the same values in the field."""
+TorsionContext._reductions, which build the same values in the field."""
 
 
 def evaluator(ring, field, emb, alpha, roots):
@@ -37,6 +37,20 @@ def evaluator(ring, field, emb, alpha, roots):
     return image
 
 
-def point_image(ctx):
-    """evaluator at ctx.residue_point()."""
-    return evaluator(ctx.ring, *ctx.residue_point())
+def first_reduced(ctx):
+    """The first reduced context of ctx, or None when it has no point."""
+    return next(ctx._reductions(), None)
+
+
+def point_of(red):
+    """(T, emb, alpha, roots) of a reduced context: theta -> alpha,
+    generator i -> roots[i], a big-field code c -> emb[c]."""
+    ring = red.ring
+    return ring.field, ring.emb, ring.alpha, ring.roots
+
+
+def point_image(ctx, red=None):
+    """evaluator at the point of red, a reduced context of ctx, by default
+    its first."""
+    return evaluator(ctx.ring, *point_of(red if red is not None
+                                         else first_reduced(ctx)))

@@ -9,11 +9,12 @@ forms with one dot per coefficient, summed here term by term as
 S.scale(c) plus series additions.  The oracles that the power-sum shifts,
 the closed-form Hecke beta-sum of operators.py, the per-context u(az)
 memo, algebra.power, poly_eval_series, operators.hecke_a, the renders and
-the Eisenstein components and rows are tested against.  A series in v is
+the Eisenstein components are tested against, and the rank rows by
+character, which the rows of forms.eisenstein_rows span.  A series in v is
 a UExpansion whose variable is read as v.
 """
 
-from drinfeld.algebra import monics_up_to_degree
+from drinfeld.algebra import monics_up_to_degree, polys_below_degree
 from drinfeld.carlitz import carlitz_coeffs
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import DrinfeldError
@@ -246,15 +247,24 @@ def scaled_sum_twisted_render(T, N):
     return out
 
 
-def scaled_sum_rows(ctx, k, N):
-    """forms.eisenstein_rows(ctx, k, N) with each ETilde row summed as
-    E_a.scale(w(a)) and each EHat row as B_r.scale_const(chi^{-1}(r))."""
+def sign_characters(ctx, k):
+    """The characters chi of conductor ctx.modulus with s_chi = -k mod
+    q-1, in exponent order, with values in ctx.big."""
+    ppol = ctx.modulus
+    q = ppol.field.order
+    return [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
+            for e in range(q ** ppol.degree - 1) if (e + k) % (q - 1) == 0]
+
+
+def character_rows(ctx, k, N):
+    """The rank rows by character, which forms.eisenstein_rows built
+    before it dropped the characters: ETilde_chi and EHat_chi for each chi
+    of sign_characters, ETilde summed as E_a.scale(w(a)) with w the
+    fold_units of chi^{-1}, and EHat as B_r.scale_const(chi^{-1}(r)) over
+    the units r, B_r = sum_{c monic, c = r mod p} G_k(u(cz))."""
     ppol = ctx.modulus
     field = ppol.field
     q = field.order
-    size = q ** ppol.degree
-    chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
-            for e in range(size - 1) if (e + k) % (q - 1) == 0]
     units = ctx.units(ppol)
     comps = scaled_sum_components(ctx, k, ppol, N)
     gk = goss_coeffs_in(ctx, k)
@@ -264,8 +274,8 @@ def scaled_sum_rows(ctx, k, N):
         if r in buckets and q ** c.degree < N:
             buckets[r] += scaled_sum_poly_eval(gk, direct_u_of_az(ctx, c, N))
     rows = []
-    for chi in chis:
-        inv = {r.c: chi.eval_inv(r) for r in units}
+    for chi in sign_characters(ctx, k):
+        inv = {r.c: chi.inverse().eval(r) for r in units}
         w = fold_units(ctx, k, ppol,
                        {r: ctx.big_const(v) for r, v in inv.items()})
         tilde = hat = UExpansion.zero(ctx, N)
@@ -276,3 +286,36 @@ def scaled_sum_rows(ctx, k, N):
         rows.append(tilde.coeffs)
         rows.append(hat.coeffs)
     return rows
+
+
+def defining_f_row(ctx, k, N, a):
+    """F_a = sum_{c = a mod p, c != 0} G_k(u(cz)) by its definition, one
+    G_k(u(cz)) per nonzero c, monic or not, with u(cz) built afresh: the
+    coefficients u^0..u^(N-1)."""
+    field = ctx.field
+    q = field.order
+    gk = goss_coeffs_in(ctx, k)
+    out = UExpansion.zero(ctx, N)
+    for c in polys_below_degree(field, bound_for_precision(field, N) + 1):
+        if c and q ** c.degree < N and c % ctx.modulus == a:
+            out = out + scaled_sum_poly_eval(gk, direct_u_of_az(ctx, c, N))
+    return out.coeffs
+
+
+def rows_by_characters(ctx, rows, k):
+    """The rows [E_a, F_a, ...] of forms.eisenstein_rows, one pair per
+    monic unit a in the order of ctx.units, combined into the character
+    rows -sum_a chi^{-1}(a) E_a and sum_a chi^{-1}(a) F_a for each chi of
+    sign_characters, as scaled sums."""
+    monic = [a for a in ctx.units(ctx.modulus) if a.is_monic()]
+    N = len(rows[0])
+    out = []
+    for chi in sign_characters(ctx, k):
+        inv = chi.inverse()
+        tilde = hat = UExpansion.zero(ctx, N)
+        for a, E, F in zip(monic, rows[0::2], rows[1::2]):
+            v = inv.eval(a)
+            tilde = tilde - UExpansion(ctx, E).scale_const(v)
+            hat = hat + UExpansion(ctx, F).scale_const(v)
+        out += [tilde.coeffs, hat.coeffs]
+    return out

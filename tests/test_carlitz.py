@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itertools
 import random
 
 from drinfeld.algebra import (RF, Pol, finite_field, irreducible_monics,
@@ -16,7 +17,7 @@ from drinfeld.errors import NotReducible
 from drinfeld.series import UExpansion, goss_coeffs_in, shift_by_value
 
 from goss_oracle import goss_generating, kernel_goss_loop
-from residue_oracle import evaluator, point_image
+from residue_oracle import evaluator, first_reduced, point_image, point_of
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -265,7 +266,7 @@ class TestTorsionMemos:
             assert [p.coords for p in pows[:9]] == [(x ** j).coords
                                                     for j in range(9)]
         assert torsion._cols is not None and generic._cols is None
-        red = ctx.reduced()
+        red = first_reduced(ctx)
         lam = red.lam
         fresh = [red.ring.one]
         for _ in range(8):
@@ -322,7 +323,7 @@ ORBIT_IDS = ["q3-t2+1", "q4-t2+t+w-d2", "q5-t2+2", "q9-t-d2"]
 
 def _orbit_context(field, coeffs, ext, reduce):
     ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
-    return ctx.reduced() if reduce else ctx
+    return first_reduced(ctx) if reduce else ctx
 
 
 def _orbit(ctx, value):
@@ -404,9 +405,10 @@ class TestTorsionInverse:
                 assert inverse(lam) * lam == ctx.ring.one
 
 
-def _residue_modulus(ctx):
-    """Q of residue_point by its definition: the first monic irreducible
-    modulus*m + 1, m monic, of a degree that the extension degree divides."""
+def _residue_moduli(ctx):
+    """The Q of the points of ctx._reductions by their definition, with no
+    cap on the order: each monic irreducible modulus*m + 1, m monic, of a
+    degree that the extension degree divides, least degree first."""
     field, modulus = ctx.field, ctx.modulus
     ext = ctx.big.n // field.n
     for deg in range(modulus.degree, 4 * modulus.degree + 4):
@@ -414,7 +416,13 @@ def _residue_modulus(ctx):
             for m in monics_of_degree(field, deg - modulus.degree):
                 Q = modulus * m + Pol.one(field)
                 if is_irreducible(Q):
-                    return Q
+                    yield Q
+
+
+def _residue_modulus(ctx):
+    """Q of the first point, by its definition."""
+    for Q in _residue_moduli(ctx):
+        return Q
     raise AssertionError("no Q found")
 
 
@@ -495,25 +503,32 @@ class TestResiduePoint:
     @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
                              ids=TORSION_IDS)
     def test_point(self, field, coeffs, ext):
+        # one reduced context per Q up to the cap, in the order of
+        # _residue_moduli, each at a root of its Q
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
-        T, emb, alpha, roots = ctx.residue_point()
-        Q = _residue_modulus(ctx)
-        assert Q % ctx.modulus == Pol.one(field)
-        assert T is finite_field(field.p, field.n * Q.degree)
-        assert emb == T.embedding(ctx.big)
-        base = [emb[c] for c in ctx.emb]
-        assert Q.eval_in(T, alpha, base) == 0
-        for rel, r in zip(ctx.ring.relations, roots):
-            phi = Pol(T, [c.eval_in(T, alpha, emb) for c in rel])
-            # the relation splits into distinct linear factors over T
-            found = phi.roots_in(T, T.embedding(T))
-            assert r == found[0] and len(found) == phi.degree
+        moduli = list(itertools.takewhile(
+            lambda Q: field.order ** Q.degree <= RESIDUE_ORDER_MAX,
+            _residue_moduli(ctx)))
+        reds = list(ctx._reductions())
+        assert len(reds) == len(moduli) > 0
+        for red, Q in zip(reds, moduli):
+            T, emb, alpha, roots = point_of(red)
+            assert Q % ctx.modulus == Pol.one(field)
+            assert T is finite_field(field.p, field.n * Q.degree)
+            assert list(emb) == T.embedding(ctx.big)
+            base = [emb[c] for c in ctx.emb]
+            assert Q.eval_in(T, alpha, base) == 0
+            for rel, r in zip(ctx.ring.relations, roots):
+                phi = Pol(T, [c.eval_in(T, alpha, emb) for c in rel])
+                # the relation splits into distinct linear factors over T
+                found = phi.roots_in(T, T.embedding(T))
+                assert r == found[0] and len(found) == phi.degree
 
     @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
                              ids=TORSION_IDS)
     def test_evaluator_is_a_homomorphism(self, field, coeffs, ext):
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
-        T, emb, alpha, roots = point = ctx.residue_point()
+        T, emb, alpha, roots = point = point_of(first_reduced(ctx))
         image = evaluator(ctx.ring, *point)
         Q = _residue_modulus(ctx)
         assert image(ctx.lift_poly(Pol.x(field))) == alpha
@@ -544,11 +559,11 @@ class TestResiduePoint:
         # every value the reduced context computes is the image in T of
         # the value the exact context computes
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
-        red = ctx.reduced()
-        T, emb, alpha, roots = ctx.residue_point()
+        red = first_reduced(ctx)
+        T, emb, alpha, roots = point_of(red)
         image = point_image(ctx)
         assert red.ring.field is T and red.modulus is ctx.modulus
-        assert [g.code for g in red.gens] == roots
+        assert [g.code for g in red.gens] == list(roots)
         assert red.lam.code == image(ctx.lam)
         assert red.lift_poly(Pol.x(field)).code == alpha
         for c in range(ctx.big.order):
@@ -575,7 +590,7 @@ class TestResiduePoint:
         # one Residue per code of T: every operation returns the held
         # element of the table's code, so == and hash follow the code
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
-        ring = ctx.reduced().ring
+        ring = first_reduced(ctx).ring
         T, elems, emb = ring.field, ring.elems, ring.emb
         assert [x.code for x in elems] == list(T.elements())
         assert ring.zero is elems[0] and ring.one is elems[1]
@@ -602,21 +617,22 @@ class TestResiduePoint:
         assert [ring.gen(i) for i in range(len(ring.roots))] == [
             elems[r] for r in ring.roots]
         # one ring per point, so a new context shares these elements
-        again = TorsionContext(Pol(field, coeffs), ext_degree=ext).reduced()
-        assert again.ring is ring and again.lam is ctx.reduced().lam
+        again = first_reduced(TorsionContext(Pol(field, coeffs),
+                                             ext_degree=ext))
+        assert again.ring is ring and again.lam is first_reduced(ctx).lam
 
     def test_none_past_order_limit(self):
         # over F_5, t^2+3 + 1 = (t+1)(t+4), so Q has degree 4 and F_625
         # would be the residue field
         ctx = TorsionContext(parse_pol(F5, "t^2+3"), ext_degree=2)
         assert F5.order ** _residue_modulus(ctx).degree > RESIDUE_ORDER_MAX
-        assert ctx.residue_point() is None
+        assert first_reduced(ctx) is None
         # over F_4, t^2+wt+1 + 1 = t(t+w): F_256, whose tables cost more
         # than the exact rank at this level
         ctx = TorsionContext(Pol(F4, (1, 2, 1)), ext_degree=2)
         assert _residue_modulus(ctx).degree == 4
         assert F4.order ** 4 > RESIDUE_ORDER_MAX
-        assert ctx.residue_point() is None and ctx.reduced() is None
+        assert first_reduced(ctx) is None
 
 
 class TestGossPolynomials:

@@ -1,15 +1,17 @@
 """Form catalog, verification reports, congruence checks, and rank counts."""
 
 import functools
+import itertools
 import json
 import re
 
 import pytest
 
 from drinfeld import forms
-from drinfeld.algebra import (Pol, QuotientRing, finite_field,
-                              irreducible_monics, monics_up_to_degree,
-                              parse_pol)
+from drinfeld.algebra import (Pol, QuotientRing, Residue, finite_field,
+                              irreducible_monics, is_irreducible,
+                              monics_of_degree, monics_up_to_degree,
+                              parse_pol, row_echelon)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (NotReducible, NotSquareFree, SignMismatch,
@@ -20,8 +22,9 @@ from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
                              shift_by_value, u_of_az)
 
 from eigen_oracle import eigen_check
-from residue_oracle import point_image
-from series_oracle import scaled_sum_rows
+from residue_oracle import first_reduced, point_image
+from series_oracle import (character_rows, defining_f_row,
+                           rows_by_characters, sign_characters)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -46,6 +49,12 @@ REDUCED_CASES = ([(pol3(p), k, 36) for p in QUADRATICS for k in (1, 2, 3)]
 REDUCED_IDS = (["q3-%s-k%d" % (p, k) for p in QUADRATICS for k in (1, 2, 3)]
                + ["q3-t^3+2t+1-k1", "q4-k1", "q4-k2", "q4-k3", "q5-k1",
                   "q9-k1"])
+# (level, weights, N) at which the rows are compared with the character
+# rows of series_oracle
+ORACLE_LEVELS = [(pol3("t^2+1"), (1, 2), 12), (P4, (1, 2), 10),
+                 (parse_pol(finite_field(5), "t+1"), (1, 2), 14),
+                 (Pol(finite_field(3, 2), (1, 1)), (1, 2), 20)]
+ORACLE_IDS = ["q3-t^2+1", "q4-t^2+t+w", "q5-t+1", "q9-t+1"]
 
 
 class TestBoundForPrecision:
@@ -478,39 +487,60 @@ class TestRank:
         assert fallbacks == ([want] if want < len(rows) else [])
 
     def test_certified_rank_fallback_triggers(self, monkeypatch):
-        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        ppol = pol3("t^2+1")
+        ctx = TorsionContext(ppol, ext_degree=2)
         fallbacks = _spy_matrix_rank(monkeypatch)
+        # the three points, all over F_81, and their Q = ppol*m + 1
+        reds = list(ctx._reductions())
+        one = Pol.one(F3)
+        Qs = [Q for Q in (ppol * m + one for m in monics_of_degree(F3, 2))
+              if is_irreducible(Q)]
+        assert len(reds) == len(Qs) == 3
+        assert [red.ring.field.order for red in reds] == [81] * 3
+        for red, Q in zip(reds, Qs):
+            assert point_image(ctx, red)(ctx.lift_poly(Q)) == 0
         # full rank over T: no fallback
         square = lambda c: [[c.ring.one, c.lam], [c.lam, c.ring.one]]
         assert forms.certified_rank(ctx, square) == 2
         assert fallbacks == []
-        # full rank, but the 2x2 minor is Q, so the image in T has rank 1
-        Q = pol3("t^4+2t^2+2")  # (t^2+1)(t^2+1) + 1
-        assert point_image(ctx)(ctx.lift_poly(Q)) == 0
-        minor_q = lambda c: [[c.ring.one, c.lam],
-                             [c.lam, c.lam * c.lam + c.lift_poly(Q)]]
-        assert forms.certified_rank(ctx, minor_q) == 2
-        assert fallbacks == [2]
-        # an entry whose denominator vanishes at alpha: 1/Q has no image
+        # full rank, but the 2x2 minor is the first Q, so its image at the
+        # first point has rank 1; the second point certifies
+        tried = []
+        minor = lambda Q: lambda c: tried.append(c.ring) or [
+            [c.ring.one, c.lam], [c.lam, c.lam * c.lam + c.lift_poly(Q)]]
+        Q = Qs[0]  # (t^2+1)(t^2+1) + 1
+        assert Q == pol3("t^4+2t^2+2")
+        assert forms.certified_rank(ctx, minor(Q)) == 2
+        assert tried == [red.ring for red in reds[:2]]
+        assert fallbacks == []
+        # an entry whose denominator vanishes at the first alpha: 1/Q has
+        # no image there, and the second point certifies
         over_q = lambda c: [[c.lift_poly(Q).invert(), c.ring.one],
                             [c.ring.one, c.lam]]
         with pytest.raises(NotReducible):
-            over_q(ctx.reduced())
+            over_q(reds[0])
         assert forms.certified_rank(ctx, over_q) == 2
-        assert fallbacks == [2, 2]
+        assert fallbacks == []
+        # the minor is the product of every point's Q, so every image has
+        # rank 1: the exact rank
+        del tried[:]
+        every = functools.reduce(lambda x, y: x * y, Qs)
+        assert forms.certified_rank(ctx, minor(every)) == 2
+        assert tried == [red.ring for red in reds] + [ctx.ring]
+        assert fallbacks == [2]
         # no residue field small enough: F_5, t^2+3 needs F_625
         ctx5 = TorsionContext(parse_pol(finite_field(5), "t^2+3"),
                               ext_degree=2)
-        assert ctx5.residue_point() is None and ctx5.reduced() is None
+        assert first_reduced(ctx5) is None
         assert forms.certified_rank(ctx5, square) == 2
-        assert fallbacks == [2, 2, 2]
+        assert fallbacks == [2, 2]
 
     @pytest.mark.parametrize("ppol, k, N", REDUCED_CASES, ids=REDUCED_IDS)
     def test_reduced_rows_equal_exact_images(self, ppol, k, N):
         # the rows built over T equal, entry for entry, the images in T of
         # the rows built in the torsion ring
         ctx, exact = _exact_rows(ppol, k, N)
-        red = ctx.reduced()
+        red = first_reduced(ctx)
         assert not isinstance(red.ring, QuotientRing)
         image = point_image(ctx)
         got = [[x.code for x in row] for row in
@@ -523,8 +553,8 @@ class TestRank:
     @pytest.mark.parametrize("ptext", QUADRATICS)
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_fast_path_builds_no_exact_rows(self, monkeypatch, ptext, k):
-        # full rank over F_81: neither the exact Eisenstein components nor
-        # the exact rank run
+        # full rank over F_27, the first point: neither the exact
+        # Eisenstein components nor the exact rank run
         fallbacks = _spy_matrix_rank(monkeypatch)
         rings = []
         components = forms.eisenstein_components
@@ -535,65 +565,108 @@ class TestRank:
         assert fallbacks == []
         assert len(rings) == 1
         assert not isinstance(rings[0], QuotientRing)
+        assert rings[0].field.order == 27
 
-    def test_reduction_failure_falls_back(self, monkeypatch):
-        # at theta over F_3, Q = t+1 and T = F_3; G_4 carries 1/(t^3+2t),
-        # which vanishes at every point of F_3
-        red = TorsionContext(TH).reduced()
-        assert red.ring.field is F3
-        with pytest.raises(NotReducible, match="vanishes at alpha"):
-            goss_coeffs_in(red, 4)
+    def test_reduction_failure_tries_the_next_point(self, monkeypatch):
+        # at theta over F_3 the first Q is t+1 and T = F_3; G_4 carries
+        # 1/(t^3+2t), which vanishes at every point of F_3.  The next
+        # point, F_9 (Q = t^2+1), gives 1 of 2 at k = 4 and 2 at k = 5,
+        # and the first F_27 point 2 at k = 4
+        reds = list(TorsionContext(TH)._reductions())
+        assert [red.ring.field.order for red in reds[:3]] == [3, 9, 27]
+        for k in (4, 5):
+            with pytest.raises(NotReducible, match="vanishes at alpha"):
+                goss_coeffs_in(reds[0], k)
+        assert [_residue_rank(red, 4, 12) for red in reds[1:3]] == [1, 2]
+        assert _residue_rank(reds[1], 5, 12) == 2
         fallbacks = _spy_matrix_rank(monkeypatch)
-        assert forms.eisenstein_rank(TH, 4, 12) == 2
-        assert fallbacks == [2]
+        for k in (4, 5):
+            assert forms.eisenstein_rank(TH, k, 12) == 2
+        assert fallbacks == []
 
-    def test_cubic_count(self):
-        # 2(27-1)/2 = 26 at the cubic level, certified over F_27
-        assert forms.eisenstein_rank(pol3("t^3+2t+1"), 1, 90) == 26
+    def test_cubic_count(self, monkeypatch):
+        # 2(27-1)/2 = 26 at the cubic level, certified with no exact rank:
+        # over F_27 at k = 1 and 3; at k = 2, F_27 (Q = p+1) gives 25 and
+        # the first F_243 point 26
+        ppol = pol3("t^3+2t+1")
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        reds = list(itertools.islice(TorsionContext(ppol)._reductions(), 2))
+        assert [red.ring.field.order for red in reds] == [27, 243]
+        assert [_residue_rank(red, 2, 150) for red in reds] == [25, 26]
+        for k, N in ((1, 90), (2, 150), (3, 190)):
+            assert forms.eisenstein_rank(ppol, k, N) == 26
+        assert fallbacks == []
 
     @pytest.mark.parametrize("ppol, ks, N", [
         (pol3("t^2+1"), (1, 2, 3), 28),
         (P4, (1, 2), 20),
     ], ids=["q3-t^2+1", "q4-t^2+t+w"])
     def test_rows_match_all_unit_builder(self, ppol, ks, N):
-        # the rows from monic components and residue buckets equal, entry
-        # for entry, the rows built from one E_a per unit and one
-        # G_k(u(cz)) per monic c
+        # F_a equals its defining sum, one G_k(u(cz)) per nonzero c = a,
+        # and the rows combine into the character rows built from one E_a
+        # per unit and one G_k(u(cz)) per monic c, each scaled by its own
+        # chi^{-1} value
+        ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+        monic = [a for a in ctx.units(ppol) if a.is_monic()]
         for k in ks:
-            rows = forms.eisenstein_rows(_rank_context(ppol), k, N)
-            got = [[x.coords for x in row] for row in rows]
+            rows = forms.eisenstein_rows(ctx, k, N)
+            # 2(|p|-1)/(q-1) rows of N entries each, E_a and F_a in turn
+            size = ppol.field.order ** ppol.degree - 1
+            assert len(rows) == 2 * len(monic) == 2 * size // (
+                ppol.field.order - 1)
+            assert all(len(row) == N for row in rows)
+            assert ([[x.coords for x in row] for row in rows[1::2]]
+                    == [[x.coords for x in defining_f_row(ctx, k, N, a)]
+                        for a in monic]), "k = %d" % k
+            got = [[x.coords for x in row]
+                   for row in rows_by_characters(ctx, rows, k)]
             want = [[x.coords for x in row]
                     for row in _all_unit_rows(ppol, k, N)]
-            # 2(|p|-1)/(q-1) rows of N entries each
-            size = ppol.field.order ** ppol.degree - 1
-            assert len(got) == 2 * size // (ppol.field.order - 1)
-            assert all(len(row) == N for row in got)
             assert got == want, "k = %d" % k
 
     @pytest.mark.parametrize("reduce", [False, True],
                              ids=["exact", "reduced"])
-    @pytest.mark.parametrize("ppol, ks, N", [
-        (pol3("t^2+1"), (1, 2), 12), (P4, (1, 2), 10),
-        (parse_pol(finite_field(5), "t+1"), (1, 2), 14),
-        (Pol(finite_field(3, 2), (1, 1)), (1, 2), 20),
-    ], ids=["q3-t^2+1", "q4-t^2+t+w", "q5-t+1", "q9-t+1"])
+    @pytest.mark.parametrize("ppol, ks, N", ORACLE_LEVELS, ids=ORACLE_IDS)
     def test_rows_equal_scaled_sums(self, ppol, ks, N, reduce):
-        # each row is one combination per coefficient; it equals, entry for
-        # entry, the sum of scaled E_a and scaled buckets B_r it replaces
-        ctx = _rank_context(ppol)
-        ctx = ctx.reduced() if reduce else ctx
+        # ETilde_chi = -sum_a chi^{-1}(a) E_a and EHat_chi =
+        # sum_a chi^{-1}(a) F_a, entry for entry, against the character
+        # rows summed as scaled E_a and scaled buckets B_r
+        ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+        ctx = first_reduced(ctx) if reduce else ctx
         for k in ks:
-            got = forms.eisenstein_rows(ctx, k, N)
-            want = scaled_sum_rows(ctx, k, N)
-            assert len(got) == len(want) == 2 * (
+            rows = forms.eisenstein_rows(ctx, k, N)
+            got = rows_by_characters(ctx, rows, k)
+            want = character_rows(ctx, k, N)
+            assert len(rows) == len(got) == len(want) == 2 * (
                 ppol.field.order ** ppol.degree - 1) // (ppol.field.order - 1)
             assert ([[x.coords for x in row] for row in got]
                     == [[x.coords for x in row] for row in want]), k
 
+    @pytest.mark.parametrize("ppol, ks, N", ORACLE_LEVELS, ids=ORACLE_IDS)
+    def test_rows_rank_as_character_rows(self, ppol, ks, N):
+        # the two row sets span the same space, so they have one rank at
+        # every point up to the cap
+        ctx = TorsionContext(ppol, ext_degree=ppol.degree)
+        reds = list(ctx._reductions())
+        assert reds
+        for red in reds:
+            for k in ks:
+                ranks = [len(row_echelon([list(r) for r in rows],
+                                         Residue.invert))
+                         for rows in (forms.eisenstein_rows(red, k, N),
+                                      character_rows(red, k, N))]
+                assert ranks[0] == ranks[1], (red.ring.field, k, ranks)
+
 
 def _rank_context(ppol):
     """The exact torsion context eisenstein_rank builds for the level."""
-    return TorsionContext(ppol, ext_degree=ppol.degree)
+    return TorsionContext(ppol)
+
+
+def _residue_rank(red, k, N):
+    """The rank of the rank rows over a reduced context."""
+    rows = [list(row) for row in forms.eisenstein_rows(red, k, N)]
+    return len(row_echelon(rows, Residue.invert))
 
 
 @functools.lru_cache(maxsize=None)
@@ -638,15 +711,13 @@ def _old_matrix_rank(rows):
 
 
 def _all_unit_rows(ppol, k, N):
-    """The rank rows built with one component E_a per unit a and one
+    """The character rows built with one component E_a per unit a and one
     G_k(u(cz)) per monic c prime to the level, each scaled by its own
-    chi^{-1} value: the construction the orbit and bucket sums replace."""
+    chi^{-1} value: the construction the orbit and bucket sums replaced."""
     field = ppol.field
     q = field.order
-    size = q ** ppol.degree
     ctx = TorsionContext(ppol, ext_degree=ppol.degree)
-    chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
-            for e in range(size - 1) if (e + k) % (q - 1) == 0]
+    chis = sign_characters(ctx, k)
     bound = forms.bound_for_precision(field, N)
     step = q - 1
     P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
@@ -679,12 +750,13 @@ def _all_unit_rows(ppol, k, N):
         goss_series[c.c] = poly_eval_series(gk, u_of_az(ctx, c, N))
     rows = []
     for chi in chis:
+        inv = chi.inverse()
         tilde = UExpansion.zero(ctx, N)
         for akey, E in comps.items():
-            tilde = tilde + E.scale_const(chi.eval_inv(Pol(field, akey)))
+            tilde = tilde + E.scale_const(inv.eval(Pol(field, akey)))
         hat = UExpansion.zero(ctx, N)
         for ckey, ser in goss_series.items():
-            v = chi.eval_inv(Pol(field, ckey))
+            v = inv.eval(Pol(field, ckey))
             if v:
                 hat = hat + ser.scale_const(v)
         rows.append(tilde.coeffs)

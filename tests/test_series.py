@@ -24,6 +24,7 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              poly_eval_series, rescale_arg, shift_by_sums,
                              shift_by_value, u_of_az)
 
+from residue_oracle import first_reduced
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
                            power_loop_poly_eval, repeated_product,
                            scaled_sum_components, scaled_sum_poly_eval,
@@ -113,7 +114,7 @@ class TestUOfAz:
     def test_memo_equals_direct(self, modulus, monkeypatch):
         # a of degree 0, 1 and 2, one of them not monic, at precisions
         # below, between and above q^deg a; the exact context first, then
-        # its reduced() context, which starts with a memo of its own.  The
+        # its first reduced context, which starts with a memo of its own.  The
         # powers of u(az) are formed once per (a, N): the series asked for
         # again reads the same power elements, with no series product
         builds = []
@@ -131,7 +132,7 @@ class TestUOfAz:
         mul = UExpansion.__mul__
         monkeypatch.setattr(UExpansion, "__mul__",
                             lambda f, g: products.append(1) or mul(f, g))
-        red = exact.reduced()
+        red = first_reduced(exact)
         for ctx in (exact, red):
             assert not ctx.u_az
             del builds[:]
@@ -501,7 +502,7 @@ class TestMoebius:
         # a context that has used the normalized twists, u_of_az,
         # moebius_of_series and powers is freed by reference counting alone,
         # its memos with it; twist_sums holds ring elements only, and
-        # reduced() starts with it empty and runs the twists too
+        # a reduced context starts with it empty and runs the twists too
         def run_twists(ctx):
             f = UExpansion.u(ctx, 12, meta=ModularMeta(0, 0))
             twist_normalized(f, chi, ctx)
@@ -517,7 +518,7 @@ class TestMoebius:
                                                     big=ctx.big)
             run_twists(ctx)
             if reduce:
-                ctx = ctx.reduced()
+                ctx = first_reduced(ctx)
                 assert ctx.twist_sums == {}
                 run_twists(ctx)
             X = u_of_az(ctx, TH, 12)
@@ -671,7 +672,7 @@ FUSED_IDS = ["q3-t^2+1", "q4-t^2+t+w", "q5-t+1", "q9-t+1"]
 
 def fused_context(modulus, ext, reduce):
     ctx = TorsionContext(modulus, ext_degree=ext)
-    return ctx.reduced() if reduce else ctx
+    return first_reduced(ctx) if reduce else ctx
 
 
 def coords(series):
@@ -744,7 +745,7 @@ class TestCombination:
         # on Pol, ring elements and series, power(x, e, one) for e = 0..6
         # equals e products from one; x^1 is x itself, so it makes no dot
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
-        ctx = ctx.reduced() if reduce else ctx
+        ctx = first_reduced(ctx) if reduce else ctx
         dots = []
         dot = type(ctx.ring).dot
         monkeypatch.setattr(type(ctx.ring), "dot", lambda ring, pairs: (
