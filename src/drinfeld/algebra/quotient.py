@@ -19,7 +19,8 @@ degree bound.
 Canonical form.  Every slot is < p, gcd(content(num), den) = 1 where the
 content is the gcd of the coordinates, and den is monic; zero has den = 1.
 So == and hash compare (num, den) directly.  The denominator is 1 except on
-the paths through invert().
+the paths through invert() and fraction() (the values of a series with a
+den: a twist's 1/n is one series.UExpansion.den, not one per coefficient).
 
 Arithmetic.  Sums, negation and prime-field scaling act slot by slot: an
 integer operation, then one bytes.translate pass mod p; a sum or difference
@@ -388,6 +389,11 @@ class QuotientRing:
                 codes = [c * p + d for c, d in zip(codes, digit)]
             out.append(Pol(field, codes))
         return out
+
+    def fraction(self, x, den):
+        """x/den for an element x and a monic Pol den over the field, in
+        canonical form: how a series value with a den is formed."""
+        return self._normalized(x.num, x.den * den)
 
     def _normalized(self, num, den):
         """num/den in canonical form (den monic)."""

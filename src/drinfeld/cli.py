@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .algebra import (Pol, check_size, factor_squarefree_monic,
+from .algebra import (RF, Pol, check_size, factor_squarefree_monic,
                       finite_field, irreducible_monics, parse_int_coeffs,
                       parse_pol, polys_below_degree)
 from .carlitz import TorsionContext
@@ -224,12 +224,12 @@ def suite_normproj(args):
     f = forms.petrov_fs(ctx, 1, forms.bound_for_precision(field, N)).render(N)
     g = twist_normalized(f, chi, ctx)
     witness = None
-    for n in range(g.prec):
-        c = g.coeff(n)
+    inv_den = RF.from_pol(g.den).inverse()  # the values are c / g.den
+    for n, c in enumerate(g.nums):
         if not c.is_scalar():
             witness = "u^%d not torsion-free" % n
             break
-        if c.scalar_part() and not c.scalar_part().is_pol():
+        if c and not (c.scalar_part() * inv_den).is_pol():
             witness = "u^%d not integral" % n
             break
     reports.append(VerificationReport("normproj-integrality",

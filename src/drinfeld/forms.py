@@ -5,14 +5,15 @@ All Eisenstein objects are stored with the transcendental period factored
 out: EHat is the A-expansion sum_c chi^{-1}(c) G_k(u(cz)) and ETilde is the
 twisted component object sum_a chi^{-1}(a) E_(0,a); identities originally
 stated with period powers are restated with the exactly equivalent scalar
-g(chi^{-1})/p at the coefficient level.
+g(chi^{-1})/p at the coefficient level, its 1/p a series denominator.
 """
 
 import json
 
-from .algebra import Pol, REl, Residue, monics_up_to_degree, row_echelon
+from .algebra import (RF, Pol, REl, Residue, monics_up_to_degree,
+                      row_echelon)
 from .carlitz import TorsionContext
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, gauss_thakur
 from .errors import NotReducible, Unsupported
 # moebius_of_series is not called here; it stays bound because
 # bench/test_bench.py checks that the tracer rewraps it in this module.
@@ -20,8 +21,7 @@ from .series import (AExpansion, TwistedEisenstein, UExpansion,
                      bound_for_precision, combination, eisenstein_components,
                      goss_coeffs_in, moebius_of_series, poly_eval_series,
                      require_sign, rescale_arg, u_of_az)
-from .operators import (gauss_over_conductor, hecke_a_rule, hecke_twisted,
-                        hecke_u, twist_normalized)
+from .operators import hecke_a_rule, hecke_twisted, hecke_u, twist_normalized
 
 
 # -- catalog builders ------------------------------------------------------
@@ -89,6 +89,14 @@ def fricke_eis(ctx, chi, k, bound):
 def twisted_eis(ctx, chi, k):
     """ETilde: the component object sum_a chi^{-1}(a) E_(0,a) of weight k."""
     return TwistedEisenstein.build(ctx, k, chi)
+
+
+def etilde_difference(ctx, chi, k, N):
+    """(g(chi^{-1})/p)(ETilde^(k)(pz) - ETilde^(k)(z)) to precision N, p the
+    conductor of chi, over the series denominator p."""
+    R = twisted_eis(ctx, chi, k).render(N)
+    return (rescale_arg(R, chi.conductor) - R).scale(
+        gauss_thakur(chi.inverse(), ctx)).over(chi.conductor)
 
 
 # -- reports ---------------------------------------------------------------
@@ -190,12 +198,16 @@ def _eigen_mismatch(form, qpol, lam):
 
 # -- congruence checks -----------------------------------------------------
 
-def _scalar_divisible(x, zeta):
-    """x must involve no torsion generator and be a polynomial in theta
-    vanishing at theta = zeta."""
+def _scalar_divisible(x, inv_den, zeta):
+    """The value x/den (inv_den the RF 1/den, None for den 1) must be free of
+    the torsion generators, as exactly when x is, and its scalar coordinate,
+    x's over den, a polynomial in theta vanishing at theta = zeta; x's own
+    vanishes there whenever den is the conductor."""
     if not x.is_scalar():
         return "not free of the torsion generators"
     rf = x.scalar_part()
+    if inv_den is not None:
+        rf = rf * inv_den
     if not rf:
         return None
     if not rf.is_pol():
@@ -230,15 +242,14 @@ def congruence_check(kind, ppol, s, N):
     if kind == "SF":
         diff = fricke_eis(ctx, chi, 1, bound).render(N) - fs.render(N)
     elif kind == "TwistedSF":
-        R = twisted_eis(ctx, chi, 1).render(N)
-        scalar = gauss_over_conductor(chi, ctx)
-        diff = ((rescale_arg(R, ppol) - R).scale(scalar)
+        diff = (etilde_difference(ctx, chi, 1, N)
                 - twist_normalized(fs.render(N), chi, ctx))
     else:
         raise ValueError("kind must be 'SF' or 'TwistedSF'")
     witness = None
-    for n in range(diff.prec):
-        why = _scalar_divisible(diff.coeff(n), zeta)
+    inv_den = diff.den and RF.from_pol(diff.den).inverse()
+    for n, x in enumerate(diff.nums):
+        why = _scalar_divisible(x, inv_den, zeta)
         if why is not None:
             witness = "u^%d: %s" % (n, why)
             break
@@ -256,8 +267,7 @@ def ehat_twist_identity(chi, k, ppol, N):
     ctx = TorsionContext(ppol, ext_degree=ppol.degree)
     bound = bound_for_precision(ppol.field, N)
     lhs = twist_normalized(fricke_eis(ctx, chi, k, bound).render(N), chi, ctx)
-    R = twisted_eis(ctx, chi, k).render(N)
-    rhs = (rescale_arg(R, ppol) - R).scale(gauss_over_conductor(chi, ctx))
+    rhs = etilde_difference(ctx, chi, k, N)
     m = min(lhs.prec, rhs.prec)
     d = lhs.difference(rhs)
     params = {"p": ppol.format(), "k": k, "chi": repr(chi), "N": N}

@@ -7,8 +7,10 @@ collapsed into the two hard-coded formulas
 The twist's beta-sum is linear in the shift u -> u/(lambda_beta u + 1), so
 it is one shift_by_sums by the power sums sum_beta chi^{-1}(beta)
 lambda_beta^j (characters.power_sums, an orbit sum over monic beta), not
-one shift per residue; the normalized twist's sums carry g(chi^{-1})/n
-(normalized_sums).  The Hecke beta-sum is a Goss sum of ker C_q (hecke_u).
+one shift per residue; the normalized twist's sums carry g(chi^{-1})
+(normalized_sums).  A twist's conductor power with a negative exponent is
+one series denominator (UExpansion.over), so no coefficient is a fraction.
+The Hecke beta-sum is a Goss sum of ker C_q (hecke_u).
 """
 
 from .algebra import (Pol, is_irreducible, lucas_binomial,
@@ -56,45 +58,45 @@ def _character_shift_sum(f, chi, sums):
 
 
 def twist_raw(f, chi, ctx):
-    """The projection pi-hat_chi: n^(2m-k) * sum_beta chi^{-1}(beta) f(z + beta/n)."""
+    """The projection pi-hat_chi: n^(2m-k) * sum_beta chi^{-1}(beta)
+    f(z + beta/n); for 2m - k < 0 the sum over the series denominator
+    n^(k-2m)."""
     sums = power_sums(ctx, ctx.conductor_of(chi), range(f.prec - 1 or 1), chi)
     out = _character_shift_sum(f, chi, sums)
-    k, m = f.meta.weight, f.meta.type_
-    return out.scale(_modulus_power(ctx, chi.conductor, 2 * m - k))
-
-
-def gauss_over_conductor(chi, ctx):
-    """g(chi^{-1})/n for n the conductor of chi, as a ring element."""
-    return (gauss_thakur(chi.inverse(), ctx)
-            * ctx.lift_poly(chi.conductor).invert())
+    e = 2 * f.meta.type_ - f.meta.weight
+    if e < 0:
+        return out.over(chi.conductor ** -e)
+    return out.scale(_modulus_power(ctx, chi.conductor, e))
 
 
 def normalized_sums(chi, ctx, count):
-    """[(g(chi^{-1})/n) * s(chi, j) for j < count] or a longer list, kept in
-    ctx.twist_sums per chi, so g/n scales each sum once; do not mutate it."""
+    """[g(chi^{-1}) * s(chi, j) for j < count] or a longer list, kept in
+    ctx.twist_sums per chi, so g scales each sum once; integral, as the 1/n
+    of the normalized twists is their series den.  Do not mutate it."""
     if not chi.is_primitive():
         raise NotPrimitive("normalized twists need a primitive character")
     sums = ctx.twist_sums.get(chi, [])
     if len(sums) < count:
-        g_over_n = gauss_over_conductor(chi, ctx)
+        g = gauss_thakur(chi.inverse(), ctx)
         sums = ctx.twist_sums[chi] = sums + [
-            s * g_over_n if s else s for s in
+            s * g if s else s for s in
             power_sums(ctx, chi.conductor, range(len(sums), count), chi)]
     return sums
 
 
 def twist_normalized(f, chi, ctx):
-    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi; integral output.  The
-    conductor powers cancel, so the beta-sum runs on the sums of
-    normalized_sums, which carry g(chi^{-1})/n."""
-    return _character_shift_sum(
-        f, chi, normalized_sums(chi, ctx, f.prec - 1 or 1))
+    """pi_chi := n^(k-2m-1) g(chi^{-1}) pi-hat_chi.  The conductor powers
+    cancel to 1/n, so the beta-sum runs on the sums of normalized_sums,
+    which carry g(chi^{-1}), over the series denominator n."""
+    sums = normalized_sums(chi, ctx, f.prec - 1 or 1)
+    return _character_shift_sum(f, chi, sums).over(chi.conductor)
 
 
 def twist_monomial_closed(i, chi, ctx, N):
     """Closed form of pi_chi(u^i):
     u^i * sum over l >= 1 congruent to s_chi mod q-1 of
-    binom(-i, l) * (g(chi^{-1})/n) * s(chi, l) * u^l."""
+    binom(-i, l) * g(chi^{-1}) * s(chi, l) * u^l, over the series
+    denominator n."""
     if i < 1:
         raise ValueError("monomial exponent must be positive")
     q = ctx.field.order
@@ -105,7 +107,7 @@ def twist_monomial_closed(i, chi, ctx, N):
         b = lucas_binomial(-i, l, p)
         if b:
             out[i + l] = sums[l].scale_const(b)
-    return UExpansion(ctx, out, N)
+    return UExpansion(ctx, out, N).over(chi.conductor)
 
 
 def hecke_u(f, qpol, ctx):
@@ -117,7 +119,8 @@ def hecke_u(f, qpol, ctx):
     sum_{l in L} (x+l)^(-n) = G_{n,L}(qu) = H_n(u) in A[X]: the
     carlitz.goss_recursion of c_i = [q]_i, cut to prec // |q| coefficients.
     The a_0 term has |q| = 0 summands, and H_n starts at u^ceil(n/|q|), so
-    no n >= prec reaches the output.  The result is verified to be free of
+    no n >= prec reaches the output.  T_q is linear, so it runs on f's
+    numerators and keeps f's den.  The result is verified to be free of
     the q-torsion generator, and any residue signals a bug.
     """
     if f.meta is None or f.meta.weight is None:
@@ -135,12 +138,12 @@ def hecke_u(f, qpol, ctx):
              for i, c in enumerate(carlitz_coeffs(qpol)) if c]
     H = goss_recursion(steps, f.prec - 1, Pol.zero(ctx.field), Nout)
     zero = ctx.ring.zero
-    out = combination(ctx, [(qk, rescale_arg(f.truncate(Nout), qpol).coeffs)]
+    out = combination(ctx, [(qk, rescale_arg(f.truncate(Nout), qpol).nums)]
                       + [(a, UExpansion(ctx, [ctx.lift_poly(h) if h else zero
                                               for h in H[n]], Nout).coeffs)
-                         for n, a in enumerate(f.coeffs) if n and a],
-                      Nout, f.meta)
-    for n, c in enumerate(out.coeffs):
+                         for n, a in enumerate(f.nums) if n and a],
+                      Nout, f.meta, f.den)
+    for n, c in enumerate(out.nums):
         if not c.exponent_free(qidx):
             raise RuntimeError("Hecke output not free of the q-torsion "
                                "generator at u^%d" % n)

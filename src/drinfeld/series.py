@@ -8,7 +8,7 @@ u(z + beta/n) (fractional-linear shift by a torsion value).
 
 from collections import namedtuple
 
-from .algebra import lucas_binomial, monics_up_to_degree, power
+from .algebra import QuotientRing, lucas_binomial, monics_up_to_degree, power
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
 
@@ -38,19 +38,29 @@ class ModularMeta:
 
 
 class UExpansion:
-    """Sum of coeffs[n] * u^n for n < prec, coefficients in ctx.ring."""
+    """Sum of c_n * u^n for n < prec, values in ctx.ring, as numerators nums
+    over one den: a monic Pol in theta over ctx.big, or None (integral, nums
+    are the values).  coeffs and coeff(n) are the values, formed at a den
+    on each read (see _OverDen).  Only the series algebra, the substitutions
+    and the checks read nums and den; over() divides at once on a reduced
+    context, so no reduced series has a den."""
 
     # _powers: the list that powers() keeps, shared with u_of_az's memo
-    __slots__ = ("ctx", "coeffs", "prec", "meta", "_powers")
+    __slots__ = ("ctx", "nums", "den", "coeffs", "prec", "meta", "_powers")
 
-    def __init__(self, ctx, coeffs, prec=None, meta=None):
+    def __init__(self, ctx, coeffs, prec=None, meta=None, den=None):
         if prec is None:
             prec = len(coeffs)
         zero = ctx.ring.zero
         coeffs = list(coeffs)[:prec]
         coeffs += [zero] * (prec - len(coeffs))
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.nums = tuple(coeffs)
+        if den is None:
+            self.coeffs = self.nums
+        else:  # a plain slot for integral series, so their reads cost nothing
+            self.__class__ = _OverDen
+        self.den = den
         self.prec = prec
         self.meta = meta
         self._powers = None
@@ -73,10 +83,10 @@ class UExpansion:
         return cls(ctx, [value], prec, meta)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def order(self):
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.nums):
             if c:
                 return n
         return self.prec
@@ -89,31 +99,51 @@ class UExpansion:
     def truncate(self, N):
         if N > self.prec:
             raise ValueError("cannot extend precision")
-        return UExpansion(self.ctx, self.coeffs[:N], N, self.meta)
+        return UExpansion(self.ctx, self.nums[:N], N, self.meta, self.den)
 
     def with_meta(self, meta):
-        return UExpansion(self.ctx, self.coeffs, self.prec, meta)
+        return UExpansion(self.ctx, self.nums, self.prec, meta, self.den)
+
+    def over(self, pol):
+        """self / pol for a monic pol in theta: den times pol, with no
+        coefficient product.  On a reduced context the values are divided
+        at once, raising NotReducible where pol vanishes at alpha."""
+        ctx = self.ctx
+        pol = pol.map_to(ctx.big, ctx.emb)
+        if not isinstance(ctx.ring, QuotientRing):
+            return self.scale(ctx.ring.from_pol(pol).invert())
+        return UExpansion(ctx, self.nums, self.prec, self.meta,
+                          pol if self.den is None else self.den * pol)
 
     def _align(self, other):
         if self.ctx is not other.ctx:
             raise ValueError("expansions live over different rings")
         return min(self.prec, other.prec)
 
+    def _common(self, other):
+        """(N, both sides' numerators to precision N, den) over one den: as
+        they are at equal dens, else each side times its cofactor lcm/den."""
+        N = min(self.prec, other.prec)
+        a, b, d, e = self.nums[:N], other.nums[:N], self.den, other.den
+        if d == e:
+            return N, a, b, d
+        lcm = d.lcm(e) if d and e else d or e
+        lift = self.ctx.ring.from_pol
+        x, y = (lift(lcm // f if f else lcm) for f in (d, e))
+        return N, tuple(c * x for c in a), tuple(c * y for c in b), lcm
+
     def __add__(self, other):
-        N = self._align(other)
-        return UExpansion(self.ctx, [a + b for a, b in
-                                     zip(self.coeffs[:N], other.coeffs[:N])],
-                          N, self.meta)
+        self._align(other)
+        N, a, b, den = self._common(other)
+        return UExpansion(self.ctx, [x + y for x, y in zip(a, b)], N,
+                          self.meta, den)
 
     def __neg__(self):
-        return UExpansion(self.ctx, [-a for a in self.coeffs], self.prec,
-                          self.meta)
+        return UExpansion(self.ctx, [-a for a in self.nums], self.prec,
+                          self.meta, self.den)
 
     def __sub__(self, other):
-        N = self._align(other)
-        return UExpansion(self.ctx, [a - b for a, b in
-                                     zip(self.coeffs[:N], other.coeffs[:N])],
-                          N, self.meta)
+        return self + (-other)
 
     def __mul__(self, other):
         N = self._align(other)
@@ -149,12 +179,12 @@ class UExpansion:
         return UExpansion(self.ctx, out, N)
 
     def scale(self, value):
-        return UExpansion(self.ctx, [c * value if c else c for c in self.coeffs],
-                          self.prec, self.meta)
+        return UExpansion(self.ctx, [c * value if c else c for c in self.nums],
+                          self.prec, self.meta, self.den)
 
     def scale_const(self, code):
-        return UExpansion(self.ctx, [c.scale_const(code) for c in self.coeffs],
-                          self.prec, self.meta)
+        return UExpansion(self.ctx, [c.scale_const(code) for c in self.nums],
+                          self.prec, self.meta, self.den)
 
     def __pow__(self, e):
         if e < 0:
@@ -187,20 +217,17 @@ class UExpansion:
     def __eq__(self, other):
         if not isinstance(other, UExpansion) or self.ctx is not other.ctx:
             return False
-        N = min(self.prec, other.prec)
-        return self.coeffs[:N] == other.coeffs[:N] and self.prec == other.prec
+        return self.prec == other.prec and self.agrees_with(other)
 
     def agrees_with(self, other):
         """Equality of all coefficients up to the shared precision."""
-        N = min(self.prec, other.prec)
-        return self.coeffs[:N] == other.coeffs[:N]
+        _, a, b, _ = self._common(other)
+        return a == b
 
     def first_difference(self, other):
-        N = min(self.prec, other.prec)
-        for n in range(N):
-            if self.coeffs[n] != other.coeffs[n]:
-                return n
-        return None
+        _, a, b, _ = self._common(other)
+        return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y),
+                    None)
 
     def difference(self, other):
         """None if the coefficients agree up to the shared precision, else a
@@ -227,6 +254,14 @@ class UExpansion:
         return self.format()
 
 
+class _OverDen(UExpansion):
+    """A UExpansion with a den, whose coeffs are its values, formed on each
+    read by the ring's one fraction entry point (QuotientRing.fraction)."""
+    __slots__ = ()
+    coeffs = property(lambda self: tuple(
+        self.ctx.ring.fraction(c, self.den) if c else c for c in self.nums))
+
+
 def bound_for_precision(field, N, min_exp=1):
     """Smallest degree bound b with min_exp * q^(b+1) >= N, so that terms
     at monics of degree > b cannot touch coefficients below N."""
@@ -237,12 +272,13 @@ def bound_for_precision(field, N, min_exp=1):
     return b
 
 
-def combination(ctx, terms, N, meta=None):
+def combination(ctx, terms, N, meta=None, den=None):
     """sum_k c_k * S_k to precision N for terms [(c_k, coefficients of S_k)],
-    one ring.dot_once each, so the S_k (a u_of_az memo) keep their caches."""
+    one ring.dot_once each, so the S_k (a u_of_az memo) keep their caches;
+    over den when given, for terms that are numerators over den."""
     dot = ctx.ring.dot_once
     return UExpansion(ctx, [dot([(c, s[n]) for c, s in terms if s[n]])
-                            for n in range(N)], N, meta)
+                            for n in range(N)], N, meta, den)
 
 
 def poly_eval_series(coeffs, S):
@@ -313,12 +349,13 @@ def u_of_az(ctx, a, N):
 def shift_by_sums(f, sums):
     """sum_b w_b * f(u/(lam_b*u + 1)) from sums[j] = sum_b w_b * lam_b^j,
     j < max(prec - 1, 1): out[n] = sum_i c_i * binom(-i, n-i) * sums[n-i],
-    one dot per coefficient, with c_i scaled once per binomial value."""
+    one dot per coefficient, with c_i scaled once per binomial value; the
+    c_i are f's numerators, and the output keeps f's den."""
     ctx = f.ctx
     p = ctx.field.p
     dot = ctx.ring.dot
     scaled = [(i, [c.scale_const(b) for b in range(p)])
-              for i, c in enumerate(f.coeffs) if c]
+              for i, c in enumerate(f.nums) if c]
     out = []
     for n in range(f.prec):
         pairs = []
@@ -329,7 +366,7 @@ def shift_by_sums(f, sums):
             if b and sums[n - i]:
                 pairs.append((cs[b], sums[n - i]))
         out.append(dot(pairs))
-    return UExpansion(ctx, out, f.prec)
+    return UExpansion(ctx, out, f.prec, None, f.den)
 
 
 def shift_by_value(f, lam):
@@ -353,10 +390,12 @@ def moebius_of_series(X, lam):
 
 
 def rescale_arg(f, a):
-    """f(az): substitute u -> u_of_az(a)."""
+    """f(az): substitute u -> u_of_az(a) in f's numerators, keeping its
+    den."""
     if a.is_one():
         return f
-    return poly_eval_series(list(f.coeffs), u_of_az(f.ctx, a, f.prec))
+    g = poly_eval_series(list(f.nums), u_of_az(f.ctx, a, f.prec))
+    return UExpansion(f.ctx, g.nums, g.prec, None, f.den)
 
 
 class AExpansion:

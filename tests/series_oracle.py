@@ -10,18 +10,25 @@ S.scale(c) plus series additions.  The oracles that the power-sum shifts,
 the closed-form Hecke beta-sum of operators.py, the per-context u(az)
 memo, algebra.power, poly_eval_series, operators.hecke_a, the renders and
 the Eisenstein components are tested against, and the rank rows by
-character, which the rows of forms.eisenstein_rows span.  A series in v is
-a UExpansion whose variable is read as v.
+character, which the rows of forms.eisenstein_rows span.  The twists by
+the route they took before a twist's 1/n became one series denominator:
+every coefficient a fraction, from sums scaled by gauss_over_conductor
+and twist_raw scaled by operators._modulus_power.  A series in v is a
+UExpansion whose variable is read as v.
 """
 
-from drinfeld.algebra import monics_up_to_degree, polys_below_degree
+from drinfeld import forms
+from drinfeld.algebra import (lucas_binomial, monics_up_to_degree,
+                              polys_below_degree)
 from drinfeld.carlitz import carlitz_coeffs
-from drinfeld.characters import DirichletCharacter
+from drinfeld.characters import DirichletCharacter, gauss_thakur, power_sums
 from drinfeld.errors import DrinfeldError
-from drinfeld.operators import neben_eval
+from drinfeld.operators import (_character_shift_sum, _modulus_power,
+                                neben_eval)
 from drinfeld.series import (UExpansion, bound_for_precision, combination,
                              fold_units, goss_coeffs_in, poly_eval_scalar,
-                             poly_eval_series, shift_by_value, u_of_az)
+                             poly_eval_series, rescale_arg, shift_by_value,
+                             u_of_az)
 
 
 def direct_u_of_az(ctx, a, N):
@@ -319,3 +326,61 @@ def rows_by_characters(ctx, rows, k):
             hat = hat + UExpansion(ctx, F).scale_const(v)
         out += [tilde.coeffs, hat.coeffs]
     return out
+
+
+# -- the twists with a fraction in every coefficient -------------------------
+
+def gauss_over_conductor(chi, ctx):
+    """g(chi^{-1})/n for n the conductor of chi, as a ring element: a
+    fraction on an exact context, with n inverted on every call."""
+    return (gauss_thakur(chi.inverse(), ctx)
+            * ctx.lift_poly(chi.conductor).invert())
+
+
+def as_values(f):
+    """f as a series with no den: its values as coefficients, its meta;
+    operators._character_shift_sum on it is the twists' old beta-sum."""
+    return UExpansion(f.ctx, f.coeffs, f.prec, f.meta)
+
+
+def fraction_twist_raw(f, chi, ctx):
+    """twist_raw with every output coefficient times n^(2m-k) by
+    _modulus_power, which inverts n when the exponent is negative."""
+    sums = power_sums(ctx, chi.conductor, range(f.prec - 1 or 1), chi)
+    e = 2 * f.meta.type_ - f.meta.weight
+    return _character_shift_sum(as_values(f), chi, sums).scale(
+        _modulus_power(ctx, chi.conductor, e))
+
+
+def fraction_normalized_sums(chi, ctx, count):
+    """[(g(chi^{-1})/n) * s(chi, j) for j < count], each a product by
+    gauss_over_conductor."""
+    g_over_n = gauss_over_conductor(chi, ctx)
+    return [s * g_over_n if s else s
+            for s in power_sums(ctx, chi.conductor, range(count), chi)]
+
+
+def fraction_twist_normalized(f, chi, ctx):
+    """twist_normalized on the sums of fraction_normalized_sums."""
+    sums = fraction_normalized_sums(chi, ctx, f.prec - 1 or 1)
+    return _character_shift_sum(as_values(f), chi, sums)
+
+
+def fraction_twist_monomial_closed(i, chi, ctx, N):
+    """twist_monomial_closed on the sums of fraction_normalized_sums."""
+    q, p = ctx.field.order, ctx.field.p
+    sums = fraction_normalized_sums(chi, ctx, N - i)
+    out = [ctx.ring.zero] * N
+    for l in range(chi.sign or q - 1, N - i, q - 1):
+        b = lucas_binomial(-i, l, p)
+        if b:
+            out[i + l] = sums[l].scale_const(b)
+    return UExpansion(ctx, out, N)
+
+
+def fraction_etilde_difference(ctx, chi, k, N):
+    """forms.etilde_difference with every coefficient times
+    gauss_over_conductor."""
+    R = forms.twisted_eis(ctx, chi, k).render(N)
+    return (rescale_arg(R, chi.conductor) - R).scale(
+        gauss_over_conductor(chi, ctx))

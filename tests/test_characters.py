@@ -13,11 +13,12 @@ from drinfeld.characters import (DirichletCharacter, convolve, gauss_thakur,
                                  jacobi_factor, orbit_sums, power_sums,
                                  root_power_rows)
 from drinfeld.errors import ConductorMismatch, NotPrimitive
-from drinfeld.operators import (gauss_over_conductor, twist_monomial_closed,
-                                twist_normalized, twist_raw)
+from drinfeld.operators import (twist_monomial_closed, twist_normalized,
+                                twist_raw)
 from drinfeld.series import ModularMeta, TwistedEisenstein, UExpansion
 
 from residue_oracle import first_reduced, point_image
+from series_oracle import gauss_over_conductor
 
 F2 = finite_field(2)
 F3 = finite_field(3)

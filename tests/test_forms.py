@@ -8,7 +8,7 @@ import re
 import pytest
 
 from drinfeld import forms
-from drinfeld.algebra import (Pol, QuotientRing, Residue, finite_field,
+from drinfeld.algebra import (RF, Pol, QuotientRing, Residue, finite_field,
                               irreducible_monics, is_irreducible,
                               monics_of_degree, monics_up_to_degree,
                               parse_pol, row_echelon)
@@ -392,6 +392,28 @@ class TestCongruence:
         for kind in ("SF", "TwistedSF"):
             rep = forms.congruence_check(kind, pol3("t^2+1"), 1, 12)
             assert rep.passed, rep.witness
+
+    def test_divisibility_reads_the_value_not_the_numerator(self):
+        # a coefficient x over the series den p is the value x/p: integral
+        # when p divides x's scalar coordinate, and then the quotient, not
+        # x (every multiple of p vanishes at zeta), must vanish at zeta
+        p2 = pol3("t^2+1")
+        ctx = TorsionContext(p2, ext_degree=2)
+        zeta = DirichletCharacter.from_conductor(p2, 1,
+                                                 big=ctx.big).factors[0][1]
+        inv_p = RF.from_pol(p2.map_to(ctx.big, ctx.emb)).inverse()
+        big_pol = Pol(ctx.big, (ctx.big.mul(ctx.big.scalar(-1), zeta), 1))
+        at_zeta = ctx.ring.from_pol(big_pol)  # theta - zeta
+        p = ctx.lift_poly(p2)
+        check = forms._scalar_divisible
+        assert check(p, inv_p, zeta) == "not divisible by (theta - zeta)"
+        assert check(p * at_zeta, inv_p, zeta) is None
+        assert check(at_zeta, inv_p, zeta) == "not integral in theta"
+        assert check(p * ctx.lam, inv_p, zeta) == (
+            "not free of the torsion generators")
+        assert check(ctx.ring.zero, inv_p, zeta) is None
+        assert check(at_zeta, None, zeta) is None
+        assert check(p, None, zeta) is None  # p itself vanishes at zeta
 
 
 class TestEhatTwist:

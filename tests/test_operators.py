@@ -3,9 +3,10 @@ delta-sum."""
 
 import pytest
 
-from drinfeld import forms
-from drinfeld.algebra import (Pol, REl, finite_field, irreducible_monics,
-                              lucas_binomial, monics_up_to_degree, parse_pol,
+from drinfeld import cli, forms
+from drinfeld.algebra import (Pol, QuotientRing, REl, finite_field,
+                              irreducible_monics, lucas_binomial,
+                              monics_up_to_degree, parse_pol,
                               polys_below_degree)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
@@ -14,14 +15,18 @@ from drinfeld.series import (AExpansion, ModularMeta, TwistedEisenstein,
                              UExpansion, goss_coeffs_in,
                              moebius_of_series, poly_eval_series, rescale_arg,
                              shift_by_value, u_of_az)
-from drinfeld.operators import (delta_sum, gauss_over_conductor, hecke_a,
-                                hecke_twisted, hecke_u, neben_eval,
-                                twist_monomial_closed, twist_normalized,
-                                twist_raw, _modulus_power)
+from drinfeld.operators import (delta_sum, hecke_a, hecke_twisted, hecke_u,
+                                neben_eval, twist_monomial_closed,
+                                twist_normalized, twist_raw, _modulus_power)
 from drinfeld.characters import gauss_thakur, power_sums
 
 from eigen_oracle import hecke_a_gcd, scaled_by
-from series_oracle import descend, divmod_hecke_coeffs, shift_by_torsion
+from residue_oracle import first_reduced
+from series_oracle import (as_values, descend, divmod_hecke_coeffs,
+                           fraction_etilde_difference, fraction_twist_raw,
+                           fraction_twist_monomial_closed,
+                           fraction_twist_normalized, gauss_over_conductor,
+                           shift_by_torsion)
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -601,6 +606,93 @@ def test_normalized_sums_across_precisions(q, precs):
             assert got.prec == N and got.coeffs == power_sum_closed_form(
                 i, chi, ctx, N).coeffs
         assert len(ctx.twist_sums[chi]) == longest - 1
+
+
+def sign_character(ctx, npol, k):
+    """A character of conductor npol with sign -k mod q-1, exponent q - 1 - k
+    mod q - 1, so EHat and ETilde of weight k exist."""
+    q = npol.field.order
+    return DirichletCharacter.from_conductor(npol, (-k) % (q - 1) or q - 1,
+                                             big=ctx.big)
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["exact", "reduced"])
+@pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
+def test_series_den_equals_fraction_route(q, reduce):
+    # the twists with their 1/n as one series den, value for value against
+    # the route with a fraction in every coefficient: twist_raw at
+    # 2m - k = -2, 0 and 1, both normalized twists, hecke_u of a twist
+    # (exact only: a residue has no exponents to check), TwistedSF's
+    # difference and both sides of the EHat twist identity.  The reduced
+    # context is the conductor's (q t has no point up to the cap at q = 9)
+    field, ctx, chis, N = oracle_level(q)
+    qpol, npol = parse_pol(field, ORACLE_LEVELS[q][0]), chis[0].conductor
+    if reduce:
+        ctx = first_reduced(TorsionContext(npol, ORACLE_LEVELS[q][2]))
+        chis = [chi for chi in chis if not ctx.modulus % chi.conductor]
+    theta = ctx.lift_poly(Pol.x(field))
+    lam = ctx.exp_at(Pol.one(field), npol)
+    g = UExpansion(ctx, [theta, ctx.ring.one, theta, lam, theta * lam], N)
+    for k, m in ((4, 1), (2, 1), (1, 1)):
+        f = g.with_meta(ModularMeta(k, m))
+        for chi in chis:
+            got = twist_raw(f, chi, ctx)
+            assert (got.den is not None) == (2 * m < k and not reduce)
+            assert got.coeffs == fraction_twist_raw(f, chi, ctx).coeffs
+        twisted = twist_raw(f, chis[1], ctx)
+        assert reduce or (hecke_u(twisted, qpol, ctx).coeffs == hecke_u(
+            as_values(twisted), qpol, ctx).coeffs)
+    for chi in filter(DirichletCharacter.is_primitive, chis):
+        f = g.with_meta(ModularMeta(2, 1))
+        got = twist_normalized(f, chi, ctx)
+        assert got.coeffs == fraction_twist_normalized(f, chi, ctx).coeffs
+        assert reduce or (hecke_u(got, qpol, ctx).coeffs
+                          == hecke_u(as_values(got), qpol, ctx).coeffs)
+        for i in (1, 2, 3):
+            assert (twist_monomial_closed(i, chi, ctx, N).coeffs
+                    == fraction_twist_monomial_closed(i, chi, ctx, N).coeffs)
+    M = min(N, 12)
+    bound = forms.bound_for_precision(field, M)
+    fs = forms.petrov_fs(ctx, 1, bound).render(M)
+    for k in (1, 2):
+        chi = sign_character(ctx, npol, k)
+        rhs = forms.etilde_difference(ctx, chi, k, M)
+        want = fraction_etilde_difference(ctx, chi, k, M)
+        assert rhs.coeffs == want.coeffs
+        lhs = twist_normalized(forms.fricke_eis(ctx, chi, k, bound).render(M),
+                               chi, ctx)
+        assert lhs.coeffs == fraction_twist_normalized(
+            forms.fricke_eis(ctx, chi, k, bound).render(M), chi, ctx).coeffs
+        if k == 1:  # TwistedSF's difference
+            assert ((rhs - twist_normalized(fs, chi, ctx)).coeffs
+                    == (want - fraction_twist_normalized(fs, chi, ctx)).coeffs)
+
+
+def test_twists_form_no_fraction_products(monkeypatch):
+    # a twist's 1/n is its series den, so twist_raw at 2m - k < 0, both
+    # normalized twists, hecke_u of a twist and the normproj and
+    # twist-commute suites form no product of fractions; hecke_u on the
+    # same twist with a fraction in every coefficient does
+    field, ctx, chis, N = oracle_level(3)
+    qpol, chi = parse_pol(field, ORACLE_LEVELS[3][0]), chis[1]
+    bound = forms.bound_for_precision(field, N)
+    f = forms.petrov_fs(ctx, 1, bound).render(N)  # 2m - k = -2
+    args = cli.build_parser().parse_args(["verify"])
+    calls = []
+    dot_fractions = QuotientRing._dot_fractions
+    monkeypatch.setattr(QuotientRing, "_dot_fractions",
+                        lambda ring, pairs: calls.append(len(pairs))
+                        or dot_fractions(ring, pairs))
+    raw = twist_raw(f, chi, ctx)
+    assert raw.den is not None and raw
+    assert hecke_u(raw, qpol, ctx)
+    assert twist_normalized(f, chi, ctx).den is not None
+    assert twist_monomial_closed(2, chi, ctx, N)
+    assert all(r.passed for r in cli.suite_normproj(args))
+    assert all(r.passed for r in cli.suite_twist_commute(args))
+    assert calls == []
+    hecke_u(as_values(raw), qpol, ctx)
+    assert calls
 
 
 # (field, Hecke prime, conductor, extension degree, exponent, precision):

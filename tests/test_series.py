@@ -13,8 +13,8 @@ from drinfeld.algebra import (REl, Pol, QuotientRing, Residue, finite_field,
                               parse_pol, power)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
-from drinfeld.errors import (InsufficientDegreeBound, SignMismatch,
-                             Unsupported)
+from drinfeld.errors import (InsufficientDegreeBound, NotReducible,
+                             SignMismatch, Unsupported)
 from drinfeld.operators import twist_monomial_closed, twist_normalized
 from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion,
@@ -24,7 +24,7 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              poly_eval_series, rescale_arg, shift_by_sums,
                              shift_by_value, u_of_az)
 
-from residue_oracle import first_reduced
+from residue_oracle import first_reduced, point_image
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
                            power_loop_poly_eval, repeated_product,
                            scaled_sum_components, scaled_sum_poly_eval,
@@ -69,6 +69,123 @@ class TestDifference:
         a, _, b = rest.partition(" != ")
         assert head == "u^0" and b == "0"
         assert len(a) == WITNESS_WIDTH and a.endswith("...")
+
+
+class TestSeriesDenominator:
+    """UExpansion.den: numerators over one monic Pol, values on every read."""
+
+    @staticmethod
+    def numerators():
+        ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
+        theta, lam, one = ctx.lift_poly(TH), ctx.lam, ctx.ring.one
+        return ctx, [theta, ctx.ring.zero, lam, theta * lam + one,
+                     ctx.lift_poly(pol3("t^2+t"))]
+
+    @staticmethod
+    def fractions(ctx, nums, pol):
+        """The values nums[n]/pol, one fraction per coefficient."""
+        inv = ctx.lift_poly(pol).invert()
+        return UExpansion(ctx, [c * inv for c in nums], len(nums))
+
+    def test_integral_series_carry_none(self):
+        ctx, nums = self.numerators()
+        f = UExpansion(ctx, nums, 5)
+        assert f.den is None and f.coeffs is f.nums
+        for g in (f + f, f * f, -f, f.scale_const(2), f.truncate(3),
+                  shift_by_value(f, ctx.lam), rescale_arg(f, TH),
+                  u_of_az(ctx, TH, 9)):
+            assert g.den is None and g.coeffs is g.nums
+
+    def test_over_multiplies_den_and_coeffs_are_values(self):
+        ctx, nums = self.numerators()
+        f = UExpansion(ctx, nums, 5).over(TH)
+        assert f.den == TH.map_to(ctx.big, ctx.emb)
+        assert all(a is b for a, b in zip(f.nums, nums))  # no product
+        want = self.fractions(ctx, nums, TH)
+        assert f.coeffs == want.coeffs
+        assert [f.coeff(n) for n in range(5)] == list(want.coeffs)
+        assert f.coeff(0) == ctx.ring.one  # theta/theta, in canonical form
+        assert any(c.den != ctx.ring.one.den for c in f.coeffs)
+        g = f.over(pol3("t+1"))
+        assert g.den == (TH * pol3("t+1")).map_to(ctx.big, ctx.emb)
+        assert all(a is b for a, b in zip(g.nums, nums))
+        assert g.coeffs == self.fractions(ctx, nums, TH * pol3("t+1")).coeffs
+
+    def test_truncate_with_meta_and_scalings_keep_den(self):
+        ctx, nums = self.numerators()
+        f = UExpansion(ctx, nums, 5).over(TH)
+        meta = ModularMeta(2, 1)
+        for g, want in ((f.truncate(3), f.coeffs[:3]),
+                        (f.with_meta(meta), f.coeffs),
+                        (f.scale_const(ctx.emb[2]),
+                         [c.scale_const(ctx.emb[2]) for c in f.coeffs]),
+                        (f.scale(ctx.lam), [c * ctx.lam for c in f.coeffs]),
+                        (-f, [-c for c in f.coeffs])):
+            assert g.den == f.den and g.coeffs == tuple(want)
+        assert f.with_meta(meta).meta is meta
+
+    @pytest.mark.parametrize("dens", [("t", "t"), ("t", "t+1"), ("t", "t^2"),
+                                      ("t^2+t", "t^2+2t"), (None, "t")],
+                             ids=["equal", "coprime", "dividing", "common",
+                                  "integral"])
+    def test_sums_over_equal_and_unequal_dens(self, dens):
+        ctx, nums = self.numerators()
+        one = Pol.one(F3)
+        a, b = (pol3(d) if d else one for d in dens)
+        f, g = (UExpansion(ctx, cs, 5) for cs in (nums, nums[::-1]))
+        if dens[0]:
+            f = f.over(a)
+        g = g.over(b)
+        lcm = a.lcm(b)
+        assert (f + g).den == (f - g).den == lcm.map_to(ctx.big, ctx.emb)
+        fa, gb = self.fractions(ctx, nums, a), self.fractions(ctx, nums[::-1],
+                                                             b)
+        assert (f + g).coeffs == (fa + gb).coeffs
+        assert (f - g).coeffs == (fa - gb).coeffs
+        assert (g - f).coeffs == (gb - fa).coeffs
+        if dens[0] == dens[1]:  # equal dens: numerators added, no product
+            assert (f + g).nums == tuple(x + y for x, y in zip(nums,
+                                                               nums[::-1]))
+
+    def test_comparisons_agree_in_both_directions(self):
+        ctx, nums = self.numerators()
+        f = UExpansion(ctx, nums, 5).over(TH)
+        values = self.fractions(ctx, nums, TH)
+        twice = UExpansion(ctx, [c * ctx.lift_poly(TH) for c in nums],
+                           5).over(TH * TH)  # the same values, another den
+        for a, b in ((f, values), (values, f), (f, twice), (twice, values)):
+            assert a == b and a.agrees_with(b)
+            assert a.first_difference(b) is None and a.difference(b) is None
+        assert f != f.truncate(4) and f.agrees_with(f.truncate(4))
+        other = list(values.coeffs)
+        other[3] = other[3] + ctx.ring.one
+        other = UExpansion(ctx, other, 5)
+        for a in (f, twice):
+            assert a != other and other != a
+            assert not a.agrees_with(other) and not other.agrees_with(a)
+            assert a.first_difference(other) == other.first_difference(a) == 3
+            assert a.difference(other) == values.difference(other)
+            assert other.difference(a) == other.difference(values)
+        assert f.difference(other).startswith("u^3: ")
+
+    def test_format_is_the_values(self):
+        ctx, nums = self.numerators()
+        f = UExpansion(ctx, nums, 5).over(TH)
+        assert f.format() == self.fractions(ctx, nums, TH).format()
+        assert "/" in f.format()
+
+    def test_over_on_a_reduced_context_divides_at_once(self):
+        ctx, nums = self.numerators()
+        red = first_reduced(ctx)
+        image = point_image(ctx, red)
+        g = UExpansion(red, [red.ring.elems[image(c)] for c in nums],
+                       5).over(TH)
+        assert g.den is None
+        assert [c.code for c in g.coeffs] == [
+            image(c) for c in UExpansion(ctx, nums, 5).over(TH).coeffs]
+        Q = next(m for m in monics_of_degree(F3, 4) if not red.lift_poly(m))
+        with pytest.raises(NotReducible):
+            g.over(Q)
 
 
 # one level for each q in 3, 4, 5, 9, each with a residue point
