@@ -146,9 +146,8 @@ class FiniteField:
 class ResidueRing:
     """The image of a torsion ring in a finite field T: theta -> alpha,
     generator i -> roots[i], a big-field code c -> emb[c].  It has what
-    UExpansion and TorsionContext use of a QuotientRing (a fraction enters
-    as from_pol(num) * from_pol(den).invert()), on its elements elems[c],
-    one per code c of T; no image in T raises NotReducible."""
+    UExpansion and TorsionContext use of a QuotientRing, on its elements
+    elems[c], one per code c of T; a division by zero raises NotReducible."""
 
     __slots__ = ("field", "emb", "alpha", "roots", "elems", "zero", "one")
 
@@ -222,8 +221,8 @@ class Residue:
             raise NotReducible("a value to invert vanishes at alpha")
         return self.ring.elems[self.ring.field.inv_table[self.code]]
 
-    def format(self, symbol="t"):
-        return str(self.code)
+    def format(self, symbol="t", den=None):
+        return str(self.code)  # a reduced series has no den
 
 
 # One ResidueRing per point: a ring and its interned elements form a cycle.

@@ -3,11 +3,10 @@
 Each relation is monic in its own generator with coefficients in
 F_{q^D}[theta], so reduction is canonical: every element has a unique
 coordinate vector indexed by multidegrees below (deg Phi_1, ..., deg Phi_r).
-With r >= 2 the ring may have zero divisors; inversion detects them and
-raises NotInvertible.
+With r >= 2 the ring may have zero divisors.  Only constants invert.
 
-Packed layout.  An element is num/den: den is a monic polynomial in theta
-and num is one integer holding every coordinate.  Byte slot
+Packed layout.  An element is one integer num holding every coordinate,
+each a polynomial in theta.  Byte slot
 
     (k * total + idx) * n + j
 
@@ -16,11 +15,9 @@ theta^k coefficient of coordinate idx, where n is the degree of the field
 over F_p.  theta is the slowest index, so the layout does not depend on any
 degree bound.
 
-Canonical form.  Every slot is < p, gcd(content(num), den) = 1 where the
-content is the gcd of the coordinates, and den is monic; zero has den = 1.
-So == and hash compare (num, den) directly.  The denominator is 1 except on
-the paths through invert() and fraction() (the values of a series with a
-den: a twist's 1/n is one series.UExpansion.den, not one per coefficient).
+Canonical form.  Every slot is < p, so == and hash compare num.  Elements
+are integral: a denominator is one monic Pol beside a value's numerator,
+as series.UExpansion.den is for a series.
 
 Arithmetic.  Sums, negation and prime-field scaling act slot by slot: an
 integer operation, then one bytes.translate pass mod p; a sum or difference
@@ -31,7 +28,7 @@ multiplies column pairs as integers (Kronecker substitution in theta) and
 folds exponents >= deg Phi_i back with the relation coefficients, which
 enter as nonnegative integer multipliers (-c mod p).  It folds field digits
 >= n with the field modulus in the same way and reduces mod p once.  A pair
-with a prime-field constant operand c (den 1, num < p) is no product: it
+with a prime-field constant operand c (num < p) is no product: it
 adds the other operand translated slot-wise by v -> c*v mod p, and the sum
 of these translates is added to the folded product, at most 255 // (p-1)
 numerators with slots < p at a time.  Zero operands are dropped, so a dot
@@ -66,10 +63,10 @@ class QuotientRing:
     __slots__ = ("field", "gen_names", "relations", "dims", "total",
                  "_strides", "_exps", "_tn", "_col_key", "_col_exps",
                  "_final", "_folds", "_plans", "_pair_gain", "_w", "_times",
-                 "_codes", "_unit")
+                 "_codes")
     # new each time: a ring holding an element would be a reference cycle
-    zero = property(lambda self: REl(self, 0, self._unit))
-    one = property(lambda self: REl(self, 1, self._unit))
+    zero = property(lambda self: REl(self, 0))
+    one = property(lambda self: REl(self, 1))
 
     def __init__(self, field, generators):
         """generators: sequence of (name, relation) with relation the list
@@ -147,18 +144,11 @@ class QuotientRing:
         # _times[c] maps a byte v to c*v mod p: [1] reduces, [p-1] negates
         self._times = [bytes(c * v % p for v in range(256)) for c in range(p)]
         self._codes = {}
-        self._unit = Pol.one(field)
 
     # -- constructors for elements --
 
-    def from_rf_coords(self, coords):
-        """The element with the given RF coordinates."""
-        lcm = reduce(Pol.lcm, (c.den for c in coords), self._unit)
-        num = self._pack([c.num * (lcm // c.den) for c in coords])
-        return REl(self, num, self._unit if lcm.is_one() else lcm)
-
     def from_pol(self, p):
-        return REl(self, self._pack([p]), self._unit)
+        return REl(self, self._pack([p]))
 
     def from_const(self, code):
         return self.from_pol(Pol.const(self.field, code))
@@ -167,8 +157,7 @@ class QuotientRing:
         """Generator i, reduced by its relation: -c for a relation x + c."""
         if self.dims[i] == 1:
             return self.from_pol(-self.relations[i][0])
-        return REl(self, 1 << (8 * self._strides[i] * self.field.n),
-                   self._unit)
+        return REl(self, 1 << (8 * self._strides[i] * self.field.n))
 
     def __repr__(self):
         return "QuotientRing(%r[t]; %s)" % (self.field, ", ".join(self.gen_names))
@@ -179,7 +168,6 @@ class QuotientRing:
         """sum of a*b over a sequence of (a, b) pairs, reduced once.  A pair
         with a prime-field constant operand adds a slot-wise translate of
         the other operand instead of a product."""
-        unit = self._unit
         p = self.field.p
         times = self._times
         rowbits = 8 * self._tn
@@ -187,8 +175,6 @@ class QuotientRing:
         general = []
         terms = []
         for a, b in pairs:
-            if a.den is not unit or b.den is not unit:
-                return self._dot_fractions(pairs)
             if b.num < p:
                 a, b = b, a
             if a.num >= p:
@@ -209,7 +195,7 @@ class QuotientRing:
                         k = ka + kb
                         acc[k] = get(k, 0) + va * vb
             terms.append(self._reduce(acc, w))
-        return REl(self, self._slot_sum(terms), unit)
+        return REl(self, self._slot_sum(terms))
 
     def dot_once(self, pairs):
         """dot over a sequence of pairs, leaving each second operand's column
@@ -312,20 +298,6 @@ class QuotientRing:
             count += 1
         return acc.to_bytes(len(raw) // w, "little").translate(times[1])
 
-    def _dot_fractions(self, pairs):
-        """dot over a common denominator: the lcm of the pair denominators."""
-        unit = self._unit
-        dens = [a.den * b.den for a, b in pairs]
-        lcm = reduce(Pol.lcm, dens, unit)
-        integral = []
-        for (a, b), d in zip(pairs, dens):
-            a = REl(self, a.num, unit)
-            f = lcm // d
-            if not f.is_one():
-                a = a * self.from_pol(f)
-            integral.append((a, REl(self, b.num, unit)))
-        return self._normalized(self.dot(integral).num, lcm)
-
     # -- slot-wise helpers --
 
     def _translate(self, x, table):
@@ -336,9 +308,6 @@ class QuotientRing:
 
     def combine(self, elems, rows):
         """[sum_k row[k] * elems[k] for row in rows], row[k] big codes."""
-        if any(e.den is not self._unit for e in elems):
-            return [self.dot([(e, self.from_const(c)) for e, c in
-                              zip(elems, row)]) for row in rows]
         p, n, codes = self.field.p, self.field.n, self._codes
         top = max((e.num for e in elems), default=0).bit_length() // (8 * n)
         low = int.from_bytes((b"\xff" + bytes(n - 1)) * (top + 1), "little")
@@ -357,10 +326,10 @@ class QuotientRing:
                         memo[k][key] = self._translate(planes[k][key // p],
                                                        self._times[key % p])
                     terms.append(memo[k][key] << shift)
-            out.append(REl(self, self._slot_sum(terms), self._unit))
+            out.append(REl(self, self._slot_sum(terms)))
         return out
 
-    # -- coordinates as polynomials (the paths with denominators) --
+    # -- coordinates as polynomials --
 
     def _pack(self, pols):
         """Numerator with coordinate idx equal to pols[idx] (missing = 0)."""
@@ -390,25 +359,14 @@ class QuotientRing:
             out.append(Pol(field, codes))
         return out
 
-    def fraction(self, x, den):
-        """x/den for an element x and a monic Pol den over the field, in
-        canonical form: how a series value with a den is formed."""
-        return self._normalized(x.num, x.den * den)
-
-    def _normalized(self, num, den):
-        """num/den in canonical form (den monic)."""
-        if not num or den.is_one():
-            return REl(self, num, self._unit)
-        coords = self._unpack(num)
-        g = den
-        for c in coords:
-            if c:
-                g = g.gcd(c)
-                if g.degree == 0:
-                    return REl(self, num, den)
-        den = den // g
-        num = self._pack([c // g for c in coords])
-        return REl(self, num, self._unit if den.is_one() else den)
+    def divide_content(self, elems):
+        """elems divided by the gcd in F[theta] of all their coordinates."""
+        coords = [self._unpack(x.num) for x in elems]
+        g = reduce(Pol.gcd, (c for cs in coords for c in cs if c),
+                   Pol.zero(self.field))
+        if g.degree < 1:
+            return elems
+        return [REl(self, self._pack([c // g for c in cs])) for cs in coords]
 
 
 def _fold_growth(room, d, terms, top_digit):
@@ -425,45 +383,38 @@ def _fold_growth(room, d, terms, top_digit):
 
 
 class REl:
-    """Element of a QuotientRing: packed numerator over a monic denominator
-    (see the module docstring for the layout and the canonical form)."""
+    """Element of a QuotientRing: an integral packed numerator (see the
+    module docstring for the layout and the canonical form)."""
 
-    __slots__ = ("ring", "num", "den", "_cols")
+    __slots__ = ("ring", "num", "_cols")
 
-    def __init__(self, ring, num, den):
+    def __init__(self, ring, num):
         self.ring = ring
         self.num = num
-        self.den = den
         self._cols = None
 
-    @property
-    def coords(self):
-        """The canonical value (numerator, denominator coefficients):
-        hashable, and equal exactly when the elements are equal."""
-        return (self.num, self.den.c)
+    coords = property(lambda self: self.num)  # equal iff the elements are
 
     def __bool__(self):
         return self.num != 0
 
     def __eq__(self, other):
         return (isinstance(other, REl) and self.ring is other.ring
-                and self.num == other.num and self.den == other.den)
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.ring), self.num, self.den.c))
+        return hash((id(self.ring), self.num))
 
     def __add__(self, other):
         ring = self.ring
         if not (self.num and other.num):
             return self if self.num else other
-        if self.den is other.den is ring._unit:
-            return REl(ring, ring._translate(self.num + other.num,
-                                             ring._times[1]), self.den)
-        return ring.dot(((self, ring.one), (other, ring.one)))
+        return REl(ring, ring._translate(self.num + other.num,
+                                         ring._times[1]))
 
     def __neg__(self):
         ring = self.ring
-        return REl(ring, ring._translate(self.num, ring._times[-1]), self.den)
+        return REl(ring, ring._translate(self.num, ring._times[-1]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -473,8 +424,7 @@ class REl:
         if code < 2:
             return self if code else ring.zero
         if code < ring.field.p:
-            return REl(ring, ring._translate(self.num, ring._times[code]),
-                       self.den)
+            return REl(ring, ring._translate(self.num, ring._times[code]))
         return ring.combine((self,), ((code,),))[0]
 
     def __mul__(self, other):
@@ -512,14 +462,17 @@ class REl:
         return power(self, e, self.ring.one)
 
     def invert(self):
+        """The inverse of a nonzero constant; others would need a den."""
         ring = self.ring
         if not self:
             raise NotInvertible("zero element")
-        if self.den is ring._unit and self.num < ring.field.p:
-            return REl(ring, ring.field.inv(self.num), ring._unit)
-        if self.is_scalar():
-            return ring.from_rf_coords([self.scalar_part().inverse()])
-        return _invert(self)
+        if self.num < ring.field.p:  # a prime-field constant: one table read
+            return REl(ring, ring.field.inv(self.num))
+        coords = ring._unpack(self.num)
+        if coords[0].degree or any(coords[1:]):
+            raise Unsupported("only constants invert in the ring, not %s"
+                              % self.format())
+        return ring.from_const(ring.field.inv(coords[0].c[0]))
 
     def exponent_free(self, i):
         """True if no monomial involves generator i."""
@@ -527,30 +480,31 @@ class REl:
         return all(exps[k][i] == 0 for k, _ in self._columns(self.ring._w))
 
     def rf_coords(self):
-        """The coordinates as reduced RFs."""
-        return [RF(c, self.den) for c in self.ring._unpack(self.num)]
+        """The coordinates as RFs over 1."""
+        return [RF.from_pol(c) for c in self.ring._unpack(self.num)]
 
     def scalar_part(self):
-        """The exponent-zero coordinate (an RF)."""
-        return RF(self.ring._unpack(self.num)[0], self.den)
+        """The exponent-zero coordinate (an RF over 1)."""
+        return RF.from_pol(self.ring._unpack(self.num)[0])
 
     def terms(self):
         """(exponents, coefficient as a scalar element) for every nonzero
         coordinate."""
         ring = self.ring
-        return [(ring._exps[idx], ring._normalized(ring._pack([c]), self.den))
+        return [(ring._exps[idx], ring.from_pol(c))
                 for idx, c in enumerate(ring._unpack(self.num)) if c]
 
-    def format(self, symbol="t"):
+    def format(self, symbol="t", den=None):
+        """Each coordinate over den (a monic Pol, or None), reduced."""
         ring = self.ring
         parts = []
-        for idx, c in enumerate(self.rf_coords()):
+        for idx, c in enumerate(ring._unpack(self.num)):
             if not c:
                 continue
             mono = "*".join(
                 (name if e == 1 else "%s^%d" % (name, e))
                 for name, e in zip(ring.gen_names, ring._exps[idx]) if e)
-            cs = "(%s)" % c.format(symbol)
+            cs = "(%s)" % RF(c, den).format(symbol)
             parts.append(cs + ("*" + mono if mono else ""))
         return " + ".join(parts) if parts else "0"
 
@@ -586,26 +540,3 @@ def row_echelon(rows, invert):
                              for a, b in zip(row[col:], tail)]
         pivots.append(col)
     return pivots
-
-
-def _invert(x):
-    """Inversion by a linear solve over RF: x * v = 1 for the coordinate
-    vector v, by row_echelon on (M | e0) and back substitution."""
-    ring = x.ring
-    n = ring.total
-    fn = ring.field.n
-    # columns: x * basis_j
-    cols = [(x * REl(ring, 1 << (8 * fn * j), ring._unit)).rf_coords()
-            for j in range(n)]
-    e0 = [RF.one(ring.field)] + [RF.zero(ring.field)] * (n - 1)
-    M = [[c[i] for c in cols] + [e0[i]] for i in range(n)]
-    if row_echelon(M, RF.inverse) != list(range(n)):
-        raise NotInvertible("zero divisor")
-    v = [None] * n
-    for i in reversed(range(n)):
-        acc = M[i][n]
-        for a, b in zip(M[i][i + 1:n], v[i + 1:]):
-            if a:
-                acc = acc - a * b
-        v[i] = acc
-    return ring.from_rf_coords(v)

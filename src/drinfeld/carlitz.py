@@ -167,21 +167,19 @@ class TorsionContext:
             pows.append(self.ring.power_step(pows[-1], x))
         return pows
 
-    def torsion_inverse(self, level):
-        """The function lam -> 1/lam on primitive level-torsion values
-        (C_level(lam) = 0, lam a unit), with no linear solve: C_level(lam)/lam
-        = 0 gives 1/lam = -sum_{j>=1} ([level]_j/level) lam^(q^j-2), and the
-        powers come from self.powers.  level is one scalar inversion."""
+    def torsion_cofactor(self, level):
+        """The function lam -> level/lam, integral, on primitive
+        level-torsion values: C_level(lam)/lam = 0 gives level/lam =
+        -sum_{j>=1} [level]_j lam^(q^j-2), the powers from self.powers."""
         q = self.field.order
-        inv_level = self.lift_poly(level).invert()
-        rel = [(q ** j - 2, -self.lift_poly(c) * inv_level)
+        rel = [(q ** j - 2, -self.lift_poly(c))
                for j, c in enumerate(carlitz_coeffs(level)) if j and c]
         count = q ** level.degree - 1
 
-        def inverse(lam):
+        def cofactor(lam):
             pows = self.powers(lam, count)
             return self.ring.dot([(c, pows[e]) for e, c in rel])
-        return inverse
+        return cofactor
 
     def exp_at(self, beta, divisor):
         """Torsion value for a divisor modulus: exp_C(pi*beta/divisor)."""
@@ -221,11 +219,10 @@ class TorsionContext:
         189, 1974), so the relations have roots in T, and theta -> alpha
         (a root of Q), lambda_i -> the least root of relation i at alpha,
         c -> emb[c] (emb = T.embedding(big); base-field constants go
-        through self.emb first) is a ring homomorphism on the elements
-        whose denominator is nonzero at alpha.  The reduced context has
-        the same modulus and constants, with that ResidueRing as its ring,
-        so every method returns the image in T of its exact value (or
-        raises NotReducible where that has no image).
+        through self.emb first) is a ring homomorphism.  The reduced
+        context has the same modulus and constants, with that ResidueRing
+        as its ring, so every method returns the image in T of its exact
+        value (or raises NotReducible where a series den vanishes).
         """
         field, big, mod = self.field, self.big, self.modulus
         ext = big.n // field.n

@@ -224,12 +224,12 @@ def suite_normproj(args):
     f = forms.petrov_fs(ctx, 1, forms.bound_for_precision(field, N)).render(N)
     g = twist_normalized(f, chi, ctx)
     witness = None
-    inv_den = RF.from_pol(g.den).inverse()  # the values are c / g.den
+    inv_den = g.den and RF.from_pol(g.den).inverse()  # values c / g.den
     for n, c in enumerate(g.nums):
         if not c.is_scalar():
             witness = "u^%d not torsion-free" % n
             break
-        if c and not (c.scalar_part() * inv_den).is_pol():
+        if c and inv_den and not (c.scalar_part() * inv_den).is_pol():
             witness = "u^%d not integral" % n
             break
     reports.append(VerificationReport("normproj-integrality",

@@ -6,7 +6,7 @@ class DrinfeldError(Exception):
 
 
 class NotInvertible(DrinfeldError):
-    """Raised when a ring element is zero or a zero divisor."""
+    """Raised when a ring element to invert is zero."""
 
 
 class NotReducible(DrinfeldError):

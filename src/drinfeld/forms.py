@@ -10,8 +10,7 @@ g(chi^{-1})/p at the coefficient level, its 1/p a series denominator.
 
 import json
 
-from .algebra import (RF, Pol, REl, Residue, monics_up_to_degree,
-                      row_echelon)
+from .algebra import RF, Pol, Residue, monics_up_to_degree, row_echelon
 from .carlitz import TorsionContext
 from .characters import DirichletCharacter, gauss_thakur
 from .errors import NotReducible, Unsupported
@@ -131,20 +130,20 @@ class VerificationReport:
 # -- constant terms --------------------------------------------------------
 
 def eis_constant_term(chi, k, ctx):
-    """sum_a chi^{-1}(a) G_k(1/lambda_a) over units a mod the conductor.
-
-    Asserted nonzero and asserted to span the chi-eigenline of the Galois
-    action lambda -> C_b(lambda); either failure is a genuine bug.
+    """sum_a chi^{-1}(a) G_k(1/lambda_a) over units a mod the conductor, as
+    (numerator, den), the numerator asserted nonzero and asserted to span
+    the chi-eigenline of the Galois action lambda -> C_b(lambda), which
+    fixes den; either failure is a genuine bug.
     """
     T = TwistedEisenstein.build(ctx, k, chi)
-    val = T.constant_term()
+    val, den = T.constant_term()
     if not val:
         raise RuntimeError("constant term vanished for %r, k=%d" % (chi, k))
     for b in ctx.units(chi.conductor):
         if ctx.galois(b)(val) != val.scale_const(ctx.char_value(chi, b)):
             raise RuntimeError("constant term is not a chi-eigenvector "
                                "at b = %s" % b.format())
-    return val
+    return val, den
 
 
 # -- eigen-system verification ---------------------------------------------
@@ -277,9 +276,26 @@ def ehat_twist_identity(chi, k, ppol, N):
 # -- Eisenstein rank -------------------------------------------------------
 
 def matrix_rank(rows):
-    """Rank of a matrix of torsion-ring elements (the ring must be a field)
-    by forward elimination."""
-    return len(row_echelon([list(r) for r in rows if any(r)], REl.invert))
+    """Rank of a matrix over the torsion ring of a prime level by
+    fraction-free forward elimination: below a pivot p, a row with f in its
+    column becomes p*row - f*top over its theta-content (divide_content),
+    so entries do not grow.  The ring is a domain (Phi_p is irreducible
+    over F(theta)), so each step keeps the rank; nothing is inverted."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is not None:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            p, *top = rows[rank][col:]
+            for row in rows[rank + 1:]:
+                if row[col]:
+                    f = -row[col]
+                    row[col:] = [p.ring.zero] + p.ring.divide_content(
+                        [p.ring.dot(((a, p), (b, f)))
+                         for a, b in zip(row[col + 1:], top)])
+            rank += 1
+    return rank
 
 
 def certified_rank(ctx, build):
@@ -307,16 +323,19 @@ def certified_rank(ctx, build):
 
 def eisenstein_rows(ctx, k, N):
     """The rank rows of eisenstein_rank over ctx, exact or reduced, for an
-    irreducible level p: the coefficients u^0..u^(N-1) of E_a and of
-    F_a = sum_{c = a mod p, c != 0} G_k(u(cz)) for each monic unit a.
+    irreducible level p: the coefficients u^0..u^(N-1) of p^k*D*E_a and of
+    D*F_a, F_a = sum_{c = a mod p, c != 0} G_k(u(cz)), for each monic unit
+    a (D = goss_den).  Nonzero scalars keep the rank, and integral rows
+    reduce to the images of the exact ones.
 
-    E_a comes from eisenstein_components.  F_a is one combination over the
-    monic c: the nonzero c' = a mod p are the c/xi for monic c = xi*a mod p
-    (xi in F_q^*), and G_k(u(cz/xi)) = xi^k G_k(u(cz)).
+    p^k*D*E_a is eisenstein_components' numerator.  D*F_a is one
+    combination over the monic c: the nonzero c' = a mod p are the c/xi
+    for monic c = xi*a mod p (xi in F_q^*), and
+    G_k(u(cz/xi)) = xi^k G_k(u(cz)).
     """
     ppol, field = ctx.modulus, ctx.field
     q = field.order
-    comps = eisenstein_components(ctx, k, ppol, N)
+    _, comps = eisenstein_components(ctx, k, ppol, N)
     gk = goss_coeffs_in(ctx, k)
     terms = {a: [] for a in comps}
     for c in monics_up_to_degree(field, bound_for_precision(field, N)):

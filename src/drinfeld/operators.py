@@ -13,7 +13,7 @@ one series denominator (UExpansion.over), so no coefficient is a fraction.
 The Hecke beta-sum is a Goss sum of ker C_q (hecke_u).
 """
 
-from .algebra import (Pol, is_irreducible, lucas_binomial,
+from .algebra import (Pol, QuotientRing, is_irreducible, lucas_binomial,
                       monics_up_to_degree)
 from .carlitz import carlitz_coeffs, goss_recursion
 from .characters import gauss_thakur, power_sums
@@ -23,10 +23,10 @@ from .series import (AExpansion, ModularMeta, TwistedEisenstein, UExpansion,
 
 
 def _modulus_power(ctx, m, e):
-    """m^e as a ring element, with negative exponents via inversion."""
-    if e >= 0:
-        return ctx.lift_poly(m ** e)
-    return ctx.lift_poly(m ** (-e)).invert()
+    """m^e as a ring element; m^-e is a series den (UExpansion.over)."""
+    if e < 0:
+        raise Unsupported("m^%d is not integral" % e)
+    return ctx.lift_poly(m ** e)
 
 
 def neben_eval(neben, a, ctx):
@@ -127,6 +127,9 @@ def hecke_u(f, qpol, ctx):
         raise ValueError("Hecke operators need weight metadata")
     if f.ctx is not ctx:
         raise ValueError("expansion must live in the given torsion ring")
+    if not isinstance(ctx.ring, QuotientRing):
+        raise Unsupported("T_q on a reduced context: a residue has no "
+                          "q-torsion generator to check the output against")
     qidx = ctx.primes.index(qpol)
     size = ctx.field.order ** qpol.degree
     Nout = f.prec // size

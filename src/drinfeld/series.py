@@ -7,8 +7,10 @@ u(z + beta/n) (fractional-linear shift by a torsion value).
 """
 
 from collections import namedtuple
+from functools import reduce
 
-from .algebra import QuotientRing, lucas_binomial, monics_up_to_degree, power
+from .algebra import (Pol, QuotientRing, lucas_binomial, monics_up_to_degree,
+                      power)
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
 
@@ -40,10 +42,10 @@ class ModularMeta:
 class UExpansion:
     """Sum of c_n * u^n for n < prec, values in ctx.ring, as numerators nums
     over one den: a monic Pol in theta over ctx.big, or None (integral, nums
-    are the values).  coeffs and coeff(n) are the values, formed at a den
-    on each read (see _OverDen).  Only the series algebra, the substitutions
-    and the checks read nums and den; over() divides at once on a reduced
-    context, so no reduced series has a den."""
+    are the values).  coeffs and coeff(n), the values, exist only on an
+    integral series, so no numerator is read as a value.  The algebra, the
+    substitutions and the checks read nums and den; format prints values;
+    over() divides at once on a reduced context: no reduced series has one."""
 
     # _powers: the list that powers() keeps, shared with u_of_az's memo
     __slots__ = ("ctx", "nums", "den", "coeffs", "prec", "meta", "_powers")
@@ -58,8 +60,6 @@ class UExpansion:
         self.nums = tuple(coeffs)
         if den is None:
             self.coeffs = self.nums
-        else:  # a plain slot for integral series, so their reads cost nothing
-            self.__class__ = _OverDen
         self.den = den
         self.prec = prec
         self.meta = meta
@@ -106,9 +106,11 @@ class UExpansion:
 
     def over(self, pol):
         """self / pol for a monic pol in theta: den times pol, with no
-        coefficient product.  On a reduced context the values are divided
-        at once, raising NotReducible where pol vanishes at alpha."""
+        coefficient product (self for pol = 1); on a reduced context the
+        values are divided at once (NotReducible where pol vanishes)."""
         ctx = self.ctx
+        if pol.is_one():
+            return self
         pol = pol.map_to(ctx.big, ctx.emb)
         if not isinstance(ctx.ring, QuotientRing):
             return self.scale(ctx.ring.from_pol(pol).invert())
@@ -236,30 +238,23 @@ class UExpansion:
         n = self.first_difference(other)
         if n is None:
             return None
-        return "u^%d: %s != %s" % (n, _cut(self.coeffs[n].format()),
-                                   _cut(other.coeffs[n].format()))
+        return "u^%d: %s != %s" % (n, _cut(self.nums[n].format("t", self.den)),
+                                   _cut(other.nums[n].format("t", other.den)))
 
     def format(self, symbol="t"):
+        """The values: each numerator's coordinates over den, reduced."""
         parts = []
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.nums):
             if not c:
                 continue
             mono = "" if n == 0 else ("u" if n == 1 else "u^%d" % n)
-            cs = "(%s)" % c.format(symbol)
+            cs = "(%s)" % c.format(symbol, self.den)
             parts.append(cs + ("*" + mono if mono else ""))
         body = " + ".join(parts) if parts else "0"
         return "%s + O(u^%d)" % (body, self.prec)
 
     def __repr__(self):
         return self.format()
-
-
-class _OverDen(UExpansion):
-    """A UExpansion with a den, whose coeffs are its values, formed on each
-    read by the ring's one fraction entry point (QuotientRing.fraction)."""
-    __slots__ = ()
-    coeffs = property(lambda self: tuple(
-        self.ctx.ring.fraction(c, self.den) if c else c for c in self.nums))
 
 
 def bound_for_precision(field, N, min_exp=1):
@@ -314,10 +309,16 @@ def poly_eval_scalar(coeffs, x, ring):
     return out
 
 
+def goss_den(field, k):
+    """The monic D with D*G_k integral: the lcm of the denominators of
+    G_k's coefficients, Carlitz factorials, so 1 for k <= q."""
+    return reduce(Pol.lcm, (c.den for c in goss_polys(field, k)[k]))
+
+
 def goss_coeffs_in(ctx, k):
-    """G_k's coefficients lifted into the context ring (list of REl)."""
-    return [ctx.lift_poly(c.num) if c.den.is_one()
-            else ctx.lift_poly(c.num) * ctx.lift_poly(c.den).invert()
+    """D*G_k's coefficients (D = goss_den) in the context ring (REl)."""
+    D = goss_den(ctx.field, k)
+    return [ctx.lift_poly(c.num * (D // c.den))
             for c in goss_polys(ctx.field, k)[k]]
 
 
@@ -442,13 +443,14 @@ class AExpansion:
     def render(self, N):
         """Truncated u-expansion sum_a c_a G(u(az)), G = X^i or G_k, as one
         combination by c_a g_j of the powers u(az)^j that the u_of_az memo
-        keeps; the bound must reach u^N."""
+        keeps, over goss_den for G_k; the bound must reach u^N."""
         ctx, q = self.ctx, self.ctx.field.order
         min_exp = self.index if self.kind == "power" else 1
         if self.bound < bound_for_precision(ctx.field, N, min_exp):
             raise InsufficientDegreeBound(
                 "degree bound %d cannot reach precision %d" % (self.bound, N))
-        g = (goss_coeffs_in(ctx, self.index) if self.kind == "goss"
+        goss = self.kind == "goss"
+        g = (goss_coeffs_in(ctx, self.index) if goss
              else [ctx.ring.zero] * self.index + [ctx.ring.one])
         terms = []
         for a in monics_up_to_degree(ctx.field, self.bound):
@@ -456,21 +458,25 @@ class AExpansion:
             if c:  # g_0 = 0: G is X^i or G_k
                 terms += [(c * gj, p) for gj, p in zip(g[1:], u_of_az(
                     ctx, a, N).powers(len(g) - 1)) if gj]
-        return combination(ctx, terms, N, self.meta())
+        out = combination(ctx, terms, N, self.meta())
+        return out.over(goss_den(ctx.field, self.index)) if goss else out
 
 
 def eisenstein_components(ctx, k, level, N):
-    """The series E_a = sum_{c in A} G_k(u(cz + a/level)) to precision N,
-    as {a.c: E_a} over the monic units a mod level; the c = 0 term is the
-    constant G_k(1/lambda_a), and no c with q^deg c >= N reaches u^N.  The
-    other units follow from E_{xi a} = xi^(-k) E_a (see fold_units).
+    """The series E_a = sum_{c in A} G_k(u(cz + a/level)) to precision N
+    as (den, {a.c: numerators of E_a}) over the monic units a mod level,
+    den = D*level^k (D = goss_den); the c = 0 term is G_k(1/lambda_a), and
+    no c with q^deg c >= N reaches u^N.  The other units follow from
+    E_{xi a} = xi^(-k) E_a (see fold_units).
 
     Writing c = xi*c' with c' monic and xi in F_q^*, u(cz) = u(c'z)/xi,
     and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
     -1 when (q-1) | n and 0 otherwise.  So with the power sums
     P_m = sum_{c' monic} u(c'z)^(m(q-1)) and s = G_k(u/(lambda_a u + 1)),
-    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m, one combination,
-    with 1/lambda_a from the Carlitz relation (TorsionContext.torsion_inverse).
+    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m.  As deg G_k = k,
+    G_k(1/lambda_a) = sum_i g_i mu^i level^(k-i) / level^k with the
+    integral mu = level/lambda_a (TorsionContext.torsion_cofactor), so
+    D*level^k*E_a is one combination, level^k folded into the P_m weights.
     """
     q = ctx.field.order
     step = q - 1
@@ -482,7 +488,10 @@ def eisenstein_components(ctx, k, level, N):
             P[m] = P[m] + W
     gk = goss_coeffs_in(ctx, k)
     G = UExpansion(ctx, gk, N)
-    inverse = ctx.torsion_inverse(level)
+    minus_lk = -ctx.lift_poly(level ** k)
+    homogeneous = [g * ctx.lift_poly(level ** (k - i)) if g else g
+                   for i, g in enumerate(gk)]
+    cofactor = ctx.torsion_cofactor(level)
     one = UExpansion.const(ctx, ctx.ring.one, N).coeffs
     out = {}
     for a in ctx.units(level):
@@ -490,9 +499,10 @@ def eisenstein_components(ctx, k, level, N):
             lam = ctx.exp_at(a, level)
             s = shift_by_value(G, lam).coeffs[step::step]  # s_{m(q-1)}
             out[a.c] = combination(
-                ctx, [(poly_eval_scalar(gk, inverse(lam), ctx.ring), one)]
-                + [(-x, Pm.coeffs) for x, Pm in zip(s, P) if x], N)
-    return out
+                ctx, [(poly_eval_scalar(homogeneous, cofactor(lam), ctx.ring),
+                       one)]
+                + [(x * minus_lk, Pm.coeffs) for x, Pm in zip(s, P) if x], N)
+    return goss_den(ctx.field, k) * level ** k, out
 
 
 def fold_units(ctx, k, level, comp):
@@ -553,15 +563,16 @@ class TwistedEisenstein:
                                  {a: c * value for a, c in self.components.items()})
 
     def constant_term(self):
-        """sum_a comp(a) * G_k(1/lambda_a), the u^0 coefficient."""
-        return self.render(1).coeff(0)
+        """(numerator, den) of sum_a comp(a) G_k(1/lambda_a), at u^0."""
+        R = self.render(1)
+        return R.nums[0], R.den
 
     def render(self, N):
         """Truncated u-expansion sum_a comp(a) * E_a over the units a,
         computed as the combination sum_{a monic} w(a) * E_a with the
         components folded onto the monic units by fold_units."""
         ctx = self.ctx
-        comps = eisenstein_components(ctx, self.k, self.level, N)
+        den, comps = eisenstein_components(ctx, self.k, self.level, N)
         w = fold_units(ctx, self.k, self.level, self.components)
         return combination(ctx, [(w[key], E.coeffs) for key, E in
-                                 comps.items()], N, self.meta())
+                                 comps.items()], N, self.meta()).over(den)

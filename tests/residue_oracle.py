@@ -6,10 +6,8 @@ TorsionContext._reductions, which build the same values in the field."""
 def evaluator(ring, field, emb, alpha, roots):
     """The map from a QuotientRing into a finite field sending theta to
     alpha, generator i to roots[i] and a constant code c to emb[c], as a
-    function from an element to its image code, or None where the
-    denominator vanishes at alpha.  It is a ring homomorphism on the
-    elements it is defined on when each roots[i] is a root of relation i
-    at alpha."""
+    function from an element to its image code.  It is a ring homomorphism
+    when each roots[i] is a root of relation i at alpha."""
     add, mul = field.add_table, field.mul_table
     ybasis = [emb[ring.field.p ** j] for j in range(ring.field.n)]
     # weights[slot]: the image of the slot's unit, digit by digit
@@ -20,7 +18,6 @@ def evaluator(ring, field, emb, alpha, roots):
             m = mul[m][field.pow(r, e)]
         weights.extend(mul[m][y] for y in ybasis)
     tn = ring._tn
-    unit = ring._unit
 
     def image(x):
         raw = x.num.to_bytes((x.num.bit_length() + 7) >> 3, "little")
@@ -30,10 +27,7 @@ def evaluator(ring, field, emb, alpha, roots):
         for d, w in zip(raw, weights):
             if d:
                 acc = add[acc][mul[d][w]]
-        if x.den is unit:
-            return acc
-        v = x.den.eval_in(field, alpha, emb)
-        return mul[acc][field.inv(v)] if v else None
+        return acc
     return image
 
 
@@ -54,3 +48,11 @@ def point_image(ctx, red=None):
     its first."""
     return evaluator(ctx.ring, *point_of(red if red is not None
                                          else first_reduced(ctx)))
+
+
+def value_images(image, field, f):
+    """The codes in field, image's residue field, of the values of f, a
+    series of the exact context: each numerator's image over the image of
+    f's den, which must not vanish there."""
+    inv = 1 if f.den is None else field.inv(image(f.ctx.ring.from_pol(f.den)))
+    return [field.mul(image(c), inv) for c in f.nums]

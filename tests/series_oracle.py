@@ -10,23 +10,22 @@ S.scale(c) plus series additions.  The oracles that the power-sum shifts,
 the closed-form Hecke beta-sum of operators.py, the per-context u(az)
 memo, algebra.power, poly_eval_series, operators.hecke_a, the renders and
 the Eisenstein components are tested against, and the rank rows by
-character, which the rows of forms.eisenstein_rows span.  The twists by
-the route they took before a twist's 1/n became one series denominator:
-every coefficient a fraction, from sums scaled by gauss_over_conductor
-and twist_raw scaled by operators._modulus_power.  A series in v is a
-UExpansion whose variable is read as v.
+character, which the rows of forms.eisenstein_rows span.  The values of a
+series (its numerators over its den) as RF coordinates, or residues on a
+reduced context, and the twists by the route that scales every value by
+its conductor power on its own, in that arithmetic, not by one series
+den.  A series in v is a UExpansion whose variable is read as v.
 """
 
 from drinfeld import forms
-from drinfeld.algebra import (lucas_binomial, monics_up_to_degree,
-                              polys_below_degree)
+from drinfeld.algebra import (RF, QuotientRing, lucas_binomial,
+                              monics_up_to_degree, polys_below_degree)
 from drinfeld.carlitz import carlitz_coeffs
 from drinfeld.characters import DirichletCharacter, gauss_thakur, power_sums
 from drinfeld.errors import DrinfeldError
-from drinfeld.operators import (_character_shift_sum, _modulus_power,
-                                neben_eval)
+from drinfeld.operators import _character_shift_sum, neben_eval
 from drinfeld.series import (UExpansion, bound_for_precision, combination,
-                             fold_units, goss_coeffs_in, poly_eval_scalar,
+                             fold_units, goss_coeffs_in, goss_den,
                              poly_eval_series, rescale_arg, shift_by_value,
                              u_of_az)
 
@@ -210,12 +209,15 @@ def scaled_sum_render(F, N):
             term = (repeated_product(U, F.index, one) if gk is None
                     else scaled_sum_poly_eval(gk, U))
             out = out + term.scale(c)
-    return out
+    return out if gk is None else out.over(goss_den(ctx.field, F.index))
 
 
 def scaled_sum_components(ctx, k, level, N):
-    """eisenstein_components(ctx, k, level, N) with every E_a summed as
-    G_k(1/lambda_a) - sum_m P_m.scale(s_{m(q-1)})."""
+    """eisenstein_components(ctx, k, level, N), (den, numerators), with
+    every numerator D*level^k*E_a summed as the constant
+    sum_i g_i mu^i level^(k-i), g_i the coefficients of D*G_k and
+    mu = level/lambda_a, each term a product of powers, less
+    sum_m P_m.scale(level^k s_{m(q-1)})."""
     q = ctx.field.order
     step = q - 1
     one = UExpansion.const(ctx, ctx.ring.one, N)
@@ -228,30 +230,34 @@ def scaled_sum_components(ctx, k, level, N):
                 P[m] = P[m] + repeated_product(V, m + 1, one)
     gk = goss_coeffs_in(ctx, k)
     G = UExpansion(ctx, gk, N)
-    inverse = ctx.torsion_inverse(level)
+    cofactor = ctx.torsion_cofactor(level)
+    lift, ring = ctx.lift_poly, ctx.ring
     out = {}
     for a in ctx.units(level):
         if a.is_monic():
             lam = ctx.exp_at(a, level)
             s = shift_by_value(G, lam).coeffs
-            E = UExpansion.const(
-                ctx, poly_eval_scalar(gk, inverse(lam), ctx.ring), N)
+            mu = cofactor(lam)
+            E = UExpansion.const(ctx, sum(
+                (g * repeated_product(mu, i, ring.one)
+                 * lift(level ** (k - i)) for i, g in enumerate(gk) if g),
+                ring.zero), N)
             for m, Pm in enumerate(P, 1):
                 if s[m * step]:
-                    E = E - Pm.scale(s[m * step])
+                    E = E - Pm.scale(s[m * step] * lift(level ** k))
             out[a.c] = E
-    return out
+    return goss_den(ctx.field, k) * level ** k, out
 
 
 def scaled_sum_twisted_render(T, N):
     """T.render(N) as sum_a E_a.scale(w(a)) over scaled_sum_components."""
     ctx = T.ctx
-    comps = scaled_sum_components(ctx, T.k, T.level, N)
+    den, comps = scaled_sum_components(ctx, T.k, T.level, N)
     w = fold_units(ctx, T.k, T.level, T.components)
     out = UExpansion.zero(ctx, N)
     for key, E in comps.items():
         out = out + E.scale(w[key])
-    return out
+    return out.over(den)
 
 
 def sign_characters(ctx, k):
@@ -268,12 +274,13 @@ def character_rows(ctx, k, N):
     before it dropped the characters: ETilde_chi and EHat_chi for each chi
     of sign_characters, ETilde summed as E_a.scale(w(a)) with w the
     fold_units of chi^{-1}, and EHat as B_r.scale_const(chi^{-1}(r)) over
-    the units r, B_r = sum_{c monic, c = r mod p} G_k(u(cz))."""
+    the units r, B_r = sum_{c monic, c = r mod p} G_k(u(cz)); numerators,
+    scaled as eisenstein_rows scales them (p^k*D and D, D = goss_den)."""
     ppol = ctx.modulus
     field = ppol.field
     q = field.order
     units = ctx.units(ppol)
-    comps = scaled_sum_components(ctx, k, ppol, N)
+    _, comps = scaled_sum_components(ctx, k, ppol, N)
     gk = goss_coeffs_in(ctx, k)
     buckets = {r.c: UExpansion.zero(ctx, N) for r in units}
     for c in monics_up_to_degree(field, bound_for_precision(field, N)):
@@ -296,9 +303,9 @@ def character_rows(ctx, k, N):
 
 
 def defining_f_row(ctx, k, N, a):
-    """F_a = sum_{c = a mod p, c != 0} G_k(u(cz)) by its definition, one
-    G_k(u(cz)) per nonzero c, monic or not, with u(cz) built afresh: the
-    coefficients u^0..u^(N-1)."""
+    """D*F_a, F_a = sum_{c = a mod p, c != 0} G_k(u(cz)), by its
+    definition, one D*G_k(u(cz)) per nonzero c, monic or not, with u(cz)
+    built afresh: the coefficients u^0..u^(N-1) (D = goss_den)."""
     field = ctx.field
     q = field.order
     gk = goss_coeffs_in(ctx, k)
@@ -328,59 +335,88 @@ def rows_by_characters(ctx, rows, k):
     return out
 
 
-# -- the twists with a fraction in every coefficient -------------------------
+# -- values, and the twists that scale every value ---------------------------
 
-def gauss_over_conductor(chi, ctx):
-    """g(chi^{-1})/n for n the conductor of chi, as a ring element: a
-    fraction on an exact context, with n inverted on every call."""
-    return (gauss_thakur(chi.inverse(), ctx)
-            * ctx.lift_poly(chi.conductor).invert())
-
-
-def as_values(f):
-    """f as a series with no den: its values as coefficients, its meta;
-    operators._character_shift_sum on it is the twists' old beta-sum."""
-    return UExpansion(f.ctx, f.coeffs, f.prec, f.meta)
-
-
-def fraction_twist_raw(f, chi, ctx):
-    """twist_raw with every output coefficient times n^(2m-k) by
-    _modulus_power, which inverts n when the exponent is negative."""
-    sums = power_sums(ctx, chi.conductor, range(f.prec - 1 or 1), chi)
-    e = 2 * f.meta.type_ - f.meta.weight
-    return _character_shift_sum(as_values(f), chi, sums).scale(
-        _modulus_power(ctx, chi.conductor, e))
+def values(f, scalar=None):
+    """f's values, each times scalar when given: per coefficient, its RF
+    coordinates over f's den on an exact context (scalar an RF), or its
+    residue on a reduced one (scalar a residue).  Equal exactly when the
+    values are equal, whatever the dens."""
+    if not isinstance(f.ctx.ring, QuotientRing):
+        return [c * scalar if scalar else c for c in f.nums]
+    if f.den is not None:
+        over = RF.from_pol(f.den).inverse()
+        scalar = over if scalar is None else scalar * over
+    return [[x * scalar for x in c.rf_coords()] if scalar else c.rf_coords()
+            for c in f.nums]
 
 
-def fraction_normalized_sums(chi, ctx, count):
-    """[(g(chi^{-1})/n) * s(chi, j) for j < count], each a product by
-    gauss_over_conductor."""
-    g_over_n = gauss_over_conductor(chi, ctx)
-    return [s * g_over_n if s else s
+def value_difference(a, b):
+    """Coefficient by coefficient a - b, for two lists of values."""
+    return [[x - y for x, y in zip(c, d)] if isinstance(c, list) else c - d
+            for c, d in zip(a, b)]
+
+
+def modulus_power(ctx, m, e):
+    """m^e for any integer e, as the scalar values takes: an RF over the
+    big field on an exact context, a residue on a reduced one."""
+    if isinstance(ctx.ring, QuotientRing):
+        x = RF.from_pol(m.map_to(ctx.big, ctx.emb) ** abs(e))
+        return x if e >= 0 else x.inverse()
+    x = ctx.lift_poly(m ** abs(e))
+    return x if e >= 0 else x.invert()
+
+
+def over_den(f):
+    """1/den of f as an RF, or None when f is integral."""
+    return f.den and RF.from_pol(f.den).inverse()
+
+
+def numerators(f):
+    """f's numerators as an integral series, with f's meta."""
+    return UExpansion(f.ctx, f.nums, f.prec, f.meta)
+
+
+def gauss_sums(chi, ctx, count):
+    """[g(chi^{-1}) * s(chi, j) for j < count], each its own product."""
+    g = gauss_thakur(chi.inverse(), ctx)
+    return [s * g if s else s
             for s in power_sums(ctx, chi.conductor, range(count), chi)]
 
 
-def fraction_twist_normalized(f, chi, ctx):
-    """twist_normalized on the sums of fraction_normalized_sums."""
-    sums = fraction_normalized_sums(chi, ctx, f.prec - 1 or 1)
-    return _character_shift_sum(as_values(f), chi, sums)
+def scaled_twist_raw(f, chi, ctx):
+    """twist_raw's values: the beta-sum of f, each value times n^(2m-k)."""
+    sums = power_sums(ctx, chi.conductor, range(f.prec - 1 or 1), chi)
+    e = 2 * f.meta.type_ - f.meta.weight
+    return values(_character_shift_sum(f, chi, sums),
+                  modulus_power(ctx, chi.conductor, e))
 
 
-def fraction_twist_monomial_closed(i, chi, ctx, N):
-    """twist_monomial_closed on the sums of fraction_normalized_sums."""
+def scaled_twist_normalized(f, chi, ctx):
+    """twist_normalized's values: the beta-sum on gauss_sums, each value
+    over n."""
+    sums = gauss_sums(chi, ctx, f.prec - 1 or 1)
+    return values(_character_shift_sum(f, chi, sums),
+                  modulus_power(ctx, chi.conductor, -1))
+
+
+def scaled_twist_monomial_closed(i, chi, ctx, N):
+    """twist_monomial_closed's values: on gauss_sums, each value over n."""
     q, p = ctx.field.order, ctx.field.p
-    sums = fraction_normalized_sums(chi, ctx, N - i)
+    sums = gauss_sums(chi, ctx, N - i)
     out = [ctx.ring.zero] * N
     for l in range(chi.sign or q - 1, N - i, q - 1):
         b = lucas_binomial(-i, l, p)
         if b:
             out[i + l] = sums[l].scale_const(b)
-    return UExpansion(ctx, out, N)
+    return values(UExpansion(ctx, out, N),
+                  modulus_power(ctx, chi.conductor, -1))
 
 
-def fraction_etilde_difference(ctx, chi, k, N):
-    """forms.etilde_difference with every coefficient times
-    gauss_over_conductor."""
+def scaled_etilde_difference(ctx, chi, k, N):
+    """forms.etilde_difference's values: (R(pz) - R(z)) g(chi^{-1}) for
+    ETilde's render R, each value over p."""
     R = forms.twisted_eis(ctx, chi, k).render(N)
-    return (rescale_arg(R, chi.conductor) - R).scale(
-        gauss_over_conductor(chi, ctx))
+    return values((rescale_arg(R, chi.conductor) - R).scale(
+        gauss_thakur(chi.inverse(), ctx)),
+        modulus_power(ctx, chi.conductor, -1))

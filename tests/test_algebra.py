@@ -18,7 +18,7 @@ from drinfeld.algebra import (Pol, QuotientRing, RF, factor_squarefree_monic,
                               monics_of_degree, monics_up_to_degree,
                               parse_pol, polys_below_degree)
 from drinfeld.algebra.field import _min_irreducible
-from drinfeld.errors import NotSquareFree, Unsupported
+from drinfeld.errors import NotInvertible, NotSquareFree, Unsupported
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -401,9 +401,12 @@ class TestQuotientRing:
         assert lam * lam == self.ring.from_pol(pol3("2*t"))
 
     def test_invert_unit(self):
-        lam = self.ring.gen(0)
-        x = lam + self.ring.one
+        # only constants invert: lambda + 1 is a unit of the fraction
+        # field, but its inverse has a denominator
+        x = self.ring.from_const(2)
         assert x * x.invert() == self.ring.one
+        with pytest.raises(Unsupported, match=r"not \(1\) \+ \(1\)\*l$"):
+            (self.ring.gen(0) + self.ring.one).invert()
 
     def test_invert_zero_divisor_rejected(self):
         # x^2 - 1 = (x-1)(x+1) gives zero divisors
@@ -411,13 +414,16 @@ class TestQuotientRing:
         rel = [minus_one, Pol.zero(F3), Pol.one(F3)]
         ring = QuotientRing(F3, [("x", rel)])
         bad = ring.gen(0) + ring.one  # maps to (2, 0), not invertible
-        from drinfeld.errors import NotInvertible
-        with pytest.raises(NotInvertible):
+        with pytest.raises(Unsupported):
             bad.invert()
+        with pytest.raises(NotInvertible):
+            ring.zero.invert()
 
     def test_negative_power(self):
-        lam = self.ring.gen(0)
-        assert lam ** -2 == (lam * lam).invert()
+        x = self.ring.from_const(2)
+        assert x ** -2 == (x * x).invert() == self.ring.one
+        with pytest.raises(Unsupported):
+            self.ring.gen(0) ** -2
 
     def test_exponent_free(self):
         lam = self.ring.gen(0)

@@ -14,10 +14,12 @@ from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
                               carlitz_coeffs, carlitz_factorials,
                               goss_polys, goss_recursion)
 from drinfeld.errors import NotReducible
-from drinfeld.series import UExpansion, goss_coeffs_in, shift_by_value
+from drinfeld.series import (UExpansion, goss_coeffs_in, goss_den,
+                             shift_by_value)
 
 from goss_oracle import goss_generating, kernel_goss_loop
 from residue_oracle import evaluator, first_reduced, point_image, point_of
+from test_quotient import old_rf_invert
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -221,12 +223,12 @@ def _shift_uncached(f, lam):
 
 
 def _memo_elements(ctx):
-    """A torsion value and a generic element with a denominator."""
+    """A torsion value and a generic element."""
     field = ctx.field
     theta = Pol.x(field)
     torsion = ctx.exp_value(theta + Pol.one(field))
     generic = (ctx.lam * ctx.lift_poly(theta)
-               + ctx.lift_poly(theta + Pol.one(field)).invert())
+               + ctx.lift_poly(theta + Pol.one(field)))
     return torsion, generic
 
 
@@ -255,9 +257,7 @@ class TestTorsionMemos:
     @pytest.mark.parametrize("field, coeffs", MEMO_LEVELS, ids=MEMO_IDS)
     def test_powers_keep_no_column_cache(self, field, coeffs):
         # each power's columns are read once, to build the next, so only x
-        # keeps a column cache (an element with a denominator is multiplied
-        # through integral copies and keeps none); the reduced context
-        # takes the same path
+        # keeps a column cache; the reduced context takes the same path
         ctx = TorsionContext(Pol(field, coeffs))
         torsion, generic = _memo_elements(ctx)
         for x in (torsion, generic):
@@ -265,7 +265,7 @@ class TestTorsionMemos:
             assert all(p._cols is None for p in pows)
             assert [p.coords for p in pows[:9]] == [(x ** j).coords
                                                     for j in range(9)]
-        assert torsion._cols is not None and generic._cols is None
+        assert torsion._cols is not None and generic._cols is not None
         red = first_reduced(ctx)
         lam = red.lam
         fresh = [red.ring.one]
@@ -351,10 +351,10 @@ class TestPowerOrbits:
         # so its list is derived from the last one's and grown past it;
         # then the first member asks for more than any: derived from the
         # longest, then grown.  Run on torsion values and on their
-        # inverses, which carry a denominator in the exact ring
+        # cofactors modulus/lambda, an orbit of F_q^* too
         ctx = _orbit_context(field, coeffs, ext, reduce)
-        inverse = ctx.torsion_inverse(ctx.modulus)
-        for value in (ctx.exp_value, lambda b: inverse(ctx.exp_value(b))):
+        cofactor = ctx.torsion_cofactor(ctx.modulus)
+        for value in (ctx.exp_value, lambda b: cofactor(ctx.exp_value(b))):
             orbit = _orbit(ctx, value)
             for i, x in enumerate(orbit):
                 ctx.powers(x, 3 + 2 * i)
@@ -363,9 +363,6 @@ class TestPowerOrbits:
                 got = ctx.powers(x, 1)
                 assert [p.coords for p in got] == [
                     p.coords for p in _power_chain(ctx.ring, x, len(got))]
-        # the last orbit, the inverses
-        if not reduce:
-            assert all(x.den.degree > 0 for x in orbit)
 
     @pytest.mark.parametrize("reduce", [False, True],
                              ids=["exact", "reduced"])
@@ -392,17 +389,22 @@ class TestTorsionInverse:
     @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
                              ids=TORSION_IDS)
     def test_matches_linear_solve(self, field, coeffs, ext):
-        # 1/lam from C_level(lam) = 0 against REl.invert, for every unit of
-        # the modulus and of each prime factor
+        # level/lam from C_level(lam) = 0, for every unit of the modulus
+        # and of each prime factor: mu * lam = level, which fixes mu as lam
+        # is no zero divisor, and for the first unit mu against level times
+        # the inverse that a linear solve over RF finds
         modulus = Pol(field, coeffs)
         ctx = TorsionContext(modulus, ext_degree=ext)
         levels = [modulus] + (ctx.primes if len(ctx.primes) > 1 else [])
         for level in levels:
-            inverse = ctx.torsion_inverse(level)
-            for a in ctx.units(level):
+            cofactor = ctx.torsion_cofactor(level)
+            lifted = RF.from_pol(level.map_to(ctx.big, ctx.emb))
+            for i, a in enumerate(ctx.units(level)):
                 lam = ctx.exp_at(a, level)
-                assert inverse(lam) == lam.invert()
-                assert inverse(lam) * lam == ctx.ring.one
+                mu = cofactor(lam)
+                assert mu * lam == ctx.lift_poly(level)
+                assert i or mu.rf_coords() == [c * lifted
+                                               for c in old_rf_invert(lam)]
 
 
 def _residue_moduli(ctx):
@@ -479,21 +481,19 @@ class TestGaloisAction:
                              ids=GALOIS_IDS)
     def test_matches_power_cache_map(self, field, coeffs, ext):
         # galois(b) against the old map with images C_b(lambda_i) from
-        # carlitz_action, on elements with denominators; and
-        # sigma_b(x*y) = sigma_b(x)*sigma_b(y)
+        # carlitz_action; and sigma_b(x*y) = sigma_b(x)*sigma_b(y)
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
         rng = random.Random(5)
         theta = Pol.x(field)
-        dens = [ctx.lift_poly(theta + Pol.one(field)).invert(),
-                ctx.lift_poly(theta * theta + Pol.const(field, 2)).invert()]
-        elements = [_random_element(ctx, rng) * den for den in dens]
+        scalars = [ctx.lift_poly(theta + Pol.one(field)),
+                   ctx.lift_poly(theta * theta + Pol.const(field, 2))]
+        elements = [_random_element(ctx, rng) * c for c in scalars]
         elements.append(elements[0] + _random_element(ctx, rng))
         for b in ctx.units():
             sigma = ctx.galois(b)
             old = _PowerCacheGaloisMap(
                 ctx, [carlitz_action(b, g) for g in ctx.gens])
             for x in elements:
-                assert not x.den.is_one()
                 assert sigma(x) == old(x)
             x, y = elements[:2]
             assert sigma(x * y) == sigma(x) * sigma(y)
@@ -539,19 +539,16 @@ class TestResiduePoint:
             assert image(ctx.big_const(c)) == emb[c]
         rng = random.Random(5)
         xs = [_random_element(ctx, rng) for _ in range(4)]
-        # denominators theta + 1 and the modulus, both prime to Q, and the
-        # inverse of a torsion value
+        # multiples by theta + 1, the modulus and a torsion value
         for x, d in ((xs[0], ctx.lift_poly(Pol.x(field) + Pol.one(field))),
                      (xs[1], ctx.lift_poly(ctx.modulus)), (xs[2], ctx.lam)):
-            xs.append(x * d.invert())
-        assert not (xs[-3].den.is_one() or xs[-2].den.is_one())
+            xs.append(x * d)
         for x in xs:
             for y in xs:
                 assert image(x * y) == T.mul(image(x), image(y))
                 assert image(x + y) == T.add(image(x), image(y))
-        # a denominator vanishing at alpha has no image
-        assert image(ctx.lift_poly(Q).invert()) is None
-        assert image(xs[1] * ctx.lift_poly(Q * Pol.x(field)).invert()) is None
+        # a multiple of Q vanishes at alpha
+        assert image(xs[1] * ctx.lift_poly(Q * Pol.x(field))) == 0
 
     @pytest.mark.parametrize("field, coeffs, ext", TORSION_LEVELS,
                              ids=TORSION_IDS)
@@ -571,11 +568,11 @@ class TestResiduePoint:
         for beta in ctx.residues():
             assert red.exp_value(beta).code == image(ctx.exp_value(beta))
         for level in ctx.primes:
-            inverse, red_inverse = (c.torsion_inverse(level)
-                                    for c in (ctx, red))
+            cofactor, red_cofactor = (c.torsion_cofactor(level)
+                                      for c in (ctx, red))
             for a in ctx.units(level):
-                assert red_inverse(red.exp_at(a, level)).code == image(
-                    inverse(ctx.exp_at(a, level)))
+                assert red_cofactor(red.exp_at(a, level)).code == image(
+                    cofactor(ctx.exp_at(a, level)))
         for x, y in zip(goss_coeffs_in(ctx, 2 * field.order + 1),
                         goss_coeffs_in(red, 2 * field.order + 1)):
             assert y.code == image(x)
@@ -683,17 +680,23 @@ class TestGossPolynomials:
                              ids=TORSION_IDS[:4])
     def test_lifted_coefficients_are_the_fractions(self, field, coeffs, ext):
         # past k = q the coefficients are fractions; each lifts to the
-        # scalar whose one coordinate is that fraction over the big field
+        # scalar whose one coordinate, over goss_den, is that fraction over
+        # the big field, and goss_den is the least such monic
         ctx = TorsionContext(Pol(field, coeffs), ext_degree=ext)
         ring, k = ctx.ring, 2 * field.order + 1
         zeros = [RF.zero(ctx.big)] * (ring.total - 1)
-        fractions = 0
+        D = goss_den(field, k)
+        over = RF.from_pol(D.map_to(ctx.big, ctx.emb)).inverse()
+        fractions, dens = 0, Pol.one(field)
         for c, x in zip(goss_polys(field, k)[k], goss_coeffs_in(ctx, k)):
             want = RF(c.num.map_to(ctx.big, ctx.emb),
                       c.den.map_to(ctx.big, ctx.emb))
-            assert x.rf_coords() == [want] + zeros
+            coords = x.rf_coords()
+            assert [coords[0] * over] + coords[1:] == [want] + zeros
             fractions += not want.is_pol()
-        assert fractions
+            dens = dens.lcm(c.den)
+        assert fractions and D == dens and D.is_monic()
+        assert goss_den(field, field.order).is_one()
 
 
 def _kernel_primes():

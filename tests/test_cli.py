@@ -13,6 +13,7 @@ import pytest
 from drinfeld import cli
 from drinfeld.algebra import FiniteField, Pol, parse_pol, polys_below_degree
 from drinfeld.carlitz import TorsionContext
+from drinfeld.series import UExpansion
 
 GOLDEN_Q3_THETA_RANGE6 = """\
 [j,i]:
@@ -196,6 +197,23 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify"])
         assert code == 0
         assert out == golden
+
+    def test_normproj_reports_on_an_integral_twist(self, capsys,
+                                                   monkeypatch):
+        # a normalized twist with no den (here its own numerators) gives
+        # reports, not a traceback: the integrality check reads the den
+        # only where there is one, and the numerators, being the values
+        # now, are integral; the closed forms, over n, then differ
+        twist = cli.twist_normalized
+        monkeypatch.setattr(cli, "twist_normalized", lambda f, chi, ctx: (
+            UExpansion(ctx, twist(f, chi, ctx).nums, f.prec, f.meta)))
+        code, out, err = run(capsys, ["verify", "--suite", "normproj"])
+        reports = [json.loads(ln) for ln in out.strip().splitlines()]
+        assert [r["identity"] for r in reports] == [
+            "normproj-closed-form"] * 2 + ["normproj-integrality"]
+        assert reports[-1]["pass"] and reports[-1]["witness"] is None
+        assert not any(r["pass"] for r in reports[:2])
+        assert code == 1 and not err
 
     def test_unknown_suite_exit_2(self, capsys):
         code, out, err = run(capsys, ["verify", "--suite", "bogus"])

@@ -16,9 +16,9 @@ from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (NotReducible, NotSquareFree, SignMismatch,
                              Unsupported)
-from drinfeld.operators import hecke_a, hecke_a_rule, hecke_u
+from drinfeld.operators import hecke_a, hecke_u
 from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
-                             poly_eval_scalar, poly_eval_series,
+                             goss_den, poly_eval_scalar, poly_eval_series,
                              shift_by_value, u_of_az)
 
 from eigen_oracle import eigen_check
@@ -221,14 +221,13 @@ class TestEigensystemReports:
             forms.verify_eigensystem(object(), [TH], None, 0)
 
 
-def eigen_cases(q, bound, composite=False):
-    """(name, form, primes, eigenvalue) at level theta, or theta(theta+1)
-    when composite, over F_q: f_1, Delta, E_theta and EHat of k = q-2 for
-    the character of conductor theta with exponent 1, the last two on the
-    primes away from theta."""
+def eigen_cases(q, bound):
+    """(name, form, primes, eigenvalue) at level theta over F_q: f_1,
+    Delta, E_theta and EHat of k = q-2 for the character of conductor
+    theta with exponent 1, the last two on the primes away from theta."""
     field = {3: F3, 4: F4, 5: finite_field(5), 9: finite_field(3, 2)}[q]
     th = Pol.x(field)
-    ctx = TorsionContext(th * (th + Pol.one(field)) if composite else th)
+    ctx = TorsionContext(th)
     chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
     primes = irreducible_monics(field, 2)
     away = [p for p in primes if p != th]
@@ -271,31 +270,6 @@ def test_eigen_check_equals_whole_form_oracle(q):
         for plant, G, expected in plants:
             got = forms.verify_eigensystem(G, primes, expected, 0)
             want = eigen_check(G, primes, expected)
-            assert (got.passed, got.witness) == want, (name, plant)
-            assert got.passed == (plant == "true"), (name, plant, want)
-
-
-@pytest.mark.parametrize("q", [3, 4], ids=lambda q: "q%d" % q)
-def test_eigen_check_with_denominators_equals_oracle(q):
-    # eigenvalues with the denominator theta+1, at the composite level
-    # theta(theta+1).  q^g formed through lift_poly(theta+1).invert() leaves
-    # d = q^g - lambda exactly zero and passes; q^g + 1/(theta+1) fails, at
-    # every prime or at the last only, with the oracle's witness.  Over F_3
-    # this ring is a field, so the test exercises no zero divisors
-    ctx, cases = eigen_cases(q, 3, composite=True)
-    s = ctx.lift_poly(Pol.x(ctx.field) + Pol.one(ctx.field))
-    inv = s.invert()
-    for name, F, primes, lam in cases:
-        last = primes[-1]
-        for p in primes:
-            assert not hecke_a_rule(F, p)[0] - lam(p) * s * inv, (name, p)
-        plants = [
-            ("true", lambda p: lam(p) * s * inv),
-            ("offset", lambda p: lam(p) + inv),
-            ("last prime", lambda p: lam(p) + inv if p == last else lam(p))]
-        for plant, expected in plants:
-            got = forms.verify_eigensystem(F, primes, expected, 0)
-            want = eigen_check(F, primes, expected)
             assert (got.passed, got.witness) == want, (name, plant)
             assert got.passed == (plant == "true"), (name, plant, want)
 
@@ -376,7 +350,7 @@ class TestConstantTerm:
         chi = DirichletCharacter.from_conductor(TH, 1)
         val = forms.eis_constant_term(chi, 1, ctx)
         lam = ctx.exp_value(Pol.one(F3))
-        assert val == lam * ctx.lift_poly(TH).invert()
+        assert val == (lam, TH)
 
 
 class TestCongruence:
@@ -434,11 +408,11 @@ class TestRank:
         one, zero = ctx.ring.one, ctx.ring.zero
         lam = ctx.exp_value(Pol.one(F3))
         assert forms.matrix_rank([]) == 0
-        assert forms.matrix_rank([[zero, zero]]) == 0
-        assert forms.matrix_rank([[one, lam], [lam, lam * lam]]) == 1
-        assert forms.matrix_rank([[one, zero], [lam, one]]) == 2
-        assert forms.matrix_rank(
-            [[one, zero], [zero, one], [one, one]]) == 2
+        for rows, want in (([[zero, zero]], 0),
+                           ([[one, lam], [lam, lam * lam]], 1),
+                           ([[one, zero], [lam, one]], 2),
+                           ([[one, zero], [zero, one], [one, one]], 2)):
+            assert forms.matrix_rank(rows) == _rank_over_k(rows) == want
 
     def test_rank_at_theta(self):
         # 2(|p|-1)/(q-1) = 2 for p = theta
@@ -464,12 +438,15 @@ class TestRank:
             forms.eisenstein_rank(pol3("t^2"), 1, 12)
 
     def test_matrix_rank_matches_gauss_jordan_on_rank_rows(self):
-        # the Eisenstein rows of the rank suite, full rank 8 each
+        # Eisenstein rank rows, against Gaussian elimination over K of
+        # their expansion: the rank suite's at q = 3, full rank 8 each, and
+        # q = 4 at t+1, full rank 2
         ctx = _rank_context(pol3("t^2+1"))
-        seen = [forms.eisenstein_rows(ctx, k, 36) for k in (1, 2, 3)]
-        assert [len(rows) for rows in seen] == [8, 8, 8]
-        for rows in seen:
-            assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == 8
+        cases = [(forms.eisenstein_rows(ctx, k, 36), 8) for k in (1, 2, 3)]
+        cases.append((forms.eisenstein_rows(
+            _rank_context(Pol(F4, (1, 1))), 2, 20), 2))
+        for rows, want in cases:
+            assert forms.matrix_rank(rows) == _rank_over_k(rows) == want
 
     def test_matrix_rank_matches_gauss_jordan_when_deficient(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
@@ -489,7 +466,7 @@ class TestRank:
             ([[zero] * 5, a, [x * th for x in a]], 1),
         ]
         for rows, want in cases:
-            assert forms.matrix_rank(rows) == _old_matrix_rank(rows) == want
+            assert forms.matrix_rank(rows) == _rank_over_k(rows) == want
 
     @pytest.mark.parametrize("ppol, k, N, want", [
         (pol3(p), k, 36, 8) for p in ("t^2+1", "t^2+t+2", "t^2+2t+2")
@@ -589,21 +566,39 @@ class TestRank:
         assert not isinstance(rings[0], QuotientRing)
         assert rings[0].field.order == 27
 
-    def test_reduction_failure_tries_the_next_point(self, monkeypatch):
-        # at theta over F_3 the first Q is t+1 and T = F_3; G_4 carries
-        # 1/(t^3+2t), which vanishes at every point of F_3.  The next
-        # point, F_9 (Q = t^2+1), gives 1 of 2 at k = 4 and 2 at k = 5,
-        # and the first F_27 point 2 at k = 4
-        reds = list(TorsionContext(TH)._reductions())
+    def test_goss_numerators_certify_where_d_vanishes(self, monkeypatch):
+        # at theta over F_3 the first Q is t+1 and T = F_3; G_4 and G_5
+        # carry 1/D, D = t^3+2t, which vanishes at every point of F_3.  The
+        # rows are numerators over D, so they still have images there,
+        # equal to the images of the exact rows, and F_3 certifies 2 at
+        # k = 4 and 5 (F_9, Q = t^2+1, gives 1 of 2 at k = 4)
+        ctx = TorsionContext(TH)
+        reds = list(ctx._reductions())
         assert [red.ring.field.order for red in reds[:3]] == [3, 9, 27]
+        image = point_image(ctx, reds[0])
         for k in (4, 5):
-            with pytest.raises(NotReducible, match="vanishes at alpha"):
-                goss_coeffs_in(reds[0], k)
+            assert goss_den(F3, k) == pol3("t^3+2t")
+            assert not reds[0].lift_poly(goss_den(F3, k))
+            assert ([[x.code for x in row]
+                     for row in forms.eisenstein_rows(reds[0], k, 12)]
+                    == [[image(x) for x in row]
+                        for row in forms.eisenstein_rows(ctx, k, 12)])
+            assert _residue_rank(reds[0], k, 12) == 2
         assert [_residue_rank(red, 4, 12) for red in reds[1:3]] == [1, 2]
-        assert _residue_rank(reds[1], 5, 12) == 2
         fallbacks = _spy_matrix_rank(monkeypatch)
         for k in (4, 5):
             assert forms.eisenstein_rank(TH, k, 12) == 2
+        assert fallbacks == []
+
+    def test_weights_above_q_certify(self, monkeypatch):
+        # k = 4..7 > q = 3 at theta, N = 27: Goss numerators over
+        # Carlitz-factorial dens (none at k = 6, G_6 = G_2^3), certified
+        # with no exact rank
+        fallbacks = _spy_matrix_rank(monkeypatch)
+        assert [goss_den(F3, k).is_one() for k in range(4, 8)] == [
+            False, False, True, False]
+        for k in range(4, 8):
+            assert forms.eisenstein_rank(TH, k, 27) == 2
         assert fallbacks == []
 
     def test_cubic_count(self, monkeypatch):
@@ -708,27 +703,26 @@ def _spy_matrix_rank(monkeypatch):
     return seen
 
 
-def _old_matrix_rank(rows):
-    """The Gauss-Jordan loop matrix_rank ran before it used row_echelon."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
+def _rank_over_k(rows):
+    """The rank of rows of elements of a torsion ring L of degree d over
+    K = F(theta), by no code of forms: rank_L(M) = rank_K(M_K)/d, where
+    M_K puts in each entry's place its d x d multiplication matrix over K
+    (column j the RF coordinates of x * lambda^j), ranked by row_echelon
+    over RF."""
+    rows = [list(r) for r in rows]
     if not rows:
         return 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].invert()
-        pivot_row = [x * inv for x in rows[rank]]
-        rows[rank] = pivot_row
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        rank += 1
-        if rank == len(rows):
-            break
+    ring = rows[0][0].ring
+    assert len(ring.dims) == 1
+    d = ring.total
+    basis = [ring.gen(0) ** j for j in range(d)]
+    big = []
+    for row in rows:
+        blocks = [[(x * b).rf_coords() for b in basis] for x in row]
+        big += [[block[j][i] for block in blocks for j in range(d)]
+                for i in range(d)]
+    rank, rest = divmod(len(row_echelon(big, RF.inverse)), d)
+    assert not rest
     return rank
 
 
@@ -752,17 +746,21 @@ def _all_unit_rows(ppol, k, N):
             if m:
                 W = W * V
             P[m] = P[m] + W
-    gk = goss_coeffs_in(ctx, k)
+    gk = goss_coeffs_in(ctx, k)  # D*G_k: the rows are numerators
     G = UExpansion(ctx, gk, N)
+    cofactor = ctx.torsion_cofactor(ppol)
+    pk = ctx.lift_poly(ppol ** k)
     comps = {}
     for a in ctx.units(ppol):
         lam = ctx.exp_at(a, ppol)
         s = shift_by_value(G, lam).coeffs
-        E = UExpansion.const(
-            ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+        # D*G_k(1/lambda)*p^k from mu = p/lambda
+        E = UExpansion.const(ctx, poly_eval_scalar(
+            [g * ctx.lift_poly(ppol ** (k - i)) for i, g in enumerate(gk)],
+            cofactor(lam), ctx.ring), N)
         for m, Pm in enumerate(P, 1):
             if s[m * step]:
-                E = E - Pm.scale(s[m * step])
+                E = E - Pm.scale(s[m * step] * pk)
         comps[a.c] = E
     one = Pol.one(field)
     goss_series = {}

@@ -22,11 +22,12 @@ from drinfeld.characters import gauss_thakur, power_sums
 
 from eigen_oracle import hecke_a_gcd, scaled_by
 from residue_oracle import first_reduced
-from series_oracle import (as_values, descend, divmod_hecke_coeffs,
-                           fraction_etilde_difference, fraction_twist_raw,
-                           fraction_twist_monomial_closed,
-                           fraction_twist_normalized, gauss_over_conductor,
-                           shift_by_torsion)
+from series_oracle import (descend, divmod_hecke_coeffs, modulus_power,
+                           numerators, over_den, scaled_etilde_difference,
+                           scaled_twist_raw,
+                           scaled_twist_monomial_closed,
+                           scaled_twist_normalized, shift_by_torsion,
+                           value_difference, values)
 
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -92,11 +93,13 @@ class TestTwistRaw:
                 chi2 = DirichletCharacter.from_conductor(n, k, big=ctx.big)
                 f = UExpansion.u(ctx, N).with_meta(ModularMeta(4, 1))
                 lhs = twist_raw(twist_raw(f, chi1, ctx), chi2, ctx)
-                scalar = _modulus_power(ctx, n, 2 * chi1.sign + 2 * 1 - 4)
+                e = 2 * chi1.sign + 2 * 1 - 4  # n^e, a series den if e < 0
                 sign = 2 if (j + 1) % 2 else 1
                 b = lucas_binomial(size - 1 - k, j, 3) % 3
                 code = ctx.big.embedding(F3)[F3.mul(sign, b)]
-                rhs = twist_raw(f, chi1 * chi2, ctx).scale(scalar)
+                rhs = twist_raw(f, chi1 * chi2, ctx)
+                rhs = (rhs.over(n ** -e) if e < 0
+                       else rhs.scale(_modulus_power(ctx, n, e)))
                 rhs = rhs.scale_const(code)
                 assert lhs.agrees_with(rhs)
 
@@ -108,7 +111,7 @@ class TestTwistNormalized:
         chi = DirichletCharacter.from_conductor(TH, 1)
         g = twist_monomial_closed(1, chi, ctx, 10)
         assert g.order() == 2
-        assert g.coeff(2) == ctx.ring.one
+        assert g.den == TH and g.nums[2] == ctx.lift_poly(TH)  # theta/theta
 
     def test_closed_form_matches_twist_path(self):
         ctx = TorsionContext(TH)
@@ -135,27 +138,22 @@ class TestTwistNormalized:
             assert twist_normalized(ui, chi, ctx).agrees_with(closed)
         assert nonzero
 
-    def test_gauss_memo_holds_characters_only(self, monkeypatch):
-        # ctx.gauss keeps g(chi) per character and nothing else: each call
-        # inverts n itself, once, and a new context gives the same values
+    def test_gauss_memo_holds_characters_only(self):
+        # ctx.gauss keeps g(chi) per character and nothing else, the held
+        # value on every call, and a new context gives the same values
         ppol = pol3("t^2+1")
         ctx = TorsionContext(ppol, ext_degree=2)
         chis = [DirichletCharacter.from_conductor(ppol, e, big=ctx.big)
                 for e in (1, 2, 5)]
-        want = [gauss_thakur(chi.inverse(), ctx)
-                * ctx.lift_poly(ppol).invert() for chi in chis]
-        inverted = []
-        invert = REl.invert
-        monkeypatch.setattr(REl, "invert",
-                            lambda x: inverted.append(x) or invert(x))
+        want = [gauss_thakur(chi.inverse(), ctx) for chi in chis]
         for _ in range(3):
-            assert [gauss_over_conductor(chi, ctx) for chi in chis] == want
-        assert inverted == [ctx.lift_poly(ppol)] * 9
+            got = [gauss_thakur(chi.inverse(), ctx) for chi in chis]
+            assert all(x is y for x, y in zip(got, want))
         assert set(ctx.gauss) == {chi.inverse() for chi in chis}
         other = TorsionContext(ppol, ext_degree=2)
         chis = [DirichletCharacter.from_conductor(ppol, e, big=other.big)
                 for e in (1, 2, 5)]
-        assert ([gauss_over_conductor(chi, other).coords for chi in chis]
+        assert ([gauss_thakur(chi.inverse(), other).coords for chi in chis]
                 == [x.coords for x in want])
 
     def test_independent_of_weight_metadata(self):
@@ -182,11 +180,27 @@ class TestTwistNormalized:
         chi = DirichletCharacter.from_conductor(TH, 1)
         g = twist_monomial_closed(2, chi, ctx, 16)
         for n in range(g.prec):
-            if g.coeff(n) and n != 0:
+            if g.nums[n] and n != 0:
                 assert (n - 2) % 2 == chi.sign % 2
 
 
 class TestHeckeU:
+    def test_reduced_context_is_unsupported(self):
+        # a residue has no q-torsion generator, so the output check cannot
+        # run there: a typed error with its witness, not an AttributeError
+        red = first_reduced(TorsionContext(TH * pol3("t+1")))
+        f = UExpansion.u(red, 9, meta=ModularMeta(2, 1))
+        with pytest.raises(Unsupported, match="^T_q on a reduced context: "
+                           "a residue has no q-torsion generator"):
+            hecke_u(f, TH, red)
+
+    def test_negative_modulus_power_is_unsupported(self):
+        # n^e for e < 0 is a series den, no ring element
+        ctx = TorsionContext(TH)
+        assert _modulus_power(ctx, TH, 2) == ctx.lift_poly(TH * TH)
+        with pytest.raises(Unsupported, match=r"^m\^-1 is not integral$"):
+            _modulus_power(ctx, TH, -1)
+
     def test_f1_eigenvalue_theta(self):
         ctx = TorsionContext(TH)
         f = petrov(ctx, 1, 3).render(27)
@@ -529,14 +543,15 @@ def oracle_inputs(ctx, npol, chi, N):
                    ModularMeta(4, 1))
     inputs = [forms.petrov_fs(ctx, 1, bound).render(N), g,
               twist_raw(g, chi, ctx)]
-    assert any(c.den != one.den for c in inputs[2].coeffs)
+    assert inputs[2].den is not None
     return inputs
 
 
 @pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
 def test_power_sum_shifts_equal_residue_loops(q):
-    # twist_raw, twist_normalized and hecke_u, exactly against the loops
-    # above, on the three oracle_inputs
+    # twist_raw, twist_normalized and hecke_u, value for value against the
+    # loops above, on the three oracle_inputs (the loops' Hecke descent
+    # reads values, so it runs on the numerators, each value over the den)
     field, ctx, chis, N = oracle_level(q)
     qpol, npol = parse_pol(field, ORACLE_LEVELS[q][0]), chis[0].conductor
     inputs = oracle_inputs(ctx, npol, chis[1], N)
@@ -547,46 +562,50 @@ def test_power_sum_shifts_equal_residue_loops(q):
         for chi in chis:
             want = residue_twist_sum(f, chi, ctx)
             got = twist_raw(f, chi, ctx)
-            assert got.coeffs == want.scale(
-                _modulus_power(ctx, npol, 2 * m - k)).coeffs
+            assert values(got) == values(want, modulus_power(ctx, npol,
+                                                             2 * m - k))
             if chi.is_primitive():
                 got = twist_normalized(f, chi, ctx)
-                assert got.coeffs == want.scale(
-                    gauss_over_conductor(chi, ctx)).coeffs
+                assert values(got) == values(
+                    want.scale(gauss_thakur(chi.inverse(), ctx)),
+                    modulus_power(ctx, npol, -1))
         got = hecke_u(f, qpol, ctx)
-        want = residue_hecke(f, qpol, ctx)
-        assert got.prec == want.prec and got.coeffs == want.coeffs
+        want = residue_hecke(numerators(f), qpol, ctx)
+        assert got.prec == want.prec
+        assert values(got) == values(want, over_den(f))
 
 
 def power_sum_closed_form(i, chi, ctx, N):
-    """twist_monomial_closed by power_sums, each value scaled by
-    gauss_over_conductor on its own: (g/n * s(chi, l)).scale_const(b)."""
+    """twist_monomial_closed's values by power_sums, each sum times
+    g(chi^{-1}) on its own, (g * s(chi, l)).scale_const(b), and each value
+    over n."""
     q, p = ctx.field.order, ctx.field.p
-    g_over_n = gauss_over_conductor(chi, ctx)
+    g = gauss_thakur(chi.inverse(), ctx)
     out = [ctx.ring.zero] * N
     ls = range(chi.sign or q - 1, N - i, q - 1)
     for l, sl in zip(ls, power_sums(ctx, chi.conductor, ls, chi)):
         b = lucas_binomial(-i, l, p)
         if b:
-            out[i + l] = (g_over_n * sl).scale_const(b)
-    return UExpansion(ctx, out, N)
+            out[i + l] = (g * sl).scale_const(b)
+    return values(UExpansion(ctx, out, N),
+                  modulus_power(ctx, chi.conductor, -1))
 
 
 @pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
 def test_closed_form_equals_power_sum_route(q):
-    # twist_monomial_closed reads (g/n) * s(chi, l) from ctx.twist_sums,
-    # exactly against scaling each power sum on its own
+    # twist_monomial_closed reads g * s(chi, l) from ctx.twist_sums, over
+    # the series den n, exactly against scaling each power sum on its own
     _, ctx, chis, N = oracle_level(q)
     for chi in filter(DirichletCharacter.is_primitive, chis):
         for i in (1, 2, 3):
             got = twist_monomial_closed(i, chi, ctx, N)
-            assert got.coeffs == power_sum_closed_form(i, chi, ctx, N).coeffs
+            assert values(got) == power_sum_closed_form(i, chi, ctx, N)
 
 
 @pytest.mark.parametrize("precs", [(6, 12), (12, 6)], ids=["grow", "shrink"])
 @pytest.mark.parametrize("q", [3, 9], ids=["q3", "q9"])
 def test_normalized_sums_across_precisions(q, precs):
-    # the memo of (g/n) * s(chi, j) grows when a higher precision asks for
+    # the memo of g * s(chi, j) grows when a higher precision asks for
     # more sums and is read, never cut, at a lower one; every call equals
     # the residue loop and the power-sum route
     field, ctx, chis, _ = oracle_level(q)
@@ -599,12 +618,13 @@ def test_normalized_sums_across_precisions(q, precs):
         f = form.truncate(N)
         got = twist_normalized(f, chi, ctx)
         want = residue_twist_sum(f, chi, ctx).scale(
-            gauss_over_conductor(chi, ctx))
-        assert got.prec == N and got.coeffs == want.coeffs
+            gauss_thakur(chi.inverse(), ctx))
+        assert got.prec == N and values(got) == values(
+            want, modulus_power(ctx, chi.conductor, -1))
         for i in (1, 2):
             got = twist_monomial_closed(i, chi, ctx, N)
-            assert got.prec == N and got.coeffs == power_sum_closed_form(
-                i, chi, ctx, N).coeffs
+            assert got.prec == N and values(got) == power_sum_closed_form(
+                i, chi, ctx, N)
         assert len(ctx.twist_sums[chi]) == longest - 1
 
 
@@ -620,11 +640,12 @@ def sign_character(ctx, npol, k):
 @pytest.mark.parametrize("q", sorted(ORACLE_LEVELS), ids=lambda q: "q%d" % q)
 def test_series_den_equals_fraction_route(q, reduce):
     # the twists with their 1/n as one series den, value for value against
-    # the route with a fraction in every coefficient: twist_raw at
-    # 2m - k = -2, 0 and 1, both normalized twists, hecke_u of a twist
-    # (exact only: a residue has no exponents to check), TwistedSF's
-    # difference and both sides of the EHat twist identity.  The reduced
-    # context is the conductor's (q t has no point up to the cap at q = 9)
+    # the route that scales every value by its fraction on its own, in RF
+    # (or residue) arithmetic: twist_raw at 2m - k = -2, 0 and 1, both
+    # normalized twists, hecke_u of a twist (exact only: a residue has no
+    # exponents to check), TwistedSF's difference and both sides of the
+    # EHat twist identity.  The reduced context is the conductor's (q t has
+    # no point up to the cap at q = 9)
     field, ctx, chis, N = oracle_level(q)
     qpol, npol = parse_pol(field, ORACLE_LEVELS[q][0]), chis[0].conductor
     if reduce:
@@ -638,61 +659,58 @@ def test_series_den_equals_fraction_route(q, reduce):
         for chi in chis:
             got = twist_raw(f, chi, ctx)
             assert (got.den is not None) == (2 * m < k and not reduce)
-            assert got.coeffs == fraction_twist_raw(f, chi, ctx).coeffs
+            assert values(got) == scaled_twist_raw(f, chi, ctx)
         twisted = twist_raw(f, chis[1], ctx)
-        assert reduce or (hecke_u(twisted, qpol, ctx).coeffs == hecke_u(
-            as_values(twisted), qpol, ctx).coeffs)
+        assert reduce or (values(hecke_u(twisted, qpol, ctx)) == values(
+            hecke_u(numerators(twisted), qpol, ctx), over_den(twisted)))
     for chi in filter(DirichletCharacter.is_primitive, chis):
         f = g.with_meta(ModularMeta(2, 1))
         got = twist_normalized(f, chi, ctx)
-        assert got.coeffs == fraction_twist_normalized(f, chi, ctx).coeffs
-        assert reduce or (hecke_u(got, qpol, ctx).coeffs
-                          == hecke_u(as_values(got), qpol, ctx).coeffs)
+        assert values(got) == scaled_twist_normalized(f, chi, ctx)
+        assert reduce or (values(hecke_u(got, qpol, ctx)) == values(
+            hecke_u(numerators(got), qpol, ctx), over_den(got)))
         for i in (1, 2, 3):
-            assert (twist_monomial_closed(i, chi, ctx, N).coeffs
-                    == fraction_twist_monomial_closed(i, chi, ctx, N).coeffs)
+            assert (values(twist_monomial_closed(i, chi, ctx, N))
+                    == scaled_twist_monomial_closed(i, chi, ctx, N))
     M = min(N, 12)
     bound = forms.bound_for_precision(field, M)
     fs = forms.petrov_fs(ctx, 1, bound).render(M)
     for k in (1, 2):
         chi = sign_character(ctx, npol, k)
         rhs = forms.etilde_difference(ctx, chi, k, M)
-        want = fraction_etilde_difference(ctx, chi, k, M)
-        assert rhs.coeffs == want.coeffs
-        lhs = twist_normalized(forms.fricke_eis(ctx, chi, k, bound).render(M),
-                               chi, ctx)
-        assert lhs.coeffs == fraction_twist_normalized(
-            forms.fricke_eis(ctx, chi, k, bound).render(M), chi, ctx).coeffs
+        want = scaled_etilde_difference(ctx, chi, k, M)
+        assert values(rhs) == want
+        eis = forms.fricke_eis(ctx, chi, k, bound).render(M)
+        assert (values(twist_normalized(eis, chi, ctx))
+                == scaled_twist_normalized(eis, chi, ctx))
         if k == 1:  # TwistedSF's difference
-            assert ((rhs - twist_normalized(fs, chi, ctx)).coeffs
-                    == (want - fraction_twist_normalized(fs, chi, ctx)).coeffs)
+            assert (values(rhs - twist_normalized(fs, chi, ctx))
+                    == value_difference(
+                        want, scaled_twist_normalized(fs, chi, ctx)))
 
 
-def test_twists_form_no_fraction_products(monkeypatch):
-    # a twist's 1/n is its series den, so twist_raw at 2m - k < 0, both
-    # normalized twists, hecke_u of a twist and the normproj and
-    # twist-commute suites form no product of fractions; hecke_u on the
-    # same twist with a fraction in every coefficient does
+def test_twists_form_no_fraction_products():
+    # a twist's 1/n is its series den, and no ring element carries a
+    # denominator: the twists and the normproj and twist-commute suites
+    # run on integral numerators, and a den series has no coeffs to read
+    # as values
     field, ctx, chis, N = oracle_level(3)
     qpol, chi = parse_pol(field, ORACLE_LEVELS[3][0]), chis[1]
     bound = forms.bound_for_precision(field, N)
     f = forms.petrov_fs(ctx, 1, bound).render(N)  # 2m - k = -2
     args = cli.build_parser().parse_args(["verify"])
-    calls = []
-    dot_fractions = QuotientRing._dot_fractions
-    monkeypatch.setattr(QuotientRing, "_dot_fractions",
-                        lambda ring, pairs: calls.append(len(pairs))
-                        or dot_fractions(ring, pairs))
     raw = twist_raw(f, chi, ctx)
-    assert raw.den is not None and raw
-    assert hecke_u(raw, qpol, ctx)
-    assert twist_normalized(f, chi, ctx).den is not None
-    assert twist_monomial_closed(2, chi, ctx, N)
+    for g in (raw, hecke_u(raw, qpol, ctx), twist_normalized(f, chi, ctx),
+              twist_monomial_closed(2, chi, ctx, N)):
+        assert g.den is not None and g
+        assert all(type(c) is REl for c in g.nums)
+        with pytest.raises(AttributeError):
+            g.coeffs
+    assert "den" not in REl.__slots__
+    assert not any(hasattr(QuotientRing, name) for name in (
+        "_dot_fractions", "fraction", "_normalized", "from_rf_coords"))
     assert all(r.passed for r in cli.suite_normproj(args))
     assert all(r.passed for r in cli.suite_twist_commute(args))
-    assert calls == []
-    hecke_u(as_values(raw), qpol, ctx)
-    assert calls
 
 
 # (field, Hecke prime, conductor, extension degree, exponent, precision):
@@ -714,5 +732,6 @@ def test_hecke_closed_form_equals_residue_loop(field, qtext, ntext, ext, e,
     chi = DirichletCharacter.from_conductor(npol, e, big=ctx.big)
     for f in oracle_inputs(ctx, npol, chi, N):
         got = hecke_u(f, qpol, ctx)
-        want = residue_hecke(f, qpol, ctx)
-        assert got and got.prec == want.prec and got.coeffs == want.coeffs
+        want = residue_hecke(numerators(f), qpol, ctx)
+        assert got and got.prec == want.prec
+        assert values(got) == values(want, over_den(f))

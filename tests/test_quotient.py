@@ -3,12 +3,14 @@
 The reference keeps one RF per coordinate, multiplies by schoolbook over
 exponent vectors and folds exponents >= deg Phi_i with the relations; it
 exists only here, to check the packed arithmetic of QuotientRing/REl
-exactly, for q = 3, 4, 5, 9, one and two generators, with and without
-denominators.  The fast paths of the series layer over these rings
-(division, squares) are checked against the operations they replace.
+exactly, for q = 3, 4, 5, 9 and one and two generators, on integral
+elements: the only kind there is.  The fast paths of the series layer over
+these rings (division, squares) are checked against the operations they
+replace.
 """
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from drinfeld.algebra import (Pol, QuotientRing, RF, REl, finite_field,
                               parse_pol, quotient, row_echelon)
 from drinfeld.carlitz import TorsionContext
-from drinfeld.errors import NotInvertible, Unsupported
+from drinfeld.errors import DrinfeldError, NotInvertible, Unsupported
 from drinfeld.series import UExpansion
 
 from residue_oracle import first_reduced
@@ -103,38 +105,38 @@ def ref_format(ring, coords, symbol="t"):
     return " + ".join(parts) if parts else "0"
 
 
-def random_coords(ring, rng, den=None, nonzero=6, length=4):
-    """RF coordinates: a few random polynomials of degree < length, over
-    den."""
+def from_coords(ring, coords):
+    """The element with the given RF coordinates, which must be
+    polynomials: an element has no denominator."""
+    assert all(c.is_pol() for c in coords)
+    return REl(ring, ring._pack([c.num for c in coords]))
+
+
+def random_coords(ring, rng, nonzero=6, length=4):
+    """RF coordinates: a few random polynomials of degree < length."""
     big = ring.field
-    den = den or Pol.one(big)
     coords = [RF.zero(big)] * ring.total
     for idx in rng.sample(range(ring.total), min(nonzero, ring.total)):
-        num = Pol(big, [rng.randrange(big.order)
-                        for _ in range(rng.randrange(1, length + 1))])
-        coords[idx] = RF(num, den)
+        coords[idx] = RF.from_pol(Pol(big, [
+            rng.randrange(big.order)
+            for _ in range(rng.randrange(1, length + 1))]))
     return coords
 
 
-def dens(ring):
-    big = ring.field
-    return [None, Pol(big, (1, 1)), Pol(big, (2 % big.p, 0, 1))]
-
-
 def elements(ring, seed, **shape):
-    """(packed, reference) pairs: integral and with denominators."""
+    """Three (packed, reference) pairs."""
     rng = random.Random(seed)
     out = []
-    for den in dens(ring):
-        coords = random_coords(ring, rng, den, **shape)
-        out.append((ring.from_rf_coords(coords), coords))
+    for _ in range(3):
+        coords = random_coords(ring, rng, **shape)
+        out.append((from_coords(ring, coords), coords))
     return out
 
 
 def test_round_trip_and_hash(ring):
     for x, coords in elements(ring, 1):
         assert x.rf_coords() == coords
-        y = ring.from_rf_coords(x.rf_coords())
+        y = from_coords(ring, x.rf_coords())
         assert y == x and hash(y) == hash(x) and y.coords == x.coords
         assert x != x + ring.one
 
@@ -165,13 +167,13 @@ def test_sums_match_reference(ring):
             assert (x + y).rf_coords() == ref_add(cx, cy)
             assert (x - y).rf_coords() == [s - t for s, t in zip(cx, cy)]
         assert (-x).rf_coords() == [-s for s in cx]
-        assert (x - x) == ring.zero and (x + (-x)).den.is_one()
+        assert (x - x) == ring.zero == x + (-x)
         assert ((x + b) - b) == x
 
 
 def test_zero_operand_sums_match_dot(ring):
     # x + 0, 0 + x, x - 0 and 0 - x skip the arithmetic; each must equal
-    # the dot it replaces and the reference, with and without denominators
+    # the dot it replaces and the reference
     zero, one = ring.zero, ring.one
     for x, cx in elements(ring, 6):
         plus = ring.dot([(x, one), (zero, one)])
@@ -197,43 +199,50 @@ def test_scale_const_matches_reference(ring):
 
 def test_scale_rf_matches_reference(ring):
     big = ring.field
-    rf = RF(Pol(big, (1, 2 % big.p, 1)), Pol(big, (1, 1)))
+    rf = RF.from_pol(Pol(big, (1, 2 % big.p, 1)))
     for x, cx in elements(ring, 7):
-        assert (x * ring.from_rf_coords([rf])).rf_coords() == [
+        assert (x * from_coords(ring, [rf])).rf_coords() == [
             s * rf for s in cx]
 
 
 def test_invert_matches_reference(ring):
-    # sparse and of low degree, as the linear solve over RF grows fast; the
-    # seed gives units in every context (two generators allow zero
-    # divisors, which test_algebra covers)
+    # every nonzero constant of the field inverts, against the reference
+    # product; any other element's inverse has a denominator (or does not
+    # exist), which no element carries: Unsupported, naming the element
     one = ring.one.rf_coords()
-    for x, cx in elements(ring, 9, nonzero=2, length=2):
+    for code in ring.field.units():
+        x = ring.from_const(code)
         inv = x.invert()
-        assert ref_mul(ring, cx, inv.rf_coords()) == one
+        assert ref_mul(ring, x.rf_coords(), inv.rf_coords()) == one
         assert x * inv == ring.one
+    for x, _ in elements(ring, 9, nonzero=2, length=2):
+        with pytest.raises(Unsupported, match=re.escape(x.format())):
+            x.invert()
+    with pytest.raises(NotInvertible):
+        ring.zero.invert()
 
 
 def test_invert_prime_field_constants(ring):
-    # answered from the field table, against the RF path it bypasses
+    # answered from the field table, against the RF inverse
     big = ring.field
     for c in range(1, big.p):
         x = ring.from_const(c)
         inv = x.invert()
-        assert inv == ring.from_rf_coords([x.scalar_part().inverse()])
-        assert inv.den is ring._unit
+        assert inv == from_coords(ring, [x.scalar_part().inverse()])
+        assert inv.num < big.p
         assert x * inv == ring.one
 
 
 def basis_element(ring, j):
-    return ring.from_rf_coords([RF.one(ring.field) if i == j
-                                else RF.zero(ring.field)
-                                for i in range(ring.total)])
+    return from_coords(ring, [RF.one(ring.field) if i == j
+                              else RF.zero(ring.field)
+                              for i in range(ring.total)])
 
 
 def old_rf_invert(x):
-    """The Gauss-Jordan solve over RF that _invert ran before it shared
-    row_echelon: reduced form, then the right-hand side is the inverse."""
+    """The Gauss-Jordan solve over RF that the ring ran to invert an
+    element before elements lost their denominator: reduced form, then the
+    right-hand side is the inverse's RF coordinates."""
     ring = x.ring
     n = ring.total
     cols = [(x * basis_element(ring, j)).rf_coords() for j in range(n)]
@@ -253,31 +262,39 @@ def old_rf_invert(x):
                 f = M[row][col]
                 M[row] = [a - f * b for a, b in zip(M[row], M[col])]
                 rhs[row] = rhs[row] - f * rhs[col]
-    return ring.from_rf_coords(rhs)
+    return rhs
 
 
 @pytest.mark.parametrize("seed", [9, 21, 33])
 def test_invert_matches_gauss_jordan(ring, seed):
-    # non-scalar elements, integral and with denominators; a zero divisor
-    # must raise in both versions
+    # invert agrees with the Gauss-Jordan solve where the solve's inverse
+    # is a constant, and raises a typed error everywhere else: the
+    # non-scalar elements here are units with a non-constant inverse
+    # (whose product with x the reference checks) or zero divisors
     checked = 0
-    for x, _ in elements(ring, seed, nonzero=2, length=2):
+    for code in ring.field.units():
+        x = ring.from_const(code)
+        assert x.invert().rf_coords() == old_rf_invert(x)
+    for x, cx in elements(ring, seed, nonzero=2, length=2):
         if x.is_scalar():
             continue
         try:
             want = old_rf_invert(x)
         except NotInvertible:
-            with pytest.raises(NotInvertible):
+            with pytest.raises(Unsupported):
                 x.invert()
             continue
-        assert x.invert() == want
+        assert ref_mul(ring, cx, want) == ring.one.rf_coords()
+        with pytest.raises(Unsupported):
+            x.invert()
         checked += 1
     assert checked
 
 
 def test_invert_zero_divisor_matches_gauss_jordan():
-    # F_3(theta)[x] / (x^2 - 1): x + 1 is a zero divisor, x is its own
-    # inverse
+    # F_3(theta)[x] / (x^2 - 1): x + 1 is a zero divisor, which the solve
+    # finds and invert refuses with a typed error; x is its own inverse,
+    # which the solve finds and invert refuses too, as it is no constant
     F = finite_field(3)
     ring = QuotientRing(F, [("x", [Pol.const(F, 2), Pol.zero(F),
                                    Pol.one(F)])])
@@ -285,12 +302,13 @@ def test_invert_zero_divisor_matches_gauss_jordan():
     for bad in (x + ring.one, x - ring.one):
         with pytest.raises(NotInvertible):
             old_rf_invert(bad)
-        with pytest.raises(NotInvertible):
+        with pytest.raises(DrinfeldError):
             bad.invert()
-    theta = ring.from_pol(Pol.x(F))
-    for unit in (x, x + theta):
-        assert unit.invert() == old_rf_invert(unit)
-    assert x.invert() == x
+    assert old_rf_invert(x) == x.rf_coords()
+    for unit in (x, x + ring.from_pol(Pol.x(F))):
+        assert old_rf_invert(unit)
+        with pytest.raises(Unsupported):
+            unit.invert()
 
 
 def test_row_echelon_pivots_and_form():
@@ -337,7 +355,6 @@ def constants(ring):
 
 
 def test_dot_with_constant_operands(ring):
-    # a, b integral; c with a denominator
     (a, ca), (b, cb), (c, cc) = elements(ring, 11)
     zero = [RF.zero(ring.field)] * ring.total
     for k, ck in constants(ring):
@@ -352,7 +369,7 @@ def test_dot_with_constant_operands(ring):
                            [s * ck for s in cb])
             want[0] = want[0] + ck * ck
             assert mixed.rf_coords() == want
-            assert mixed == ring.from_rf_coords(want)
+            assert mixed == from_coords(ring, want)
         assert ring.dot([(k, k)]).rf_coords() == [ck * ck] + zero[1:]
 
 
@@ -362,7 +379,7 @@ def test_many_constant_operands_stay_reduced(ring):
     # without a general pair after the constant ones
     big = ring.field
     cx = worst_case(ring, 3)
-    x = ring.from_rf_coords(cx)
+    x = from_coords(ring, cx)
     theta = RF.from_pol(Pol.x(big))
     shifted = [s * theta for s in cx]
     cap = 255 // (big.p - 1)
@@ -419,12 +436,9 @@ def code_rows(big, count, rng):
 
 
 def test_combine_matches_reference(ring):
-    # integral elements run the kernel; with one denominator among them
-    # every row takes the exact path of dot
     pairs = elements(ring, 21) + elements(ring, 22, nonzero=3, length=7)
-    integral = [(x, cx) for x, cx in pairs if x.den.is_one()]
     rng = random.Random(23)
-    for group in (integral, integral[:1], pairs):
+    for group in (pairs, pairs[:1], pairs[2:]):
         xs, coords = [x for x, _ in group], [cx for _, cx in group]
         rows = code_rows(ring.field, len(xs), rng)
         got = ring.combine(xs, rows)
@@ -432,8 +446,8 @@ def test_combine_matches_reference(ring):
         for row, g in zip(rows, got):
             want = ref_combine(ring, coords, row)
             assert g.rf_coords() == want
-            assert g == ring.from_rf_coords(want)
-            assert g.coords == ring.from_rf_coords(want).coords
+            assert g == from_coords(ring, want)
+            assert g.coords == from_coords(ring, want).coords
 
 
 def test_combine_matches_old_scaled(ring):
@@ -442,19 +456,17 @@ def test_combine_matches_old_scaled(ring):
     for x, cx in elements(ring, 24):
         for code in big.elements():
             scaled = x.scale_const(code)
-            if x.den.is_one():
-                assert ring.combine([x], [[code]])[0].num == old_scaled(
-                    ring, x.num, code)
+            assert ring.combine([x], [[code]])[0].num == old_scaled(
+                ring, x.num, code)
             if code:
                 assert scaled.num == old_scaled(ring, x.num, code)
-                assert scaled.den == x.den
             else:
-                assert scaled == ring.zero and scaled.den.is_one()
-    xs = [x for x, _ in elements(ring, 25) if x.den.is_one()] * 2
+                assert scaled == ring.zero
+    xs = [x for x, _ in elements(ring, 25)[:1]] * 2
     row = list(range(1, len(xs) + 1))
     want = ring.zero
     for x, code in zip(xs, row):
-        want = want + REl(ring, old_scaled(ring, x.num, code), x.den)
+        want = want + REl(ring, old_scaled(ring, x.num, code))
     assert ring.combine(xs, [row]) == [want]
 
 
@@ -463,8 +475,7 @@ def test_combine_empty_rows(ring):
     assert ring.combine([], [[]]) == [ring.zero]
     assert ring.combine([], [[], []]) == [ring.zero, ring.zero]
     assert ring.combine(xs, []) == []
-    zero = ring.combine(xs, [[0] * len(xs)])[0]
-    assert zero == ring.zero and zero.den.is_one()
+    assert ring.combine(xs, [[0] * len(xs)]) == [ring.zero]
     assert ring.combine([ring.zero] * 3, [[1, 2 % ring.field.order, 0]]) == [
         ring.zero]
 
@@ -475,7 +486,7 @@ def test_combine_reduces_mid_sum(ring):
     # kernel must reduce before the end of a row
     big = ring.field
     cx = worst_case(ring, 3)
-    x = ring.from_rf_coords(cx)
+    x = from_coords(ring, cx)
     cap = 255 // (big.p - 1)
     codes = sorted({1, big.p - 1, big.order - 1, big.p % big.order})
     for m in (cap // big.n - 1, cap // big.n + 1, cap - 1, cap + 1, 70):
@@ -490,7 +501,7 @@ def test_combine_reduces_mid_sum(ring):
 def test_combine_code_cache_is_bounded(ring):
     # one entry per field element used, however often it is used
     big = ring.field
-    xs = [x for x, _ in elements(ring, 27) if x.den.is_one()]
+    xs = [x for x, _ in elements(ring, 27)]
     for _ in range(3):
         ring.combine(xs, [[c] * len(xs) for c in big.elements()])
     assert set(ring._codes) == set(big.elements())
@@ -508,7 +519,7 @@ def test_combine_large_characteristic(p):
     coords = [[RF.from_pol(Pol(f, [p - 1 - rng.randrange(3)
                                    for _ in range(rows)])) for _ in range(2)]
               for rows in (1, 4, 9)]
-    xs = [ring.from_rf_coords(c) for c in coords]
+    xs = [from_coords(ring, c) for c in coords]
     rows = [[p - 1] * 3, [1, 0, p - 2], [rng.randrange(p) for _ in range(3)]]
     for row, got in zip(rows, ring.combine(xs, rows)):
         assert got.rf_coords() == ref_combine(ring, coords, row)
@@ -550,8 +561,8 @@ def old_inverse(D):
 
 
 def series_of(ctx, seed, head):
-    """A series with constant term head, then a mix of general elements
-    (integral and with denominators), zeros and the constants 1 and p-1."""
+    """A series with constant term head, then a mix of general elements,
+    zeros and the constants 1 and p-1."""
     ring = ctx.ring
     (a, _), (b, _), (c, _) = elements(ring, seed)
     minus_one = ring.from_const(ring.field.p - 1)
@@ -559,13 +570,12 @@ def series_of(ctx, seed, head):
 
 
 def unit_heads(ring):
-    """Units: one, a scalar with a denominator, and a non-scalar element
-    (seed 9 gives units in every context, as in test_invert)."""
+    """Units a series can divide by: one, p-1 and the largest code of the
+    field, outside the prime field when q is not prime (only constants
+    invert in the ring)."""
     big = ring.field
-    scalar = ring.from_rf_coords([RF(Pol(big, (2 % big.p, 1)),
-                                     Pol(big, (1, 1)))])
-    (unit, _), _, _ = elements(ring, 9, nonzero=2, length=2)
-    return [ring.one, scalar, unit]
+    return [ring.one, ring.from_const(big.p - 1),
+            ring.from_const(big.order - 1)]
 
 
 def test_division_matches_inverse_product(ctx):
@@ -615,7 +625,7 @@ def test_worst_case_fits_the_chosen_width(modulus, ext):
     # at exactly the width its bound asks for
     ring = TorsionContext(modulus, ext_degree=ext).ring
     c = worst_case(ring, 12)
-    x = ring.from_rf_coords(c)
+    x = from_coords(ring, c)
     got = ring.dot([(x, x), (x, x)])
     assert ring.slot_width(0) > 1
     want = ref_mul(ring, c, c)
@@ -625,7 +635,7 @@ def test_worst_case_fits_the_chosen_width(modulus, ext):
 def test_slot_bound_raises_instead_of_wrapping(monkeypatch):
     rel = [parse_pol(F3, "t"), Pol.zero(F3), Pol.one(F3)]
     ring = quotient.QuotientRing(F3, [("l", rel)])
-    x = ring.from_rf_coords(worst_case(ring, 30))
+    x = from_coords(ring, worst_case(ring, 30))
     monkeypatch.setattr(quotient, "MAX_SLOT_BYTES", 1)
     with pytest.raises(Unsupported):
         x * x
@@ -657,7 +667,7 @@ def test_large_characteristic_products_match_reference(p, d, width):
     for rows in (2, 5, 9, 16):
         c = [RF.from_pol(Pol(f, [rng.randrange(p) for _ in range(rows)]))
              for _ in range(d)]
-        xs.append((ring.from_rf_coords(c), c))
+        xs.append((from_coords(ring, c), c))
     got = ring.dot([(a, b) for (a, _), (b, _) in zip(xs, xs[1:])])
     assert ring.slot_width(0) == width
     want = [RF.zero(f)] * d

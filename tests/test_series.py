@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld import forms, series
-from drinfeld.algebra import (REl, Pol, QuotientRing, Residue, finite_field,
-                              monics_of_degree, monics_up_to_degree,
-                              parse_pol, power)
+from drinfeld.algebra import (RF, REl, Pol, QuotientRing, Residue,
+                              finite_field, monics_of_degree,
+                              monics_up_to_degree, parse_pol, power)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.characters import DirichletCharacter
 from drinfeld.errors import (InsufficientDegreeBound, NotReducible,
@@ -20,17 +20,18 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
                              TwistedEisenstein, UExpansion,
                              bound_for_precision, combination,
                              eisenstein_components, goss_coeffs_in,
-                             moebius_of_series, poly_eval_scalar,
-                             poly_eval_series, rescale_arg, shift_by_sums,
-                             shift_by_value, u_of_az)
+                             goss_den, moebius_of_series, poly_eval_series,
+                             rescale_arg, shift_by_sums, shift_by_value,
+                             u_of_az)
 
-from residue_oracle import first_reduced, point_image
+from residue_oracle import first_reduced, point_image, value_images
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
                            power_loop_poly_eval, repeated_product,
                            scaled_sum_components, scaled_sum_poly_eval,
                            scaled_sum_render, scaled_sum_twisted_render,
                            shift_by_torsion, to_subparameter,
-                           y_chain_poly_eval)
+                           value_difference, values, y_chain_poly_eval)
+from test_quotient import ref_format
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -71,8 +72,21 @@ class TestDifference:
         assert len(a) == WITNESS_WIDTH and a.endswith("...")
 
 
+def value_format(ring, vals, prec):
+    """UExpansion.format of the values vals (RF coordinate lists), by the
+    RF reference formatting of test_quotient."""
+    parts = []
+    for n, cx in enumerate(vals):
+        if any(cx):
+            mono = "" if n == 0 else ("u" if n == 1 else "u^%d" % n)
+            parts.append("(%s)" % ref_format(ring, cx)
+                         + ("*" + mono if mono else ""))
+    return "%s + O(u^%d)" % (" + ".join(parts) if parts else "0", prec)
+
+
 class TestSeriesDenominator:
-    """UExpansion.den: numerators over one monic Pol, values on every read."""
+    """UExpansion.den: numerators over one monic Pol, against the values
+    in RF arithmetic (series_oracle.values)."""
 
     @staticmethod
     def numerators():
@@ -83,9 +97,10 @@ class TestSeriesDenominator:
 
     @staticmethod
     def fractions(ctx, nums, pol):
-        """The values nums[n]/pol, one fraction per coefficient."""
-        inv = ctx.lift_poly(pol).invert()
-        return UExpansion(ctx, [c * inv for c in nums], len(nums))
+        """The values nums[n]/pol in RF coordinates, one fraction per
+        coordinate."""
+        inv = RF.from_pol(pol.map_to(ctx.big, ctx.emb)).inverse()
+        return [[x * inv for x in c.rf_coords()] for c in nums]
 
     def test_integral_series_carry_none(self):
         ctx, nums = self.numerators()
@@ -93,36 +108,39 @@ class TestSeriesDenominator:
         assert f.den is None and f.coeffs is f.nums
         for g in (f + f, f * f, -f, f.scale_const(2), f.truncate(3),
                   shift_by_value(f, ctx.lam), rescale_arg(f, TH),
-                  u_of_az(ctx, TH, 9)):
+                  u_of_az(ctx, TH, 9), f.over(Pol.one(F3))):
             assert g.den is None and g.coeffs is g.nums
 
-    def test_over_multiplies_den_and_coeffs_are_values(self):
+    def test_over_multiplies_den_and_hides_coeffs(self):
+        # a series with a den has no coeffs: a numerator is no value
         ctx, nums = self.numerators()
         f = UExpansion(ctx, nums, 5).over(TH)
         assert f.den == TH.map_to(ctx.big, ctx.emb)
         assert all(a is b for a, b in zip(f.nums, nums))  # no product
-        want = self.fractions(ctx, nums, TH)
-        assert f.coeffs == want.coeffs
-        assert [f.coeff(n) for n in range(5)] == list(want.coeffs)
-        assert f.coeff(0) == ctx.ring.one  # theta/theta, in canonical form
-        assert any(c.den != ctx.ring.one.den for c in f.coeffs)
+        assert values(f) == self.fractions(ctx, nums, TH)
+        assert values(f)[0] == ctx.ring.one.rf_coords()  # theta/theta
+        for read in (lambda: f.coeffs, lambda: f.coeff(0), lambda: f * f):
+            with pytest.raises(AttributeError):
+                read()
         g = f.over(pol3("t+1"))
         assert g.den == (TH * pol3("t+1")).map_to(ctx.big, ctx.emb)
         assert all(a is b for a, b in zip(g.nums, nums))
-        assert g.coeffs == self.fractions(ctx, nums, TH * pol3("t+1")).coeffs
+        assert values(g) == self.fractions(ctx, nums, TH * pol3("t+1"))
 
     def test_truncate_with_meta_and_scalings_keep_den(self):
         ctx, nums = self.numerators()
         f = UExpansion(ctx, nums, 5).over(TH)
         meta = ModularMeta(2, 1)
-        for g, want in ((f.truncate(3), f.coeffs[:3]),
-                        (f.with_meta(meta), f.coeffs),
+        lam = ctx.lam.rf_coords()
+        for g, want in ((f.truncate(3), nums[:3]),
+                        (f.with_meta(meta), nums),
                         (f.scale_const(ctx.emb[2]),
-                         [c.scale_const(ctx.emb[2]) for c in f.coeffs]),
-                        (f.scale(ctx.lam), [c * ctx.lam for c in f.coeffs]),
-                        (-f, [-c for c in f.coeffs])):
-            assert g.den == f.den and g.coeffs == tuple(want)
-        assert f.with_meta(meta).meta is meta
+                         [c.scale_const(ctx.emb[2]) for c in nums]),
+                        (f.scale(ctx.lam), [c * ctx.lam for c in nums]),
+                        (-f, [-c for c in nums])):
+            assert g.den == f.den and g.nums == tuple(want)
+            assert values(g) == self.fractions(ctx, want, TH)
+        assert f.with_meta(meta).meta is meta and any(lam[1:])
 
     @pytest.mark.parametrize("dens", [("t", "t"), ("t", "t+1"), ("t", "t^2"),
                                       ("t^2+t", "t^2+2t"), (None, "t")],
@@ -140,9 +158,10 @@ class TestSeriesDenominator:
         assert (f + g).den == (f - g).den == lcm.map_to(ctx.big, ctx.emb)
         fa, gb = self.fractions(ctx, nums, a), self.fractions(ctx, nums[::-1],
                                                              b)
-        assert (f + g).coeffs == (fa + gb).coeffs
-        assert (f - g).coeffs == (fa - gb).coeffs
-        assert (g - f).coeffs == (gb - fa).coeffs
+        minus_gb = value_difference([[x - x for x in c] for c in gb], gb)
+        assert values(f + g) == value_difference(fa, minus_gb)
+        assert values(f - g) == value_difference(fa, gb)
+        assert values(g - f) == value_difference(gb, fa)
         if dens[0] == dens[1]:  # equal dens: numerators added, no product
             assert (f + g).nums == tuple(x + y for x, y in zip(nums,
                                                                nums[::-1]))
@@ -150,39 +169,49 @@ class TestSeriesDenominator:
     def test_comparisons_agree_in_both_directions(self):
         ctx, nums = self.numerators()
         f = UExpansion(ctx, nums, 5).over(TH)
-        values = self.fractions(ctx, nums, TH)
         twice = UExpansion(ctx, [c * ctx.lift_poly(TH) for c in nums],
                            5).over(TH * TH)  # the same values, another den
-        for a, b in ((f, values), (values, f), (f, twice), (twice, values)):
+        assert values(twice) == values(f)
+        for a, b in ((f, twice), (twice, f)):
             assert a == b and a.agrees_with(b)
             assert a.first_difference(b) is None and a.difference(b) is None
         assert f != f.truncate(4) and f.agrees_with(f.truncate(4))
-        other = list(values.coeffs)
-        other[3] = other[3] + ctx.ring.one
-        other = UExpansion(ctx, other, 5)
+        other = list(nums)
+        other[3] = other[3] + ctx.lift_poly(TH)  # one more at u^3
+        other = UExpansion(ctx, other, 5).over(TH)
+        plus_one = UExpansion(ctx, nums, 5).over(TH) + UExpansion.monomial(
+            ctx, 3, 5)
+        assert values(other) == values(plus_one)
         for a in (f, twice):
             assert a != other and other != a
             assert not a.agrees_with(other) and not other.agrees_with(a)
             assert a.first_difference(other) == other.first_difference(a) == 3
-            assert a.difference(other) == values.difference(other)
-            assert other.difference(a) == other.difference(values)
-        assert f.difference(other).startswith("u^3: ")
+            assert a.difference(other) == f.difference(other)
+            assert other.difference(a) == other.difference(f)
+        ring = ctx.ring
+        assert f.difference(other) == "u^3: %s != %s" % (
+            ref_format(ring, values(f)[3]), ref_format(ring, values(other)[3]))
 
     def test_format_is_the_values(self):
         ctx, nums = self.numerators()
-        f = UExpansion(ctx, nums, 5).over(TH)
-        assert f.format() == self.fractions(ctx, nums, TH).format()
+        for pol in (TH, TH * pol3("t+1"), pol3("t^2+t")):
+            f = UExpansion(ctx, nums, 5).over(pol)
+            assert f.format() == value_format(ctx.ring, values(f), 5)
+            assert f.format("s") != f.format()
         assert "/" in f.format()
 
     def test_over_on_a_reduced_context_divides_at_once(self):
         ctx, nums = self.numerators()
         red = first_reduced(ctx)
         image = point_image(ctx, red)
+        T = red.ring.field
         g = UExpansion(red, [red.ring.elems[image(c)] for c in nums],
                        5).over(TH)
         assert g.den is None
+        exact = UExpansion(ctx, nums, 5).over(TH)
+        den = T.inv(image(ctx.ring.from_pol(exact.den)))
         assert [c.code for c in g.coeffs] == [
-            image(c) for c in UExpansion(ctx, nums, 5).over(TH).coeffs]
+            T.mul(image(c), den) for c in exact.nums]
         Q = next(m for m in monics_of_degree(F3, 4) if not red.lift_poly(m))
         with pytest.raises(NotReducible):
             g.over(Q)
@@ -353,13 +382,13 @@ class TestShifts:
         ids=["q3-t^2+1", "q4-t", "q5-t", "q9-t+1"])
     def test_shift_by_sums_is_weighted_sum_of_shifts(self, modulus, N):
         # sums[j] = sum_b w_b lam_b^j gives sum_b w_b shift_by_value(f, lam_b)
-        # exactly: weights outside the prime field at q = 4, 9, a lam with a
-        # denominator, lam = 0, and an f with denominators
+        # exactly: weights outside the prime field at q = 4, 9, a scalar
+        # lam, lam = 0, and an f scaled by that scalar
         ctx = TorsionContext(modulus)
         field = ctx.field
         th = ctx.lift_poly(Pol.x(field))
         lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
-        lams += [ctx.ring.zero, (th + ctx.ring.one).invert()]
+        lams += [ctx.ring.zero, th + ctx.ring.one]
         weights = [ctx.emb[field.order - 1], 1, 2 % field.p or 1,
                    ctx.big.order - 1]
         f = UExpansion(ctx, [th, ctx.ring.one, ctx.ring.zero, lams[0],
@@ -409,11 +438,11 @@ def eager_moebius(X, lam):
 def moebius_inputs(ctx, prec):
     """The series u(cz) for deg c = 0, 1, 2 (orders 1, q, q^2), at q = 4, 9
     one of them divided by a non-prime code xi, and the values lam: two
-    torsion values, 0 and 1/(theta+1), which has a denominator."""
+    torsion values, 0 and theta+1, a scalar that is no torsion value."""
     field = ctx.field
     th = Pol.x(field)
     lams = [ctx.exp_value(b) for b in ctx.units()[:2]]
-    lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field)).invert()]
+    lams += [ctx.ring.zero, ctx.lift_poly(th + Pol.one(field))]
     series = [u_of_az(ctx, c, prec) for c in
               (Pol.one(field), th, th * th + Pol.one(field))]
     if field.order > field.p:
@@ -456,9 +485,9 @@ class TestMoebius:
     def test_goss_of_value_equals_powers_of_value(self, modulus, N):
         # G_k at the record against the generic loop over powers of the
         # value, formed by division; k up to q+3 brings several terms and,
-        # for k > q, Carlitz-factorial denominators.  At q = 9 the generic
-        # loop on fractions is slow, so the precision is halved (deg c = 2
-        # then gives a zero X) and the middle weights are skipped
+        # for k > q, the numerators of Carlitz-factorial fractions.  At
+        # q = 9 the generic loop is slow, so the precision is halved (deg
+        # c = 2 then gives a zero X) and the middle weights are skipped
         ctx = TorsionContext(modulus)
         q = ctx.field.order
         ks = range(1, q + 4) if q < 9 else (1, 2, 3, q + 1, q + 2, q + 3)
@@ -477,13 +506,12 @@ class TestMoebius:
     def test_pending_value_equals_eager_sum(self, modulus, N):
         # the record holds X and lam and no coefficients; G = X at it gives
         # the eager sum of lam^j Y_j, for X of order 1 and q at a precision
-        # that is no multiple of q, at lam = 0, a torsion value and
-        # 1/(theta+1)
+        # that is no multiple of q, at lam = 0, a torsion value and theta+1
         ctx = TorsionContext(modulus)
         field = ctx.field
         th = Pol.x(field)
         lams = [ctx.ring.zero, ctx.exp_value(ctx.units()[0]),
-                ctx.lift_poly(th + Pol.one(field)).invert()]
+                ctx.lift_poly(th + Pol.one(field))]
         prec = N - 1 if field.order < 9 else N // 2 - 1
         assert prec % field.order
         for X in (u_of_az(ctx, Pol.one(field), prec), u_of_az(ctx, th, prec)):
@@ -500,7 +528,7 @@ class TestMoebius:
         # replaced (series_oracle): at a record, the fused Y-chain route and
         # the generic power loop on the value by division; at a series, the
         # generic power loop.  G = X, a constant G, G_1 and G_{q+1}; every
-        # X of moebius_inputs and a zero X; every lam, 1/(theta+1) too
+        # X of moebius_inputs and a zero X; every lam, theta+1 too
         ctx = TorsionContext(modulus)
         q = ctx.field.order
         prec = N if q < 9 else N // 2
@@ -793,7 +821,9 @@ def fused_context(modulus, ext, reduce):
 
 
 def coords(series):
-    return [c.coords for c in series.coeffs]
+    """The numerators' coords and the den: equal for equal series in one
+    representation."""
+    return [c.coords for c in series.nums], series.den
 
 
 class TestCombination:
@@ -841,8 +871,10 @@ class TestCombination:
         q = ctx.field.order
         for e, k in ((e, k), (0, q - 1)):
             chi = DirichletCharacter.from_conductor(modulus, e, big=ctx.big)
-            got = eisenstein_components(ctx, k, modulus, N)
-            want = scaled_sum_components(ctx, k, modulus, N)
+            (den, got), (want_den, want) = (
+                f(ctx, k, modulus, N)
+                for f in (eisenstein_components, scaled_sum_components))
+            assert den == want_den == goss_den(ctx.field, k) * modulus ** k
             assert {a: coords(E) for a, E in got.items()} == {
                 a: coords(E) for a, E in want.items()}
             T = TwistedEisenstein.build(ctx, k, chi)
@@ -974,7 +1006,7 @@ class TestTwistedEisenstein:
         chi = DirichletCharacter.from_conductor(TH, 1)
         T = TwistedEisenstein.build(ctx, 1, chi)
         lam = ctx.gens[0]
-        assert T.constant_term() == lam * ctx.lift_poly(TH).invert()
+        assert T.constant_term() == (lam, TH)
 
     def test_sign_mismatch(self):
         ctx = TorsionContext(TH)
@@ -1011,23 +1043,31 @@ class TestTwistedEisenstein:
         # E_a = G_k(1/lambda_a) + sum over monic c and xi in F_q^* of
         # G_k(u(xi c z + a/p)), with u(xi c z) = u(cz)/xi; only monic a are
         # computed, and every unit a must match xi^(-k) E_{a/xi}, xi = lc(a)
+        # Both sides as numerators over D*p^k (D = goss_den): the constant
+        # D*G_k(1/lambda_a)*p^k from mu = p/lambda_a, each term a product
+        # of powers, the sum times p^k
         ctx = TorsionContext(modulus, ext_degree=2)
         field = ctx.field
-        comps = eisenstein_components(ctx, k, modulus, N)
+        den, comps = eisenstein_components(ctx, k, modulus, N)
         gk = goss_coeffs_in(ctx, k)
+        assert den == goss_den(field, k) * modulus ** k
         assert len(comps) == len(ctx.units()) // (field.order - 1)
         assert all(Pol(field, key).is_monic() for key in comps)
+        cofactor = ctx.torsion_cofactor(modulus)
+        pk = ctx.lift_poly(modulus ** k)
         total = UExpansion.zero(ctx, N)
         for a in ctx.units():
             lam = ctx.exp_value(a)
-            want = UExpansion.const(
-                ctx, poly_eval_scalar(gk, lam.invert(), ctx.ring), N)
+            mu = cofactor(lam)
+            want = UExpansion.const(ctx, sum(
+                (g * mu ** i * ctx.lift_poly(modulus ** (k - i))
+                 for i, g in enumerate(gk) if g), ctx.ring.zero), N)
             for c in monics_up_to_degree(field, bound):
                 U = u_of_az(ctx, c, N)
                 for xi in field.units():
                     Uxi = U.scale_const(ctx.emb[field.inv(xi)])
                     want = want + poly_eval_series(
-                        gk, moebius_of_series(Uxi, lam))
+                        gk, moebius_of_series(Uxi, lam)).scale(pk)
             xi = a.leading()
             got = comps[a.monic().c].scale_const(ctx.emb[field.pow(xi, -k)])
             assert got == want, "a = %s" % a.format()
@@ -1037,7 +1077,38 @@ class TestTwistedEisenstein:
         # sum_a a * E_a
         T = TwistedEisenstein(ctx, k, DirichletCharacter.trivial(
             modulus, big=ctx.big), {a.c: ctx.lift_poly(a) for a in ctx.units()})
-        assert T.render(N).agrees_with(total)
+        assert T.render(N).agrees_with(total.over(den))
+
+    @pytest.mark.parametrize("modulus, N", [
+        (TH, 12), (pol3("t^2+1"), 12), (Pol(F4, (1, 1)), 10),
+        (parse_pol(finite_field(5), "t"), 14),
+        (Pol(finite_field(3, 2), (1, 1)), 20)],
+        ids=["q3-t", "q3-t^2+1", "q4-t+1", "q5-t", "q9-t+1"])
+    def test_component_values_at_every_point(self, modulus, N):
+        # at every residue point up to the cap, the image of each E_a's
+        # numerators over the image of its den is E_a as the reduced
+        # context computes it, its numerators divided there; k = 4 and 5
+        # bring Goss numerators over D at q = 3, and where the den
+        # vanishes at alpha the reduced division raises NotReducible
+        ctx = TorsionContext(modulus)
+        reds = list(ctx._reductions())
+        assert reds
+        for k in (1, 4, 5):
+            den, exact = eisenstein_components(ctx, k, modulus, N)
+            assert den == goss_den(ctx.field, k) * modulus ** k
+            for red in reds:
+                image, T = point_image(ctx, red), red.ring.field
+                red_den, reduced = eisenstein_components(red, k, modulus, N)
+                assert red_den == den and reduced.keys() == exact.keys()
+                vanishes = not red.lift_poly(den)
+                for key, E in exact.items():
+                    got = UExpansion(red, reduced[key].nums, N)
+                    if vanishes:  # D at the F_3 point of theta
+                        with pytest.raises(NotReducible):
+                            got.over(den)
+                        continue
+                    assert [c.code for c in got.over(den).coeffs] == (
+                        value_images(image, T, E.over(den))), (k, T)
 
     def test_render_precision_honesty(self):
         ctx = TorsionContext(pol3("t^2+1"), ext_degree=2)
