@@ -221,13 +221,14 @@ class TestEigensystemReports:
             forms.verify_eigensystem(object(), [TH], None, 0)
 
 
-def eigen_cases(q, bound):
-    """(name, form, primes, eigenvalue) at level theta over F_q: f_1,
-    Delta, E_theta and EHat of k = q-2 for the character of conductor
-    theta with exponent 1, the last two on the primes away from theta."""
+def eigen_cases(q, bound, composite=False):
+    """(name, form, primes, eigenvalue) at level theta, or theta(theta+1)
+    when composite, over F_q: f_1, Delta, E_theta and EHat of k = q-2 for
+    the character of conductor theta with exponent 1, the last two on the
+    primes away from theta."""
     field = {3: F3, 4: F4, 5: finite_field(5), 9: finite_field(3, 2)}[q]
     th = Pol.x(field)
-    ctx = TorsionContext(th)
+    ctx = TorsionContext(th * (th + Pol.one(field)) if composite else th)
     chi = DirichletCharacter.from_conductor(th, 1, big=ctx.big)
     primes = irreducible_monics(field, 2)
     away = [p for p in primes if p != th]
@@ -270,6 +271,27 @@ def test_eigen_check_equals_whole_form_oracle(q):
         for plant, G, expected in plants:
             got = forms.verify_eigensystem(G, primes, expected, 0)
             want = eigen_check(G, primes, expected)
+            assert (got.passed, got.witness) == want, (name, plant)
+            assert got.passed == (plant == "true"), (name, plant, want)
+
+
+@pytest.mark.parametrize("q", [3, 4], ids=lambda q: "q%d" % q)
+def test_eigen_check_at_composite_level_equals_oracle(q):
+    # at the composite level theta(theta+1), eigenvalues off by the
+    # non-constant s = theta+1, at every prime or at the last only, fail
+    # with the oracle's witness; the true ones pass.  Over F_3 this ring
+    # is a field, so the test exercises no zero divisors
+    ctx, cases = eigen_cases(q, 3, composite=True)
+    s = ctx.lift_poly(Pol.x(ctx.field) + Pol.one(ctx.field))
+    for name, F, primes, lam in cases:
+        last = primes[-1]
+        plants = [
+            ("true", lam),
+            ("offset", lambda p: lam(p) + s),
+            ("last prime", lambda p: lam(p) + s if p == last else lam(p))]
+        for plant, expected in plants:
+            got = forms.verify_eigensystem(F, primes, expected, 0)
+            want = eigen_check(F, primes, expected)
             assert (got.passed, got.witness) == want, (name, plant)
             assert got.passed == (plant == "true"), (name, plant, want)
 
