@@ -9,7 +9,7 @@ them into big integers costs more than it saves.
 
 import itertools
 
-from ..errors import NotSquareFree
+from ..errors import NotSquareFree, Unsupported
 
 
 class Pol:
@@ -233,6 +233,8 @@ class Pol:
 def power(x, e, one):
     """x^e for e >= 0 by repeated squaring, with no product by one (x^1 is x
     itself) and no last squaring, which nothing would use."""
+    if e < 0:
+        raise Unsupported("power needs an exponent >= 0, not %d" % e)
     r = None
     while e:
         if e & 1:

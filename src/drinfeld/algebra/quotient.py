@@ -36,7 +36,13 @@ made only of such pairs splits no columns and folds nothing.  Nor is
 combine, sum_k c_k*x_k by big-field codes (and scale_const by c not in
 F_p): digit j of c*x is sum_i m*(digit i), m = digit j of c*y^i; a digit
 plane is translated once per m and call, shifted to digit j and summed as
-above, and the ring keeps the (i, m, j) of each code.
+above, and the ring keeps the (i, m, j) of each code.  A pair with an
+exponent-free operand s (no slot at row offset >= n: one AND with a kept
+mask) goes through the scalar lane, theta a Kronecker variable across all
+coordinates: for digit planes x_i, s_j (digit j moved to digit 0; at n = 1
+the numerators), x_i*s_j is one integer product of whole numerators, with
+no columns and no fold.  P_e = sum_(i+j=e) x_i*s_j enters digit t times
+digit t of y^e, and the lane is reduced once, beside the translates.
 
 Slot-width bound.  Nothing is reduced mod p before the end, so a slot of a
 column stays below
@@ -45,9 +51,12 @@ column stays below
         * (p-1)^2 * gain
 
 where rows counts theta-degrees and gain is the worst-case growth of the
-folding, computed once per ring.  The width w is the least number of bytes
-that holds this bound; a bound wider than MAX_SLOT_BYTES raises Unsupported
-instead of wrapping.
+folding, computed once per ring.  The lane folds nothing: its slots stay
+below (sum over its pairs of min(rows_x, rows_s)) * (p-1)^2 * gain_y, with
+gain_y the most the y^(i+j), i, j < n, put on one digit (1 at n = 1, so at
+p = 3 one byte holds 63 rows), and it takes its own width per call.  The
+width w is the least number of bytes that holds the bound; a bound wider
+than MAX_SLOT_BYTES raises Unsupported instead of wrapping.
 """
 
 from functools import reduce
@@ -63,7 +72,8 @@ class QuotientRing:
     __slots__ = ("field", "gen_names", "relations", "dims", "total",
                  "_strides", "_exps", "_tn", "_col_key", "_col_exps",
                  "_final", "_folds", "_plans", "_pair_gain", "_w", "_times",
-                 "_codes")
+                 "_codes", "_masks", "_exp_row", "_low_row", "_ypow",
+                 "_lane_gain")
     # new each time: a ring holding an element would be a reference cycle
     zero = property(lambda self: REl(self, 0))
     one = property(lambda self: REl(self, 1))
@@ -144,6 +154,16 @@ class QuotientRing:
         # _times[c] maps a byte v to c*v mod p: [1] reduces, [p-1] negates
         self._times = [bytes(c * v % p for v in range(256)) for c in range(p)]
         self._codes = {}
+        # rows of the masks of exponent-free slots (offset >= n) and of
+        # digit 0; the lane's y^e, e <= 2n-2, as (digit, multiplier) terms
+        self._masks = {}
+        self._exp_row = bytes(n) + b"\xff" * (self._tn - n)
+        self._low_row = b"\xff" + bytes(n - 1)
+        ydig = [field.digits[field.pow(p, e)] for e in range(2 * n - 1)]
+        self._ypow = [[(t, m) for t, m in enumerate(d) if m] for d in ydig]
+        self._lane_gain = (p - 1) ** 2 * max(
+            sum(ydig[i + j][t] for i in range(n) for j in range(n))
+            for t in range(n))
 
     # -- constructors for elements --
 
@@ -167,23 +187,34 @@ class QuotientRing:
     def dot(self, pairs):
         """sum of a*b over a sequence of (a, b) pairs, reduced once.  A pair
         with a prime-field constant operand adds a slot-wise translate of
-        the other operand instead of a product."""
+        the other operand instead of a product, and a pair with an
+        exponent-free operand goes through the scalar lane."""
         p = self.field.p
         times = self._times
         rowbits = 8 * self._tn
-        rows = 0
+        scalar = self._scalar
+        rows = lane_rows = 0
         general = []
+        lane = []
         terms = []
         for a, b in pairs:
             if b.num < p:
                 a, b = b, a
             if a.num >= p:
-                general.append((a, b))
-                rows += (min(a.num.bit_length(), b.num.bit_length())
-                         // rowbits + 1)
+                r = min(a.num.bit_length(), b.num.bit_length()) // rowbits + 1
+                if scalar(a.num):
+                    a, b = b, a
+                if scalar(b.num):
+                    lane.append((a.num, b.num))
+                    lane_rows += r
+                else:
+                    general.append((a, b))
+                    rows += r
             elif a.num and b.num:
                 terms.append(b.num if a.num == 1
                              else self._translate(b.num, times[a.num]))
+        if lane:
+            terms.append(self._lane(lane, lane_rows))
         if general:
             w = self.slot_width(rows * self._pair_gain)
             acc = {}
@@ -212,6 +243,58 @@ class QuotientRing:
         only x's, read at every step, are kept."""
         return self.dot_once(((x, prev),))
 
+    def _repeat(self, pattern, num):
+        """pattern repeated over at least the bytes of num: kept per
+        pattern, and doubled when num outgrows it."""
+        bits, mask = self._masks.get(pattern, (-1, 0))
+        if num.bit_length() > bits:
+            reps = 2 * (num.bit_length() // (8 * len(pattern)) + 1)
+            bits, mask = self._masks[pattern] = (
+                8 * len(pattern) * reps, int.from_bytes(pattern * reps,
+                                                        "little"))
+        return mask
+
+    def _scalar(self, num):
+        """True if num is exponent-free: no slot at row offset >= n."""
+        return not num & self._repeat(self._exp_row, num)
+
+    def _planes(self, num):
+        """The n digit planes of num: plane j holds digit j of every slot,
+        moved to digit 0."""
+        n = self.field.n
+        if n == 1:
+            return (num,)
+        low = self._repeat(self._low_row, num)
+        return [num >> 8 * j & low for j in range(n)]
+
+    def _lane(self, lane, rows):
+        """sum x*s over (x, s) numerators with s exponent-free: the scalar
+        lane of the module docstring."""
+        w = _slot_bytes(rows * self._lane_gain)
+        if self.field.n == 1:
+            out = 0
+            for x, s in lane:
+                out += _widen(x, w) * _widen(s, w)
+        else:
+            planes = self._planes
+            prods = [0] * len(self._ypow)
+            for x, s in lane:
+                xs = planes(x)
+                if w > 1:
+                    xs = [_widen(xi, w) for xi in xs]
+                for j, sj in enumerate(planes(s)):
+                    if sj:
+                        sj = _widen(sj, w)
+                        for e, xi in enumerate(xs, j):
+                            prods[e] += xi * sj
+            out = 0
+            for pe, terms in zip(prods, self._ypow):
+                for t, m in terms:
+                    out += m * pe << 8 * w * t
+        size = (out.bit_length() + 8 * w - 1) // (8 * w) * w
+        return int.from_bytes(
+            self._mod_slots(out.to_bytes(size, "little"), w), "little")
+
     def _slot_sum(self, terms):
         """The slot-wise sum mod p of numerators with slots < p: up to
         255 // (p-1) of them are added before one pass mod p."""
@@ -226,14 +309,8 @@ class QuotientRing:
 
     def slot_width(self, bound):
         """Bytes per column slot for values up to bound; never shrinks."""
-        w = self._w
-        if bound >> (8 * w):
-            w = (bound.bit_length() + 7) // 8
-            if w > MAX_SLOT_BYTES:
-                raise Unsupported("slot bound %d needs %d bytes, more than %d"
-                                  % (bound, w, MAX_SLOT_BYTES))
-            self._w = w
-        return w
+        self._w = max(self._w, _slot_bytes(bound))
+        return self._w
 
     def _plan(self, w):
         """The folds with their theta-digits packed at slot width w."""
@@ -288,6 +365,8 @@ class QuotientRing:
         of a slot counts 256^b mod p times, and partial sums stay < 256."""
         p = self.field.p
         times = self._times
+        if w == 1:
+            return raw.translate(times[1])
         acc = count = 0
         for b in range(w):
             if count == 255 // (p - 1):
@@ -309,9 +388,7 @@ class QuotientRing:
     def combine(self, elems, rows):
         """[sum_k row[k] * elems[k] for row in rows], row[k] big codes."""
         p, n, codes = self.field.p, self.field.n, self._codes
-        top = max((e.num for e in elems), default=0).bit_length() // (8 * n)
-        low = int.from_bytes((b"\xff" + bytes(n - 1)) * (top + 1), "little")
-        planes = [[e.num >> 8 * i & low for i in range(n)] for e in elems]
+        planes = [self._planes(e.num) for e in elems]
         memo, out = [[None] * (n * p) for _ in elems], []
         for row in rows:
             terms = []
@@ -367,6 +444,26 @@ class QuotientRing:
         if g.degree < 1:
             return elems
         return [REl(self, self._pack([c // g for c in cs])) for cs in coords]
+
+
+def _slot_bytes(bound):
+    """The bytes a slot needs for values up to bound; a bound wider than
+    MAX_SLOT_BYTES raises Unsupported instead of wrapping."""
+    w = (bound.bit_length() + 7) // 8
+    if w > MAX_SLOT_BYTES:
+        raise Unsupported("slot bound %d needs %d bytes, more than %d"
+                          % (bound, w, MAX_SLOT_BYTES))
+    return w
+
+
+def _widen(x, w):
+    """x with each byte moved to the low byte of a w-byte slot."""
+    if w == 1:
+        return x
+    raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    wide = bytearray(len(raw) * w)
+    wide[::w] = raw
+    return int.from_bytes(wide, "little")
 
 
 def _fold_growth(room, d, terms, top_digit):
@@ -444,17 +541,13 @@ class REl:
         for c in range(min(tn, len(raw))):
             col = raw[c::tn].rstrip(b"\0")
             if col:
-                if w > 1:
-                    wide = bytearray(len(col) * w)
-                    wide[::w] = col
-                    col = wide
-                cols.append((keys[c], int.from_bytes(col, "little")))
+                cols.append((keys[c],
+                             _widen(int.from_bytes(col, "little"), w)))
         self._cols = (w, cols)
         return cols
 
     def is_scalar(self):
-        exps = self.ring._col_exps
-        return not any(any(exps[k]) for k, _ in self._columns(self.ring._w))
+        return self.ring._scalar(self.num)
 
     def __pow__(self, e):
         if e < 0:

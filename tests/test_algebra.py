@@ -179,6 +179,11 @@ class TestPol:
         p = pol3("t+1")
         assert p.frob_power(1) == p ** 3
 
+    def test_negative_power_raises(self):
+        # e >>= 1 keeps -1 at -1, so without the check this never ends
+        with pytest.raises(Unsupported):
+            Pol.x(F3) ** -1
+
     def test_eval_in_extension(self):
         p = pol3("t^2+1")
         emb = F9.embedding(F3)

@@ -392,6 +392,133 @@ def test_many_constant_operands_stay_reduced(ring):
             assert got.rf_coords() == ref_add(linear, shifted)
 
 
+# -- exponent-free operands in dot (the scalar lane) ---------------------------
+
+def scalars(ring, seed, length=9):
+    """Three (packed, reference) exponent-free elements: a random
+    polynomial at exponent zero, every other coordinate zero."""
+    rng = random.Random(seed)
+    big = ring.field
+    out = []
+    for _ in range(3):
+        digits = [rng.randrange(big.order)
+                  for _ in range(rng.randrange(1, length))]
+        top = Pol(big, digits + [rng.randrange(1, big.order)])
+        coords = [RF.from_pol(top)] + [RF.zero(big)] * (ring.total - 1)
+        out.append((from_coords(ring, coords), coords))
+    return out
+
+
+def test_scalar_products_match_reference(ring):
+    # scalar x torsion in both orders and scalar x scalar; the lane builds
+    # no column cache, so a fresh operand still has none afterwards
+    zs = scalars(ring, 12)
+    xs = [(x, cx) for x, cx in elements(ring, 13) if not x.is_scalar()]
+    assert xs and all(s.is_scalar() for s, _ in zs)
+    for s, cs in zs:
+        for x, cx in xs + zs:
+            want = ref_mul(ring, cs, cx)
+            assert (s * x).rf_coords() == want
+            assert (x * s).rf_coords() == want
+    assert all(s._cols is None for s, _ in zs)
+
+
+def test_mixed_dot_matches_reference(ring):
+    # lane, general and constant pairs in one dot, in every position
+    (s, cs), (s2, cs2), _ = scalars(ring, 14)
+    (a, ca), (b, cb), _ = elements(ring, 15)
+    k, c = constants(ring)[-1]
+    ck = [c] + [RF.zero(ring.field)] * (ring.total - 1)
+    pairs = [((s, cs), (a, ca)), ((a, ca), (b, cb)), ((k, ck), (a, ca)),
+             ((b, cb), (s2, cs2)), ((s, cs), (s2, cs2)), ((s2, cs2), (k, ck))]
+    for order in (pairs, pairs[::-1], pairs[1:] + pairs[:1]):
+        got = ring.dot([(x, y) for (x, _), (y, _) in order])
+        want = [RF.zero(ring.field)] * ring.total
+        for (_, cx), (_, cy) in order:
+            want = ref_add(want, ref_mul(ring, cx, cy))
+        assert got.rf_coords() == want
+        assert got == from_coords(ring, want)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5, F9], ids=["q3", "q4", "q5",
+                                                        "q9"])
+def test_ring_of_total_one_is_all_scalars(field):
+    # relation x + (theta + c): total = 1, so every element is
+    # exponent-free and every product goes through the lane
+    rel = [Pol(field, (field.order - 1, 1)), Pol.one(field)]
+    ring = QuotientRing(field, [("l", rel)])
+    assert ring.total == 1
+    xs = [(x, cx) for seed in (16, 17) for x, cx in scalars(ring, seed)]
+    assert all(x.is_scalar() for x, _ in xs)
+    for a, ca in xs:
+        for b, cb in xs[:3]:
+            assert (a * b).rf_coords() == ref_mul(ring, ca, cb)
+    got = ring.dot([(a, b) for (a, _), (b, _) in zip(xs, xs[1:])])
+    want = [RF.zero(field)]
+    for (_, ca), (_, cb) in zip(xs, xs[1:]):
+        want = ref_add(want, ref_mul(ring, ca, cb))
+    assert got.rf_coords() == want
+    assert all(x._cols is None for x, _ in xs)
+    assert ring.gen(0).is_scalar()
+    assert ring.gen(0).rf_coords() == [RF.from_pol(-rel[0])]
+
+
+# Per field, the most rows at which all-(order-1) operands still fit a
+# one-byte lane slot: 255 // ((p-1)^2 * the most that y^(i+j) put on one
+# digit), which is 1 at n = 1, 2 for F_4 (y^2 = y+1) and 3 for F_9 (y^2 = -1).
+LANE_EDGES = [(F3, 63), (F4, 85), (F5, 15), (F9, 21)]
+
+
+def lane_operands(field, rows):
+    """An all-(order-1) scalar and torsion element with rows theta-rows,
+    with their references, in a dim-2 ring."""
+    ring = QuotientRing(field, [("l", [Pol.x(field), Pol.zero(field),
+                                       Pol.one(field)])])
+    top = RF.from_pol(Pol(field, (field.order - 1,) * rows))
+    cs = [top, RF.zero(field)]
+    cx = worst_case(ring, rows)
+    return ring, (from_coords(ring, cs), cs), (from_coords(ring, cx), cx)
+
+
+@pytest.mark.parametrize("field, edge", LANE_EDGES,
+                         ids=["q3", "q4", "q5", "q9"])
+def test_lane_width_moves_at_the_edge(monkeypatch, field, edge):
+    # the lane's slot holds the exact worst case at the edge in one byte
+    # and moves to two bytes one row past it; both equal the reference
+    widths = []
+    mod_slots = QuotientRing._mod_slots
+
+    def spy(self, raw, w):
+        widths.append(w)
+        return mod_slots(self, raw, w)
+    monkeypatch.setattr(QuotientRing, "_mod_slots", spy)
+    for rows, width in ((edge, 1), (edge + 1, 2)):
+        ring, (s, cs), (x, cx) = lane_operands(field, rows)
+        for a, ca, b, cb in ((s, cs, s, cs), (s, cs, x, cx),
+                             (x, cx, s, cs)):
+            widths.clear()
+            assert (a * b).rf_coords() == ref_mul(ring, ca, cb)
+            assert widths == [width]
+    # the rows of a dot's lane pairs add up: two halves of the edge + 1
+    ring, (s, cs), _ = lane_operands(field, (edge + 1) // 2)
+    _, (s2, cs2), _ = lane_operands(field, edge + 1 - (edge + 1) // 2)
+    widths.clear()
+    got = ring.dot([(s, s), (s2, s2)])
+    assert got.rf_coords() == ref_add(ref_mul(ring, cs, cs),
+                                      ref_mul(ring, cs2, cs2))
+    assert widths == [2]
+
+
+def test_lane_width_past_max_slot_bytes_raises(monkeypatch):
+    monkeypatch.setattr(quotient, "MAX_SLOT_BYTES", 1)
+    ring, (s, cs), (x, cx) = lane_operands(F3, 63)
+    assert (s * x).rf_coords() == ref_mul(ring, cs, cx)
+    ring, (s, _), (x, _) = lane_operands(F3, 64)
+    for a, b in ((s, s), (s, x), (x, s)):
+        with pytest.raises(Unsupported):
+            a * b
+
+
 # -- sums of field-constant multiples (combine) --------------------------------
 
 def old_scaled(ring, x, code):
