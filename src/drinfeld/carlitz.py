@@ -56,15 +56,15 @@ class TorsionContext:
     Phi_{p_i}(x) = C_{p_i}(x)/x; the composite generator lambda_n is
     assembled by partial fractions.  An optional constant-field extension
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
-    Memos ``powers``, ``gauss`` (g(chi) per character chi), ``u_az``
-    (see series.u_of_az) and ``twist_sums`` (see operators.normalized_sums)
+    Memos ``powers``, ``_relation``, ``gauss`` (g(chi) per character chi),
+    ``u_az`` (see series.u_of_az) and ``twist_sums`` (normalized_sums)
     hold ring elements only, so they die with it; a reduced context (see
     _reductions) has its own.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
-                 "gens", "_cofs", "_exp_cache", "_powers", "gauss", "u_az",
-                 "twist_sums")
+                 "gens", "_cofs", "_exp_cache", "_powers", "_relations",
+                 "gauss", "u_az", "twist_sums")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -95,8 +95,8 @@ class TorsionContext:
         """Make ring the context's ring, with fresh generators and memos."""
         self.ring = ring
         self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
-        self._exp_cache, self._powers, self.gauss = {}, {}, {}
-        self.u_az, self.twist_sums = {}, {}
+        self._exp_cache, self._powers, self._relations = {}, {}, {}
+        self.gauss, self.u_az, self.twist_sums = {}, {}, {}
 
     lam = property(lambda self: self.exp_value(Pol.one(self.field)))
 
@@ -130,7 +130,8 @@ class TorsionContext:
 
         Computed componentwise through the partial fractions, so each term
         only involves its own generator: one dot over the pairs
-        ([beta*c_i mod p_i]_j, lambda_i^(q^j)), the powers from self.powers.
+        ([beta*c_i mod p_i]_j, lambda_i^(q^j)), the powers from self.powers
+        (annihilator p_i: j < deg p_i, so none from the relation).
         """
         beta = beta % self.modulus
         key = beta.c
@@ -141,43 +142,71 @@ class TorsionContext:
         pairs = []
         for gen, c, prime in zip(self.gens, self._cofs, self.primes):
             coeffs = carlitz_coeffs(beta * c % prime)
-            pows = self.powers(gen, q ** (len(coeffs) - 1) + 1)
+            pows = self.powers(gen, q ** (len(coeffs) - 1) + 1, None, prime)
             pairs += [(self.lift_poly(a), pows[q ** j])
                       for j, a in enumerate(coeffs) if a]
         out = self.ring.dot(pairs)
         self._exp_cache[key] = out
         return out
 
-    def powers(self, x, count):
+    def powers(self, x, count, cls=None, n=None):
         """[1, x, ..., x^(count-1)] for a ring element x, or a longer list
-        of the same powers; callers must not mutate the list.  Kept per
-        value of x.  A list too short is first extended from the kept list
-        of an F_q^*-multiple y = c*x (c != 1), where that is longer, by
-        the orbit rule x^j = c^(-j) * y^j: one scale_const per power.  Any
-        power still missing is one ring.power_step, so no power but x keeps
-        the column cache its product read."""
-        pows = self._powers.setdefault(x.coords, [self.ring.one])
-        if len(pows) < count:
+        of the same powers, None where one was not asked for yet; callers
+        must not mutate it.  Kept per value of x.  With a class cls only
+        the x^j, j = cls mod q-1, are asked for: x^(j-q+1) * x^(q-1) each.
+        With an annihilator n (C_n(x) = 0, d = deg n) each x^j, j >= q^d,
+        is one dot of scalar pairs (-[n]_i, x^(j-q^d+q^i)), i < d, in j's
+        class.  A plain request (neither; the others read monic residues,
+        which share no orbit) first extends a short list from the kept
+        list of an F_q^*-multiple y = c*x, where longer, by x^j = c^(-j) *
+        y^j.  Any power still missing is one ring.power_step, so no power
+        but x and x^(q-1) keeps the column cache its product read."""
+        ring, q, step = self.ring, self.field.order, self.field.order - 1
+        pows = self._powers.setdefault(x.coords, [ring.one])
+        if cls is None and n is None and len(pows) < count:
             f, emb = self.field, self.emb
-            for c in range(2, f.order):
+            for c in range(2, q):
                 ys = self._powers.get(x.scale_const(emb[c]).coords, ())
-                pows += [ys[j].scale_const(emb[f.pow(c, -j)])
-                         for j in range(len(pows), min(count, len(ys)))]
-        while len(pows) < count:
-            pows.append(self.ring.power_step(pows[-1], x))
+                pows += [y and y.scale_const(emb[f.pow(c, -j)]) for j, y
+                         in enumerate(ys[len(pows):count], len(pows))]
+        pows += [None] * (count - len(pows))
+        # the plain chain below top; past it only cls's class, by x^(q-1)
+        top = count if cls is None else q if count > cls + step else cls + 1
+        size, rel = count, ()
+        if n is not None:
+            size = q ** n.degree
+            rel = [(q ** i - size, c)
+                   for i, c in enumerate(self._relation(n)[:-1]) if c]
+        for j in range(1, count):
+            if pows[j] is None and (j < top or (j - cls) % step == 0):
+                if j >= size:
+                    pows[j] = ring.dot([(c, pows[j + o]) for o, c in rel])
+                elif j < top:
+                    pows[j] = ring.power_step(pows[j - 1], x)
+                else:
+                    pows[j] = ring.power_step(pows[j - step], pows[step])
         return pows
+
+    def _relation(self, n):
+        """-[n]_0, ..., -[n]_(deg n) lifted once per context and monic n:
+        C_n(x) = 0 gives x^(q^d) = sum_{i<d} -[n]_i x^(q^i), d = deg n."""
+        rel = self._relations.get(n.c)
+        if rel is None:
+            rel = self._relations[n.c] = [-self.lift_poly(c)
+                                          for c in carlitz_coeffs(n)]
+        return rel
 
     def torsion_cofactor(self, level):
         """The function lam -> level/lam, integral, on primitive
         level-torsion values: C_level(lam)/lam = 0 gives level/lam =
-        -sum_{j>=1} [level]_j lam^(q^j-2), the powers from self.powers."""
+        -sum_{j>=1} [level]_j lam^(q^j-2), the powers of class -1."""
         q = self.field.order
-        rel = [(q ** j - 2, -self.lift_poly(c))
-               for j, c in enumerate(carlitz_coeffs(level)) if j and c]
+        rel = [(q ** j - 2, c)
+               for j, c in enumerate(self._relation(level)) if j and c]
         count = q ** level.degree - 1
 
         def cofactor(lam):
-            pows = self.powers(lam, count)
+            pows = self.powers(lam, count, -1 % (q - 1))
             return self.ring.dot([(c, pows[e]) for e, c in rel])
         return cofactor
 

@@ -256,9 +256,14 @@ def orbit_sums(ctx, n, rows, exponents):
     c^s w(beta) for c in F_q^*, so replacing beta by c*beta scales a term
     by c^(s+j); in the rows kept the q-1 = -1 terms of each orbit F_q^*
     beta are equal: one combine per j over beta = 0 (its own orbit) and
-    the monic beta with a nonzero code, by the codes w(0) and -w(beta)."""
+    the monic beta with a nonzero code, by the codes w(0) and -w(beta).
+    ctx.powers gets the annihilator n, and j's class if there is one."""
     big, minus, step = ctx.big, ctx.big.scalar(-1), ctx.field.order - 1
     count = max(exponents, default=0) + 1
+    classes = {}  # class of j mod q-1 -> the rows it reads
+    for r, (s, _) in enumerate(rows):
+        classes.setdefault(-s % step, []).append(r)
+    cls = next(iter(classes)) if len(classes) == 1 else None
     cols, pows = [], []
     for b in [Pol.zero(ctx.field)] + monics_up_to_degree(ctx.field,
                                                          n.degree - 1):
@@ -267,15 +272,12 @@ def orbit_sums(ctx, n, rows, exponents):
             lam = ctx.exp_at(b, n)
             cols.append(col)
             # x^0, x^1 alone (a basic Gauss sum) need no chain of powers
-            pows.append(ctx.powers(lam, count) if count > 2
+            pows.append(ctx.powers(lam, count, cls, n) if count > 2
                         else (ctx.ring.one, lam))
     codes = [[col[r] for col in cols] for r in range(len(rows))]
-    classes = {}
-    for r, (s, _) in enumerate(rows):
-        classes.setdefault(s % step, []).append(r)
     out = []
     for j in exponents:
-        live = classes.get(-j % step, [])
+        live = classes.get(j % step, [])
         sums = ctx.ring.combine([pw[j] for pw in pows],
                                 [codes[r] for r in live]) if live else []
         out.append(dict(zip(live, sums)))
@@ -285,7 +287,8 @@ def orbit_sums(ctx, n, rows, exponents):
 def power_sums(ctx, n, exponents, chi):
     """[sum_{beta mod n} chi^{-1}(beta) exp(beta/n)^j for j in exponents], n
     the conductor of chi (dividing the context modulus): the orbit sums of
-    the row chi^{-1}, of degree -sign chi as chi^{-1}(c) = c^(-sign chi)."""
+    the row chi^{-1}, of degree -sign chi as chi^{-1}(c) = c^(-sign chi):
+    so only the lambda_beta^j with j = sign chi mod q-1 are formed."""
     inv = chi.inverse()
     rows = [(-chi.sign, lambda beta: ctx.char_value(inv, beta))]
     return [sums.get(0, ctx.ring.zero)

@@ -349,16 +349,21 @@ def u_of_az(ctx, a, N):
 
 def shift_by_sums(f, sums):
     """sum_b w_b * f(u/(lam_b*u + 1)) from sums[j] = sum_b w_b * lam_b^j,
-    j < max(prec - 1, 1): out[n] = sum_i c_i * binom(-i, n-i) * sums[n-i],
-    one dot per coefficient, with c_i scaled once per binomial value; the
-    c_i are f's numerators, and the output keeps f's den."""
-    ctx = f.ctx
-    p = ctx.field.p
-    dot = ctx.ring.dot
+    j < max(prec - 1, 1); the output keeps f's den."""
+    return UExpansion(f.ctx, shifted_coeffs(f, sums, range(f.prec)), f.prec,
+                      None, f.den)
+
+
+def shifted_coeffs(f, sums, orders):
+    """[sum_i c_i * binom(-i, n-i) * sums[n-i] for n in orders], the c_i
+    f's numerators: one dot per coefficient, with c_i scaled once per
+    binomial value."""
+    p = f.ctx.field.p
+    dot = f.ctx.ring.dot
     scaled = [(i, [c.scale_const(b) for b in range(p)])
               for i, c in enumerate(f.nums) if c]
     out = []
-    for n in range(f.prec):
+    for n in orders:
         pairs = []
         for i, cs in scaled:
             if i > n:
@@ -367,7 +372,7 @@ def shift_by_sums(f, sums):
             if b and sums[n - i]:
                 pairs.append((cs[b], sums[n - i]))
         out.append(dot(pairs))
-    return UExpansion(ctx, out, f.prec, None, f.den)
+    return out
 
 
 def shift_by_value(f, lam):
@@ -477,6 +482,8 @@ def eisenstein_components(ctx, k, level, N):
     G_k(1/lambda_a) = sum_i g_i mu^i level^(k-i) / level^k with the
     integral mu = level/lambda_a (TorsionContext.torsion_cofactor), so
     D*level^k*E_a is one combination, level^k folded into the P_m weights.
+    G_k(cX) = c^k G_k(X) has terms X^i only at i = k mod q-1, so s_{m(q-1)}
+    reads lambda_a^j at j = -k mod q-1 alone, which is all ctx.powers forms.
     """
     q = ctx.field.order
     step = q - 1
@@ -497,7 +504,8 @@ def eisenstein_components(ctx, k, level, N):
     for a in ctx.units(level):
         if a.is_monic():
             lam = ctx.exp_at(a, level)
-            s = shift_by_value(G, lam).coeffs[step::step]  # s_{m(q-1)}
+            s = shifted_coeffs(G, ctx.powers(lam, N - 1, -k % step, level),
+                               range(step, N, step))  # s_{m(q-1)}
             out[a.c] = combination(
                 ctx, [(poly_eval_scalar(homogeneous, cofactor(lam), ctx.ring),
                        one)]

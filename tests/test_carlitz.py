@@ -21,6 +21,7 @@ from goss_oracle import goss_generating, kernel_goss_loop
 from residue_oracle import evaluator, first_reduced, point_image, point_of
 from test_quotient import old_rf_invert
 
+F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
 F5 = finite_field(5)
@@ -383,6 +384,100 @@ class TestPowerOrbits:
         assert not steps
         ctx.powers(orbit[-1], 13)
         assert len(steps) == 1
+
+
+# (field, modulus coefficients, extension degree): q = 2, 3, 4, 5 and 9,
+# each at a prime level, and the two-prime modulus t(t+1) over F_3
+CLASS_LEVELS = [(F2, (1, 1, 1), 1), (F3, (1, 0, 1), 1), (F4, (2, 1, 1), 2),
+                (F5, (2, 0, 1), 1), (F9, (0, 1), 2), (F3, (0, 1, 1), 1)]
+CLASS_IDS = ["q2-t2+t+1", "q3-t2+1", "q4-t2+t+w-d2", "q5-t2+2", "q9-t-d2",
+             "q3-t2+t"]
+
+
+def _annihilated(ctx):
+    """[(n, [exp_at(beta, n) for the units beta of n])] for n the modulus
+    and, at a composite modulus, each prime factor: C_n kills each value."""
+    levels = [ctx.modulus] + (ctx.primes if len(ctx.primes) > 1 else [])
+    return [(n, [ctx.exp_at(b, n) for b in ctx.units(n)]) for n in levels]
+
+
+def _check_against_chain(ctx, x, got, count, cls=None):
+    """Every entry of got that is there equals x^j by ring.power_step alone,
+    and the x^j with j < count (of cls's class mod q-1, if given) are all
+    there."""
+    step = ctx.field.order - 1
+    chain = _power_chain(ctx.ring, x, max(len(got), count))
+    for j, p in enumerate(got):
+        wanted = j < count and (cls is None or (j - cls) % step == 0)
+        assert p is not None or not wanted
+        assert p is None or p.coords == chain[j].coords
+
+
+class TestPowerClasses:
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("field, coeffs, ext", CLASS_LEVELS,
+                             ids=CLASS_IDS)
+    def test_class_then_full(self, field, coeffs, ext, reduce):
+        # a class request with the relation, past q^deg n, then a plain
+        # request fills the gaps by x alone and keeps every entry made
+        ctx = _orbit_context(field, coeffs, ext, reduce)
+        step = ctx.field.order - 1
+        for n, values in _annihilated(ctx):
+            count = 2 * ctx.field.order ** n.degree + 3
+            for i, x in enumerate(values):
+                cls = i % step
+                got = ctx.powers(x, count, cls, n)
+                _check_against_chain(ctx, x, got, count, cls)
+                kept = [(j, p) for j, p in enumerate(got) if p is not None]
+                full = ctx.powers(x, count)
+                _check_against_chain(ctx, x, full, count)
+                assert all(full[j] is p for j, p in kept)
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("field, coeffs, ext", CLASS_LEVELS,
+                             ids=CLASS_IDS)
+    def test_full_then_class(self, field, coeffs, ext, reduce):
+        # a full request with the relation, then class requests past it:
+        # each keeps the entries made and extends its own class
+        ctx = _orbit_context(field, coeffs, ext, reduce)
+        q = ctx.field.order
+        for n, values in _annihilated(ctx):
+            size = q ** n.degree
+            for i, x in enumerate(values):
+                full = list(ctx.powers(x, size + 2, None, n))
+                _check_against_chain(ctx, x, full, size + 2)
+                for cls in range(q - 1):
+                    count = 2 * size + 2 + cls
+                    got = ctx.powers(x, count, cls, n)
+                    assert all(a is b for a, b in zip(got, full))
+                    _check_against_chain(ctx, x, got, count, cls)
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("field, coeffs, ext", CLASS_LEVELS,
+                             ids=CLASS_IDS)
+    def test_orbit_multiples(self, field, coeffs, ext, reduce):
+        # the members c*lam of an orbit alternate class requests (with the
+        # relation) and plain ones, each asking for more than the last; a
+        # plain request extends from a longer class list of a multiple,
+        # gaps included, and then fills the gaps
+        ctx = _orbit_context(field, coeffs, ext, reduce)
+        q = ctx.field.order
+        n = ctx.modulus
+        orbit = _orbit(ctx, ctx.exp_value)
+        count = q ** n.degree + 2
+        for i, x in enumerate(orbit):
+            if i % 2:
+                got = ctx.powers(x, count + i)
+                _check_against_chain(ctx, x, got, count + i)
+            else:
+                cls = i % (q - 1)
+                got = ctx.powers(x, count + i, cls, n)
+                _check_against_chain(ctx, x, got, count + i, cls)
+        for x in orbit:
+            _check_against_chain(ctx, x, ctx.powers(x, 1), 1)
 
 
 class TestTorsionInverse:

@@ -1,6 +1,7 @@
 """Dirichlet characters on A/nA, convolutions, Gauss-Thakur sums, and the
 power sums s(chi, k)."""
 
+import collections
 import itertools
 
 import pytest
@@ -537,6 +538,30 @@ class TestOrbitSums:
         want = gauss_thakur(chi, oracle)
         assert got.coords == want.coords
         assert got
+
+    def test_twist_forms_one_class_below_q_squared(self, monkeypatch):
+        # q = 5, t^2+2, N = 30: the twist reads lambda_beta^j for j = sign
+        # chi mod 4 alone, so each monic beta makes at most q power_steps
+        # (x^2..x^(q-1), then one by y = x^(q-1) per entry) and
+        # ceil(q^2/(q-1)) more; every x^j with j >= q^2 is the relation's
+        npol = parse_pol(F5, "t^2+2")
+        q = 5
+        ctx = TorsionContext(npol, ext_degree=2)
+        chi = DirichletCharacter.from_conductor(npol, 1, big=ctx.big)
+        f = UExpansion.monomial(ctx, 1, 30).with_meta(ModularMeta(0, 0))
+        made, step = [], type(ctx.ring).power_step
+        monkeypatch.setattr(type(ctx.ring), "power_step",
+                            lambda ring, prev, x: made.append(
+                                step(ring, prev, x)) or made[-1])
+        twist_normalized(f, chi, ctx)
+        where = {id(p): (key, j) for key, pows in ctx._powers.items()
+                 for j, p in enumerate(pows) if p is not None}
+        steps = [where[id(p)] for p in made]
+        per_beta = collections.Counter(key for key, _ in steps)
+        assert len(per_beta) == 6
+        assert max(per_beta.values()) <= q + -(-q * q // (q - 1))
+        assert all(j < q * q for _, j in steps)
+        assert any(len(pows) > q * q for pows in ctx._powers.values())
 
     def test_twist_builds_powers_of_monic_residues_only(self):
         # q = 5, t^2+2: the twist reads lambda_beta for the 6 monic beta,
