@@ -42,7 +42,10 @@ mask) goes through the scalar lane, theta a Kronecker variable across all
 coordinates: for digit planes x_i, s_j (digit j moved to digit 0; at n = 1
 the numerators), x_i*s_j is one integer product of whole numerators, with
 no columns and no fold.  P_e = sum_(i+j=e) x_i*s_j enters digit t times
-digit t of y^e, and the lane is reduced once, beside the translates.
+digit t of y^e, and the lane is reduced once, beside the translates.  A
+pair with an operand in digit 0 alone (one AND with a kept mask; a lifted
+theta-polynomial over F_p, such as a coefficient of u(az)) needs no
+planes: x*s is one product of the whole numerators, added into P_0.
 
 Slot-width bound.  Nothing is reduced mod p before the end, so a slot of a
 column stays below
@@ -276,9 +279,13 @@ class QuotientRing:
             for x, s in lane:
                 out += _widen(x, w) * _widen(s, w)
         else:
-            planes = self._planes
+            planes, repeat, low = self._planes, self._repeat, self._low_row
             prods = [0] * len(self._ypow)
             for x, s in lane:
+                if x & repeat(low, x) == x or s & repeat(low, s) == s:
+                    # an operand in digit 0 alone: one product, into P_0
+                    prods[0] += _widen(x, w) * _widen(s, w)
+                    continue
                 xs = planes(x)
                 if w > 1:
                     xs = [_widen(xi, w) for xi in xs]

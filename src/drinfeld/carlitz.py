@@ -27,26 +27,30 @@ from .errors import ConductorMismatch
 RESIDUE_ORDER_MAX = 243
 
 
-def carlitz_coeffs(a):
-    """Coefficients [a]_0..[a]_{deg a} with C_a(x) = sum [a]_i x^(q^i).
+def carlitz_coeffs(a, memo=None):
+    """Coefficients [a]_0..[a]_{deg a} with C_a(x) = sum [a]_i x^(q^i),
+    each in A = F_q[theta]; callers must not mutate the list.
 
-    Built from C_theta(x) = theta*x + x^q by F_q-linearity and Horner
-    composition; each [a]_i lies in A = F_q[theta].
+    One Horner step from the list of a's prefix b = a div theta, as
+    C_(theta*b + c) = theta*C_b + C_b^q + c (Carlitz, Duke Math. J. 1,
+    1935): [a]_0 = a, [a]_i = theta*[b]_i + [b]_(i-1)^q for 0 < i < d and
+    [a]_d = [b]_(d-1)^q.  The lists built are kept in memo (a context's
+    ``carlitz``, keyed by a.c) when one is given.
     """
-    field = a.field
-    qexp = field.n  # q = p^n, so the q-power Frobenius is frob_power(n)
-    cur = [Pol.zero(field)]
-    theta = Pol.x(field)
-    for code in reversed(a.c) if a.c else [0]:
-        # cur <- theta*cur + frob(cur) + code  (i.e. C_{theta*b + c})
-        nxt = [theta * cur[0] + Pol.const(field, code)]
-        for i in range(1, len(cur)):
-            nxt.append(theta * cur[i] + cur[i - 1].frob_power(qexp))
-        nxt.append(cur[-1].frob_power(qexp))
-        while len(nxt) > 1 and not nxt[-1]:
-            nxt.pop()
-        cur = nxt
-    return cur
+    if memo is None:
+        memo = {}
+    out = memo.get(a.c)
+    if out is None:
+        field = a.field
+        out = [a]
+        if a.degree > 0:
+            prev = carlitz_coeffs(Pol(field, a.c[1:]), memo)
+            frob = [b.frob_power(field.n) for b in prev]  # q = p^n
+            # theta*[b]_i shifts the coefficients of [b]_i up by one
+            out += [Pol(field, (0,) + b.c) + f
+                    for b, f in zip(prev[1:], frob)] + frob[-1:]
+        memo[a.c] = out
+    return out
 
 
 class TorsionContext:
@@ -58,13 +62,14 @@ class TorsionContext:
     degree D replaces F_q by F_{q^D} (needed once character roots enter).
     Memos ``powers``, ``_relation``, ``gauss`` (g(chi) per character chi),
     ``u_az`` (see series.u_of_az) and ``twist_sums`` (normalized_sums)
-    hold ring elements only, so they die with it; a reduced context (see
+    hold ring elements only, and ``carlitz`` (carlitz_coeffs' lists per
+    a.c) holds Pols, so they die with it; a reduced context (see
     _reductions) has its own.
     """
 
     __slots__ = ("field", "big", "emb", "modulus", "primes", "ring",
                  "gens", "_cofs", "_exp_cache", "_powers", "_relations",
-                 "gauss", "u_az", "twist_sums")
+                 "gauss", "u_az", "twist_sums", "carlitz")
 
     def __init__(self, modulus, ext_degree=1):
         field = modulus.field
@@ -96,7 +101,7 @@ class TorsionContext:
         self.ring = ring
         self.gens = tuple(ring.gen(i) for i in range(len(self.primes)))
         self._exp_cache, self._powers, self._relations = {}, {}, {}
-        self.gauss, self.u_az, self.twist_sums = {}, {}, {}
+        self.gauss, self.u_az, self.twist_sums, self.carlitz = {}, {}, {}, {}
 
     lam = property(lambda self: self.exp_value(Pol.one(self.field)))
 
@@ -141,7 +146,7 @@ class TorsionContext:
         q = self.field.order
         pairs = []
         for gen, c, prime in zip(self.gens, self._cofs, self.primes):
-            coeffs = carlitz_coeffs(beta * c % prime)
+            coeffs = carlitz_coeffs(beta * c % prime, self.carlitz)
             pows = self.powers(gen, q ** (len(coeffs) - 1) + 1, None, prime)
             pairs += [(self.lift_poly(a), pows[q ** j])
                       for j, a in enumerate(coeffs) if a]
@@ -192,8 +197,8 @@ class TorsionContext:
         C_n(x) = 0 gives x^(q^d) = sum_{i<d} -[n]_i x^(q^i), d = deg n."""
         rel = self._relations.get(n.c)
         if rel is None:
-            rel = self._relations[n.c] = [-self.lift_poly(c)
-                                          for c in carlitz_coeffs(n)]
+            rel = self._relations[n.c] = [
+                -self.lift_poly(c) for c in carlitz_coeffs(n, self.carlitz)]
         return rel
 
     def torsion_cofactor(self, level):

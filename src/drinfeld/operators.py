@@ -138,7 +138,7 @@ def hecke_u(f, qpol, ctx):
     qk = ctx.lift_poly(qpol ** f.meta.weight).scale_const(
         neben_eval(f.meta.neben, qpol, ctx))
     steps = [(ctx.field.order ** i, c)
-             for i, c in enumerate(carlitz_coeffs(qpol)) if c]
+             for i, c in enumerate(carlitz_coeffs(qpol, ctx.carlitz)) if c]
     H = goss_recursion(steps, f.prec - 1, Pol.zero(ctx.field), Nout)
     zero = ctx.ring.zero
     out = combination(ctx, [(qk, rescale_arg(f.truncate(Nout), qpol).nums)]

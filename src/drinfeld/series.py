@@ -9,8 +9,7 @@ u(z + beta/n) (fractional-linear shift by a torsion value).
 from collections import namedtuple
 from functools import reduce
 
-from .algebra import (Pol, QuotientRing, lucas_binomial, monics_up_to_degree,
-                      power)
+from .algebra import Pol, QuotientRing, lucas_binomial, monics_up_to_degree
 from .carlitz import carlitz_coeffs, goss_polys
 from .errors import InsufficientDegreeBound, SignMismatch, Unsupported
 
@@ -188,12 +187,6 @@ class UExpansion:
         return UExpansion(self.ctx, [c.scale_const(code) for c in self.nums],
                           self.prec, self.meta, self.den)
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative series powers unsupported")
-        return power(self, e, UExpansion.const(self.ctx, self.ctx.ring.one,
-                                               self.prec))
-
     def powers(self, count):
         """[S^1, ..., S^count] as coefficient tuples, cut before the first
         power of order >= prec (it and all later ones are zero).  Built one
@@ -338,7 +331,7 @@ def u_of_az(ctx, a, N):
         if size < N:
             zero = ctx.ring.zero
             den = [zero] * (N - size)
-            for i, c in enumerate(carlitz_coeffs(a)):
+            for i, c in enumerate(carlitz_coeffs(a, ctx.carlitz)):
                 if c and size - q ** i < N - size:
                     den[size - q ** i] = ctx.lift_poly(c)
             kept.append((zero,) * size + UExpansion(ctx, den).inverse().coeffs)
@@ -478,7 +471,9 @@ def eisenstein_components(ctx, k, level, N):
     and summing over xi multiplies u(c'z)^n by sum_xi xi^(-n), which is
     -1 when (q-1) | n and 0 otherwise.  So with the power sums
     P_m = sum_{c' monic} u(c'z)^(m(q-1)) and s = G_k(u/(lambda_a u + 1)),
-    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m.  As deg G_k = k,
+    E_a = G_k(1/lambda_a) - sum_{m >= 1} s_{m(q-1)} P_m, with P_m a sum of
+    V^m, V = u(c'z)^(q-1) read from the powers the u_of_az memo keeps (as
+    the rank rows and AExpansion.render read them).  As deg G_k = k,
     G_k(1/lambda_a) = sum_i g_i mu^i level^(k-i) / level^k with the
     integral mu = level/lambda_a (TorsionContext.torsion_cofactor), so
     D*level^k*E_a is one combination, level^k folded into the P_m weights.
@@ -490,8 +485,9 @@ def eisenstein_components(ctx, k, level, N):
     P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
     for c in monics_up_to_degree(ctx.field, bound_for_precision(ctx.field, N)):
         count = (N - 1) // (step * q ** c.degree)  # powers of order < N
-        for m in range(count):  # W = V^(m+1), V = u(cz)^(q-1)
-            W = W * V if m else (V := u_of_az(ctx, c, N) ** step)
+        for m in range(count):  # W = V^(m+1), V = u(cz)^(q-1), a kept power
+            W = W * V if m else (V := UExpansion(
+                ctx, u_of_az(ctx, c, N).powers(step)[-1], N))
             P[m] = P[m] + W
     gk = goss_coeffs_in(ctx, k)
     G = UExpansion(ctx, gk, N)

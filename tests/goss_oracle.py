@@ -1,10 +1,30 @@
 """Goss polynomials from constructions independent of
 carlitz.goss_recursion: those of the Carlitz lattice from the exponential
 generating identity (an oracle for goss_polys), and those of ker C_q by
-the loop operators.hecke_u once ran inline (an oracle for hecke_u's H_n)."""
+the loop operators.hecke_u once ran inline (an oracle for hecke_u's H_n).
+Also the Carlitz coefficients [a]_i by deg a + 1 Horner steps from zero,
+with no memo (an oracle for carlitz_coeffs' prefix route)."""
 
 from drinfeld.algebra import RF, Pol
 from drinfeld.carlitz import carlitz_coeffs, carlitz_factorials
+
+
+def horner_carlitz_coeffs(a):
+    """[a]_0..[a]_{deg a}: from C_0 = 0, one step C_(theta*b + c) =
+    theta*C_b + C_b^q + c per coefficient of a, high first, the top
+    coefficient trimmed while zero."""
+    field = a.field
+    theta = Pol.x(field)
+    cur = [Pol.zero(field)]
+    for code in reversed(a.c) if a.c else [0]:
+        nxt = [theta * cur[0] + Pol.const(field, code)]
+        for i in range(1, len(cur)):
+            nxt.append(theta * cur[i] + cur[i - 1].frob_power(field.n))
+        nxt.append(cur[-1].frob_power(field.n))
+        while len(nxt) > 1 and not nxt[-1]:
+            nxt.pop()
+        cur = nxt
+    return cur
 
 
 def kernel_goss_loop(qpol, N, width):

@@ -9,7 +9,8 @@ forms with one dot per coefficient, summed here term by term as
 S.scale(c) plus series additions.  The oracles that the power-sum shifts,
 the closed-form Hecke beta-sum of operators.py, the per-context u(az)
 memo, algebra.power, poly_eval_series, operators.hecke_a, the renders and
-the Eisenstein components are tested against, and the rank rows by
+the Eisenstein components (also by the algebra.power route to its
+V = u(cz)^(q-1)) are tested against, and the rank rows by
 character, which the rows of forms.eisenstein_rows span.  The values of a
 series (its numerators over its den) as RF coordinates, or residues on a
 reduced context, and the twists by the route that scales every value by
@@ -19,15 +20,15 @@ den.  A series in v is a UExpansion whose variable is read as v.
 
 from drinfeld import forms
 from drinfeld.algebra import (RF, QuotientRing, lucas_binomial,
-                              monics_up_to_degree, polys_below_degree)
+                              monics_up_to_degree, polys_below_degree, power)
 from drinfeld.carlitz import carlitz_coeffs
 from drinfeld.characters import DirichletCharacter, gauss_thakur, power_sums
 from drinfeld.errors import DrinfeldError
 from drinfeld.operators import _character_shift_sum, neben_eval
 from drinfeld.series import (UExpansion, bound_for_precision, combination,
                              fold_units, goss_coeffs_in, goss_den,
-                             poly_eval_series, rescale_arg, shift_by_value,
-                             u_of_az)
+                             poly_eval_scalar, poly_eval_series, rescale_arg,
+                             shift_by_value, shifted_coeffs, u_of_az)
 
 
 def direct_u_of_az(ctx, a, N):
@@ -246,6 +247,38 @@ def scaled_sum_components(ctx, k, level, N):
                 if s[m * step]:
                     E = E - Pm.scale(s[m * step] * lift(level ** k))
             out[a.c] = E
+    return goss_den(ctx.field, k) * level ** k, out
+
+
+def power_route_components(ctx, k, level, N):
+    """eisenstein_components(ctx, k, level, N) with V = u(cz)^(q-1) formed
+    by algebra.power beside the powers the u_of_az memo keeps, as the
+    library did before it read V from them; the rest as there."""
+    q = ctx.field.order
+    step = q - 1
+    one = UExpansion.const(ctx, ctx.ring.one, N)
+    P = [UExpansion.zero(ctx, N) for _ in range((N - 1) // step)]
+    for c in monics_up_to_degree(ctx.field, bound_for_precision(ctx.field, N)):
+        count = (N - 1) // (step * q ** c.degree)
+        for m in range(count):
+            W = W * V if m else (V := power(u_of_az(ctx, c, N), step, one))
+            P[m] = P[m] + W
+    gk = goss_coeffs_in(ctx, k)
+    G = UExpansion(ctx, gk, N)
+    minus_lk = -ctx.lift_poly(level ** k)
+    homogeneous = [g * ctx.lift_poly(level ** (k - i)) if g else g
+                   for i, g in enumerate(gk)]
+    cofactor = ctx.torsion_cofactor(level)
+    out = {}
+    for a in ctx.units(level):
+        if a.is_monic():
+            lam = ctx.exp_at(a, level)
+            s = shifted_coeffs(G, ctx.powers(lam, N - 1, -k % step, level),
+                               range(step, N, step))
+            out[a.c] = combination(
+                ctx, [(poly_eval_scalar(homogeneous, cofactor(lam), ctx.ring),
+                       one.coeffs)]
+                + [(x * minus_lk, Pm.coeffs) for x, Pm in zip(s, P) if x], N)
     return goss_den(ctx.field, k) * level ** k, out
 
 

@@ -15,9 +15,10 @@ from drinfeld.carlitz import (RESIDUE_ORDER_MAX, TorsionContext,
                               goss_polys, goss_recursion)
 from drinfeld.errors import NotReducible
 from drinfeld.series import (UExpansion, goss_coeffs_in, goss_den,
-                             shift_by_value)
+                             shift_by_value, u_of_az)
 
-from goss_oracle import goss_generating, kernel_goss_loop
+from goss_oracle import (goss_generating, horner_carlitz_coeffs,
+                         kernel_goss_loop)
 from residue_oracle import evaluator, first_reduced, point_image, point_of
 from test_quotient import old_rf_invert
 
@@ -81,6 +82,41 @@ class TestCarlitzCoeffs:
         assert c[0] == TH * TH
         assert c[1] == pol3("t^3+t")
         assert c[2] == Pol.one(F3)
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9],
+                             ids=["q2", "q3", "q4", "q5", "q9"])
+    def test_prefix_route_equals_horner(self, field):
+        # every a of degree <= 3 (monic, non-monic, constant and zero) into
+        # one memo, as on a context, with prefixes first and with prefixes
+        # last; and each a with no memo
+        pols = list(polys_below_degree(field, 4))
+        want = {a.c: horner_carlitz_coeffs(a) for a in pols}
+        for order in (pols, pols[::-1]):
+            memo = {}
+            for a in order:
+                assert carlitz_coeffs(a, memo) == want[a.c], a
+                assert carlitz_coeffs(a, memo) is memo[a.c]
+            assert len(memo) == len(pols)
+        assert all(carlitz_coeffs(a) == want[a.c] for a in pols)
+
+    def test_one_horner_step_from_the_prefix(self, monkeypatch):
+        # a of degree 3 keeps the lists of a div theta^j, j = 0..3, with
+        # 0 + 1 + 2 + 3 q-th powers; a second a of degree 3 with the same
+        # prefix takes one step from the kept list: deg a q-th powers
+        frobs = []
+        frob = Pol.frob_power
+        monkeypatch.setattr(Pol, "frob_power", lambda p, k: (
+            frobs.append(p) or frob(p, k)))
+        memo = {}
+        a, b = pol3("2t^3+t^2+2"), pol3("2t^3+t^2+1")
+        want = horner_carlitz_coeffs(b)
+        del frobs[:]
+        carlitz_coeffs(a, memo)
+        assert sorted(memo) == sorted(Pol(F3, a.c[j:]).c for j in range(4))
+        assert len(frobs) == 6
+        del frobs[:]
+        assert carlitz_coeffs(b, memo) == want
+        assert len(frobs) == 3 and len(memo) == 5
 
     @given(small_pols(), small_pols())
     @settings(max_examples=30)
@@ -273,6 +309,27 @@ class TestTorsionMemos:
         for _ in range(8):
             fresh.append(fresh[-1] * lam)
         assert red.powers(lam, 9)[:9] == fresh
+
+    def test_carlitz_memo_per_context(self):
+        # the lists carlitz_coeffs builds for u(az) and exp_value stay on
+        # their context; a reduced context starts with an empty memo of
+        # its own and fills only that one
+        exact = TorsionContext(pol3("t^2+1"))
+        a = pol3("t^3+t+1")
+        assert exact.carlitz == {}
+        u_of_az(exact, a, 30)
+        exact.exp_value(pol3("2t+2"))
+        kept = dict(exact.carlitz)
+        assert a.c in kept and pol3("2t+2").c in kept
+        assert all(isinstance(c, Pol) for cs in kept.values() for c in cs)
+        red = first_reduced(exact)
+        assert red.carlitz == {} and red.carlitz is not exact.carlitz
+        u_of_az(red, a, 30)
+        assert sorted(red.carlitz) == sorted(Pol(F3, a.c[j:]).c
+                                             for j in range(4))
+        assert exact.carlitz == kept
+        assert red.carlitz[a.c] == kept[a.c]
+        assert red.carlitz[a.c] is not kept[a.c]
 
     def test_powers_zero_and_one(self):
         ctx = TorsionContext(TH)

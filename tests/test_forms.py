@@ -24,7 +24,8 @@ from drinfeld.series import (AExpansion, UExpansion, goss_coeffs_in,
 from eigen_oracle import eigen_check
 from residue_oracle import first_reduced, point_image
 from series_oracle import (character_rows, defining_f_row,
-                           rows_by_characters, sign_characters)
+                           repeated_product, rows_by_characters,
+                           sign_characters)
 
 F3 = finite_field(3)
 TH = Pol.x(F3)
@@ -763,7 +764,8 @@ def _all_unit_rows(ppol, k, N):
         count = (N - 1) // (step * q ** c.degree)
         if not count:
             continue
-        V = W = u_of_az(ctx, c, N) ** step
+        V = W = repeated_product(u_of_az(ctx, c, N), step,
+                                 UExpansion.const(ctx, ctx.ring.one, N))
         for m in range(count):
             if m:
                 W = W * V

@@ -19,9 +19,10 @@ from drinfeld.algebra import (Pol, QuotientRing, RF, REl, finite_field,
                               parse_pol, quotient, row_echelon)
 from drinfeld.carlitz import TorsionContext
 from drinfeld.errors import DrinfeldError, NotInvertible, Unsupported
-from drinfeld.series import UExpansion
+from drinfeld.series import UExpansion, u_of_az
 
 from residue_oracle import first_reduced
+from series_oracle import repeated_product
 
 F3, F4, F5, F9 = (finite_field(3), finite_field(2, 2), finite_field(5),
                   finite_field(3, 2))
@@ -519,6 +520,107 @@ def test_lane_width_past_max_slot_bytes_raises(monkeypatch):
             a * b
 
 
+# -- lane pairs with an operand in digit 0 alone (n > 1) -----------------------
+
+F25 = finite_field(5, 2)
+
+
+def digit0_ring(field):
+    """A dim-3 ring whose relation has coefficients outside F_p."""
+    rel = [Pol(field, (field.order - 1, 1)), Pol(field, (0, field.p + 1)),
+           Pol.zero(field), Pol.one(field)]
+    return QuotientRing(field, [("l", rel)])
+
+
+def lane_operand(ring, rng, scalar, digit0):
+    """(packed, reference): random coordinates of theta-degree 5, at
+    exponent zero alone if scalar, with codes < p (digit 0 alone) if
+    digit0, else with a code >= p at the top of each coordinate."""
+    big = ring.field
+    p, order = big.p, big.order
+    coords = [RF.zero(big)] * ring.total
+    for idx in [0] if scalar else range(ring.total):
+        top = rng.randrange(1, p) if digit0 else rng.randrange(p, order)
+        coords[idx] = RF.from_pol(Pol(big, [
+            rng.randrange(p if digit0 else order) for _ in range(5)] + [top]))
+    return from_coords(ring, coords), coords
+
+
+def is_digit0(x):
+    return all(c.num.c == tuple(v % x.ring.field.p for v in c.num.c)
+               for c in x.rf_coords())
+
+
+@pytest.mark.parametrize("field", [F4, F9, F25], ids=["q4", "q9", "q25"])
+def test_digit0_lane_pairs_match_reference(monkeypatch, field):
+    # a lane pair with an operand in digit 0 alone is one product of the
+    # whole numerators, split into no digit planes; a pair of two full
+    # operands still splits; every kind equals the reference, alone, in
+    # both orders, and all kinds in one dot
+    ring = digit0_ring(field)
+    rng = random.Random(41)
+    s0, x0, s1, x1 = (lane_operand(ring, rng, scalar, digit0)
+                      for digit0 in (True, False) for scalar in (True, False))
+    assert [x.is_scalar() for x, _ in (s0, x0, s1, x1)] == [True, False] * 2
+    assert [is_digit0(x) for x, _ in (s0, x0, s1, x1)] == [True] * 2 + [
+        False] * 2
+    split = []
+    planes = QuotientRing._planes
+    monkeypatch.setattr(QuotientRing, "_planes", lambda self, num: (
+        split.append(num) or planes(self, num)))
+    kinds = {"digit0*digit0": [(s0, x0), (s0, s0)],
+             "digit0*full": [(s0, x1), (s1, x0), (s0, s1)],
+             "full*full": [(s1, x1), (s1, s1)]}
+    for kind, pairs in kinds.items():
+        for (a, ca), (b, cb) in pairs:
+            for (u, cu), (v, cv) in (((a, ca), (b, cb)), ((b, cb), (a, ca))):
+                del split[:]
+                assert ring.dot([(u, v)]).rf_coords() == ref_mul(ring, cu, cv)
+                assert bool(split) == (kind == "full*full"), kind
+    pairs = [pair for group in kinds.values() for pair in group]
+    want = [RF.zero(field)] * ring.total
+    for (_, ca), (_, cb) in pairs:
+        want = ref_add(want, ref_mul(ring, ca, cb))
+    assert ring.dot([(a, b) for (a, _), (b, _) in pairs]).rf_coords() == want
+
+
+def test_u_of_az_and_lifted_polys_are_digit0():
+    # in an F_(q^n) ring over a prime q, u(az)'s coefficients and lifted
+    # theta-polynomials have codes in F_q, so their lane pairs are products;
+    # a value scaled by a constant outside F_q (a character value) is not
+    ctx = TorsionContext(parse_pol(F3, "t^2+1"), ext_degree=2)
+    th = Pol.x(F3)
+    coeffs = [c for c in u_of_az(ctx, th * th + th, 40).coeffs if c]
+    lifted = ctx.lift_poly(th ** 5 + Pol.one(F3))
+    assert coeffs and all(is_digit0(x) for x in coeffs + [lifted])
+    assert not is_digit0(lifted.scale_const(3))
+
+
+@pytest.mark.parametrize("field, edge", [(F4, 85), (F9, 21), (F25, 3)],
+                         ids=["q4", "q9", "q25"])
+def test_digit0_lane_width_moves_at_the_edge(monkeypatch, field, edge):
+    # digit-0 pairs take the lane's slot width: one byte at the edge of
+    # LANE_EDGES, two one row past it, and exact at both
+    widths = []
+    mod_slots = QuotientRing._mod_slots
+
+    def spy(self, raw, w):
+        widths.append(w)
+        return mod_slots(self, raw, w)
+    monkeypatch.setattr(QuotientRing, "_mod_slots", spy)
+    p = field.p
+    for rows, width in ((edge, 1), (edge + 1, 2)):
+        ring, (s, cs), (x, cx) = lane_operands(field, rows)
+        low = RF.from_pol(Pol(field, (p - 1,) * rows))
+        cs0, cx0 = [low, RF.zero(field)], [low, low]
+        s0, x0 = from_coords(ring, cs0), from_coords(ring, cx0)
+        for a, ca, b, cb in ((s0, cs0, s0, cs0), (s0, cs0, x, cx),
+                             (x0, cx0, s, cs), (s, cs, s0, cs0)):
+            widths.clear()
+            assert (a * b).rf_coords() == ref_mul(ring, ca, cb)
+            assert widths == [width]
+
+
 # -- sums of field-constant multiples (combine) --------------------------------
 
 def old_scaled(ring, x, code):
@@ -730,7 +832,8 @@ def test_square_matches_product_with_a_copy(ctx):
             want.append(total)
         assert list((S * S).coeffs) == want
         assert S * S == S * copy
-        assert S ** 3 == S * copy * copy
+        one = UExpansion.const(ctx, ring.one, S.prec)
+        assert repeated_product(S, 3, one) == S * copy * copy
 
 
 # -- the slot-width bound -----------------------------------------------------

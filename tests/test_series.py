@@ -26,7 +26,8 @@ from drinfeld.series import (WITNESS_WIDTH, AExpansion, ModularMeta,
 
 from residue_oracle import first_reduced, point_image, value_images
 from series_oracle import (NotDescendable, descend, direct_u_of_az,
-                           power_loop_poly_eval, repeated_product,
+                           power_loop_poly_eval, power_route_components,
+                           repeated_product,
                            scaled_sum_components, scaled_sum_poly_eval,
                            scaled_sum_render, scaled_sum_twisted_render,
                            shift_by_torsion, to_subparameter,
@@ -265,8 +266,8 @@ class TestUOfAz:
         # again reads the same power elements, with no series product
         builds = []
         carlitz_coeffs = series.carlitz_coeffs
-        monkeypatch.setattr(series, "carlitz_coeffs",
-                            lambda a: builds.append(a) or carlitz_coeffs(a))
+        monkeypatch.setattr(series, "carlitz_coeffs", lambda a, memo: (
+            builds.append(a) or carlitz_coeffs(a, memo)))
         exact = TorsionContext(modulus)
         field = exact.field
         q = field.order
@@ -371,9 +372,9 @@ class TestShifts:
         got = shift_by_value(f, lam)
         # u^2/(lam u + 1)^2 expanded directly
         u = UExpansion.u(ctx, 8)
-        denom = (UExpansion.const(ctx, ctx.ring.one, 8)
-                 + u.scale(lam)) ** 2
-        assert got.agrees_with((u ** 2) * denom.inverse())
+        one = UExpansion.const(ctx, ctx.ring.one, 8)
+        denom = repeated_product(one + u.scale(lam), 2, one)
+        assert got.agrees_with(repeated_product(u, 2, one) * denom.inverse())
 
     @pytest.mark.parametrize("modulus, N", [
         (pol3("t^2+1"), 12), (Pol(F4, (0, 1)), 16),
@@ -589,7 +590,8 @@ class TestMoebius:
         formed = sum(X.powers(12)[1:], ())
         derived = [X.scale(lam), X + X, -X, X - X, X.truncate(6),
                    X.with_meta(ModularMeta(2, 0)), X.scale_const(2), X * X,
-                   X ** 2]
+                   repeated_product(X, 2, UExpansion.const(ctx, ctx.ring.one,
+                                                           12))]
         for d in derived:
             assert not any(x is y for x, y in zip(
                 sum(d.powers(3)[1:], ()), formed) if x)
@@ -826,6 +828,55 @@ def coords(series):
     return [c.coords for c in series.nums], series.den
 
 
+# (modulus, k, N): a prime level for each q in 2, 3, 4, 5, and k > q at q = 2
+POWER_SUM_LEVELS = [(Pol(finite_field(2), (1, 1, 1)), 1, 20),
+                    (Pol(finite_field(2), (1, 1, 1)), 3, 20),
+                    (pol3("t^2+1"), 2, 24), (P4, 3, 20),
+                    (parse_pol(finite_field(5), "t^2+2"), 2, 30)]
+POWER_SUM_IDS = ["q2-k1", "q2-k3", "q3-k2", "q4-k3", "q5-k2"]
+
+
+class TestPowerSums:
+    """E_a's power sums P_m read V = u(cz)^(q-1) from the powers the u_of_az
+    memo keeps; G_k(u(cz)) in the rank rows reads the same powers."""
+
+    @pytest.mark.parametrize("reduce", [False, True],
+                             ids=["exact", "reduced"])
+    @pytest.mark.parametrize("modulus, k, N", POWER_SUM_LEVELS,
+                             ids=POWER_SUM_IDS)
+    def test_components_equal_power_route(self, modulus, k, N, reduce):
+        # each route on a context of its own, so neither reads the other's
+        # memo; den and every numerator equal
+        got, want = (f(fused_context(modulus, 1, reduce), k, modulus, N)
+                     for f in (eisenstein_components, power_route_components))
+        assert got[0] == want[0] == goss_den(modulus.field, k) * modulus ** k
+        assert {a: coords(E) for a, E in got[1].items()} == {
+            a: coords(E) for a, E in want[1].items()}
+
+    def test_rank_forms_each_power_once(self, monkeypatch):
+        # eisenstein_rank(t^2+1, 2, 36) certifies at its first residue
+        # point; there every series product is a power the u_of_az memo
+        # keeps (one square u(cz)^2 per monic c with 2*3^deg c < 36, read by
+        # both the power sums and the rows) or a W*V of the power sums
+        rows = forms.eisenstein_rows
+        points = []
+        monkeypatch.setattr(forms, "eisenstein_rows", lambda ctx, k, N: (
+            points.append(ctx) or rows(ctx, k, N)))
+        products = []
+        mul = UExpansion.__mul__
+        monkeypatch.setattr(UExpansion, "__mul__", lambda f, g: (
+            products.append(1) or mul(f, g)))
+        assert forms.eisenstein_rank(pol3("t^2+1"), 2, 36) == 8
+        assert len(points) == 1 and not hasattr(UExpansion, "__pow__")
+        kept = points[0].u_az
+        counts = [35 // (2 * 3 ** c.degree)
+                  for c in monics_up_to_degree(F3, 3)]
+        formed = sum(len(p) - 1 for p in kept.values() if p)
+        assert formed == sum(len(p) == 2 for p in kept.values()) == sum(
+            n > 0 for n in counts) == 13
+        assert len(products) == formed + sum(n - 1 for n in counts if n) == 41
+
+
 class TestCombination:
     """Each linear combination of u-series is one dot per coefficient; it
     equals, coefficient for coefficient, the sum of S.scale(c) it replaces
@@ -913,7 +964,7 @@ class TestCombination:
                 assert bool(dots) == (dotted and e > 1), e
             assert power(x, 1, one) is x and power(x, 0, one) is one
         if not reduce:
-            assert lam ** 1 is lam and values[2][0] ** 1 is values[2][0]
+            assert lam ** 1 is lam
 
     def test_combinations_keep_memo_column_caches(self):
         # a combination reads each coefficient of u(az) and of its kept
