@@ -520,7 +520,7 @@ def test_lane_width_past_max_slot_bytes_raises(monkeypatch):
             a * b
 
 
-# -- lane pairs with an operand in digit 0 alone (n > 1) -----------------------
+# -- lane pairs with an operand in digit 0 alone (n > 1) ----------------------
 
 F25 = finite_field(5, 2)
 
